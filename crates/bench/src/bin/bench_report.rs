@@ -278,14 +278,14 @@ fn main() {
         "shape-keyed dedup must collapse the corridor to its 5 cell kinds"
     );
 
-    // --- Sharded fixed point: the 1000-cell corridor through the
-    // persistent partition workers vs the single-scan baseline. Small
-    // per-cell state spaces put the solve in the overhead-dominated
-    // regime metro layouts live in (per-solve fixed costs — capture,
-    // measures extraction, decode — dwarf the CTMC sweeps), which is
-    // exactly what the shard engine's owned templates eliminate.
-    // Identical options on both sides, so the bitwise contract is
-    // asserted on the measured pair before the rates are trusted. ---
+    // --- Sharded fixed point: the 1000-cell corridor on 2 and 4
+    // persistent partition workers vs the 1-shard baseline (every cell
+    // solved inline on the calling thread). Small per-cell state
+    // spaces put the solve in the overhead-dominated regime metro
+    // layouts live in (per-solve fixed costs — capture, measures
+    // extraction, decode — dwarf the CTMC sweeps). Identical options
+    // on both sides, so the bitwise contract is asserted on the
+    // measured pair before the rates are trusted. ---
     let shard_n = 1000usize;
     let shard_cells: Vec<CellConfig> = (0..shard_n)
         .map(|i| {
@@ -309,8 +309,7 @@ fn main() {
     // and the predict-and-verify surrogate serves the late, tiny-step
     // iterations of the deep 1e-14 fixed point from verified
     // extrapolations, keeping the workload overhead-dominated; threads
-    // pinned to 1 so the comparison isolates the shard engine's
-    // per-solve savings from plain thread fan-out.
+    // pinned to 1 so only the explicit shard count varies.
     let shard_opts = ClusterSolveOptions::quick()
         .with_solve(solve_opts.clone().with_check_every(1))
         .with_surrogate(true)
@@ -500,6 +499,7 @@ fn main() {
         shard_baseline.iterations()
     );
     let _ = writeln!(json, "    \"cell_solves\": {shard_cell_solves},");
+    let _ = writeln!(json, "    \"baseline_shards\": 1,");
     let _ = writeln!(
         json,
         "    \"baseline_cell_solves_per_sec\": {shard_baseline_pps:.4},"

@@ -344,9 +344,9 @@ fn run_batch(
 /// (tolerances untouched — retries buy room, not looseness) and pins
 /// inner solves to one thread and one shard when the spec leaves the
 /// counts adaptive: the campaign parallelizes *across* items, and
-/// nested pools (thread fan-outs or per-item shard workers picking up
-/// a machine-wide `GPRS_SHARDS`) would oversubscribe. A spec that
-/// explicitly sets `shards` keeps it.
+/// nested per-item shard workers (whose default count follows the
+/// thread count) would oversubscribe. A spec that explicitly sets
+/// `shards` keeps it.
 fn escalate(
     base: &ClusterSolveOptions,
     retry: &RetryPolicy,

@@ -16,10 +16,10 @@
 //! 1. solve each cell's CTMC under its current incoming handover rates
 //!    `(λ_h,GSM[i], λ_h,GPRS[i])` — via
 //!    [`crate::GprsModel::with_handover_arrivals`], lowered through one
-//!    [`GeneratorTemplate`] per cell that persists across all outer
-//!    iterations (shared state space, solver workspace and CSR
-//!    pattern; each pass only refills rates) and warm-starts from the
-//!    cell's previous iterate;
+//!    [`crate::template::GeneratorTemplate`] per cell that persists
+//!    across all outer iterations (shared state space, solver
+//!    workspace and CSR pattern; each pass only refills rates) and
+//!    warm-starts from the cell's previous iterate;
 //! 2. read the mean populations `E[n_i]`, `E[m_i]` off the stationary
 //!    distributions and form the outgoing fluxes `μ_h,GSM·E[n_i]` and
 //!    `μ_h,GPRS·E[m_i]`, split uniformly over the six neighbours
@@ -30,9 +30,9 @@
 //! Under uniform load the fixed point coincides with the scalar balance
 //! (every cell's inflow equals its own outflow), which is both the
 //! initialization and the oracle the test suite checks against. The
-//! seven per-iteration cell solves are independent, so they fan out over
-//! [`gprs_exec::par_map_tasks`] — results are bit-identical
-//! for any thread count.
+//! per-iteration cell solves are independent, so the one fixed-point
+//! engine (`gprs_core::shard`) partitions the cells over persistent
+//! workers — results are bit-identical for any shard and thread count.
 //!
 //! # Example
 //!
@@ -62,14 +62,12 @@
 use crate::config::CellConfig;
 use crate::error::ModelError;
 use crate::graph::CellGraph;
-use crate::health::{SolveHealth, SolveRung};
+use crate::health::SolveHealth;
 use crate::measures::Measures;
-use crate::template::{GeneratorTemplate, TemplateRegistry, WarmStart};
+use crate::template::TemplateRegistry;
 use gprs_ctmc::solver::SolveOptions;
-use gprs_exec::{num_threads, par_map_tasks};
+use gprs_exec::num_threads;
 use gprs_queueing::handover::{balance_default, HandoverParams};
-use gprs_queueing::QueueingError;
-use std::sync::Mutex;
 
 /// Number of cells in the legacy 7-cell ring cluster — the default
 /// topology of [`ClusterModel::new`] and the paper's validation setup.
@@ -79,69 +77,6 @@ pub const NUM_CELLS: usize = 7;
 
 /// Index of the mid (statistics) cell — cell 0 on every topology.
 pub const MID_CELL: usize = 0;
-
-/// The handover neighbours of `cell` on the legacy 7-cell ring (always
-/// 6, by wraparound).
-///
-/// Cell 0 is the mid cell; cells 1–6 form the ring. The cluster is
-/// closed under handover: movements that would leave it wrap back onto
-/// it under the standard 7-cell tiling of the plane, so the mid cell's
-/// neighbours are the six ring cells and a ring cell's neighbours are
-/// the mid cell plus the five other ring cells. This is exactly
-/// [`CellGraph::ring7`]; arbitrary topologies use
-/// [`CellGraph::neighbors`].
-///
-/// # Errors
-///
-/// [`ModelError::Topology`] if `cell >= NUM_CELLS`.
-pub fn neighbors(cell: usize) -> Result<[usize; 6], ModelError> {
-    if cell >= NUM_CELLS {
-        return Err(ModelError::Topology {
-            reason: format!("cell {cell} out of range (ring has {NUM_CELLS} cells)"),
-        });
-    }
-    if cell == MID_CELL {
-        Ok([1, 2, 3, 4, 5, 6])
-    } else {
-        // Mid cell plus the five other ring cells.
-        let mut out = [0usize; 6];
-        out[0] = MID_CELL;
-        let mut slot = 1;
-        for other in 1..NUM_CELLS {
-            if other != cell {
-                out[slot] = other;
-                slot += 1;
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Picks a uniform handover target for a user leaving `cell` of the
-/// legacy 7-cell ring, given a uniform random value `u ∈ [0, 1]` — the
-/// sampling counterpart of the analytical model's uniform 1/6 flux
-/// split. Arbitrary topologies use [`CellGraph::handover_target`],
-/// which degenerates to this exact binning on [`CellGraph::ring7`].
-///
-/// The convention is half-open binning with an inclusive boundary:
-/// `u ∈ [i/6, (i+1)/6)` selects neighbour `i`, and the measure-zero
-/// draw `u = 1.0` is clamped onto the last neighbour, so callers
-/// sampling from either `[0, 1)` or `[0, 1]` uniform generators are
-/// accepted.
-///
-/// # Errors
-///
-/// [`ModelError::Topology`] if `cell >= NUM_CELLS` or `u` is outside
-/// `[0, 1]`.
-pub fn handover_target(cell: usize, u: f64) -> Result<usize, ModelError> {
-    if !(0.0..=1.0).contains(&u) {
-        return Err(ModelError::Topology {
-            reason: format!("u must lie in [0, 1], got {u}"),
-        });
-    }
-    let nbrs = neighbors(cell)?;
-    Ok(nbrs[((u * 6.0) as usize).min(5)])
-}
 
 /// The sweep ordering of the cluster fixed point over the cell graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -160,8 +95,8 @@ pub enum SweepOrdering {
     /// converges in fewer outer iterations on elongated topologies
     /// (corridors) where Jacobi information crawls one hop per sweep.
     /// Cells within a class share no edge, so the per-class solves
-    /// still fan out in parallel and results stay bit-identical for
-    /// any thread count.
+    /// still run in parallel across shards and results stay
+    /// bit-identical for any shard and thread count.
     GaussSeidel,
 }
 
@@ -176,8 +111,9 @@ pub struct ClusterSolveOptions {
     pub max_iterations: usize,
     /// Options for the inner per-cell CTMC solves.
     pub solve: SolveOptions,
-    /// Worker threads for the per-iteration cell fan-out; `0` (the
-    /// default) uses [`gprs_exec::num_threads`]. Results are
+    /// Worker threads for the per-iteration cell solves; `0` (the
+    /// default) uses [`gprs_exec::num_threads`]. It is the default
+    /// shard count (see [`shards`](Self::shards)). Results are
     /// identical for any value.
     pub threads: usize,
     /// Adaptive relaxation of the outer fixed point (default `true`),
@@ -196,8 +132,8 @@ pub struct ClusterSolveOptions {
     ///   convergence *beyond* the remaining iteration budget, the step
     ///   is extrapolated Aitken-style to `1/(1−ratio)` (capped), which
     ///   collapses the slow mode. Hot-spot cases that previously ended
-    ///   in [`QueueingError::BalanceNotConverged`] converge well inside
-    ///   the budget with this on.
+    ///   in [`gprs_queueing::QueueingError::BalanceNotConverged`]
+    ///   converge well inside the budget with this on.
     ///
     /// Trajectories that converge within the budget without
     /// oscillating are untouched: the factor stays at `1` and every
@@ -212,25 +148,26 @@ pub struct ClusterSolveOptions {
     /// Use the predict-and-verify surrogate for inner cell solves
     /// (default `false`, which keeps the fixed point bit-identical to
     /// the historical iteration). When on, each cell solve runs with
-    /// [`WarmStart::Predicted`]: once a cell's warm-start chain has two
-    /// predecessors, the extrapolated iterate is residual-checked
-    /// first and served without solver sweeps when it already meets
-    /// `solve.tolerance` — outer iterations near the fixed point, where
-    /// the arrival vector barely moves, become nearly free. Every
-    /// served point still satisfies the same residual contract as a
-    /// full solve; [`SolvedCluster::surrogate_solves`] reports how
-    /// often the shortcut fired.
+    /// [`crate::template::WarmStart::Predicted`]: once a cell's
+    /// warm-start chain has two predecessors, the extrapolated iterate
+    /// is residual-checked first and served without solver sweeps when
+    /// it already meets `solve.tolerance` — outer iterations near the
+    /// fixed point, where the arrival vector barely moves, become
+    /// nearly free. Every served point still satisfies the same
+    /// residual contract as a full solve;
+    /// [`SolvedCluster::surrogate_solves`] reports how often the
+    /// shortcut fired.
     pub surrogate: bool,
-    /// Shard count for the partitioned fixed-point engine. `0` (the
-    /// default) reads the `GPRS_SHARDS` environment variable (itself
-    /// defaulting to 1); `1` runs the classic single-scan engine; `2+`
-    /// partitions the cell graph into that many contiguous shards
+    /// Shard count of the fixed-point engine (`gprs_core::shard`): the
+    /// cell graph is partitioned into that many contiguous shards
     /// ([`CellGraph::partition`]), each owned by a persistent worker
     /// that holds its cells' templates for the entire solve and
-    /// exchanges only boundary fluxes between outer iterations. The
-    /// count is clamped to the cell count. Results are **bitwise
-    /// identical** for every value — sharding is purely an execution
-    /// strategy.
+    /// exchanges only boundary fluxes between outer iterations. `0`
+    /// (the default) uses the effective thread count
+    /// ([`threads`](Self::threads)); `1` runs every cell inline on the
+    /// calling thread. The count is clamped to the cell count. Results
+    /// are **bitwise identical** for every value — sharding is purely
+    /// an execution strategy.
     pub shards: usize,
 }
 
@@ -305,27 +242,18 @@ impl ClusterSolveOptions {
         self
     }
 
-    /// The shard count after resolving the `0 = GPRS_SHARDS env`
-    /// default (still unclamped — callers clamp to the cell count).
-    pub(crate) fn effective_shards(&self) -> usize {
-        if self.shards == 0 {
-            gprs_exec::num_shards()
-        } else {
-            self.shards
-        }
+    /// The shard count for a graph of `cells` cells: `0` resolves to
+    /// the effective thread count, and the result is clamped to
+    /// `1..=cells`.
+    fn effective_shards(&self, cells: usize) -> usize {
+        let shards = match (self.shards, self.threads) {
+            (0, 0) => num_threads(),
+            (0, threads) => threads,
+            (shards, _) => shards,
+        };
+        shards.min(cells).max(1)
     }
 }
-
-/// Floor of the adaptive relaxation factor: halving stops at `1/8` —
-/// enough to tame a ping-ponging fixed point whose oscillatory mode
-/// contracts at any rate, without stalling convergence of the
-/// non-oscillatory modes.
-pub(crate) const MIN_RELAXATION: f64 = 0.125;
-
-/// Cap of the Aitken extrapolation factor: a contraction ratio of
-/// `0.9375` maps to the cap; slower modes still extrapolate 16× per
-/// step, faster ones get their exact `1/(1−ratio)` jump.
-pub(crate) const MAX_RELAXATION: f64 = 16.0;
 
 /// One cell of a solved cluster.
 #[derive(Debug, Clone)]
@@ -354,42 +282,19 @@ pub struct SolvedCell {
     pub health: SolveHealth,
 }
 
-/// A converged cluster fixed point.
+/// A converged cluster fixed point (assembled by `crate::shard`).
 #[derive(Debug, Clone)]
 pub struct SolvedCluster {
-    cells: Vec<SolvedCell>,
-    iterations: usize,
-    handover_delta: f64,
-    relaxation: f64,
-    adaptive_steps: usize,
-    symbolic_setups: usize,
-    surrogate_solves: usize,
+    pub(crate) cells: Vec<SolvedCell>,
+    pub(crate) iterations: usize,
+    pub(crate) handover_delta: f64,
+    pub(crate) relaxation: f64,
+    pub(crate) adaptive_steps: usize,
+    pub(crate) symbolic_setups: usize,
+    pub(crate) surrogate_solves: usize,
 }
 
 impl SolvedCluster {
-    /// Crate-internal assembler for the sharded engine (`crate::shard`)
-    /// — field-for-field what the single-scan paths construct.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        cells: Vec<SolvedCell>,
-        iterations: usize,
-        handover_delta: f64,
-        relaxation: f64,
-        adaptive_steps: usize,
-        symbolic_setups: usize,
-        surrogate_solves: usize,
-    ) -> Self {
-        SolvedCluster {
-            cells,
-            iterations,
-            handover_delta,
-            relaxation,
-            adaptive_steps,
-            symbolic_setups,
-            surrogate_solves,
-        }
-    }
-
     /// All cells, in cell order (index [`MID_CELL`] first).
     pub fn cells(&self) -> &[SolvedCell] {
         &self.cells
@@ -465,18 +370,6 @@ impl SolvedCluster {
             .sum();
         (total_in - total_out).abs() / total_in.max(total_out).max(1e-300)
     }
-}
-
-/// Outcome of one inner cell solve (one cell, one outer iteration).
-/// The stationary vector itself stays in the cell's template (it *is*
-/// the next iteration's warm start), so outer iterations copy nothing.
-struct CellSolve {
-    measures: Measures,
-    mean_voice_calls: f64,
-    mean_sessions: f64,
-    sweeps: usize,
-    residual: f64,
-    health: SolveHealth,
 }
 
 /// The heterogeneous analytical cluster model: one configuration per
@@ -613,25 +506,26 @@ impl ClusterModel {
     /// Initialization: each cell starts from its own *scalar* balance
     /// (`gprs_queueing::handover::balance_default`) — exact under
     /// uniform load, a good neighbourhood for heterogeneous loads. Each
-    /// outer iteration fans the seven cell solves out over
-    /// `opts.threads` workers and warm-starts every cell from its
+    /// outer iteration solves every cell on its shard's worker (see
+    /// [`ClusterSolveOptions::shards`]) and warm-starts it from its
     /// previous stationary distribution; once the handover arrival
     /// vector moves less than `opts.tolerance` (relative), one final
     /// pass at the converged rates produces the reported measures.
-    /// Results are deterministic and bit-identical for any thread
-    /// count.
+    /// Results are deterministic and bit-identical for any shard and
+    /// thread count.
     ///
     /// # Errors
     ///
     /// * [`ModelError::Queueing`] with
-    ///   [`QueueingError::BalanceNotConverged`] if `opts.max_iterations`
-    ///   outer iterations do not converge.
+    ///   [`gprs_queueing::QueueingError::BalanceNotConverged`] if
+    ///   `opts.max_iterations` outer iterations do not converge.
     /// * Any cell construction or inner solver error, attributed to the
-    ///   lowest failing cell index (deterministic across thread
-    ///   counts).
+    ///   lowest failing cell index (deterministic across shard and
+    ///   thread counts).
     ///
     /// Convergence hardening: each cell solve runs through the
-    /// fallback ladder of [`GeneratorTemplate::solve_resilient`]
+    /// fallback ladder of
+    /// [`crate::template::GeneratorTemplate::solve_resilient`]
     /// (health reported per cell in [`SolvedCell::health`]), and the
     /// Jacobi iteration applies the adaptive relaxation described on
     /// [`ClusterSolveOptions::adaptive_relaxation`].
@@ -657,17 +551,8 @@ impl ClusterModel {
         opts: &ClusterSolveOptions,
         registry: &TemplateRegistry,
     ) -> Result<SolvedCluster, ModelError> {
-        let shards = opts.effective_shards().min(self.num_cells()).max(1);
-        if shards > 1 {
-            // The sharded engine: persistent partition workers with
-            // halo-exchange boundary fluxes — bitwise identical to the
-            // single-scan paths below for every shard count.
-            return crate::shard::solve_sharded(self, opts, registry, shards);
-        }
-        match opts.ordering {
-            SweepOrdering::Jacobi => self.solve_jacobi(opts, registry),
-            SweepOrdering::GaussSeidel => self.solve_gauss_seidel(opts, registry),
-        }
+        let shards = opts.effective_shards(self.num_cells());
+        crate::shard::solve_sharded(self, opts, registry, shards)
     }
 
     /// Scalar-balance initialization, per cell and per class: the
@@ -700,398 +585,6 @@ impl ClusterModel {
         }
         Ok((lam_gsm, lam_gprs))
     }
-
-    /// One template per cell, shared across *all* outer iterations:
-    /// the solver workspace and warm-start chain are captured once,
-    /// and each iteration only relowers the new handover rates. The
-    /// registry deduplicates the *symbolic* setup by cell shape —
-    /// cells of equal shape share one [`crate::template::SymbolicSetup`]
-    /// (donor CSR pattern) while keeping their own numeric state, so a
-    /// metro-scale cluster with a handful of cell kinds pays a handful
-    /// of setups. The mutexes are uncontended (each task touches
-    /// exactly its own cell) and keep the fan-out closure `Fn`.
-    fn cell_templates(
-        &self,
-        registry: &TemplateRegistry,
-    ) -> Result<Vec<Mutex<GeneratorTemplate>>, ModelError> {
-        self.configs
-            .iter()
-            .map(|cfg| Ok(Mutex::new(registry.template_for(cfg)?)))
-            .collect()
-    }
-
-    /// The classic simultaneous (Jacobi) iteration — on the 7-cell
-    /// ring bit-identical to the historical fixed point.
-    fn solve_jacobi(
-        &self,
-        opts: &ClusterSolveOptions,
-        registry: &TemplateRegistry,
-    ) -> Result<SolvedCluster, ModelError> {
-        let n = self.num_cells();
-        let threads = if opts.threads == 0 {
-            num_threads()
-        } else {
-            opts.threads
-        };
-
-        let (mut lam_gsm, mut lam_gprs) = self.initial_rates()?;
-        let templates = self.cell_templates(registry)?;
-        let warm = if opts.surrogate {
-            WarmStart::Predicted
-        } else {
-            WarmStart::Chained
-        };
-        let mut total_sweeps = vec![0usize; n];
-        let mut surrogate_solves = 0usize;
-        let mut delta = f64::INFINITY;
-        let mut converged = false;
-
-        // Adaptive under-relaxation state: the raw update vectors
-        // `F(λ) − λ` of the current and previous iteration (GSM and
-        // GPRS entries interleaved) and the current step factor.
-        let mut theta = 1.0f64;
-        let mut adaptive_steps = 0usize;
-        let mut next_vals = vec![0.0f64; 2 * n];
-        let mut update = vec![0.0f64; 2 * n];
-        let mut prev_update = vec![0.0f64; 2 * n];
-        let mut have_prev = false;
-
-        // One slot past the cap: the cap bounds *balance* iterations,
-        // and the reporting pass of a vector that converged exactly at
-        // the cap still needs its re-solve (it updates nothing).
-        for iteration in 1..=opts.max_iterations + 1 {
-            if iteration > opts.max_iterations && !converged {
-                break;
-            }
-            // Solve all cells at the current arrival vector (parallel,
-            // deterministic: results come back in cell order, and each
-            // cell's warm-start chain advances identically no matter
-            // which worker runs it).
-            let solves: Vec<Result<CellSolve, ModelError>> = par_map_tasks(n, threads, |i| {
-                let mut template = templates[i].lock().expect("cell template poisoned");
-                solve_cell(
-                    &self.configs[i],
-                    lam_gsm[i],
-                    lam_gprs[i],
-                    &mut template,
-                    &opts.solve,
-                    warm,
-                )
-            });
-            let mut cells = Vec::with_capacity(n);
-            for solve in solves {
-                cells.push(solve?); // lowest failing cell wins
-            }
-            surrogate_solves += cells
-                .iter()
-                .filter(|c| c.health.rung == SolveRung::Surrogate)
-                .count();
-
-            // Outgoing fluxes from the stationary populations, split
-            // over the graph's out-edges by raw weight.
-            let out_gsm: Vec<f64> = cells
-                .iter()
-                .zip(&self.configs)
-                .map(|(c, cfg)| cfg.gsm_handover_rate() * c.mean_voice_calls)
-                .collect();
-            let out_gprs: Vec<f64> = cells
-                .iter()
-                .zip(&self.configs)
-                .map(|(c, cfg)| cfg.gprs_handover_rate() * c.mean_sessions)
-                .collect();
-
-            for (i, cell) in cells.iter().enumerate() {
-                total_sweeps[i] += cell.sweeps;
-            }
-
-            if converged {
-                // Final pass ran at the converged vector: report it.
-                let solved = cells
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, c)| SolvedCell {
-                        measures: c.measures,
-                        gsm_handover_in: lam_gsm[i],
-                        gprs_handover_in: lam_gprs[i],
-                        gsm_handover_out: out_gsm[i],
-                        gprs_handover_out: out_gprs[i],
-                        mean_voice_calls: c.mean_voice_calls,
-                        mean_sessions: c.mean_sessions,
-                        sweeps: total_sweeps[i],
-                        residual: c.residual,
-                        health: c.health,
-                    })
-                    .collect();
-                return Ok(SolvedCluster {
-                    cells: solved,
-                    iterations: iteration,
-                    handover_delta: delta,
-                    relaxation: theta,
-                    adaptive_steps,
-                    symbolic_setups: registry.setups(),
-                    surrogate_solves,
-                });
-            }
-
-            // Next arrival vector: each cell receives `w/W` of every
-            // in-neighbour's outgoing flux (in ascending source order —
-            // on the ring, with unit weights over total 6, the sum is
-            // bit-identical to the historical `out/6` accumulation).
-            // `delta` measures the *raw* fixed-point residual
-            // `|F(λ) − λ|` (pre-damping), so convergence means the
-            // vector genuinely is stationary, not merely that the
-            // damped step got small.
-            delta = 0.0f64;
-            for j in 0..n {
-                let mut next_gsm = 0.0;
-                let mut next_gprs = 0.0;
-                for e in self.graph.in_edges(j)? {
-                    next_gsm += out_gsm[e.source] * e.weight / e.source_total;
-                    next_gprs += out_gprs[e.source] * e.weight / e.source_total;
-                }
-                for (slot, (cur, next)) in [(&lam_gsm[j], next_gsm), (&lam_gprs[j], next_gprs)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let scale = cur.abs().max(next.abs()).max(1e-300);
-                    delta = delta.max((next - *cur).abs() / scale);
-                    next_vals[2 * j + slot] = next;
-                    update[2 * j + slot] = next - *cur;
-                }
-            }
-
-            // Adaptive relaxation. Two successive updates pointing in
-            // opposite directions *without shrinking* mean the vector
-            // is ping-ponging around the fixed point: halve the step
-            // (an alternating mode already contracting below half per
-            // step converges on its own and is left alone). Aligned
-            // updates whose contraction ratio projects convergence
-            // beyond the remaining iteration budget get the Aitken
-            // step `1/(1−ratio)`, collapsing the slow mode; everything
-            // else runs at `θ = 1`, which assigns the raw next vector
-            // verbatim — bit-identical to the fixed iteration.
-            if opts.adaptive_relaxation && have_prev {
-                let dot: f64 = update.iter().zip(&prev_update).map(|(a, b)| a * b).sum();
-                let cur_sq: f64 = update.iter().map(|u| u * u).sum();
-                let prev_sq: f64 = prev_update.iter().map(|u| u * u).sum();
-                if dot < 0.0 && cur_sq > 0.25 * prev_sq {
-                    theta = (0.5 * theta).max(MIN_RELAXATION);
-                } else if dot > 0.0 {
-                    let ratio = (cur_sq / prev_sq.max(1e-300)).sqrt();
-                    let projected = if ratio > 0.0 && ratio < 1.0 && delta > opts.tolerance {
-                        (delta / opts.tolerance).ln() / -ratio.ln()
-                    } else {
-                        0.0
-                    };
-                    let remaining = opts.max_iterations.saturating_sub(iteration) as f64;
-                    if projected > remaining {
-                        theta = (1.0 / (1.0 - ratio)).min(MAX_RELAXATION);
-                    } else if theta < 1.0 {
-                        theta = (1.5 * theta).min(1.0);
-                    } else {
-                        theta = 1.0;
-                    }
-                }
-            }
-            if theta != 1.0 {
-                adaptive_steps += 1;
-            }
-            for j in 0..n {
-                if theta == 1.0 {
-                    lam_gsm[j] = next_vals[2 * j];
-                    lam_gprs[j] = next_vals[2 * j + 1];
-                } else {
-                    // Extrapolated steps may overshoot; arrival rates
-                    // stay physical.
-                    lam_gsm[j] = (lam_gsm[j] + theta * update[2 * j]).max(0.0);
-                    lam_gprs[j] = (lam_gprs[j] + theta * update[2 * j + 1]).max(0.0);
-                }
-            }
-            std::mem::swap(&mut prev_update, &mut update);
-            have_prev = true;
-
-            if delta <= opts.tolerance {
-                converged = true; // one more pass at the converged rates
-            }
-        }
-
-        Err(ModelError::Queueing(QueueingError::BalanceNotConverged {
-            iterations: opts.max_iterations,
-            last_delta: delta,
-        }))
-    }
-
-    /// Graph-ordered block Gauss–Seidel sweeps: colour classes run
-    /// sequentially, each class recomputes its arrival rates from the
-    /// *latest* outflows and solves its cells in parallel (no two
-    /// share an edge). Runs plain (no adaptive relaxation); converges
-    /// in fewer outer iterations than Jacobi on elongated topologies.
-    /// Deterministic and bit-identical for any thread count: the class
-    /// order is fixed by the graph, and each cell's template is only
-    /// ever touched by its own task.
-    fn solve_gauss_seidel(
-        &self,
-        opts: &ClusterSolveOptions,
-        registry: &TemplateRegistry,
-    ) -> Result<SolvedCluster, ModelError> {
-        let n = self.num_cells();
-        let threads = if opts.threads == 0 {
-            num_threads()
-        } else {
-            opts.threads
-        };
-
-        let (mut lam_gsm, mut lam_gprs) = self.initial_rates()?;
-        let templates = self.cell_templates(registry)?;
-        let classes = self.graph.color_classes();
-        let warm = if opts.surrogate {
-            WarmStart::Predicted
-        } else {
-            WarmStart::Chained
-        };
-        let mut total_sweeps = vec![0usize; n];
-        let mut surrogate_solves = 0usize;
-
-        // At the scalar-balance init every cell's inflow equals its
-        // own outflow, so the outflow estimate seeds from λ itself.
-        let mut out_gsm = lam_gsm.clone();
-        let mut out_gprs = lam_gprs.clone();
-        let mut delta = f64::INFINITY;
-
-        for iteration in 1..=opts.max_iterations {
-            delta = 0.0f64;
-            for class in &classes {
-                // Refresh the class's arrival rates from the latest
-                // outflows (cells of earlier classes already updated
-                // theirs this sweep — that is the Gauss–Seidel gain).
-                for &j in class {
-                    let mut next_gsm = 0.0;
-                    let mut next_gprs = 0.0;
-                    for e in self.graph.in_edges(j)? {
-                        next_gsm += out_gsm[e.source] * e.weight / e.source_total;
-                        next_gprs += out_gprs[e.source] * e.weight / e.source_total;
-                    }
-                    for (cur, next) in [(&mut lam_gsm[j], next_gsm), (&mut lam_gprs[j], next_gprs)]
-                    {
-                        let scale = cur.abs().max(next.abs()).max(1e-300);
-                        delta = delta.max((next - *cur).abs() / scale);
-                        *cur = next;
-                    }
-                }
-                // Solve the class (parallel, deterministic in class
-                // index order).
-                let solves: Vec<Result<CellSolve, ModelError>> =
-                    par_map_tasks(class.len(), threads.clamp(1, class.len().max(1)), |idx| {
-                        let i = class[idx];
-                        let mut template = templates[i].lock().expect("cell template poisoned");
-                        solve_cell(
-                            &self.configs[i],
-                            lam_gsm[i],
-                            lam_gprs[i],
-                            &mut template,
-                            &opts.solve,
-                            warm,
-                        )
-                    });
-                for (idx, solve) in solves.into_iter().enumerate() {
-                    let i = class[idx];
-                    let cell = solve?; // lowest failing cell of the class wins
-                    total_sweeps[i] += cell.sweeps;
-                    if cell.health.rung == SolveRung::Surrogate {
-                        surrogate_solves += 1;
-                    }
-                    out_gsm[i] = self.configs[i].gsm_handover_rate() * cell.mean_voice_calls;
-                    out_gprs[i] = self.configs[i].gprs_handover_rate() * cell.mean_sessions;
-                }
-            }
-
-            if delta <= opts.tolerance {
-                // Reporting pass: re-solve every cell simultaneously at
-                // the converged arrival vector (mirrors Jacobi's final
-                // pass, and counts as one iteration like it does).
-                let solves: Vec<Result<CellSolve, ModelError>> = par_map_tasks(n, threads, |i| {
-                    let mut template = templates[i].lock().expect("cell template poisoned");
-                    solve_cell(
-                        &self.configs[i],
-                        lam_gsm[i],
-                        lam_gprs[i],
-                        &mut template,
-                        &opts.solve,
-                        warm,
-                    )
-                });
-                let mut solved = Vec::with_capacity(n);
-                for (i, solve) in solves.into_iter().enumerate() {
-                    let c = solve?;
-                    total_sweeps[i] += c.sweeps;
-                    if c.health.rung == SolveRung::Surrogate {
-                        surrogate_solves += 1;
-                    }
-                    solved.push(SolvedCell {
-                        measures: c.measures,
-                        gsm_handover_in: lam_gsm[i],
-                        gprs_handover_in: lam_gprs[i],
-                        gsm_handover_out: self.configs[i].gsm_handover_rate() * c.mean_voice_calls,
-                        gprs_handover_out: self.configs[i].gprs_handover_rate() * c.mean_sessions,
-                        mean_voice_calls: c.mean_voice_calls,
-                        mean_sessions: c.mean_sessions,
-                        sweeps: total_sweeps[i],
-                        residual: c.residual,
-                        health: c.health,
-                    });
-                }
-                return Ok(SolvedCluster {
-                    cells: solved,
-                    iterations: iteration + 1,
-                    handover_delta: delta,
-                    relaxation: 1.0,
-                    adaptive_steps: 0,
-                    symbolic_setups: registry.setups(),
-                    surrogate_solves,
-                });
-            }
-        }
-
-        Err(ModelError::Queueing(QueueingError::BalanceNotConverged {
-            iterations: opts.max_iterations,
-            last_delta: delta,
-        }))
-    }
-}
-
-/// Solves one cell under given incoming handover rates through its
-/// template's fallback ladder (warm-started from the cell's previous
-/// iterate, zero `O(states)` allocations per iteration on the happy
-/// path) and reads the populations off the stationary distribution.
-fn solve_cell(
-    config: &CellConfig,
-    lam_gsm: f64,
-    lam_gprs: f64,
-    template: &mut GeneratorTemplate,
-    opts: &SolveOptions,
-    warm: WarmStart,
-) -> Result<CellSolve, ModelError> {
-    let model = template.model_with_handovers(config.clone(), lam_gsm, lam_gprs)?;
-    let solved = template.solve_resilient(&model, opts, warm)?;
-    let space = model.space();
-    let mut mean_voice_calls = 0.0f64;
-    let mut mean_sessions = 0.0f64;
-    for (idx, &p) in template.stationary().iter().enumerate() {
-        if p == 0.0 {
-            continue;
-        }
-        let s = space.decode(idx);
-        mean_voice_calls += p * s.n as f64;
-        mean_sessions += p * s.m as f64;
-    }
-    Ok(CellSolve {
-        measures: solved.measures,
-        mean_voice_calls,
-        mean_sessions,
-        sweeps: solved.sweeps,
-        residual: solved.residual,
-        health: solved.health,
-    })
 }
 
 /// One point of a cluster load sweep.
@@ -1189,6 +682,7 @@ fn solve_scale_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gprs_queueing::QueueingError;
     use gprs_traffic::TrafficModel;
 
     fn tiny(rate: f64) -> CellConfig {
@@ -1203,15 +697,21 @@ mod tests {
             .unwrap()
     }
 
+    /// The default cluster topology's neighbour list of `cell`.
+    fn ring_neighbors(cell: usize) -> Vec<usize> {
+        let g = CellGraph::ring7();
+        g.neighbors(cell).unwrap().iter().map(|&(t, _)| t).collect()
+    }
+
     #[test]
     fn topology_mid_cell_neighbours_are_the_ring() {
-        assert_eq!(neighbors(0).unwrap(), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(ring_neighbors(MID_CELL), [1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
     fn topology_every_cell_has_six_distinct_neighbours() {
         for c in 0..NUM_CELLS {
-            let mut n = neighbors(c).unwrap().to_vec();
+            let mut n = ring_neighbors(c);
             n.sort_unstable();
             n.dedup();
             assert_eq!(n.len(), 6, "cell {c}");
@@ -1224,9 +724,9 @@ mod tests {
         // If b is a neighbour of a, then a is a neighbour of b — needed
         // for handover flow balance.
         for a in 0..NUM_CELLS {
-            for &b in &neighbors(a).unwrap() {
+            for b in ring_neighbors(a) {
                 assert!(
-                    neighbors(b).unwrap().contains(&a),
+                    ring_neighbors(b).contains(&a),
                     "asymmetry between {a} and {b}"
                 );
             }
@@ -1234,31 +734,12 @@ mod tests {
     }
 
     #[test]
-    fn topology_matches_the_ring7_graph() {
-        // The free ring functions and CellGraph::ring7() are the same
-        // topology, neighbour order and sampling included.
-        let g = CellGraph::ring7();
-        for cell in 0..NUM_CELLS {
-            let free: Vec<usize> = neighbors(cell).unwrap().to_vec();
-            let graph: Vec<usize> = g.neighbors(cell).unwrap().iter().map(|&(t, _)| t).collect();
-            assert_eq!(free, graph, "cell {cell}");
-            for i in 0..=100 {
-                let u = i as f64 / 100.0;
-                assert_eq!(
-                    handover_target(cell, u).unwrap(),
-                    g.handover_target(cell, u).unwrap(),
-                    "cell {cell} u {u}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn topology_handover_target_covers_all_neighbours() {
+        let g = CellGraph::ring7();
         let mut seen = std::collections::HashSet::new();
         for i in 0..6 {
             let u = (i as f64 + 0.5) / 6.0;
-            seen.insert(handover_target(0, u).unwrap());
+            seen.insert(g.handover_target(MID_CELL, u).unwrap());
         }
         assert_eq!(seen.len(), 6);
     }
@@ -1268,36 +749,60 @@ mod tests {
         // Inclusive-range uniform draws may produce exactly 1.0; the
         // measure-zero boundary clamps onto the last neighbour instead
         // of failing.
+        let g = CellGraph::ring7();
         for cell in 0..NUM_CELLS {
-            let t = handover_target(cell, 1.0).unwrap();
-            assert_eq!(t, neighbors(cell).unwrap()[5], "cell {cell}");
+            let t = g.handover_target(cell, 1.0).unwrap();
+            assert_eq!(t, ring_neighbors(cell)[5], "cell {cell}");
             assert_ne!(t, cell);
         }
         // Just below the boundary agrees with the clamped value.
         assert_eq!(
-            handover_target(0, 1.0).unwrap(),
-            handover_target(0, 1.0 - 1e-12).unwrap()
+            g.handover_target(0, 1.0).unwrap(),
+            g.handover_target(0, 1.0 - 1e-12).unwrap()
         );
     }
 
     #[test]
     fn topology_handover_target_rejects_above_one() {
-        match handover_target(0, 1.0 + 1e-9) {
-            Err(ModelError::Topology { reason }) => assert!(reason.contains("[0, 1]")),
-            other => panic!("expected Topology error, got {other:?}"),
+        let g = CellGraph::ring7();
+        for u in [1.0 + 1e-9, -1e-9, f64::NAN] {
+            match g.handover_target(0, u) {
+                Err(ModelError::Topology { reason }) => assert!(reason.contains("[0, 1]")),
+                other => panic!("u = {u}: expected Topology error, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn topology_bad_cell_is_a_typed_error() {
-        match neighbors(7) {
+        let g = CellGraph::ring7();
+        match g.neighbors(NUM_CELLS) {
             Err(ModelError::Topology { reason }) => assert!(reason.contains("out of range")),
             other => panic!("expected Topology error, got {other:?}"),
         }
-        match handover_target(7, 0.5) {
+        match g.handover_target(NUM_CELLS, 0.5) {
             Err(ModelError::Topology { .. }) => {}
             other => panic!("expected Topology error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn shard_count_defaults_to_the_thread_count() {
+        let opts = |threads, shards| ClusterSolveOptions {
+            threads,
+            shards,
+            ..ClusterSolveOptions::default()
+        };
+        assert_eq!(opts(3, 0).effective_shards(7), 3);
+        assert_eq!(opts(3, 0).effective_shards(2), 2, "clamped to the cells");
+        assert_eq!(opts(3, 5).effective_shards(7), 5, "explicit count wins");
+        assert_eq!(opts(3, 64).effective_shards(7), 7);
+        assert_eq!(opts(1, 0).effective_shards(7), 1);
+        assert_eq!(
+            opts(0, 0).effective_shards(1000),
+            num_threads().min(1000),
+            "0 threads is the machine's thread count"
+        );
     }
 
     #[test]

@@ -1255,7 +1255,7 @@ mod tests {
         assert_eq!(defaults.max_iterations, 500);
         assert_eq!(
             defaults.shards, 0,
-            "missing shards falls back to env default"
+            "missing shards falls back to the thread-count default"
         );
         // Unknown ordering labels are typed schema errors.
         assert!(matches!(

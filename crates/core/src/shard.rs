@@ -1,51 +1,48 @@
-//! The sharded cluster fixed-point engine: persistent partition
-//! workers with halo-exchange boundary fluxes.
+//! The cluster fixed-point engine: persistent partition workers with
+//! halo-exchange boundary fluxes.
 //!
-//! The single-scan engines in [`crate::cluster`] rescan every in-edge
-//! of every cell on every outer iteration and re-lower every cell
-//! solve from scratch — at metro scale (1000-cell corridors) those
-//! per-solve fixed costs dwarf the per-cell CTMC work. This module
-//! partitions the [`CellGraph`](crate::graph::CellGraph) into
-//! contiguous shards ([`Partition`]), hands each shard to a
-//! **long-lived worker** ([`gprs_exec::with_worker_pool`]) that owns
-//! its cells' [`GeneratorTemplate`]s for the entire solve, and drives
-//! the outer iteration as a round protocol in which only **boundary
-//! fluxes** (the halo sets of the partition) cross shard boundaries:
+//! [`ClusterModel::solve_with_registry`] runs every solve through this
+//! module. It partitions the [`CellGraph`](crate::graph::CellGraph)
+//! into contiguous shards ([`Partition`](crate::graph::Partition)),
+//! hands each shard to a **long-lived worker**
+//! ([`gprs_exec::with_worker_pool`]; the calling thread serves shard
+//! 0) that owns its cells' [`GeneratorTemplate`]s for the entire solve,
+//! and drives the outer iteration as a round protocol in which only
+//! **boundary fluxes** (the halo sets of the partition) cross shard
+//! boundaries:
 //!
 //! * **Jacobi** — per outer iteration: a `Solve` round (each worker
 //!   solves its owned cells and returns the boundary out-fluxes), an
 //!   `Accumulate` round (workers import their halo fluxes, accumulate
 //!   shard-local inflows over precomputed per-cell flux lists and
-//!   return their update segments), a coordinator step that reproduces
-//!   the adaptive-relaxation arithmetic on the globally assembled
-//!   update vector, and an `Apply` round (workers step their owned
-//!   arrival rates).
+//!   return their update segments), a coordinator step that runs the
+//!   adaptive-relaxation arithmetic on the globally assembled update
+//!   vector, and an `Apply` round (workers step their owned arrival
+//!   rates).
 //! * **Gauss–Seidel** — per colour class: one `GsClass` round in which
 //!   each worker refreshes and re-solves its cells of that class
 //!   against the latest own + imported fluxes.
 //!
-//! Shard-local speed comes from three per-solve overheads the
-//! single-scan path pays every time: templates run with
-//! [`GeneratorTemplate::set_fast_recapture`] (only the phase-coupling
-//! rates are re-captured — the handover rates are the only thing that
-//! moves between outer iterations), the lean solve path
-//! ([`GeneratorTemplate::solve_resilient_lean`]) skips the full
-//! measures extraction on non-reporting iterations, and per-cell
-//! decode tables replace the per-state `space.decode(idx)` calls in
-//! the population means.
+//! Per-solve overheads stay low because the templates persist: between
+//! outer iterations only the handover arrival rates move, so each
+//! template refreshes just the phase-coupling rates of its blocked
+//! tables (it detects the unchanged cell configuration itself), the
+//! lean solve path ([`GeneratorTemplate::solve_resilient_lean`]) skips
+//! the full measures extraction on non-reporting iterations, and
+//! per-cell decode tables replace the per-state `space.decode(idx)`
+//! calls in the population means.
 //!
 //! **Bitwise contract**: every floating-point value is produced by the
-//! same operations in the same order as the single-scan engines —
-//! inflow sums run over in-edges in ascending source order, `delta` is
-//! a max-reduction (order-insensitive), and the relaxation dot
-//! products are evaluated sequentially on the assembled global update
-//! vector. `tests/shard_equivalence.rs` pins bit-equality of every
-//! [`SolvedCluster`] field across shard counts for both orderings.
+//! same operations in the same order at every shard count — inflow
+//! sums run over in-edges in ascending source order, `delta` is a
+//! max-reduction (order-insensitive), and the relaxation dot products
+//! are evaluated sequentially on the assembled global update vector.
+//! `tests/shard_equivalence.rs` pins bit-equality of every
+//! [`SolvedCluster`] field across shard and thread counts for both
+//! orderings; `tests/graph_equivalence.rs` pins the ring results to
+//! the historical fixtures.
 
-use crate::cluster::{
-    ClusterModel, ClusterSolveOptions, SolvedCell, SolvedCluster, SweepOrdering, MAX_RELAXATION,
-    MIN_RELAXATION,
-};
+use crate::cluster::{ClusterModel, ClusterSolveOptions, SolvedCell, SolvedCluster, SweepOrdering};
 use crate::config::CellConfig;
 use crate::error::ModelError;
 use crate::health::{SolveHealth, SolveRung};
@@ -53,6 +50,17 @@ use crate::template::{GeneratorTemplate, TemplateRegistry, WarmStart};
 use gprs_ctmc::solver::SolveOptions;
 use gprs_exec::{with_worker_pool, PoolHandle};
 use gprs_queueing::QueueingError;
+
+/// Floor of the adaptive relaxation factor: halving stops at `1/8` —
+/// enough to tame a ping-ponging fixed point whose oscillatory mode
+/// contracts at any rate, without stalling convergence of the
+/// non-oscillatory modes.
+const MIN_RELAXATION: f64 = 0.125;
+
+/// Cap of the Aitken extrapolation factor: a contraction ratio of
+/// `0.9375` maps to the cap; slower modes still extrapolate 16× per
+/// step, faster ones get their exact `1/(1−ratio)` jump.
+const MAX_RELAXATION: f64 = 16.0;
 
 /// Where one inflow term's source flux lives: an owned cell of the
 /// same shard (local index) or an imported halo cell (position in the
@@ -66,7 +74,7 @@ enum Src {
 /// One precomputed in-edge term of an owned cell: resolved source slot
 /// plus the raw weight and source weight-total of the edge. Terms are
 /// stored in ascending global source order, so the accumulated inflow
-/// sum is bit-identical to the single-scan `in_edges` walk.
+/// sum is the same at every shard count.
 #[derive(Debug, Clone, Copy)]
 struct FluxTerm {
     src: Src,
@@ -234,8 +242,8 @@ impl ShardState {
                 }
                 Err(e) => {
                     // Cells are ascending, so the first failure is the
-                    // shard's lowest — the only one the single-scan
-                    // path would report.
+                    // shard's lowest; the coordinator reports the
+                    // lowest across shards.
                     failed = Some((ctx.cell, e));
                     break;
                 }
@@ -287,8 +295,7 @@ impl ShardState {
     }
 
     /// The inflow sums of owned cell `li` over its precomputed flux
-    /// list — the same terms in the same (ascending source) order as
-    /// the single-scan in-edge walk.
+    /// list, in ascending global source order.
     fn inflow(&self, li: usize, halo_gsm: &[f64], halo_gprs: &[f64]) -> (f64, f64) {
         let mut next_gsm = 0.0;
         let mut next_gprs = 0.0;
@@ -310,7 +317,7 @@ impl ShardState {
                 self.lam_gprs[li] = self.next_gprs[li];
             } else {
                 // Extrapolated steps may overshoot; arrival rates stay
-                // physical — the exact single-scan arithmetic.
+                // physical.
                 self.lam_gsm[li] = (self.lam_gsm[li] + theta * self.update[2 * li]).max(0.0);
                 self.lam_gprs[li] = (self.lam_gprs[li] + theta * self.update[2 * li + 1]).max(0.0);
             }
@@ -321,8 +328,7 @@ impl ShardState {
         let mut delta = 0.0f64;
         let members = std::mem::take(&mut self.class_members[class]);
         // Refresh every class cell first (no two class members share
-        // an edge, so the refreshes are independent), then solve —
-        // the single-scan class structure.
+        // an edge, so the refreshes are independent), then solve.
         for &li in &members {
             let (next_gsm, next_gprs) = self.inflow(li, halo_gsm, halo_gprs);
             for (cur, next) in [
@@ -372,12 +378,11 @@ impl ShardState {
     }
 }
 
-/// Solves one owned cell through the lean resilient ladder — the
-/// in-shard counterpart of the single-scan `solve_cell`, bit-identical
-/// in every output: the population means run the same skip-zero
-/// accumulation (against precomputed decode tables), and the reporting
-/// pass recovers the full measures via
-/// [`GeneratorTemplate::measures_for`].
+/// Solves one owned cell through the lean resilient ladder (warm-started
+/// from the cell's previous iterate) and reads the populations off the
+/// stationary distribution: a skip-zero accumulation against
+/// precomputed decode tables. The reporting pass recovers the full
+/// measures via [`GeneratorTemplate::measures_for`].
 fn lean_solve_cell(
     ctx: &mut CellCtx,
     lam_gsm: f64,
@@ -416,8 +421,8 @@ fn lean_solve_cell(
     })
 }
 
-/// Unwraps a round of responses, resuming worker panics (matching the
-/// poison semantics of the single-scan `par_map_tasks` fan-out).
+/// Unwraps a round of responses, resuming worker panics on the
+/// coordinator.
 fn run_round(
     pool: &mut PoolHandle<'_, ShardState, ShardReq, ShardResp>,
     reqs: Vec<(usize, ShardReq)>,
@@ -431,9 +436,8 @@ fn run_round(
         .collect()
 }
 
-/// Picks the lowest-cell-index error across shards — the error the
-/// single-scan engines report (their fan-outs complete every task and
-/// then scan results in cell order).
+/// Picks the lowest-cell-index error across shards, so the reported
+/// error does not depend on the shard count.
 fn lowest_error(candidates: Vec<(usize, ModelError)>) -> Option<ModelError> {
     candidates
         .into_iter()
@@ -441,9 +445,9 @@ fn lowest_error(candidates: Vec<(usize, ModelError)>) -> Option<ModelError> {
         .map(|(_, e)| e)
 }
 
-/// The sharded fixed point: called from
-/// [`ClusterModel::solve_with_registry`] with `num_shards >= 2`
-/// (already clamped to the cell count).
+/// The cluster fixed point over `num_shards` partition workers:
+/// called from [`ClusterModel::solve_with_registry`] with
+/// `1 <= num_shards <= cells`.
 pub(crate) fn solve_sharded(
     model: &ClusterModel,
     opts: &ClusterSolveOptions,
@@ -458,13 +462,11 @@ pub(crate) fn solve_sharded(
     let (init_gsm, init_gprs) = model.initial_rates()?;
 
     // Templates in global cell order: the registry sees the same
-    // sequence as the single-scan `cell_templates`, so symbolic-setup
-    // counts and the lowest-failing-cell error match exactly.
+    // sequence at every shard count, so symbolic-setup counts and the
+    // lowest-failing-cell error do not depend on it.
     let mut templates: Vec<Option<GeneratorTemplate>> = Vec::with_capacity(n);
     for cfg in model.configs() {
-        let mut template = registry.template_for(cfg)?;
-        template.set_fast_recapture(true);
-        templates.push(Some(template));
+        templates.push(Some(registry.template_for(cfg)?));
     }
 
     let shard_of = partition.assignment().to_vec();
@@ -549,9 +551,10 @@ pub(crate) fn solve_sharded(
                         .collect()
                 })
                 .collect(),
-            // Out fluxes seed from the scalar-balance arrival rates:
-            // Gauss–Seidel reads them before the first solve (the
-            // single-scan seed), Jacobi overwrites them first.
+            // Out fluxes seed from the scalar-balance arrival rates
+            // (at which every cell's inflow equals its own outflow):
+            // Gauss–Seidel reads them before the first solve, Jacobi
+            // overwrites them first.
             out_gsm: lam_gsm.clone(),
             out_gprs: lam_gprs.clone(),
             next_gsm: vec![0.0; own.len()],
@@ -633,15 +636,15 @@ fn assemble_report(
         .into_iter()
         .map(|slot| slot.expect("every cell reported"))
         .collect();
-    Ok(SolvedCluster::assemble(
+    Ok(SolvedCluster {
         cells,
         iterations,
         handover_delta,
         relaxation,
         adaptive_steps,
-        registry.setups(),
-        surrogate_total,
-    ))
+        symbolic_setups: registry.setups(),
+        surrogate_solves: surrogate_total,
+    })
 }
 
 /// Builds each shard's halo import buffers from the global boundary
@@ -678,8 +681,9 @@ fn jacobi_rounds(
     let mut prev_update = vec![0.0f64; 2 * n];
     let mut have_prev = false;
 
-    // One slot past the cap, exactly like the single-scan loop: the
-    // reporting pass of a vector that converged at the cap still runs.
+    // One slot past the cap: the cap bounds *balance* iterations, and
+    // the reporting pass of a vector that converged at the cap still
+    // runs.
     for iteration in 1..=opts.max_iterations + 1 {
         if iteration > opts.max_iterations && !converged {
             break;
@@ -738,8 +742,8 @@ fn jacobi_rounds(
                 } => {
                     delta = delta.max(local);
                     // Scatter the shard's segment into the global
-                    // update vector: entry 2·cell+slot, exactly where
-                    // the single-scan loop writes it.
+                    // update vector at entry 2·cell+slot, so the
+                    // relaxation sums below run in cell order.
                     for (li, pair) in seg.chunks_exact(2).enumerate() {
                         let cell = shard_lists[s][li];
                         update[2 * cell] = pair[0];
@@ -750,9 +754,14 @@ fn jacobi_rounds(
             }
         }
 
-        // Adaptive relaxation on the globally assembled update vector —
-        // verbatim the single-scan arithmetic (sequential sums over the
-        // interleaved 2n entries).
+        // Adaptive relaxation on the globally assembled update vector
+        // (sequential sums over the interleaved 2n entries). Two
+        // successive updates pointing in opposite directions *without
+        // shrinking* mean the vector is ping-ponging around the fixed
+        // point: halve the step. Aligned updates whose contraction
+        // ratio projects convergence beyond the remaining iteration
+        // budget get the Aitken step `1/(1−ratio)`; everything else
+        // runs at `θ = 1`, which assigns the raw next vector verbatim.
         if opts.adaptive_relaxation && have_prev {
             let dot: f64 = update.iter().zip(&prev_update).map(|(a, b)| a * b).sum();
             let cur_sq: f64 = update.iter().map(|u| u * u).sum();
@@ -810,9 +819,9 @@ fn gauss_seidel_rounds(
     init_gprs: &[f64],
     is_boundary: &[bool],
 ) -> Result<SolvedCluster, ModelError> {
-    // Out fluxes seed from the scalar-balance arrival rates (the
-    // single-scan `out = lam.clone()` seed), so the boundary buffers
-    // start from the same values.
+    // Out fluxes seed from the scalar-balance arrival rates, so the
+    // boundary buffers start from the same values as the shard-local
+    // ones.
     let mut boundary_gsm = vec![0.0f64; n];
     let mut boundary_gprs = vec![0.0f64; n];
     for c in 0..n {

@@ -396,12 +396,10 @@ pub struct GeneratorTemplate {
     /// blocked/scalar kernel, `None` defers to the
     /// `GPRS_BLOCKED_KERNEL` environment toggle.
     kernel_override: Option<bool>,
-    /// Opt-in partial recapture for chained fixed-point solves (see
-    /// [`set_fast_recapture`](Self::set_fast_recapture)).
-    fast_recapture: bool,
-    /// Whether `blocked` holds a full capture of a model this template
-    /// has solved (the precondition for a partial recapture).
-    blocked_ready: bool,
+    /// The configuration `blocked` was last fully captured from
+    /// (`None` before the first capture); see
+    /// [`capture_blocked`](Self::capture_blocked).
+    captured: Option<CellConfig>,
     /// Per-level scratch for surrogate residual verification.
     residual_scratch: Vec<f64>,
     /// Cached session placement table (`Binomial(r; m, p_off)` per
@@ -444,8 +442,7 @@ impl GeneratorTemplate {
             history: 0,
             blocked: BlockedMbd::new(),
             kernel_override: None,
-            fast_recapture: false,
-            blocked_ready: false,
+            captured: None,
             residual_scratch: Vec::new(),
             placement: Vec::new(),
             placement_p_off: f64::NAN,
@@ -637,16 +634,7 @@ impl GeneratorTemplate {
 
         let use_blocked = self.kernel_override.unwrap_or_else(blocked_kernel_enabled);
         if use_blocked {
-            if self.fast_recapture && self.blocked_ready {
-                // Under the fast-recapture contract only the
-                // phase-coupling rates moved since the last capture, so
-                // refreshing the phase tables in place reproduces a
-                // full capture bit for bit at a fraction of the cost.
-                self.blocked.recapture_phase_rates(model);
-            } else {
-                self.blocked.capture(model);
-                self.blocked_ready = true;
-            }
+            self.capture_blocked(model);
         }
 
         // Predict-and-verify surrogate: check whether the extrapolated
@@ -924,30 +912,28 @@ impl GeneratorTemplate {
         Measures::compute_from_slice(model, self.ws.pi())
     }
 
-    /// Opts this template in (or out) of **partial phase-rate
-    /// recapture** for the cache-blocked kernel.
+    /// Brings the blocked rate tables up to date with `model`.
     ///
     /// The cluster fixed point re-solves the same cell configuration
     /// hundreds of times, varying *only* the handover arrival rates —
     /// which enter the generator exclusively through the phase-coupling
-    /// rates (GSM handover arrivals and GPRS session on/off
-    /// transitions). The per-level birth/death tables depend on packet
-    /// traffic and service parameters alone, so a full
-    /// [`BlockedMbd::capture`] per solve re-derives `phases × levels`
-    /// rows of bit-identical numbers. With fast recapture enabled, the
-    /// first solve still captures fully; every later solve refreshes
-    /// only the phase-exit rates and phase-coupling CSR values in
-    /// place, which is bit-identical by construction.
-    ///
-    /// **Contract:** between two solves with this flag on, models fed
-    /// to this template must differ only in rates that leave the
-    /// per-level birth/death tables unchanged (for the cluster engine:
-    /// the handover arrival rates). The phase-coupling *pattern* is
-    /// asserted at recapture; a violated birth/death contract is the
-    /// caller's bug. When in doubt, leave this off — full capture is
-    /// always correct.
-    pub fn set_fast_recapture(&mut self, on: bool) {
-        self.fast_recapture = on;
+    /// rates (GSM handover arrivals and GPRS session arrivals). The
+    /// per-level birth/death tables depend on the configuration alone,
+    /// so when `model`'s configuration is bitwise equal to the one of
+    /// the last full [`BlockedMbd::capture`], refreshing only the
+    /// phase-exit rates and phase-coupling CSR values in place
+    /// reproduces a full capture bit for bit at a fraction of the
+    /// cost. Any other configuration is captured in full.
+    fn capture_blocked(&mut self, model: &GprsModel) {
+        match &self.captured {
+            Some(config) if config.bitwise_eq(model.config()) => {
+                self.blocked.recapture_phase_rates(model);
+            }
+            _ => {
+                self.blocked.capture(model);
+                self.captured = Some(model.config().clone());
+            }
+        }
     }
 
     /// Shared failure path of both solve flavours: a failed solve
@@ -1126,36 +1112,59 @@ mod tests {
         assert_eq!(point.measures, *one_shot.measures());
     }
 
-    /// The cluster-engine contract: across a handover-rate-only chain
-    /// of solves, fast recapture must reproduce the full-capture path
-    /// bit for bit — sweeps, residual bits, stationary bits, measures.
+    /// The cluster-engine contract: across a chain of solves, the
+    /// template's partial phase-rate recapture (taken whenever the
+    /// configuration is bitwise unchanged) must reproduce a full
+    /// capture bit for bit — sweeps, residual bits, stationary bits,
+    /// measures and the blocked tables themselves. The chain changes
+    /// the configuration mid-way (a call arrival rate, then a packet
+    /// rate, which moves the birth tables a stale recapture would
+    /// keep) and returns to the first, so every switch must fall back
+    /// to a full capture.
     #[test]
     fn fast_recapture_chain_is_bitwise_equal_to_full_capture() {
         let opts = SolveOptions::default();
         let cfg = tiny(0.4);
-        let mut plain = GeneratorTemplate::new(&cfg).unwrap();
+        let faster_calls = tiny(0.55);
+        let mut faster_packets = cfg.clone();
+        faster_packets.traffic.packet_interarrival *= 0.5;
+        let chain = [
+            (&cfg, 0.05, 0.3),
+            (&cfg, 0.08, 0.45),
+            (&faster_calls, 0.08, 0.45),
+            (&faster_calls, 0.03, 0.2),
+            (&faster_packets, 0.03, 0.2),
+            (&faster_packets, 0.06, 0.35),
+            (&cfg, 0.06, 0.35),
+            (&cfg, 0.11, 0.6),
+        ];
         let mut fast = GeneratorTemplate::new(&cfg).unwrap();
-        plain.set_blocked_kernel(Some(true));
         fast.set_blocked_kernel(Some(true));
-        fast.set_fast_recapture(true);
-        for (gsm_h, gprs_h) in [(0.05, 0.3), (0.08, 0.45), (0.03, 0.2), (0.11, 0.6)] {
-            let model = plain
-                .model_with_handovers(cfg.clone(), gsm_h, gprs_h)
+        for (config, gsm_h, gprs_h) in chain {
+            // Same warm-start chain, but no recorded capture: this
+            // template must capture the blocked tables in full.
+            let mut full = fast.clone();
+            full.captured = None;
+            let model = fast
+                .model_with_handovers(config.clone(), gsm_h, gprs_h)
                 .unwrap();
-            let a = plain.solve(&model, &opts, WarmStart::Chained).unwrap();
+            let a = full.solve(&model, &opts, WarmStart::Chained).unwrap();
             let b = fast.solve(&model, &opts, WarmStart::Chained).unwrap();
-            assert_eq!(a.sweeps, b.sweeps, "sweeps at ({gsm_h}, {gprs_h})");
-            assert_eq!(
-                a.residual.to_bits(),
-                b.residual.to_bits(),
-                "residual at ({gsm_h}, {gprs_h})"
+            let at = format!(
+                "{} calls/s at ({gsm_h}, {gprs_h})",
+                config.call_arrival_rate
             );
+            assert_eq!(a.sweeps, b.sweeps, "sweeps, {at}");
+            assert_eq!(a.residual.to_bits(), b.residual.to_bits(), "residual, {at}");
+            assert_eq!(full.stationary(), fast.stationary(), "stationary, {at}");
+            assert_eq!(a.measures, b.measures, "measures, {at}");
+            // `Debug` prints every f64 round-trip exactly.
             assert_eq!(
-                plain.stationary(),
-                fast.stationary(),
-                "stationary at ({gsm_h}, {gprs_h})"
+                format!("{:?}", full.blocked),
+                format!("{:?}", fast.blocked),
+                "blocked tables, {at}"
             );
-            assert_eq!(a.measures, b.measures, "measures at ({gsm_h}, {gprs_h})");
+            assert!(fast.captured.as_ref().unwrap().bitwise_eq(config), "{at}");
         }
     }
 

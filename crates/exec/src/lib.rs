@@ -1,13 +1,13 @@
 //! Deterministic thread fan-out executors for the GPRS reproduction.
 //!
-//! Every parallel stage of the pipeline — sweep points and per-cell
-//! solves in `gprs-core`, solver sweeps in `gprs-ctmc`, simulator
+//! Every parallel stage of the pipeline — sweep points and cluster
+//! shard workers in `gprs-core`, solver sweeps in `gprs-ctmc`, simulator
 //! replication waves in `gprs-des`/`gprs-sim` — rides the same small
 //! set of executors, so there is exactly one place that decides how
 //! work maps onto threads and one determinism contract to audit:
 //!
 //! * [`par_map_tasks`] — the **ordered work-queue executor** for *few
-//!   heavy tasks* (sweep points, cluster cells, simulator
+//!   heavy tasks* (sweep points, cluster load points, simulator
 //!   replications). Tasks are handed to workers through an atomic
 //!   index queue, each runs exactly once, and results come back **in
 //!   task order** — so as long as the task closure is deterministic
@@ -83,20 +83,6 @@ pub fn num_threads() -> usize {
     }
 }
 
-/// The default shard count for partitioned solvers: the `GPRS_SHARDS`
-/// environment variable when set to a positive integer, otherwise 1
-/// (sharding is opt-in — unlike [`num_threads`], it changes *which
-/// engine* runs, so the conservative default is the legacy scan).
-pub fn num_shards() -> usize {
-    match std::env::var("GPRS_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => 1,
-    }
-}
-
 /// Splits `0..n` into at most `chunks` contiguous ranges of near-equal
 /// length (deterministic for given `n` and `chunks`).
 pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
@@ -141,8 +127,8 @@ where
 ///
 /// Where [`par_map_ranges`] splits *many cheap items* into contiguous
 /// ranges (and runs inline below [`MIN_PARALLEL_WORK`] items), this is
-/// the executor for *few heavy tasks* — sweep points, per-cell solves of
-/// a cluster fixed point, simulator replications — where even `n = 7`
+/// the executor for *few heavy tasks* — sweep points, cluster load
+/// points, simulator replications — where even `n = 7`
 /// deserves fan-out and task costs are uneven enough that a work queue
 /// beats fixed chunking. Each task runs exactly once on exactly one
 /// worker, so as long as `f` is deterministic per index, the returned

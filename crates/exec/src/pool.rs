@@ -9,6 +9,8 @@
 //! condvar between calls, and each worker exclusively owns one element
 //! of the caller's state vector (a shard's generator templates, a sweep
 //! worker's template) for the whole scope — no mutex, no re-warming.
+//! The caller's thread serves as worker 0 instead of idling while the
+//! others work, so `k` workers run on exactly `k` threads.
 //!
 //! Two dispatch flavours cover the pipeline's needs:
 //!
@@ -76,34 +78,38 @@ impl<Req> Shared<Req> {
     }
 }
 
-enum HandleInner<'a, S, Req, Resp> {
-    /// One worker: run jobs inline on the caller's thread (no spawn, no
-    /// channel) — the sequential degeneration every executor here has.
-    Inline {
-        state: &'a mut S,
-        work: &'a (dyn Fn(usize, &mut S, Req) -> Resp + Sync),
-    },
-    Threaded {
-        shared: &'a Shared<Req>,
-        results: mpsc::Receiver<(usize, Result<Resp, Payload>)>,
-        workers: usize,
-    },
+/// The spawned half of a pool with two or more workers: the shared
+/// queue and the channel the spawned workers report on.
+struct Spawned<'a, Req, Resp> {
+    shared: &'a Shared<Req>,
+    results: mpsc::Receiver<(usize, Result<Resp, Payload>)>,
 }
 
 /// The caller's handle onto a live [`with_worker_pool`] scope: submits
 /// job batches and collects their results in order. One batch runs at a
 /// time (`&mut self`), matching the round-based protocols built on it.
+///
+/// The caller's thread is worker 0: it runs worker 0's jobs against
+/// its state while the spawned workers run theirs, so a pool of `k`
+/// states keeps `k` threads busy, never `k + 1`.
 pub struct PoolHandle<'a, S, Req, Resp> {
-    inner: HandleInner<'a, S, Req, Resp>,
+    state: &'a mut S,
+    work: &'a (dyn Fn(usize, &mut S, Req) -> Resp + Sync),
+    workers: usize,
+    /// `None` for a single worker: every job runs inline.
+    spawned: Option<Spawned<'a, Req, Resp>>,
 }
 
 impl<S, Req, Resp> PoolHandle<'_, S, Req, Resp> {
     /// Number of workers (= length of the state vector).
     pub fn worker_count(&self) -> usize {
-        match &self.inner {
-            HandleInner::Inline { .. } => 1,
-            HandleInner::Threaded { workers, .. } => *workers,
-        }
+        self.workers
+    }
+
+    /// Runs one job as worker 0 on the caller's thread.
+    fn run_here(&mut self, seq: usize, req: Req) -> Result<Resp, TaskPanic> {
+        let (work, state) = (self.work, &mut *self.state);
+        catch_unwind(AssertUnwindSafe(|| work(0, state, req))).map_err(|p| TaskPanic::new(seq, p))
     }
 
     /// Runs one directed batch: each `(worker, job)` pair executes on
@@ -115,100 +121,115 @@ impl<S, Req, Resp> PoolHandle<'_, S, Req, Resp> {
     ///
     /// If a job names a worker index out of range.
     pub fn run_on(&mut self, jobs: Vec<(usize, Req)>) -> Vec<Result<Resp, TaskPanic>> {
-        match &mut self.inner {
-            HandleInner::Inline { state, work } => jobs
-                .into_iter()
-                .enumerate()
-                .map(|(i, (w, req))| {
-                    assert!(w == 0, "worker index {w} out of range (1 worker)");
-                    catch_unwind(AssertUnwindSafe(|| work(0, state, req)))
-                        .map_err(|p| TaskPanic::new(i, p))
-                })
-                .collect(),
-            HandleInner::Threaded {
-                shared,
-                results,
-                workers,
-            } => {
-                let n = jobs.len();
-                // Validate before taking the lock: panicking while
-                // holding it would poison the workers' queue.
-                for (w, _) in &jobs {
-                    assert!(
-                        *w < *workers,
-                        "worker index {w} out of range ({workers} workers)"
-                    );
-                }
-                {
-                    let mut q = shared.lock();
-                    for (seq, (w, req)) in jobs.into_iter().enumerate() {
+        let workers = self.workers;
+        // Validate before taking the lock: panicking while holding it
+        // would poison the workers' queue.
+        for (w, _) in &jobs {
+            assert!(
+                *w < workers,
+                "worker index {w} out of range ({workers} workers)"
+            );
+        }
+        let mut slots: Vec<Option<Result<Resp, TaskPanic>>> =
+            (0..jobs.len()).map(|_| None).collect();
+        // Worker 0's jobs stay on this thread; the rest go out first so
+        // the spawned workers start while this thread runs its own.
+        let mut own = Vec::new();
+        let mut sent = 0;
+        if let Some(spawned) = &self.spawned {
+            {
+                let mut q = spawned.shared.lock();
+                for (seq, (w, req)) in jobs.into_iter().enumerate() {
+                    if w == 0 {
+                        own.push((seq, req));
+                    } else {
                         q.directed[w].push_back((seq, req));
+                        sent += 1;
                     }
                 }
-                shared.ready.notify_all();
-                collect_batch(results, n)
             }
+            if sent > 0 {
+                spawned.shared.ready.notify_all();
+            }
+        } else {
+            own.extend(
+                jobs.into_iter()
+                    .enumerate()
+                    .map(|(seq, (_, req))| (seq, req)),
+            );
         }
+        for (seq, req) in own {
+            slots[seq] = Some(self.run_here(seq, req));
+        }
+        self.collect(&mut slots, sent);
+        finish(slots)
     }
 
     /// Runs one load-balanced batch: jobs drain from a shared queue to
-    /// whichever worker frees up first. Results return in submission
-    /// order, panics contained per slot.
+    /// whichever worker frees up first, the caller's thread included.
+    /// Results return in submission order, panics contained per slot.
     pub fn run_queue(&mut self, jobs: Vec<Req>) -> Vec<Result<Resp, TaskPanic>> {
-        match &mut self.inner {
-            HandleInner::Inline { state, work } => jobs
-                .into_iter()
-                .enumerate()
-                .map(|(i, req)| {
-                    catch_unwind(AssertUnwindSafe(|| work(0, state, req)))
-                        .map_err(|p| TaskPanic::new(i, p))
-                })
-                .collect(),
-            HandleInner::Threaded {
-                shared, results, ..
-            } => {
-                let n = jobs.len();
-                {
-                    let mut q = shared.lock();
-                    for (seq, req) in jobs.into_iter().enumerate() {
-                        q.anywhere.push_back((seq, req));
-                    }
-                }
-                shared.ready.notify_all();
-                collect_batch(results, n)
+        let n = jobs.len();
+        let mut slots: Vec<Option<Result<Resp, TaskPanic>>> = (0..n).map(|_| None).collect();
+        let Some(spawned) = &self.spawned else {
+            for (seq, req) in jobs.into_iter().enumerate() {
+                slots[seq] = Some(self.run_here(seq, req));
             }
+            return finish(slots);
+        };
+        let shared = spawned.shared;
+        {
+            let mut q = shared.lock();
+            for (seq, req) in jobs.into_iter().enumerate() {
+                q.anywhere.push_back((seq, req));
+            }
+        }
+        shared.ready.notify_all();
+        let mut ran_here = 0;
+        loop {
+            let job = shared.lock().anywhere.pop_front();
+            let Some((seq, req)) = job else { break };
+            slots[seq] = Some(self.run_here(seq, req));
+            ran_here += 1;
+        }
+        self.collect(&mut slots, n - ran_here);
+        finish(slots)
+    }
+
+    /// Collects `count` results from the spawned workers into their
+    /// submission slots.
+    fn collect(&self, slots: &mut [Option<Result<Resp, TaskPanic>>], count: usize) {
+        let Some(spawned) = &self.spawned else { return };
+        for _ in 0..count {
+            let (seq, out) = spawned
+                .results
+                .recv()
+                .expect("worker pool hung up mid-batch");
+            slots[seq] = Some(out.map_err(|p| TaskPanic::new(seq, p)));
         }
     }
 }
 
-/// Collects exactly `n` batch results from the workers, reordered into
-/// submission order.
-fn collect_batch<Resp>(
-    results: &mpsc::Receiver<(usize, Result<Resp, Payload>)>,
-    n: usize,
-) -> Vec<Result<Resp, TaskPanic>> {
-    let mut slots: Vec<Option<Result<Resp, TaskPanic>>> = (0..n).map(|_| None).collect();
-    for _ in 0..n {
-        let (seq, out) = results.recv().expect("worker pool hung up mid-batch");
-        slots[seq] = Some(out.map_err(|p| TaskPanic::new(seq, p)));
-    }
+/// Unwraps a batch's filled slots.
+fn finish<Resp>(slots: Vec<Option<Result<Resp, TaskPanic>>>) -> Vec<Result<Resp, TaskPanic>> {
     slots
         .into_iter()
         .map(|s| s.expect("every submitted job reports exactly once"))
         .collect()
 }
 
-/// Spawns one persistent worker per element of `states`, each owning
-/// its element for the whole scope, runs `body` with a [`PoolHandle`]
-/// to submit job batches, then shuts the workers down and returns
-/// `body`'s result.
+/// Runs a pool with one worker per element of `states`, each owning
+/// its element for the whole scope: the caller's thread is worker 0,
+/// and one persistent thread is spawned per further element. Runs
+/// `body` with a [`PoolHandle`] to submit job batches, then shuts the
+/// spawned workers down and returns `body`'s result.
 ///
 /// `work(worker_index, &mut state, job)` is fixed for the pool's
 /// lifetime (it may borrow the caller's frame — the workers are scoped
 /// threads), and is the only code that ever touches a worker's state.
-/// With a single state the pool runs inline on the caller's thread:
-/// worker count 1 degenerates to a plain sequential loop, exactly like
-/// the other executors in this crate.
+/// With a single state nothing is spawned: worker count 1 degenerates
+/// to a plain sequential loop, exactly like the other executors in
+/// this crate.
 ///
 /// # Panics
 ///
@@ -225,14 +246,14 @@ where
 {
     let workers = states.len();
     assert!(workers > 0, "worker pool needs at least one state");
+    let mut states = states.into_iter();
+    let mut state0 = states.next().expect("one state");
     if workers == 1 {
-        let mut states = states;
-        let mut state = states.pop().expect("one state");
         let mut handle = PoolHandle {
-            inner: HandleInner::Inline {
-                state: &mut state,
-                work: &work,
-            },
+            state: &mut state0,
+            work: &work,
+            workers,
+            spawned: None,
         };
         return body(&mut handle);
     }
@@ -248,7 +269,7 @@ where
     let (tx, rx) = mpsc::channel();
 
     std::thread::scope(|s| {
-        for (w, mut state) in states.into_iter().enumerate() {
+        for (w, mut state) in (1..workers).zip(states) {
             let shared = &shared;
             let work = &work;
             let tx = tx.clone();
@@ -278,11 +299,13 @@ where
         drop(tx);
 
         let mut handle = PoolHandle {
-            inner: HandleInner::Threaded {
+            state: &mut state0,
+            work: &work,
+            workers,
+            spawned: Some(Spawned {
                 shared: &shared,
                 results: rx,
-                workers,
-            },
+            }),
         };
         let out = catch_unwind(AssertUnwindSafe(|| body(&mut handle)));
         drop(handle);
@@ -318,6 +341,18 @@ mod tests {
             got,
             vec![(300, 2, 7), (100, 0, 8), (200, 1, 9), (300, 2, 10)]
         );
+    }
+
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = with_worker_pool(
+            vec![(); 3],
+            |w, _, _: ()| (w, std::thread::current().id() == caller),
+            |pool| pool.run_on((0..3).map(|w| (w, ())).collect()),
+        );
+        let got: Vec<_> = on_caller.into_iter().map(|r| r.unwrap()).collect();
+        assert_eq!(got, vec![(0, true), (1, false), (2, false)]);
     }
 
     #[test]

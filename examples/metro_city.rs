@@ -16,10 +16,9 @@
 //! cargo run --release --example metro_city [shards]
 //! ```
 //!
-//! The shard count defaults to 4 (or `GPRS_SHARDS` when set); whatever
-//! the value, the sharded solve is asserted **bitwise identical** to
-//! the single-scan engine before any number is printed. CI runs this
-//! example as the sharded-graph smoke.
+//! The shard count defaults to 4; whatever the value, the sharded solve
+//! is asserted **bitwise identical** to the one-shard solve before any
+//! number is printed. CI runs this example as the sharded-graph smoke.
 
 use gprs_repro::core::cluster::{ClusterModel, ClusterSolveOptions};
 use gprs_repro::core::codec::{graph_from_json_value, parse_json};
@@ -32,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .nth(1)
         .map(|s| s.parse())
         .transpose()?
-        .unwrap_or(0);
+        .unwrap_or(4);
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data/metro_city.json");
     let doc = parse_json(&std::fs::read_to_string(path)?)?;
@@ -66,16 +65,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = ClusterModel::from_graph(graph, cells)?;
 
     let base_opts = ClusterSolveOptions::quick().with_surrogate(true);
-    // shards == 0 resolves GPRS_SHARDS (defaulting to 1); pin 4 in
-    // that case so the smoke actually exercises the partition workers.
-    let shards = if shards == 0 {
-        std::env::var("GPRS_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4)
-    } else {
-        shards
-    };
 
     let t0 = Instant::now();
     let baseline = model.solve(&base_opts.clone().with_shards(1))?;

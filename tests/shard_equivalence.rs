@@ -1,9 +1,11 @@
-//! The sharded-fixed-point contract: for every shard count and both
-//! sweep orderings, the partitioned halo-exchange engine is **bitwise
-//! identical** to the classic single-scan engine — same iteration
-//! counts, same relaxation trace, and bit-equal floating point in
-//! every per-cell field and measure. Sharding is an execution layout,
-//! never a numeric approximation.
+//! The sharded-fixed-point contract: for every shard count, thread
+//! count and both sweep orderings, the cluster fixed-point engine is
+//! **bitwise identical** to its unsharded (`shards = 1`, inline)
+//! layout — same iteration counts, same relaxation trace, and
+//! bit-equal floating point in every per-cell field and measure.
+//! Sharding is an execution layout, never a numeric approximation.
+//! `tests/graph_equivalence.rs` anchors the unsharded layout to the
+//! historical ring fixtures.
 
 use gprs_core::cluster::ClusterSolveOptions;
 use gprs_core::{CellConfig, CellGraph, ClusterModel, SolvedCluster, SweepOrdering};
@@ -136,34 +138,51 @@ fn assert_bitwise_equal(a: &SolvedCluster, b: &SolvedCluster, what: &str) {
     }
 }
 
-/// The workhorse: solve one model with the classic engine (`shards = 1`)
-/// and with the sharded engine at several shard counts, across thread
-/// counts, for one ordering — all must be bit-identical.
-fn check_model(model: &ClusterModel, ordering: SweepOrdering, what: &str) {
-    let base = ClusterSolveOptions::quick().with_ordering(ordering);
+/// Shard counts every model is checked at: the default (`0`, which
+/// resolves to the thread count), the unsharded layout, two small
+/// counts, and one shard per cell.
+fn shard_counts(model: &ClusterModel) -> [usize; 5] {
+    [0, 1, 2, 3, model.num_cells()]
+}
+
+/// Solves `model` unsharded on one thread, then asserts every shard
+/// count × thread count {1, 2} layout bit-identical to it.
+fn check_layouts(model: &ClusterModel, base: &ClusterSolveOptions, what: &str) {
     let reference = model
-        .solve(&base.clone().with_shards(1))
-        .expect("classic solve converges");
-    for shards in [2usize, 3, 4, 7] {
-        for threads in [1usize, 4] {
+        .solve(&base.clone().with_shards(1).with_threads(1))
+        .expect("unsharded solve converges");
+    for shards in shard_counts(model) {
+        for threads in [1usize, 2] {
             let opts = base.clone().with_shards(shards).with_threads(threads);
             let sharded = model.solve(&opts).expect("sharded solve converges");
             assert_bitwise_equal(
                 &reference,
                 &sharded,
-                &format!("{what}/{ordering:?}/shards={shards}/threads={threads}"),
+                &format!("{what}/shards={shards}/threads={threads}"),
             );
         }
     }
 }
 
-/// The paper's 7-cell ring, homogeneous load: both orderings, shard
-/// counts past the cell count (clamped), multiple pool widths.
+/// The workhorse: [`check_layouts`] under one sweep ordering.
+fn check_model(model: &ClusterModel, ordering: SweepOrdering, what: &str) {
+    let base = ClusterSolveOptions::quick().with_ordering(ordering);
+    check_layouts(model, &base, &format!("{what}/{ordering:?}"));
+}
+
+/// The paper's 7-cell ring, homogeneous load: both orderings, every
+/// layout, plus a shard count past the cell count (clamped to 7).
 #[test]
 fn ring7_sharded_matches_classic_bitwise() {
     let model = ClusterModel::uniform(tiny(0.35)).unwrap();
     check_model(&model, SweepOrdering::Jacobi, "ring7");
     check_model(&model, SweepOrdering::GaussSeidel, "ring7");
+    let base = ClusterSolveOptions::quick();
+    assert_bitwise_equal(
+        &model.solve(&base.clone().with_shards(7)).unwrap(),
+        &model.solve(&base.with_shards(64)).unwrap(),
+        "ring7/shards=64 clamps to 7",
+    );
 }
 
 /// A heterogeneous corridor — the metro shape the partitioner cuts into
@@ -186,28 +205,26 @@ fn corridor_sharded_matches_classic_bitwise() {
 fn hot_spot_adaptive_relaxation_trace_survives_sharding() {
     let model = ClusterModel::hot_spot(tiny(0.25), 0.9).unwrap();
     let base = ClusterSolveOptions::quick().with_adaptive_relaxation(true);
-    let reference = model.solve(&base.clone().with_shards(1)).unwrap();
-    for shards in [2usize, 3, 7] {
-        let sharded = model.solve(&base.clone().with_shards(shards)).unwrap();
-        assert_bitwise_equal(&reference, &sharded, &format!("hotspot/shards={shards}"));
-    }
+    check_layouts(&model, &base, "hotspot");
 }
 
 /// The surrogate (predict-and-verify) solve path counts and warm-start
-/// modes are preserved under sharding.
+/// modes are preserved under sharding, for both orderings.
 #[test]
 fn surrogate_solves_survive_sharding() {
     let model = ClusterModel::uniform(tiny(0.3)).unwrap();
-    let base = ClusterSolveOptions::quick().with_surrogate(true);
-    let reference = model.solve(&base.clone().with_shards(1)).unwrap();
-    let sharded = model.solve(&base.clone().with_shards(3)).unwrap();
-    assert_bitwise_equal(&reference, &sharded, "surrogate/shards=3");
+    for ordering in [SweepOrdering::Jacobi, SweepOrdering::GaussSeidel] {
+        let base = ClusterSolveOptions::quick()
+            .with_surrogate(true)
+            .with_ordering(ordering);
+        check_layouts(&model, &base, &format!("surrogate/{ordering:?}"));
+    }
 }
 
 /// The nightly metro-scale contract: a 1000-cell corridor solved
-/// sharded is bit-identical to the classic scan. Ignored in tier-1
-/// (minutes of work); CI runs it in the scheduled job via
-/// `cargo test -- --ignored shard_equivalence_metro`.
+/// sharded is bit-identical to the unsharded layout, for both
+/// orderings. Ignored in tier-1 (minutes of work); CI runs it in the
+/// scheduled job via `cargo test -- --ignored shard_equivalence_metro`.
 #[test]
 #[ignore = "metro-scale: run in the nightly sharded-equivalence job"]
 fn shard_equivalence_metro_1000_cell_corridor() {
@@ -217,11 +234,17 @@ fn shard_equivalence_metro_1000_cell_corridor() {
         .map(|i| tiny(0.2 + 0.2 * (i % 7) as f64 / 7.0))
         .collect();
     let model = ClusterModel::from_graph(graph, cells).unwrap();
-    let base = ClusterSolveOptions::quick();
-    let reference = model.solve(&base.clone().with_shards(1)).unwrap();
-    for shards in [4usize, 16] {
-        let sharded = model.solve(&base.clone().with_shards(shards)).unwrap();
-        assert_bitwise_equal(&reference, &sharded, &format!("metro/shards={shards}"));
+    for ordering in [SweepOrdering::Jacobi, SweepOrdering::GaussSeidel] {
+        let base = ClusterSolveOptions::quick().with_ordering(ordering);
+        let reference = model.solve(&base.clone().with_shards(1)).unwrap();
+        for shards in [2usize, 3, 16, n] {
+            for threads in [1usize, 2] {
+                let opts = base.clone().with_shards(shards).with_threads(threads);
+                let sharded = model.solve(&opts).unwrap();
+                let what = format!("metro/{ordering:?}/shards={shards}/threads={threads}");
+                assert_bitwise_equal(&reference, &sharded, &what);
+            }
+        }
     }
 }
 
@@ -229,10 +252,8 @@ proptest! {
     // Full cluster solves per case; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// On random connected graphs with random loads, `shards = 1`
-    /// through the dispatch knob is the classic engine (satellite
-    /// contract: shard-count-1 degenerates to today's scan), and any
-    /// higher count matches it bitwise.
+    /// On random connected graphs with random loads, every shard count
+    /// × thread count layout matches the unsharded one bitwise.
     #[test]
     fn any_shard_count_matches_unsharded_on_random_graphs(seed in 1u64..u64::MAX) {
         let n = 6;
@@ -257,17 +278,7 @@ proptest! {
         let cells: Vec<CellConfig> = (0..n).map(|_| tiny(0.2 + 0.5 * unit())).collect();
         let model = ClusterModel::from_graph(graph, cells).unwrap();
         for ordering in [SweepOrdering::Jacobi, SweepOrdering::GaussSeidel] {
-            let base = ClusterSolveOptions::quick().with_ordering(ordering);
-            // The knob's `1` and the legacy default path are the same
-            // engine by construction (dispatch only enters the sharded
-            // engine at >= 2); pin it anyway.
-            let implicit = model.solve(&base).unwrap();
-            let explicit = model.solve(&base.clone().with_shards(1)).unwrap();
-            assert_bitwise_equal(&implicit, &explicit, "shards=1 vs default");
-            for shards in [2usize, 5] {
-                let sharded = model.solve(&base.clone().with_shards(shards)).unwrap();
-                assert_bitwise_equal(&implicit, &sharded, &format!("random/{ordering:?}/shards={shards}"));
-            }
+            check_model(&model, ordering, "random");
         }
     }
 }
