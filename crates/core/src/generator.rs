@@ -668,6 +668,33 @@ mod tests {
         assert_eq!(model.busy_pdchs(2, 3), 1);
     }
 
+    /// Death rates depend on the phase only through `n` and birth rates
+    /// only through `(n, m − r)`, so the captured tables hold one death
+    /// row per `n` and far fewer birth rows than phases.
+    #[test]
+    fn blocked_capture_shares_rate_rows_across_phases() {
+        let model = GprsModel::new(tiny_config()).unwrap();
+        let (n_gsm, m_cap) = (model.space().n_gsm(), model.space().m_cap());
+        let mut blocked = gprs_ctmc::BlockedMbd::new();
+        blocked.capture(&model);
+        let (births, deaths) = blocked.distinct_rows();
+        assert_eq!(deaths, n_gsm + 1);
+        assert!(births <= (n_gsm + 1) * (m_cap + 1), "{births} birth rows");
+        assert!(births < model.num_phases());
+        for p in 0..model.num_phases() {
+            for l in 0..model.num_levels() {
+                assert_eq!(
+                    blocked.birth_rate(p, l).to_bits(),
+                    model.birth_rate(p, l).to_bits()
+                );
+                assert_eq!(
+                    blocked.death_rate(p, l).to_bits(),
+                    model.death_rate(p, l).to_bits()
+                );
+            }
+        }
+    }
+
     #[test]
     fn rows_have_no_self_loops_and_positive_rates() {
         let model = GprsModel::new(tiny_config()).unwrap();

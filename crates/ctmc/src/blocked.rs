@@ -1,4 +1,4 @@
-//! Phase-major blocked tables and the cache-blocked MBD sweep kernel.
+//! Captured rate tables and the cache-blocked MBD sweep kernel.
 //!
 //! [`crate::mbd::solve_mbd_projected_ws`] is matrix-free: every sweep
 //! re-derives birth/death rates through virtual calls (four per level
@@ -10,19 +10,26 @@
 //! sweeps of a solve and across the residual passes.
 //!
 //! [`BlockedMbd`] hoists all of it: one capture pass materializes the
-//! rate tables phase-major (`birth[p * levels + l]`, contiguous per
-//! phase block, matching the iterate layout) and the incoming phase
-//! transitions as a small CSR. [`solve_mbd_projected_blocked_ws`] then
-//! runs the same block Gauss–Seidel / Thomas sweep as the scalar kernel
-//! but with every inner loop a contiguous, branch-free slice scan the
-//! compiler can unroll and vectorize. The floating-point operations and
-//! their order are **exactly** those of the scalar kernel, so blocked
-//! and scalar solves are bit-identical — pinned by the tests below and
-//! by the template-level preflights in `gprs_core`.
+//! birth and death rates as per-phase rows of `levels` entries, and the
+//! incoming phase transitions as a small CSR. Rows are deduplicated by
+//! their bit patterns: each distinct row is stored once and every phase
+//! carries a `u32` row id. On the GPRS chain birth rates depend on the
+//! phase only through `(n, m − r)` and death rates only through `n`, so
+//! Fig. 10's 218,044-phase chain keeps 2,531 birth rows and 19 death
+//! rows, and the tables stay cache-resident however large the chain.
+//!
+//! [`solve_mbd_projected_blocked_ws`] then runs the same block
+//! Gauss–Seidel / Thomas sweep as the scalar kernel, but with every
+//! inner loop a contiguous, branch-free slice scan the compiler can
+//! unroll and vectorize. The floating-point operations and their order
+//! are **exactly** those of the scalar kernel, and the rates read are
+//! bit-identical to the source's, so blocked and scalar solves are
+//! bit-identical — pinned by the tests below and by the template-level
+//! preflights in `gprs_core`.
 //!
 //! Capture costs about one sweep's worth of rate evaluations and is
 //! repaid within the first sweep; for repeated same-shape solves the
-//! tables are refilled in place and nothing is reallocated.
+//! tables are refilled in place.
 
 // Indexed loops mirror the scalar kernel they must match bit-for-bit.
 #![allow(clippy::needless_range_loop)]
@@ -40,16 +47,136 @@ use crate::solver::{HealthGuard, SolveOptions, SolveStats, SolveWorkspace, WarmI
 /// can run the full test matrix over both code paths and so regressions
 /// can be bisected to layout vs. arithmetic.
 pub fn blocked_kernel_enabled() -> bool {
-    match std::env::var("GPRS_BLOCKED_KERNEL") {
-        Ok(v) => !matches!(
+    kernel_enabled_by(std::env::var("GPRS_BLOCKED_KERNEL").ok().as_deref())
+}
+
+/// The parse behind [`blocked_kernel_enabled`]: `None` (unset or not
+/// Unicode) enables the kernel, as does every value but the disabling
+/// ones.
+fn kernel_enabled_by(value: Option<&str>) -> bool {
+    match value {
+        Some(v) => !matches!(
             v.to_ascii_lowercase().as_str(),
             "0" | "false" | "off" | "no"
         ),
-        Err(_) => true,
+        None => true,
     }
 }
 
-/// Phase-major blocked rate tables of a [`ModulatedBirthDeath`] chain.
+/// Per-phase rate rows with each distinct row stored once.
+///
+/// Rows are compared by the bit patterns of all their entries, so two
+/// rows that differ only in the sign of a zero stay distinct and every
+/// value read back is bit-identical to the value captured. Row ids are
+/// assigned in first-seen phase order.
+#[derive(Clone, Default)]
+struct RowTable {
+    /// Distinct rows, `levels` entries each, by row id.
+    rows: Vec<f64>,
+    /// Row id of each phase.
+    ids: Vec<u32>,
+    /// Hash of each distinct row, by row id.
+    hashes: Vec<u64>,
+    /// Capture-time lookup: open addressing over a power-of-two table
+    /// of `row id + 1`, 0 marking an empty slot. Kept across captures
+    /// so a recapture reuses its storage.
+    slots: Vec<u32>,
+}
+
+impl RowTable {
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.ids.clear();
+        self.hashes.clear();
+        self.slots.fill(0);
+    }
+
+    /// Number of distinct rows.
+    fn distinct(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The row of phase `p`.
+    #[inline]
+    fn row(&self, p: usize, levels: usize) -> &[f64] {
+        let start = self.ids[p] as usize * levels;
+        &self.rows[start..start + levels]
+    }
+
+    /// Appends the next phase's row: the `levels` values evaluated by
+    /// `rate`, interned against the rows seen so far.
+    fn push_row(&mut self, levels: usize, rate: impl Fn(usize) -> f64) {
+        if self.slots.is_empty() {
+            self.grow();
+        }
+        let start = self.rows.len();
+        self.rows.extend((0..levels).map(rate));
+        let row = &self.rows[start..];
+        let hash = row_hash(row);
+        let mask = self.slots.len() - 1;
+        let mut slot = slot_of(hash, mask);
+        while self.slots[slot] != 0 {
+            let id = self.slots[slot] as usize - 1;
+            let seen = &self.rows[id * levels..(id + 1) * levels];
+            if self.hashes[id] == hash && bitwise_eq(seen, row) {
+                self.rows.truncate(start);
+                self.ids.push(id as u32);
+                return;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = self.hashes.len();
+        self.hashes.push(hash);
+        self.ids.push(id as u32);
+        if 2 * self.hashes.len() > self.slots.len() {
+            self.grow();
+        } else {
+            self.slots[slot] = id as u32 + 1;
+        }
+    }
+
+    /// Doubles the lookup table and re-inserts every row id.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        let mask = len - 1;
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = slot_of(hash, mask);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id as u32 + 1;
+        }
+    }
+}
+
+/// Prints the stored rows and per-phase ids, not the lookup scratch.
+impl std::fmt::Debug for RowTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RowTable")
+            .field("rows", &self.rows)
+            .field("ids", &self.ids)
+            .finish_non_exhaustive()
+    }
+}
+
+fn row_hash(row: &[f64]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    row.iter().fold(row.len() as u64, |h, x| {
+        (h.rotate_left(5) ^ x.to_bits()).wrapping_mul(K)
+    })
+}
+
+fn slot_of(hash: u64, mask: usize) -> usize {
+    (hash ^ (hash >> 32)) as usize & mask
+}
+
+fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Captured rate tables of a [`ModulatedBirthDeath`] chain.
 ///
 /// Built by [`capture`](Self::capture) from any MBD implementation and
 /// consumed by [`solve_mbd_projected_blocked_ws`] /
@@ -60,10 +187,10 @@ pub fn blocked_kernel_enabled() -> bool {
 pub struct BlockedMbd {
     phases: usize,
     levels: usize,
-    /// `birth[p * levels + l]` — contiguous per phase block.
-    birth: Vec<f64>,
-    /// `death[p * levels + l]` — contiguous per phase block.
-    death: Vec<f64>,
+    /// Birth rates, one deduplicated row of `levels` entries per phase.
+    birth: RowTable,
+    /// Death rates, one deduplicated row of `levels` entries per phase.
+    death: RowTable,
     /// Per-phase exit rate (`phase_exit_rate`), captured once.
     exit: Vec<f64>,
     /// Incoming phase-transition CSR: sources of phase `p` are
@@ -90,9 +217,28 @@ impl BlockedMbd {
         self.levels
     }
 
+    /// Numbers of distinct `(birth, death)` rows the last capture
+    /// stored: phases whose rows are bitwise equal share one copy.
+    pub fn distinct_rows(&self) -> (usize, usize) {
+        (self.birth.distinct(), self.death.distinct())
+    }
+
+    /// Birth rates of phase `p`, one per level.
+    #[inline]
+    fn birth_of(&self, p: usize) -> &[f64] {
+        self.birth.row(p, self.levels)
+    }
+
+    /// Death rates of phase `p`, one per level.
+    #[inline]
+    fn death_of(&self, p: usize) -> &[f64] {
+        self.death.row(p, self.levels)
+    }
+
     /// (Re)captures the rate tables from `gen`. Allocations are reused
-    /// across captures, so refilling for a new parameter point on the
-    /// same shape allocates nothing. Cost is one rate evaluation per
+    /// across captures: refilling for a new parameter point on the same
+    /// shape allocates only when the point has more distinct rate rows
+    /// than any earlier capture held. Cost is one rate evaluation per
     /// table entry — about one sweep's worth of the work it then saves
     /// on every sweep.
     pub fn capture<G: ModulatedBirthDeath + ?Sized>(&mut self, gen: &G) {
@@ -105,16 +251,11 @@ impl BlockedMbd {
         self.phases = p_count;
         self.levels = l_count;
 
-        let n = p_count * l_count;
         self.birth.clear();
-        self.birth.reserve(n);
         self.death.clear();
-        self.death.reserve(n);
         for p in 0..p_count {
-            for l in 0..l_count {
-                self.birth.push(gen.birth_rate(p, l));
-                self.death.push(gen.death_rate(p, l));
-            }
+            self.birth.push_row(l_count, |l| gen.birth_rate(p, l));
+            self.death.push_row(l_count, |l| gen.death_rate(p, l));
         }
 
         self.exit.clear();
@@ -147,10 +288,14 @@ impl BlockedMbd {
     /// cluster handover balance): between outer iterations only the
     /// handover arrival terms move, and those enter exclusively through
     /// phase transitions — births (packet arrivals) and deaths (packet
-    /// services) do not depend on them. The caller guarantees that
-    /// contract; under it the refreshed tables are **bit-identical** to
-    /// a full [`capture`](Self::capture) of the same generator, at a
-    /// fraction of the rate evaluations.
+    /// services) do not depend on them. The birth/death tables are not
+    /// re-read, so the caller must only use this when they cannot have
+    /// moved; `gprs_core`'s generator template checks that by taking
+    /// this path only when the cell configuration is bitwise equal to
+    /// the one of its last full capture. Under that contract the
+    /// refreshed tables are **bit-identical** to a full
+    /// [`capture`](Self::capture) of the same generator, at a fraction
+    /// of the rate evaluations.
     ///
     /// # Panics
     ///
@@ -201,8 +346,8 @@ impl BlockedMbd {
                     *x += rate * pi[qbase + l];
                 }
             }
-            let brow = &self.birth[base..base + l_count];
-            let drow = &self.death[base..base + l_count];
+            let brow = self.birth_of(p);
+            let drow = self.death_of(p);
             for l in 0..l_count {
                 let exit = self.exit[p] + brow[l] + drow[l];
                 let mut inf = inflow[l];
@@ -232,10 +377,10 @@ impl ModulatedBirthDeath for BlockedMbd {
         self.levels
     }
     fn birth_rate(&self, phase: usize, level: usize) -> f64 {
-        self.birth[phase * self.levels + level]
+        self.birth_of(phase)[level]
     }
     fn death_rate(&self, phase: usize, level: usize) -> f64 {
-        self.death[phase * self.levels + level]
+        self.death_of(phase)[level]
     }
     fn for_each_phase_outgoing(&self, phase: usize, visit: &mut dyn FnMut(usize, f64)) {
         // The capture stores incoming structure; outgoing edges of `p`
@@ -357,6 +502,17 @@ fn solve_blocked_inner(
     diag.resize(l_count, 0.0);
     cprime.resize(l_count, 0.0);
     xcol.resize(l_count, 0.0);
+    // Work on plain slices from here on. Through the `&mut Vec`s the
+    // optimizer must reload each buffer's pointer and length after
+    // every store to another buffer (it cannot prove they don't
+    // alias), which keeps the gather, elimination and back-substitution
+    // loops scalar.
+    let pi: &mut [f64] = pi;
+    let phase_exit: &[f64] = phase_exit;
+    let rhs: &mut [f64] = rhs;
+    let diag: &mut [f64] = diag;
+    let cprime: &mut [f64] = cprime;
+    let xcol: &mut [f64] = xcol;
     let omega = opts.sor_omega;
 
     let mut guard = HealthGuard::new(opts);
@@ -391,11 +547,12 @@ fn solve_blocked_inner(
                 }
                 // Single birth-death chain: product form, as in the
                 // scalar kernel's `solve_single_birth_death`.
+                let (brow, drow) = (b.birth_of(0), b.death_of(0));
                 pi[0] = 1.0;
                 let mut total = 1.0;
                 for l in 1..l_count {
-                    let br = b.birth[l - 1];
-                    let dr = b.death[l];
+                    let br = brow[l - 1];
+                    let dr = drow[l];
                     pi[l] = if dr > 0.0 { pi[l - 1] * br / dr } else { 0.0 };
                     total += pi[l];
                 }
@@ -411,8 +568,8 @@ fn solve_blocked_inner(
             }
 
             let base = p * l_count;
-            let brow = &b.birth[base..base + l_count];
-            let drow = &b.death[base..base + l_count];
+            let brow = b.birth_of(p);
+            let drow = b.death_of(p);
             for l in 0..l_count {
                 diag[l] = d_p + brow[l] + drow[l];
             }
@@ -697,9 +854,58 @@ mod tests {
     }
 
     #[test]
+    fn capture_stores_each_distinct_row_once() {
+        // Birth rows repeat phases 0–2; death rows repeat phases 0 and
+        // 3, and phases 6–7 carry phase 3's row with -0.0 at level 0
+        // where phase 3 has +0.0 — a different row by its bits.
+        let mut mbd = TableMbd::random(8, 7, 5)
+            .with_copied_rows(&[0, 1, 0, 1, 2, 0, 1, 2], &[0, 0, 3, 3, 0, 3, 3, 3]);
+        assert_eq!(mbd.death_rate(3, 0).to_bits(), 0.0f64.to_bits());
+        mbd.set_death_rate(6, 0, -0.0);
+        mbd.set_death_rate(7, 0, -0.0);
+        let mut b = BlockedMbd::new();
+        b.capture(&mbd);
+        assert_eq!(b.distinct_rows(), (3, 3));
+        for p in 0..8 {
+            for l in 0..7 {
+                assert_eq!(b.birth_rate(p, l).to_bits(), mbd.birth_rate(p, l).to_bits());
+                assert_eq!(b.death_rate(p, l).to_bits(), mbd.death_rate(p, l).to_bits());
+            }
+        }
+
+        // A table set that first held more distinct rows (its lookup
+        // grown past the initial size) recaptures to the same tables.
+        let many = TableMbd::random(50, 7, 9);
+        let mut reused = BlockedMbd::new();
+        reused.capture(&many);
+        assert_eq!(reused.distinct_rows(), (50, 50));
+        reused.capture(&mbd);
+        assert_eq!(format!("{reused:?}"), format!("{b:?}"));
+
+        let marginal = exact_phase_marginal(&mbd);
+        let opts = SolveOptions::default();
+        let mut ws_s = SolveWorkspace::new();
+        let mut ws_b = SolveWorkspace::new();
+        let s = solve_mbd_projected_ws(&mbd, &marginal, None, &opts, &mut ws_s).unwrap();
+        let bl = solve_mbd_projected_blocked_ws(&b, &marginal, None, &opts, &mut ws_b).unwrap();
+        assert_eq!(s.sweeps, bl.sweeps);
+        assert_eq!(s.residual.to_bits(), bl.residual.to_bits());
+        assert_bitwise_eq(ws_s.pi(), ws_b.pi(), "repeated rows, projected");
+        let s = solve_mbd_ws(&mbd, None, &opts, &mut ws_s).unwrap();
+        let bl = solve_mbd_blocked_ws(&b, None, &opts, &mut ws_b).unwrap();
+        assert_eq!(s.sweeps, bl.sweeps);
+        assert_eq!(s.residual.to_bits(), bl.residual.to_bits());
+        assert_bitwise_eq(ws_s.pi(), ws_b.pi(), "repeated rows, unprojected");
+    }
+
+    #[test]
     fn env_toggle_parses_disabling_values() {
-        // Can't set the process env safely under the test harness;
-        // exercise the default path only (unset or enabled in CI).
-        let _ = blocked_kernel_enabled();
+        for off in ["0", "false", "off", "no", "FALSE", "Off", "nO"] {
+            assert!(!kernel_enabled_by(Some(off)), "{off:?}");
+        }
+        for on in ["1", "true", "on", "yes", "", " 0", "off ", "none"] {
+            assert!(kernel_enabled_by(Some(on)), "{on:?}");
+        }
+        assert!(kernel_enabled_by(None));
     }
 }

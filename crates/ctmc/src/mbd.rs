@@ -282,6 +282,15 @@ fn solve_mbd_inner<G: ModulatedBirthDeath + ?Sized>(
     diag.resize(l_count, 0.0);
     cprime.resize(l_count, 0.0);
     xcol.resize(l_count, 0.0);
+    // Plain slices from here on, as in the blocked twin: through the
+    // `&mut Vec`s every store forces a reload of each buffer's pointer
+    // and length.
+    let pi: &mut [f64] = pi;
+    let phase_exit: &[f64] = phase_exit;
+    let rhs: &mut [f64] = rhs;
+    let diag: &mut [f64] = diag;
+    let cprime: &mut [f64] = cprime;
+    let xcol: &mut [f64] = xcol;
     let omega = opts.sor_omega;
 
     let mut guard = HealthGuard::new(opts);
@@ -589,6 +598,30 @@ pub(crate) mod tests {
                 }
             }
             scaled
+        }
+
+        /// The same chain with phase `p`'s birth row copied from phase
+        /// `birth_src[p]` and its death row from phase `death_src[p]`:
+        /// repeated rate rows, as the GPRS chain has them.
+        pub(crate) fn with_copied_rows(&self, birth_src: &[usize], death_src: &[usize]) -> Self {
+            let levels = self.levels;
+            let copy = |table: &[f64], src: &[usize]| -> Vec<f64> {
+                src.iter()
+                    .flat_map(|&q| &table[q * levels..(q + 1) * levels])
+                    .copied()
+                    .collect()
+            };
+            TableMbd {
+                phases: self.phases,
+                levels,
+                birth: copy(&self.birth, birth_src),
+                death: copy(&self.death, death_src),
+                phase_rates: self.phase_rates.clone(),
+            }
+        }
+
+        pub(crate) fn set_death_rate(&mut self, p: usize, l: usize, rate: f64) {
+            self.death[p * self.levels + l] = rate;
         }
 
         pub(crate) fn to_sparse(&self) -> crate::sparse::SparseGenerator {

@@ -592,7 +592,9 @@ pub fn solve_gauss_seidel_csr_ws(
     }
 
     ws.init_pi(n, warm_start)?;
-    let (pi, exit) = (&mut ws.pi, &ws.exit);
+    // Plain slices, so stores into `pi` don't force reloads of the
+    // buffers' pointers and lengths.
+    let (pi, exit): (&mut [f64], &[f64]) = (&mut ws.pi, &ws.exit);
     let (tptr, tcol, tval) = gen.transpose_csr();
 
     let omega = opts.sor_omega;
