@@ -4,9 +4,9 @@
 //! Times the repeated-solve pipelines the symbolic/numeric split
 //! targets — arrival-rate sweeps (template refill vs historical
 //! per-point rebuild), the cache-blocked sweep kernel against the
-//! scalar trait-dispatched one, the predict-and-verify surrogate's
-//! hit rate on a dense figure grid, the 7-cell cluster fixed point, a
-//! metro-scale corridor graph sweep (shape-keyed template dedup +
+//! scalar trait-dispatched one, the 7-cell cluster fixed point (with
+//! and without the predict-and-verify surrogate), a metro-scale
+//! corridor graph sweep (shape-keyed template dedup +
 //! Gauss–Seidel colour ordering), and the parallel replication engine
 //! — and writes a single JSON document
 //! (`BENCH_sweep.json` by default) with points-per-second throughput
@@ -16,9 +16,9 @@
 //! than as absolutes.
 //!
 //! The document's `"schema"` field versions its shape
-//! (`gprs-bench-report/v4` since the `shard` section landed; `v3`
-//! added `campaign`), so trajectory tooling can evolve the format
-//! without guessing.
+//! (`gprs-bench-report/v5` since the `kernel` section dropped its
+//! sweep-surrogate keys; `v4` added `shard`, `v3` added `campaign`),
+//! so trajectory tooling can evolve the format without guessing.
 //!
 //! Two sizes of the same workloads (the `"mode"` field records which
 //! one a report ran):
@@ -37,9 +37,11 @@
 //! `cell_solves_per_sec`; the process exits non-zero if either dropped
 //! below 75% of its baseline (wall-clock noise on shared runners makes
 //! a tighter bound flaky). Baselines predating the `graph_sweep`
-//! section skip that gate with a note. In check mode the report is
-//! written to `BENCH_report.json` by default so the committed baseline
-//! is never clobbered.
+//! section skip that gate with a note; a baseline that cannot be read
+//! or parsed, or lacks `refill_points_per_sec`, exits with status 2
+//! before anything is timed.
+//! In check mode the report is written to `BENCH_report.json` by
+//! default so the committed baseline is never clobbered.
 //!
 //! Determinism is asserted (sequential vs parallel sweeps) before
 //! timing in both modes, so a report is also a cheap correctness
@@ -47,11 +49,10 @@
 
 use gprs_bench::{figure_sweep_cell, sweep_rebuild};
 use gprs_core::cluster::{ClusterModel, ClusterSolveOptions, SweepOrdering};
-use gprs_core::sweep::{
-    par_sweep_arrival_rates_threads, rate_grid, sweep_arrival_rates, sweep_arrival_rates_mode,
-};
+use gprs_core::codec::{parse_json, JsonValue};
+use gprs_core::sweep::{par_sweep_arrival_rates_threads, rate_grid, sweep_arrival_rates};
 use gprs_core::template::{GeneratorTemplate, WarmStart};
-use gprs_core::{CellConfig, CellGraph, Scenario, SolveRung};
+use gprs_core::{CellConfig, CellGraph, Scenario};
 use gprs_ctmc::SolveOptions;
 use gprs_exec::num_threads;
 use gprs_sim::{run_replications, ReplicationOptions, SimConfig, TargetMeasure};
@@ -64,26 +65,6 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let t0 = Instant::now();
     let out = f();
     (t0.elapsed().as_secs_f64(), out)
-}
-
-/// Pulls the first `"key": <number>` out of a JSON document. Enough
-/// for the flat reports this binary writes itself (the workspace is
-/// dependency-free, so no JSON parser to lean on).
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{key}\""))?;
-    let rest = &json[at..];
-    let rest = &rest[rest.find(':')? + 1..];
-    let end = rest.find([',', '}', '\n'])?;
-    rest[..end].trim().parse().ok()
-}
-
-/// Like [`extract_number`], but starts looking after the first
-/// occurrence of `"section"` — disambiguates keys that repeat across
-/// the report's sections (e.g. `cell_solves_per_sec` appears in both
-/// `cluster` and `graph_sweep`).
-fn extract_number_in(json: &str, section: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{section}\""))?;
-    extract_number(&json[at..], key)
 }
 
 const USAGE: &str = "usage: bench-report [--quick] [--check BASELINE.json] [OUTPUT.json]";
@@ -121,6 +102,28 @@ fn main() {
         } else {
             "BENCH_sweep.json".to_string()
         }
+    });
+    // Read the baseline before timing, so a bad one fails in
+    // milliseconds rather than after the whole run.
+    let baseline = check_path.map(|path| {
+        let doc = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| parse_json(&text).map_err(|e| e.to_string()))
+            .unwrap_or_else(|e| {
+                eprintln!("cannot read baseline {path}: {e}");
+                std::process::exit(2);
+            });
+        let number = |section: &str, key: &str| {
+            doc.get(section)
+                .and_then(|s| s.get(key))
+                .and_then(JsonValue::as_f64)
+        };
+        let refill = number("sweep", "refill_points_per_sec").unwrap_or_else(|| {
+            eprintln!("no sweep.refill_points_per_sec in {path}");
+            std::process::exit(2);
+        });
+        let metro = number("graph_sweep", "cell_solves_per_sec");
+        (path, refill, metro)
     });
     let threads = num_threads();
     let solve_opts = SolveOptions::quick().with_max_sweeps(200_000);
@@ -188,20 +191,6 @@ fn main() {
     let blocked_sweeps_per_sec = blocked_sweeps as f64 / blocked_s;
     let scalar_ns_per_row = scalar_s * 1e9 / (scalar_sweeps as f64 * kernel_rows as f64);
     let blocked_ns_per_row = blocked_s * 1e9 / (blocked_sweeps as f64 * kernel_rows as f64);
-
-    // --- Surrogate hit rate: the extended figure grid in
-    // predict-and-verify mode. Chunk heads always solve cold, so the
-    // hit rate can never reach 1; what lands here is the fraction of
-    // figure points served straight from the verified extrapolation. ---
-    let surrogate_rates = rate_grid(0.05, 1.0, if quick { 32 } else { 64 });
-    let surrogate_pts =
-        sweep_arrival_rates_mode(&base, &surrogate_rates, &solve_opts, WarmStart::Predicted)
-            .expect("surrogate sweep");
-    let surrogate_hits = surrogate_pts
-        .iter()
-        .filter(|p| p.health.rung == SolveRung::Surrogate)
-        .count();
-    let surrogate_hit_rate = surrogate_hits as f64 / surrogate_pts.len() as f64;
 
     // --- Cluster: hot-spot fixed point (template path end to end). ---
     let ring = CellConfig::builder()
@@ -407,7 +396,7 @@ fn main() {
     // --- Emit JSON (hand-rolled: the workspace is dependency-free). ---
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"gprs-bench-report/v4\",");
+    let _ = writeln!(json, "  \"schema\": \"gprs-bench-report/v5\",");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -445,16 +434,9 @@ fn main() {
     let _ = writeln!(json, "    \"blocked_ns_per_row\": {blocked_ns_per_row:.4},");
     let _ = writeln!(
         json,
-        "    \"blocked_speedup\": {:.4},",
+        "    \"blocked_speedup\": {:.4}",
         blocked_sweeps_per_sec / scalar_sweeps_per_sec
     );
-    let _ = writeln!(
-        json,
-        "    \"surrogate_grid_points\": {},",
-        surrogate_pts.len()
-    );
-    let _ = writeln!(json, "    \"surrogate_hits\": {surrogate_hits},");
-    let _ = writeln!(json, "    \"surrogate_hit_rate\": {surrogate_hit_rate:.4}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"cluster\": {{");
     let _ = writeln!(json, "    \"cell_solves\": {cluster_cell_solves},");
@@ -564,11 +546,7 @@ fn main() {
     // --- Perf-regression gate: the fresh figure-sweep and metro
     // graph-sweep throughputs must each hold at least 75% of the
     // committed baseline's. ---
-    if let Some(baseline_path) = check_path {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let baseline_refill = extract_number(&baseline, "refill_points_per_sec")
-            .unwrap_or_else(|| panic!("no refill_points_per_sec in {baseline_path}"));
+    if let Some((baseline_path, baseline_refill, baseline_metro)) = baseline {
         let floor = 0.75 * baseline_refill;
         if sweep_refill_pps < floor {
             eprintln!(
@@ -584,7 +562,7 @@ fn main() {
         // Metro-scale gate: the corridor graph sweep. Absent from
         // baselines older than schema v2 — skip with a note rather
         // than fail runs against a stale baseline.
-        match extract_number_in(&baseline, "graph_sweep", "cell_solves_per_sec") {
+        match baseline_metro {
             Some(baseline_metro) => {
                 let floor = 0.75 * baseline_metro;
                 if metro_pps < floor {

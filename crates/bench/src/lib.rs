@@ -10,10 +10,6 @@
 //! * `solver` — steady-state solver comparison (block tridiagonal vs
 //!   point Gauss–Seidel vs GTH) across state-space sizes — the ablation
 //!   behind DESIGN.md's solver choice.
-//! * `parallel` — sequential vs parallel pipeline: 8-point sweeps
-//!   fanned out across threads, red-black SOR / Jacobi vs sequential
-//!   Gauss–Seidel, and row-parallel sparse assembly, at the
-//!   [`small_model`] and [`medium_model`] fixtures.
 //! * `cluster` — the heterogeneous 7-cell fixed point: per-iteration
 //!   cell solves sequential vs thread-parallel, plus the load-scale
 //!   sweep (determinism is asserted before timing).

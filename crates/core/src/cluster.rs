@@ -431,7 +431,8 @@ impl ClusterModel {
 
     /// A homogeneous ring cluster: all seven cells share `config`. Its
     /// fixed point reproduces the single-cell model of
-    /// [`GprsModel::new`] — the oracle tests rely on this.
+    /// [`GprsModel::new`](crate::GprsModel::new) — the oracle tests
+    /// rely on this.
     ///
     /// # Errors
     ///

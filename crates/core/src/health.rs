@@ -1,7 +1,7 @@
 //! Solve-health reporting for the resilient solve pipeline.
 //!
-//! Every resilient solve ([`GeneratorTemplate::solve_resilient`],
-//! [`GprsModel::solve_resilient`], the cluster fixed point and the
+//! Every resilient solve ([`GeneratorTemplate::solve_resilient`] and
+//! its lean twin, and through them the cluster fixed point and the
 //! sweep APIs) records *how* its answer was produced in a
 //! [`SolveHealth`] report: which rung of the fallback ladder succeeded,
 //! how many rungs failed before it, and the diagnostics of the
@@ -11,7 +11,6 @@
 //! the solve *degraded gracefully* and the caller may want to log it.
 //!
 //! [`GeneratorTemplate::solve_resilient`]: crate::template::GeneratorTemplate::solve_resilient
-//! [`GprsModel::solve_resilient`]: crate::generator::GprsModel::solve_resilient
 
 /// Which rung of the fallback ladder produced the accepted solution.
 ///

@@ -2,12 +2,10 @@
 
 use crate::error::ModelError;
 use crate::generator::GprsModel;
-use crate::health::{SolveHealth, SolveRung};
 use crate::measures::Measures;
-use gprs_ctmc::gth::{solve_gth, RECOMMENDED_MAX_STATES};
 use gprs_ctmc::mbd::solve_mbd_projected;
 use gprs_ctmc::solver::{solve_gauss_seidel, SolveOptions};
-use gprs_ctmc::{balance_residual, StationaryDistribution};
+use gprs_ctmc::StationaryDistribution;
 
 /// A solved model: stationary distribution, measures, and solver
 /// diagnostics.
@@ -17,7 +15,6 @@ pub struct SolvedModel {
     measures: Measures,
     sweeps: usize,
     residual: f64,
-    health: SolveHealth,
 }
 
 impl SolvedModel {
@@ -39,13 +36,6 @@ impl SolvedModel {
     /// Final relative balance residual.
     pub fn residual(&self) -> f64 {
         self.residual
-    }
-
-    /// How the solution was produced: always [`SolveRung::Primary`]
-    /// from the plain solve entry points; possibly a fallback rung from
-    /// [`GprsModel::solve_resilient`].
-    pub fn health(&self) -> SolveHealth {
-        self.health
     }
 
     /// Consumes the solution, returning the raw probability vector
@@ -96,7 +86,6 @@ impl GprsModel {
             measures,
             sweeps: sol.sweeps,
             residual: sol.residual,
-            health: SolveHealth::primary(sol.sweeps, sol.residual),
         })
     }
 
@@ -128,7 +117,6 @@ impl GprsModel {
             measures,
             sweeps: sol.sweeps,
             residual: sol.residual,
-            health: SolveHealth::primary(sol.sweeps, sol.residual),
         })
     }
 
@@ -139,99 +127,6 @@ impl GprsModel {
     /// Same as [`solve`](Self::solve).
     pub fn solve_default(&self) -> Result<SolvedModel, ModelError> {
         self.solve(&SolveOptions::default(), None)
-    }
-
-    /// Solves through the one-shot **fallback ladder**: block solver
-    /// with the given warm start → cold restart (when a warm start was
-    /// given) → point Gauss–Seidel with adjusted relaxation → direct
-    /// GTH elimination for chains under [`RECOMMENDED_MAX_STATES`].
-    /// The returned [`SolvedModel::health`] records which rung
-    /// produced the answer; on the happy path (rung 1 succeeds) the
-    /// result is identical to [`solve`](Self::solve).
-    ///
-    /// This is the allocating one-shot counterpart of
-    /// [`GeneratorTemplate::solve_resilient`](crate::template::GeneratorTemplate::solve_resilient),
-    /// which repeated-solve call sites should prefer.
-    ///
-    /// # Errors
-    ///
-    /// Structural errors ([`ModelError::is_solver_failure`] == false)
-    /// propagate immediately; otherwise the error of the deepest rung
-    /// attempted.
-    pub fn solve_resilient(
-        &self,
-        opts: &SolveOptions,
-        warm_start: Option<&[f64]>,
-    ) -> Result<SolvedModel, ModelError> {
-        // Rung 1: primary.
-        match self.solve(opts, warm_start) {
-            Ok(solved) => return Ok(solved),
-            Err(e) if e.is_solver_failure() => {}
-            Err(e) => return Err(e),
-        }
-        let mut failed: u8 = 1;
-
-        // Rung 2: cold restart (only if rung 1 ran warm).
-        if warm_start.is_some() {
-            match self.solve(opts, None) {
-                Ok(mut solved) => {
-                    solved.health = SolveHealth {
-                        rung: SolveRung::ColdRestart,
-                        failed_rungs: failed,
-                        sweeps: solved.sweeps,
-                        residual: solved.residual,
-                    };
-                    return Ok(solved);
-                }
-                Err(e) if e.is_solver_failure() => failed += 1,
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Rung 3: alternate iterative solver, adjusted relaxation.
-        let alt_opts = if opts.sor_omega == 1.0 {
-            opts.clone().with_sor(0.8)
-        } else {
-            opts.clone().with_sor(1.0)
-        };
-        let last = match self.solve_gauss_seidel(&alt_opts, None) {
-            Ok(mut solved) => {
-                solved.health = SolveHealth {
-                    rung: SolveRung::AlternateIterative,
-                    failed_rungs: failed,
-                    sweeps: solved.sweeps,
-                    residual: solved.residual,
-                };
-                return Ok(solved);
-            }
-            Err(e) if e.is_solver_failure() => {
-                failed += 1;
-                e
-            }
-            Err(e) => return Err(e),
-        };
-
-        // Rung 4: direct elimination for small chains.
-        if self.space().num_states() <= RECOMMENDED_MAX_STATES {
-            let sparse = self.assemble_sparse()?;
-            let pi = solve_gth(&sparse)?;
-            let residual = balance_residual(&sparse, pi.as_slice());
-            let measures = Measures::compute(self, &pi);
-            return Ok(SolvedModel {
-                pi,
-                measures,
-                sweeps: 0,
-                residual,
-                health: SolveHealth {
-                    rung: SolveRung::DirectGth,
-                    failed_rungs: failed,
-                    sweeps: 0,
-                    residual,
-                },
-            });
-        }
-
-        Err(last)
     }
 }
 
@@ -331,57 +226,6 @@ mod tests {
             (warm.measures().carried_data_traffic - cold.measures().carried_data_traffic).abs()
                 < 1e-7
         );
-    }
-
-    #[test]
-    fn resilient_happy_path_matches_plain_solve_bitwise() {
-        let model = tiny();
-        let opts = SolveOptions::default();
-        let plain = model.solve(&opts, None).unwrap();
-        let resilient = model.solve_resilient(&opts, None).unwrap();
-        assert_eq!(plain.sweeps(), resilient.sweeps());
-        assert_eq!(plain.residual().to_bits(), resilient.residual().to_bits());
-        assert_eq!(
-            plain.stationary().as_slice(),
-            resilient.stationary().as_slice()
-        );
-        assert_eq!(resilient.health().rung, SolveRung::Primary);
-        assert!(!resilient.health().degraded());
-    }
-
-    #[test]
-    fn resilient_ladder_bottoms_out_at_direct_gth() {
-        // Starve every iterative rung (one sweep, unreachable
-        // tolerance): the small chain is answered exactly by GTH.
-        let model = tiny();
-        let starved = SolveOptions::default()
-            .with_max_sweeps(1)
-            .with_tolerance(1e-300);
-        assert!(model.space().num_states() <= RECOMMENDED_MAX_STATES);
-        let solved = model.solve_resilient(&starved, None).unwrap();
-        assert_eq!(solved.health().rung, SolveRung::DirectGth);
-        // No warm start given, so the cold-restart rung was skipped.
-        assert_eq!(solved.health().failed_rungs, 2);
-        assert!(solved.health().degraded());
-        assert!(solved.residual() < 1e-10);
-        let reference = model.solve_default().unwrap();
-        for i in 0..model.space().num_states() {
-            assert!((solved.stationary()[i] - reference.stationary()[i]).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn resilient_with_warm_start_tries_cold_restart_rung() {
-        let model = tiny();
-        let good = model.solve_default().unwrap();
-        let starved = SolveOptions::default()
-            .with_max_sweeps(1)
-            .with_tolerance(1e-300);
-        let solved = model
-            .solve_resilient(&starved, Some(good.stationary().as_slice()))
-            .unwrap();
-        assert_eq!(solved.health().rung, SolveRung::DirectGth);
-        assert_eq!(solved.health().failed_rungs, 3);
     }
 
     #[test]

@@ -20,25 +20,16 @@
 //! better-than-halves solver sweeps against the historical all-cold
 //! sweep.
 //!
-//! The contract is **identical for the sequential and parallel sweeps**
-//! and independent of the worker count: chunk boundaries are a pure
-//! function of the grid length, parallel workers own whole chunks, and
-//! each chunk's solves are the same deterministic code no matter which
-//! worker picks it up. Hence [`par_sweep_arrival_rates`] returns
-//! results **bit-identical** to [`sweep_arrival_rates`] for any thread
-//! count — the historic cold-start inconsistency between the two paths
-//! is gone, and the equality is pinned by tier-1 tests at 1/2/8
-//! workers.
-//!
-//! The `_mode` entry points ([`sweep_arrival_rates_mode`],
-//! [`par_sweep_arrival_rates_mode`]) additionally accept a
-//! [`WarmStart`] mode: [`WarmStart::Predicted`] layers the
-//! predict-and-verify surrogate on top of the chain — an extrapolated
-//! point whose exact balance residual already meets the tolerance is
-//! served without running the solver at all (rung
-//! [`crate::SolveRung::Surrogate`] in the health report). Chunk heads
-//! still solve cold, so the surrogate never crosses a chunk boundary
-//! and par/seq bit-identity holds in every mode.
+//! Every entry point runs the one sweep body,
+//! [`par_sweep_arrival_rates_with`]; the sequential
+//! [`sweep_arrival_rates`] is its one-worker case, which solves the
+//! chunks inline on the calling thread. The contract is independent of
+//! the worker count: chunk boundaries are a pure function of the grid
+//! length, workers own whole chunks, and each chunk's solves are the
+//! same deterministic code no matter which worker picks it up. Hence
+//! [`par_sweep_arrival_rates`] returns results **bit-identical** to
+//! [`sweep_arrival_rates`] for any thread count, pinned by tier-1 tests
+//! at 1/2/8 workers.
 
 use crate::config::CellConfig;
 use crate::error::ModelError;
@@ -101,23 +92,19 @@ pub fn rate_grid(lo: f64, hi: f64, points: usize) -> Vec<f64> {
 }
 
 /// Solves one chunk of consecutive rates through a template: cold at
-/// the chunk head, `warm` afterwards (the warm-start contract). Each
+/// the chunk head, chained afterwards (the warm-start contract). Each
 /// point runs through the fallback ladder of
 /// [`GeneratorTemplate::solve_resilient`] — bit-identical to the plain
 /// solve on the happy path, degrading gracefully (with the rung
 /// recorded in [`SweepPoint::health`]) instead of sinking the whole
-/// sweep when one stiff point fails to converge. The chunk head always
-/// resets the chain, so [`WarmStart::Predicted`] never predicts across
-/// a chunk boundary — the surrogate contract stays identical between
-/// the sequential and parallel sweeps.
-fn solve_chunk<F: Fn(usize, &SweepPoint) + ?Sized>(
+/// sweep when one stiff point fails to converge.
+fn solve_chunk(
     base: &CellConfig,
     rates: &[f64],
     first_index: usize,
     opts: &SolveOptions,
-    warm: WarmStart,
     template: &mut GeneratorTemplate,
-    progress: &F,
+    progress: &impl Fn(usize, &SweepPoint),
 ) -> Result<Vec<SweepPoint>, ModelError> {
     template.reset_chain();
     let mut points = Vec::with_capacity(rates.len());
@@ -125,7 +112,7 @@ fn solve_chunk<F: Fn(usize, &SweepPoint) + ?Sized>(
         let mut cfg = base.clone();
         cfg.call_arrival_rate = rate;
         let model = template.model_for(cfg)?;
-        let solved = template.solve_resilient(&model, opts, warm)?;
+        let solved = template.solve_resilient(&model, opts, WarmStart::Chained)?;
         let point = SweepPoint {
             rate,
             measures: solved.measures,
@@ -175,79 +162,7 @@ pub fn sweep_arrival_rates(
     rates: &[f64],
     opts: &SolveOptions,
 ) -> Result<Vec<SweepPoint>, ModelError> {
-    sweep_arrival_rates_with(base, rates, opts, |_, _| {})
-}
-
-/// [`sweep_arrival_rates`] with an explicit per-point [`WarmStart`]
-/// mode. `WarmStart::Chained` reproduces [`sweep_arrival_rates`]
-/// bit-for-bit; [`WarmStart::Predicted`] turns on the
-/// predict-and-verify surrogate, which serves an extrapolated point
-/// directly whenever its exact balance residual already meets the
-/// tolerance (chunk heads still solve cold, so the contract stays
-/// independent of the worker count).
-///
-/// # Errors
-///
-/// As [`sweep_arrival_rates`].
-pub fn sweep_arrival_rates_mode(
-    base: &CellConfig,
-    rates: &[f64],
-    opts: &SolveOptions,
-    warm: WarmStart,
-) -> Result<Vec<SweepPoint>, ModelError> {
-    sweep_arrival_rates_mode_with(base, rates, opts, warm, |_, _| {})
-}
-
-/// Like [`sweep_arrival_rates`], invoking `progress(index, &point)` after
-/// each solved point (for live reporting in long sweeps).
-///
-/// # Errors
-///
-/// Propagates the first construction or convergence error.
-pub fn sweep_arrival_rates_with(
-    base: &CellConfig,
-    rates: &[f64],
-    opts: &SolveOptions,
-    progress: impl FnMut(usize, &SweepPoint),
-) -> Result<Vec<SweepPoint>, ModelError> {
-    sweep_arrival_rates_mode_with(base, rates, opts, WarmStart::Chained, progress)
-}
-
-/// Like [`sweep_arrival_rates_mode`], invoking `progress(index, &point)`
-/// after each solved point.
-///
-/// # Errors
-///
-/// Propagates the first construction or convergence error.
-pub fn sweep_arrival_rates_mode_with(
-    base: &CellConfig,
-    rates: &[f64],
-    opts: &SolveOptions,
-    warm: WarmStart,
-    progress: impl FnMut(usize, &SweepPoint),
-) -> Result<Vec<SweepPoint>, ModelError> {
-    if rates.is_empty() {
-        return Ok(Vec::new());
-    }
-    // FnMut -> Fn adapter so the chunk solver can share one signature
-    // with the parallel path (which requires Fn + Sync).
-    let progress = std::cell::RefCell::new(progress);
-    let mut results = Vec::with_capacity(rates.len());
-    let mut template = GeneratorTemplate::new(base)?;
-    let chunk_len = warm_chunk_len(rates.len());
-    for (c, chunk) in rates.chunks(chunk_len).enumerate() {
-        let points = solve_chunk(
-            base,
-            chunk,
-            c * chunk_len,
-            opts,
-            warm,
-            &mut template,
-            &|i, p| progress.borrow_mut()(i, p),
-        )?;
-        results.extend(points);
-    }
-    Ok(results)
+    par_sweep_arrival_rates_with(base, rates, opts, 1, |_, _| {})
 }
 
 /// Runs the model at each arrival rate across threads.
@@ -266,8 +181,8 @@ pub fn sweep_arrival_rates_mode_with(
 /// # Errors
 ///
 /// Propagates the construction or convergence error of the
-/// *lowest-rate* failing point whose chunk predecessors succeeded
-/// (matching the sequential sweep).
+/// *lowest-rate* failing point whose chunk predecessors succeeded,
+/// whatever the worker count.
 ///
 /// # Example
 ///
@@ -297,12 +212,11 @@ pub fn par_sweep_arrival_rates(
     rates: &[f64],
     opts: &SolveOptions,
 ) -> Result<Vec<SweepPoint>, ModelError> {
-    par_sweep_arrival_rates_threads(base, rates, opts, num_threads())
+    par_sweep_arrival_rates_with(base, rates, opts, num_threads(), |_, _| {})
 }
 
 /// [`par_sweep_arrival_rates`] with an explicit worker count (used by
-/// benches and the determinism tests; `1` degrades to the sequential
-/// sweep).
+/// benches and the determinism tests; `1` is the sequential sweep).
 ///
 /// # Errors
 ///
@@ -314,26 +228,6 @@ pub fn par_sweep_arrival_rates_threads(
     threads: usize,
 ) -> Result<Vec<SweepPoint>, ModelError> {
     par_sweep_arrival_rates_with(base, rates, opts, threads, |_, _| {})
-}
-
-/// [`par_sweep_arrival_rates_threads`] with an explicit per-point
-/// [`WarmStart`] mode (see [`sweep_arrival_rates_mode`]). Because
-/// chunk heads always solve cold and workers own whole chunks, the
-/// result is bit-identical to the sequential
-/// [`sweep_arrival_rates_mode`] for any thread count — including with
-/// the [`WarmStart::Predicted`] surrogate on.
-///
-/// # Errors
-///
-/// As [`par_sweep_arrival_rates`].
-pub fn par_sweep_arrival_rates_mode(
-    base: &CellConfig,
-    rates: &[f64],
-    opts: &SolveOptions,
-    threads: usize,
-    warm: WarmStart,
-) -> Result<Vec<SweepPoint>, ModelError> {
-    par_sweep_arrival_rates_mode_with(base, rates, opts, threads, warm, |_, _| {})
 }
 
 /// Like [`par_sweep_arrival_rates_threads`], invoking
@@ -351,33 +245,12 @@ pub fn par_sweep_arrival_rates_with(
     threads: usize,
     progress: impl Fn(usize, &SweepPoint) + Sync,
 ) -> Result<Vec<SweepPoint>, ModelError> {
-    par_sweep_arrival_rates_mode_with(base, rates, opts, threads, WarmStart::Chained, progress)
-}
-
-/// Like [`par_sweep_arrival_rates_mode`], invoking
-/// `progress(index, &point)` as each point completes (out of order
-/// across workers; the returned vector is in rate order).
-///
-/// # Errors
-///
-/// As [`par_sweep_arrival_rates`].
-pub fn par_sweep_arrival_rates_mode_with(
-    base: &CellConfig,
-    rates: &[f64],
-    opts: &SolveOptions,
-    threads: usize,
-    warm: WarmStart,
-    progress: impl Fn(usize, &SweepPoint) + Sync,
-) -> Result<Vec<SweepPoint>, ModelError> {
     if rates.is_empty() {
         return Ok(Vec::new());
     }
     let chunk_len = warm_chunk_len(rates.len());
     let chunk_count = rates.len().div_ceil(chunk_len);
     let threads = threads.clamp(1, chunk_count);
-    if threads <= 1 {
-        return sweep_arrival_rates_mode_with(base, rates, opts, warm, |i, p| progress(i, p));
-    }
 
     // Work queue of chunk indices on a persistent worker pool: workers
     // own whole chunks (the unit of the warm-start contract), and long
@@ -385,7 +258,8 @@ pub fn par_sweep_arrival_rates_mode_with(
     // way fixed chunk-to-worker assignment would. Each worker *owns*
     // one template for the whole sweep — no mutex, no acquire/release —
     // and results are independent of which worker serves which chunk
-    // (chains reset at chunk heads).
+    // (chains reset at chunk heads). Worker 0 is the calling thread, so
+    // one worker spawns nothing and solves the chunks in order.
     let templates: Vec<GeneratorTemplate> = (0..threads)
         .map(|_| GeneratorTemplate::new(base))
         .collect::<Result<_, ModelError>>()?;
@@ -394,7 +268,7 @@ pub fn par_sweep_arrival_rates_mode_with(
         |_, template: &mut GeneratorTemplate, c: usize| {
             let first = c * chunk_len;
             let chunk = &rates[first..(first + chunk_len).min(rates.len())];
-            solve_chunk(base, chunk, first, opts, warm, template, &progress)
+            solve_chunk(base, chunk, first, opts, template, &progress)
         },
         |pool| pool.run_queue((0..chunk_count).collect()),
     );
@@ -473,11 +347,12 @@ mod tests {
     fn progress_callback_fires_in_order() {
         let base = tiny_base();
         let rates = rate_grid(0.2, 0.4, 3);
-        let mut seen = Vec::new();
-        let _ = sweep_arrival_rates_with(&base, &rates, &SolveOptions::default(), |i, p| {
-            seen.push((i, p.rate));
+        let seen = std::sync::Mutex::new(Vec::new());
+        let _ = par_sweep_arrival_rates_with(&base, &rates, &SolveOptions::default(), 1, |i, p| {
+            seen.lock().unwrap().push((i, p.rate));
         })
         .unwrap();
+        let seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), 3);
         assert_eq!(seen[0].0, 0);
         assert_eq!(seen[2].0, 2);
@@ -562,64 +437,6 @@ mod tests {
             assert!(
                 (p.measures.carried_data_traffic - r.measures.carried_data_traffic).abs() < 1e-8
             );
-        }
-    }
-
-    #[test]
-    fn predicted_mode_matches_chained_measures_and_meets_tolerance() {
-        // The surrogate only ever serves points whose exact balance
-        // residual meets the tolerance, so Predicted-mode measures are
-        // interchangeable with Chained-mode ones at solver accuracy.
-        let base = tiny_base();
-        let rates = rate_grid(0.1, 1.0, 10);
-        let opts = SolveOptions::default();
-        let chained = sweep_arrival_rates(&base, &rates, &opts).unwrap();
-        let predicted =
-            sweep_arrival_rates_mode(&base, &rates, &opts, WarmStart::Predicted).unwrap();
-        assert_eq!(predicted.len(), chained.len());
-        for (p, c) in predicted.iter().zip(&chained) {
-            assert!(p.residual <= opts.tolerance, "rate {}", p.rate);
-            assert!(!p.health.degraded(), "rate {}", p.rate);
-            assert!(
-                (p.measures.carried_data_traffic - c.measures.carried_data_traffic).abs() < 1e-6,
-                "rate {}",
-                p.rate
-            );
-        }
-        // Surrogate-served points run zero solver sweeps.
-        let surrogate_points = predicted
-            .iter()
-            .filter(|p| p.health.rung == crate::SolveRung::Surrogate)
-            .count();
-        for p in predicted
-            .iter()
-            .filter(|p| p.health.rung == crate::SolveRung::Surrogate)
-        {
-            assert_eq!(p.sweeps, 0);
-        }
-        // Chunk heads never predict, so not every point can be served.
-        assert!(surrogate_points < predicted.len());
-    }
-
-    #[test]
-    fn predicted_mode_is_bit_identical_across_thread_counts() {
-        // The surrogate decision is local to a chunk (heads reset the
-        // chain), so par/seq bit-identity extends to Predicted mode.
-        let base = tiny_base();
-        let rates = rate_grid(0.1, 1.0, 10);
-        let opts = SolveOptions::default();
-        let seq = sweep_arrival_rates_mode(&base, &rates, &opts, WarmStart::Predicted).unwrap();
-        for threads in [1usize, 2, 8] {
-            let par =
-                par_sweep_arrival_rates_mode(&base, &rates, &opts, threads, WarmStart::Predicted)
-                    .unwrap();
-            assert_eq!(par.len(), seq.len());
-            for (p, s) in par.iter().zip(&seq) {
-                assert_eq!(p.measures, s.measures, "threads {threads}, rate {}", p.rate);
-                assert_eq!(p.sweeps, s.sweeps);
-                assert_eq!(p.residual.to_bits(), s.residual.to_bits());
-                assert_eq!(p.health.rung, s.health.rung);
-            }
         }
     }
 

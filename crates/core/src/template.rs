@@ -13,8 +13,8 @@
 //! A [`GeneratorTemplate`] captures the symbolic work once per shape
 //! and relowers new rates in place:
 //!
-//! * the [`StateSpace`] and, when a caller needs an assembled matrix,
-//!   the CSR pattern — revalued per point via
+//! * the [`StateSpace`](crate::StateSpace) and, when a caller needs an
+//!   assembled matrix, the CSR pattern — revalued per point via
 //!   [`SparseGenerator::refill_values`] instead of re-enumerated,
 //!   re-sorted and re-allocated;
 //! * a [`SolveWorkspace`] so the block tridiagonal solver
@@ -162,10 +162,10 @@ pub enum WarmStart {
     /// [`SolveRung::Surrogate`]). Points that fail the check run the
     /// full solve seeded by the prediction, exactly as `Chained` would.
     /// The surrogate is bypassed on cold starts (empty history — after
-    /// construction, [`reset_chain`](GeneratorTemplate::reset_chain),
-    /// chunk heads of the sweep APIs) and after failed solves or
-    /// fallback-ladder rungs (which clear the history), so a prediction
-    /// is only ever extrapolated from genuinely solved predecessors.
+    /// construction or [`reset_chain`](GeneratorTemplate::reset_chain))
+    /// and after failed solves or fallback-ladder rungs (which clear
+    /// the history), so a prediction is only ever extrapolated from
+    /// genuinely solved predecessors.
     Predicted,
 }
 
@@ -214,7 +214,7 @@ pub struct PointSolve {
     pub health: SolveHealth,
 }
 
-/// The *shared* symbolic artifacts of one model [`Shape`], reference-
+/// The *shared* symbolic artifacts of one model shape, reference-
 /// counted across every [`GeneratorTemplate`] of that shape: currently
 /// the donor CSR pattern — the first template of a shape that needs an
 /// assembled matrix pays the full symbolic assembly (enumeration,

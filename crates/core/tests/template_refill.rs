@@ -4,7 +4,7 @@
 //! (`GprsModel::new` + `assemble_sparse` + allocating solve) across
 //! random configurations, rates and thread counts.
 
-use gprs_core::sweep::{par_sweep_arrival_rates_mode, rate_grid, sweep_arrival_rates_mode};
+use gprs_core::sweep::{par_sweep_arrival_rates_threads, rate_grid, sweep_arrival_rates};
 use gprs_core::template::{GeneratorTemplate, WarmStart};
 use gprs_core::{CellConfig, GprsModel, SolveRung};
 use gprs_ctmc::mbd::mbd_residual_of;
@@ -93,26 +93,22 @@ proptest! {
 
     /// The chunked warm-start contract makes sequential and parallel
     /// sweeps bit-identical at every thread count (1/2/8), including
-    /// across chunk boundaries — in every warm-start mode, with the
-    /// predict-and-verify surrogate on (`Predicted`) as well as off.
+    /// across chunk boundaries.
     #[test]
     fn sweeps_are_bit_identical_across_thread_counts(cfg in config_strategy()) {
         let opts = SolveOptions::quick();
         // Spans more than one WARM_CHUNK so chained starts, chunk heads
         // and ragged final chunks are all exercised.
         let rates = rate_grid(0.1, 1.0, 10);
-        for warm in [WarmStart::Chained, WarmStart::Predicted] {
-            let seq = sweep_arrival_rates_mode(&cfg, &rates, &opts, warm).unwrap();
-            for threads in [1usize, 2, 8] {
-                let par =
-                    par_sweep_arrival_rates_mode(&cfg, &rates, &opts, threads, warm).unwrap();
-                prop_assert_eq!(par.len(), seq.len());
-                for (p, s) in par.iter().zip(&seq) {
-                    prop_assert_eq!(p.measures, s.measures, "threads {}", threads);
-                    prop_assert_eq!(p.sweeps, s.sweeps);
-                    prop_assert_eq!(p.residual.to_bits(), s.residual.to_bits());
-                    prop_assert_eq!(p.health.rung, s.health.rung);
-                }
+        let seq = sweep_arrival_rates(&cfg, &rates, &opts).unwrap();
+        for threads in [1usize, 2, 8] {
+            let par = par_sweep_arrival_rates_threads(&cfg, &rates, &opts, threads).unwrap();
+            prop_assert_eq!(par.len(), seq.len());
+            for (p, s) in par.iter().zip(&seq) {
+                prop_assert_eq!(p.measures, s.measures, "threads {}", threads);
+                prop_assert_eq!(p.sweeps, s.sweeps);
+                prop_assert_eq!(p.residual.to_bits(), s.residual.to_bits());
+                prop_assert_eq!(p.health.rung, s.health.rung);
             }
         }
     }

@@ -11,22 +11,29 @@
 //! to `j` and `q_ii = -Σ_{j != i} q_ij`. The stationary distribution `π`
 //! solves `π Q = 0` with `Σ π_i = 1`.
 //!
-//! Three solvers are provided:
+//! The solvers, production path first:
 //!
-//! * [`gth::solve_gth`] — the Grassmann–Taksar–Heyman direct elimination.
-//!   Numerically stable (no subtractions), `O(n³)`; the ground truth for
-//!   small chains and for validating the iterative solvers.
-//! * [`solver::solve_gauss_seidel`] — Gauss–Seidel / SOR iteration over
-//!   *incoming* transitions. Works matrix-free through the
-//!   [`IncomingTransitions`] trait, so chains with tens of millions of
-//!   states never materialize a matrix.
-//! * [`power::solve_power`] — uniformization-based power iteration over
-//!   *outgoing* transitions. Simple and robust but slow on stiff chains;
-//!   used for cross-checks.
-//! * [`parallel`] — multithreaded solvers over assembled sparse
-//!   generators: red-black (multicolor) SOR and damped Jacobi, with the
-//!   balance residual fused into the sweeps. Thread counts honour
-//!   `RAYON_NUM_THREADS`.
+//! * [`blocked::solve_mbd_projected_blocked_ws`] — the block
+//!   Gauss–Seidel/Thomas iteration for Markov-modulated birth–death
+//!   chains over rate tables captured once into a [`BlockedMbd`]: the
+//!   kernel behind every figure sweep, cluster fixed point and
+//!   campaign solve.
+//! * [`mbd::solve_mbd_projected_ws`] — the same block iteration
+//!   through the matrix-free [`mbd::ModulatedBirthDeath`] trait. It is
+//!   bit-identical to the blocked kernel: the scalar oracle of its
+//!   tests, and the kernel template solves run when
+//!   [`blocked_kernel_enabled`] is off.
+//! * [`solver::solve_gauss_seidel`] — point Gauss–Seidel / SOR over
+//!   *incoming* transitions, matrix-free through the
+//!   [`IncomingTransitions`] trait. Its CSR specialization
+//!   [`solver::solve_gauss_seidel_csr_ws`] is the alternate rung of
+//!   the fallback ladder.
+//! * [`gth::solve_gth`] — the Grassmann–Taksar–Heyman direct
+//!   elimination. Numerically stable (no subtractions), `O(n³)`; the
+//!   ground truth for small chains and the ladder's last rung.
+//! * [`power::solve_power`] — uniformization-based power iteration
+//!   over *outgoing* transitions. Simple and robust but slow on stiff
+//!   chains; used for cross-checks.
 //!
 //! Generators can be represented either as an assembled sparse matrix
 //! ([`SparseGenerator`], built via [`TripletBuilder`]) or as a matrix-free
@@ -72,7 +79,6 @@ pub mod dense;
 pub mod error;
 pub mod gth;
 pub mod mbd;
-pub mod parallel;
 pub mod power;
 pub mod solver;
 pub mod sparse;
@@ -85,7 +91,6 @@ pub use blocked::{
     BlockedMbd,
 };
 pub use error::CtmcError;
-pub use parallel::{solve_parallel, ParallelMethod, RedBlackSor};
 pub use solver::{Solution, SolveOptions, SolveStats, SolveWorkspace};
 pub use sparse::{SparseGenerator, TripletBuilder};
 pub use stationary::StationaryDistribution;

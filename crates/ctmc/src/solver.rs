@@ -559,7 +559,7 @@ pub fn solve_gauss_seidel_ws<G: IncomingTransitions + ?Sized>(
     Err(HealthGuard::budget_error(sweeps, exact, opts.tolerance))
 }
 
-/// [`solve_gauss_seidel_ws`] specialized to a [`SparseGenerator`]: the
+/// [`solve_gauss_seidel_ws`] specialized to a [`SparseGenerator`](crate::SparseGenerator): the
 /// inner gather runs over the flat transpose CSR arrays instead of
 /// paying a dynamic callback per edge, so the hot loop is a contiguous,
 /// branch-free scan the compiler can keep in registers. Edge order per
@@ -841,14 +841,9 @@ mod tests {
             }
             other => panic!("expected NotConverged, got {other:?}"),
         }
-        // Same contract for the other iterative solvers.
+        // Same contract for power iteration.
         let pw = crate::power::solve_power(&g, None, &opts);
         match pw {
-            Err(CtmcError::NotConverged { residual, .. }) => assert!(residual.is_finite()),
-            other => panic!("expected NotConverged, got {other:?}"),
-        }
-        let par = crate::parallel::solve_parallel(&g, None, &opts);
-        match par {
             Err(CtmcError::NotConverged { residual, .. }) => assert!(residual.is_finite()),
             other => panic!("expected NotConverged, got {other:?}"),
         }

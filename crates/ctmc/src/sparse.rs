@@ -2,8 +2,9 @@
 //! them.
 //!
 //! Assembly is a single validation-and-build pass: triplets are
-//! validated while the sort runs (in parallel chunks for large inputs —
-//! see [`crate::parallel`]), then merged straight into the CSR arrays
+//! validated while the sort runs (in parallel chunks for large inputs,
+//! through [`gprs_exec::par_map_chunks_mut`]), then merged straight
+//! into the CSR arrays
 //! and their transpose. Large matrix-free models can also be assembled
 //! with [`SparseGenerator::from_transitions_par`], which enumerates
 //! row ranges across threads.

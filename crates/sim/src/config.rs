@@ -211,8 +211,8 @@ impl SimConfig {
     /// supervision occupancy divisor — and
     /// `reserved_pdchs <= total_channels`).
     ///
-    /// [`SimConfigBuilder::build`] runs this; [`GprsSimulator::new`]
-    /// (`crate::simulator::GprsSimulator::new`) re-runs it so
+    /// [`SimConfigBuilder::build`] runs this;
+    /// [`GprsSimulator::new`](crate::simulator::GprsSimulator::new) re-runs it so
     /// hand-constructed configurations fail fast with a clear message
     /// instead of underflowing mid-run.
     ///
