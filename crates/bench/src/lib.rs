@@ -15,7 +15,7 @@
 //!   sweep (determinism is asserted before timing).
 //! * `replication` — the wave-parallel replication engine: a fixed
 //!   count of simulator replications at 1/2/4/8 threads, recording the
-//!   scaling efficiency of the shared `gprs-exec` work queue
+//!   scaling efficiency of the shared `gprs-exec` worker pool
 //!   (determinism asserted before timing).
 //! * `generator` — transition enumeration and sparse assembly
 //!   throughput.

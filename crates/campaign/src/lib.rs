@@ -7,10 +7,11 @@
 //! worker pool with the full resilience stack on top of the per-solve
 //! fallback ladder the core crate already has:
 //!
-//! * **Per-item isolation** — items run through
-//!   [`gprs_exec::par_map_tasks_catching`]: a panicking item yields a
-//!   typed [`ItemFailure`] in its own slot while every sibling item
-//!   keeps going. One poisoned scenario never costs the batch.
+//! * **Per-item isolation** — items run on a
+//!   [`gprs_exec::with_worker_pool`] queue, which contains each job's
+//!   panic in its own slot: a panicking item yields a typed
+//!   [`ItemFailure`] while every sibling item keeps going. One poisoned
+//!   scenario never costs the batch.
 //! * **Retry ladder** — solver failures (non-convergence, divergence,
 //!   wall-time exhaustion) retry with exponential backoff and doubled
 //!   iteration/sweep/wall-time budgets, each attempt re-entering

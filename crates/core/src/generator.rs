@@ -256,19 +256,14 @@ impl GprsModel {
     }
 
     /// Assembles the full sparse generator, enumerating Table 1's rows
-    /// across threads (`RAYON_NUM_THREADS` workers, see
-    /// [`gprs_exec::num_threads`]). The result is identical
-    /// for any thread count. Prefer the matrix-free traits for solves
-    /// that never need the assembled matrix.
+    /// in order on the calling thread. Prefer the matrix-free traits for
+    /// solves that never need the assembled matrix.
     ///
     /// # Errors
     ///
     /// Propagates CTMC assembly errors.
     pub fn assemble_sparse(&self) -> Result<SparseGenerator, ModelError> {
-        Ok(SparseGenerator::from_transitions_par(
-            self,
-            gprs_exec::num_threads(),
-        )?)
+        Ok(SparseGenerator::from_transitions(self)?)
     }
 
     /// The **exact** stationary distribution of the phase process

@@ -543,8 +543,7 @@ impl Partition {
         let order = graph.bfs_order();
         let mut assignment = vec![0usize; n];
         // Near-equal consecutive chunks: the first `n % k` shards get
-        // one extra cell (same split rule as the executor's
-        // `chunk_ranges`).
+        // one extra cell.
         let base = n / k;
         let extra = n % k;
         let mut start = 0usize;

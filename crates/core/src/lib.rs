@@ -120,6 +120,5 @@ pub use scenario::Scenario;
 pub use solve::SolvedModel;
 pub use state::{CellState, StateSpace};
 pub use template::{
-    GeneratorTemplate, PointSolve, SymbolicSetup, TemplatePool, TemplateRegistry, TemplateStats,
-    WarmStart,
+    GeneratorTemplate, PointSolve, SymbolicSetup, TemplateRegistry, TemplateStats, WarmStart,
 };

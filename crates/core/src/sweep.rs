@@ -167,16 +167,16 @@ pub fn sweep_arrival_rates(
 
 /// Runs the model at each arrival rate across threads.
 ///
-/// Workers pull whole [`warm_chunk_len`]-sized chunks off a work
-/// queue, so the parallel sweep honours exactly the same warm-start
-/// contract as [`sweep_arrival_rates`] (chunk heads cold, successors
-/// chained);
-/// results come back **in rate order** and are bit-identical to the
-/// sequential sweep for any thread count. Worker count comes from
-/// [`gprs_exec::num_threads`] (`RAYON_NUM_THREADS`, or the machine
-/// width). Each worker reuses pooled [`GeneratorTemplate`]s, so steady
-/// state solves avoid all `O(states)` allocations (per-point model
-/// construction and the small Erlang marginals remain).
+/// Workers pull whole [`warm_chunk_len`]-sized chunks off the
+/// [`with_worker_pool`] queue, so the parallel sweep honours exactly
+/// the same warm-start contract as [`sweep_arrival_rates`] (chunk
+/// heads cold, successors chained); results come back **in rate
+/// order** and are bit-identical to the sequential sweep for any
+/// thread count. Worker count comes from [`gprs_exec::num_threads`]
+/// (`RAYON_NUM_THREADS`, or the machine width). Each worker owns one
+/// [`GeneratorTemplate`] for the whole sweep, so steady state solves
+/// avoid all `O(states)` allocations (per-point model construction and
+/// the small Erlang marginals remain).
 ///
 /// # Errors
 ///

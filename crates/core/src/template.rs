@@ -1023,64 +1023,6 @@ impl GeneratorTemplate {
     }
 }
 
-/// A shared pool of same-shape [`GeneratorTemplate`]s for parallel
-/// fan-out call sites (the chunked sweep, the ext03 homogeneous
-/// references): worker tasks [`acquire`](TemplatePool::acquire) a
-/// template, solve their batch, and [`release`](TemplatePool::release)
-/// it for reuse, so a worker draining many batches keeps one workspace
-/// warm instead of reallocating per batch.
-///
-/// Determinism: acquired templates always come with a **reset
-/// warm-start chain**, so results never depend on which template (or
-/// how many workers) served which task. A task that errors before
-/// releasing simply drops its template — the pool replaces it on the
-/// next acquire.
-#[derive(Debug)]
-pub struct TemplatePool {
-    shape: CellConfig,
-    pool: Mutex<Vec<GeneratorTemplate>>,
-}
-
-impl TemplatePool {
-    /// Creates an empty pool producing templates of `shape`'s shape.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Config`] if `shape` is invalid.
-    pub fn new(shape: &CellConfig) -> Result<Self, ModelError> {
-        shape.validate()?;
-        Ok(TemplatePool {
-            shape: shape.clone(),
-            pool: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Pops a pooled template (warm-start chain reset) or builds a
-    /// fresh one.
-    ///
-    /// # Errors
-    ///
-    /// As [`GeneratorTemplate::new`].
-    pub fn acquire(&self) -> Result<GeneratorTemplate, ModelError> {
-        let pooled = self.pool.lock().expect("template pool poisoned").pop();
-        match pooled {
-            Some(mut template) => {
-                template.reset_chain();
-                Ok(template)
-            }
-            None => GeneratorTemplate::new(&self.shape),
-        }
-    }
-
-    /// Returns a template to the pool for reuse by later tasks.
-    pub fn release(&self, template: GeneratorTemplate) {
-        self.pool
-            .lock()
-            .expect("template pool poisoned")
-            .push(template);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

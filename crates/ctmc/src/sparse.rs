@@ -1,20 +1,15 @@
 //! Sparse (CSR) generator matrices and the triplet builder that assembles
 //! them.
 //!
-//! Assembly is a single validation-and-build pass: triplets are
-//! validated while the sort runs (in parallel chunks for large inputs,
-//! through [`gprs_exec::par_map_chunks_mut`]), then merged straight
-//! into the CSR arrays
-//! and their transpose. Large matrix-free models can also be assembled
-//! with [`SparseGenerator::from_transitions_par`], which enumerates
-//! row ranges across threads.
+//! Assembly is a single sequential validation-and-build pass:
+//! triplets are validated, sorted, and merged straight into the CSR
+//! arrays and their transpose. Matrix-free models assemble through
+//! [`SparseGenerator::from_transitions`], which enumerates rows in
+//! order. Only the solver's fallback rungs and tests assemble a CSR;
+//! the sweep kernels run matrix-free.
 
 use crate::error::CtmcError;
 use crate::transitions::{IncomingTransitions, Transitions};
-use gprs_exec::{num_threads, par_map_chunks_mut, par_map_ranges, par_map_vec};
-
-/// Triplet counts below this stay on the single-threaded sort path.
-const PAR_SORT_MIN: usize = 1 << 16;
 
 /// Accumulates `(source, target, rate)` triplets and assembles a
 /// [`SparseGenerator`].
@@ -118,9 +113,9 @@ impl TripletBuilder {
 
     /// Assembles the CSR generator, summing duplicates.
     ///
-    /// Validation is fused into assembly: each triplet is checked during
-    /// the (parallel, for large inputs) sort pass, rather than in a
-    /// separate scan before a second assembly scan.
+    /// Validation is fused into assembly: each triplet is checked once,
+    /// just before the sort pass, rather than in a separate scan before
+    /// a second assembly scan.
     ///
     /// # Errors
     ///
@@ -155,56 +150,22 @@ fn validate_triplets(n: usize, entries: &[(u32, u32, f64)]) -> Result<(), CtmcEr
 }
 
 /// Sorts triplets by `(row, col)`, validating each entry exactly once
-/// along the way. Large inputs sort in parallel chunks which are then
-/// merged pairwise across threads.
+/// first.
 fn sort_and_validate(
     n: usize,
     mut entries: Vec<(u32, u32, f64)>,
-    threads: usize,
 ) -> Result<Vec<(u32, u32, f64)>, CtmcError> {
-    if threads <= 1 || entries.len() < PAR_SORT_MIN {
-        validate_triplets(n, &entries)?;
-        entries.sort_unstable_by_key(|e| (e.0, e.1));
-        return Ok(entries);
-    }
-
-    // Chunk pass: validate + sort each chunk concurrently.
-    let chunk = entries.len().div_ceil(threads);
-    let results = par_map_chunks_mut(&mut entries, threads, |_, ch| {
-        let r = validate_triplets(n, ch);
-        if r.is_ok() {
-            ch.sort_unstable_by_key(|e| (e.0, e.1));
-        }
-        r
-    });
-    results.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    // Pairwise merge rounds until a single sorted run remains.
-    let mut runs: Vec<Vec<(u32, u32, f64)>> = entries.chunks(chunk).map(<[_]>::to_vec).collect();
-    drop(entries);
-    while runs.len() > 1 {
-        let mut pairs = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            pairs.push((a, it.next()));
-        }
-        runs = par_map_vec(pairs, threads, |(a, b)| match b {
-            None => a,
-            Some(b) => merge_sorted(a, b),
-        });
-    }
-    Ok(runs.pop().unwrap_or_default())
+    validate_triplets(n, &entries)?;
+    entries.sort_unstable_by_key(|e| (e.0, e.1));
+    Ok(entries)
 }
 
-/// Enumerates (and validates) the outgoing triplets of a row range of a
-/// matrix-free model.
-fn enumerate_rows<G: Transitions + ?Sized>(
-    gen: &G,
-    rows: std::ops::Range<usize>,
-) -> Result<Vec<(u32, u32, f64)>, CtmcError> {
+/// Enumerates (and validates) the outgoing triplets of a matrix-free
+/// model, in row order.
+fn enumerate_rows<G: Transitions + ?Sized>(gen: &G) -> Result<Vec<(u32, u32, f64)>, CtmcError> {
     let n = gen.num_states();
     let mut out = Vec::new();
-    for i in rows {
+    for i in 0..n {
         let mut bad: Option<String> = None;
         gen.for_each_outgoing(i, &mut |j, rate| {
             if j >= n || j == i || !rate.is_finite() || rate < 0.0 {
@@ -218,24 +179,6 @@ fn enumerate_rows<G: Transitions + ?Sized>(
         }
     }
     Ok(out)
-}
-
-fn merge_sorted(a: Vec<(u32, u32, f64)>, b: Vec<(u32, u32, f64)>) -> Vec<(u32, u32, f64)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut ia, mut ib) = (0, 0);
-    while ia < a.len() && ib < b.len() {
-        // `<=` keeps the earlier run's duplicates first (stable merge).
-        if (a[ia].0, a[ia].1) <= (b[ib].0, b[ib].1) {
-            out.push(a[ia]);
-            ia += 1;
-        } else {
-            out.push(b[ib]);
-            ib += 1;
-        }
-    }
-    out.extend_from_slice(&a[ia..]);
-    out.extend_from_slice(&b[ib..]);
-    out
 }
 
 /// A CTMC generator stored in compressed sparse row form, together with
@@ -261,15 +204,14 @@ pub struct SparseGenerator {
 }
 
 impl SparseGenerator {
-    /// Validates, sorts (in parallel for large inputs), deduplicates and
-    /// assembles triplets into CSR plus transpose — one logical pass per
-    /// triplet instead of the historical validate-scan followed by an
-    /// assembly re-scan.
+    /// Validates, sorts, deduplicates and assembles triplets into CSR
+    /// plus transpose — one logical pass per triplet instead of the
+    /// historical validate-scan followed by an assembly re-scan.
     fn try_from_triplets(n: usize, entries: Vec<(u32, u32, f64)>) -> Result<Self, CtmcError> {
         if n == 0 {
             return Err(CtmcError::EmptyChain);
         }
-        let sorted = sort_and_validate(n, entries, num_threads())?;
+        let sorted = sort_and_validate(n, entries)?;
         Ok(Self::assemble_sorted(n, sorted))
     }
 
@@ -354,42 +296,12 @@ impl SparseGenerator {
         if n == 0 {
             return Err(CtmcError::EmptyChain);
         }
-        let entries = enumerate_rows(gen, 0..n)?;
+        let entries = enumerate_rows(gen)?;
         // Rows arrive in order and validated; only the in-row column
         // sort remains (pdqsort is adaptive on the nearly-sorted input).
         let mut sorted = entries;
         sorted.sort_unstable_by_key(|e| (e.0, e.1));
         Ok(Self::assemble_sorted(n, sorted))
-    }
-
-    /// Like [`from_transitions`](Self::from_transitions), enumerating
-    /// row ranges across up to `threads` workers (pass
-    /// [`gprs_exec::num_threads`] for the default). The result is
-    /// identical to the sequential assembly regardless of thread count:
-    /// workers own contiguous row ranges whose triplet blocks concatenate
-    /// back in row order.
-    ///
-    /// # Errors
-    ///
-    /// As [`from_transitions`](Self::from_transitions).
-    pub fn from_transitions_par<G: Transitions + Sync + ?Sized>(
-        gen: &G,
-        threads: usize,
-    ) -> Result<Self, CtmcError> {
-        let n = gen.num_states();
-        if n == 0 {
-            return Err(CtmcError::EmptyChain);
-        }
-        let blocks = par_map_ranges(n, threads, |range| enumerate_rows(gen, range));
-        let mut entries = Vec::new();
-        for block in blocks {
-            entries.append(&mut block?);
-        }
-        // Rows are globally ordered already (workers own contiguous row
-        // ranges, concatenated in order); the adaptive sort finishes the
-        // in-row column ordering cheaply.
-        entries.sort_unstable_by_key(|e| (e.0, e.1));
-        Ok(Self::assemble_sorted(n, entries))
     }
 
     /// Overwrites the stored rates in place by re-enumerating a model
@@ -696,59 +608,6 @@ mod tests {
         let mut b = TripletBuilder::new(2);
         b.entries.push((0, 5, 1.0));
         assert!(matches!(b.build(), Err(CtmcError::InvalidGenerator { .. })));
-    }
-
-    #[test]
-    fn parallel_sort_path_matches_sequential() {
-        // Enough triplets to cross the parallel-sort threshold.
-        let n = 600;
-        let mut seq = TripletBuilder::new(n);
-        let mut state = 12345u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..(1 << 17) {
-            let i = (next() % n as u64) as usize;
-            let mut j = (next() % n as u64) as usize;
-            if j == i {
-                j = (j + 1) % n;
-            }
-            let r = (next() >> 40) as f64 / 100.0 + 0.01;
-            seq.push(i, j, r);
-        }
-        let entries = seq.entries.clone();
-        let g_par = seq.build().unwrap();
-        // Force the sequential path for comparison.
-        let sorted = {
-            let mut e = entries;
-            e.sort_by_key(|e| (e.0, e.1));
-            e
-        };
-        let g_seq = SparseGenerator::assemble_sorted(n, sorted);
-        assert_eq!(g_par.num_nonzeros(), g_seq.num_nonzeros());
-        for s in 0..n {
-            assert_eq!(g_par.row(s).0, g_seq.row(s).0, "row {s} structure");
-            for (a, b) in g_par.row(s).1.iter().zip(g_seq.row(s).1) {
-                assert!((a - b).abs() < 1e-12 * b.abs().max(1.0));
-            }
-        }
-    }
-
-    #[test]
-    fn from_transitions_par_is_identical_across_thread_counts() {
-        let g = three_cycle();
-        let base = SparseGenerator::from_transitions(&g).unwrap();
-        for threads in [1usize, 2, 4] {
-            let par = SparseGenerator::from_transitions_par(&g, threads).unwrap();
-            assert_eq!(par.num_nonzeros(), base.num_nonzeros());
-            for s in 0..3 {
-                assert_eq!(par.row(s), base.row(s));
-                assert_eq!(par.column(s), base.column(s));
-            }
-        }
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Persistent worker pool: scoped threads that live across calls, each
-//! owning caller-supplied mutable state.
+//! owning caller-supplied mutable state — the workspace's one job
+//! queue.
 //!
-//! [`par_map_tasks`](crate::par_map_tasks) re-spawns its workers on
-//! every call and forces shared state behind locks. The pool inverts
-//! both decisions for the pipeline's long-lived stages (the sharded
-//! cluster fixed point, chunked sweeps, campaign batches): workers are
-//! spawned **once** per [`with_worker_pool`] scope and stay parked on a
-//! condvar between calls, and each worker exclusively owns one element
-//! of the caller's state vector (a shard's generator templates, a sweep
-//! worker's template) for the whole scope — no mutex, no re-warming.
-//! The caller's thread serves as worker 0 instead of idling while the
-//! others work, so `k` workers run on exactly `k` threads.
+//! Workers are spawned **once** per [`with_worker_pool`] scope and stay
+//! parked on a condvar between batches, and each worker exclusively
+//! owns one element of the caller's state vector (a shard's generator
+//! templates, a sweep worker's template) for the whole scope — no
+//! mutex, no re-warming. The caller's thread serves as worker 0 instead
+//! of idling while the others work, so `k` workers run on exactly `k`
+//! threads. [`par_map_tasks`](crate::par_map_tasks) is the stateless
+//! one-batch form.
 //!
 //! Two dispatch flavours cover the pipeline's needs:
 //!
@@ -20,7 +19,7 @@
 //!   owns their templates).
 //! * [`PoolHandle::run_queue`] — **load-balanced**: jobs go into a
 //!   shared queue and whichever worker frees up first takes the next
-//!   one, like the atomic work queue of `par_map_tasks`.
+//!   one.
 //!
 //! # Determinism contract
 //!
@@ -35,18 +34,18 @@
 //!
 //! # Panic policy
 //!
-//! Like [`par_map_tasks_catching`](crate::par_map_tasks_catching), a
-//! panicking job is contained: its slot carries a [`TaskPanic`] (index
-//! = position in the submitted batch) while every sibling job still
-//! runs. The worker survives and keeps serving later jobs; its state is
-//! whatever the panicking job left behind, so callers that reuse state
-//! across jobs must reset it on the next job (as chunked sweeps do) or
-//! treat a poisoned slot as fatal and [`TaskPanic::resume`].
+//! A panicking job is contained: its slot carries a [`TaskPanic`]
+//! (index = position in the submitted batch) while every sibling job
+//! still runs. The worker survives and keeps serving later jobs; its
+//! state is whatever the panicking job left behind, so callers that
+//! reuse state across jobs must reset it on the next job (as chunked
+//! sweeps do) or treat a poisoned slot as fatal and
+//! [`TaskPanic::resume`].
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::TaskPanic;
 
@@ -68,8 +67,21 @@ struct Shared<Req> {
 }
 
 impl<Req> Shared<Req> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<Req>> {
+    #[allow(
+        clippy::expect_used,
+        reason = "no code panics while holding the lock: jobs run after it is released"
+    )]
+    fn lock(&self) -> MutexGuard<'_, QueueState<Req>> {
         self.queue.lock().expect("worker pool queue poisoned")
+    }
+
+    /// Parks a worker on the condvar until the queue changes.
+    #[allow(
+        clippy::expect_used,
+        reason = "no code panics while holding the lock: jobs run after it is released"
+    )]
+    fn wait<'g>(&self, guard: MutexGuard<'g, QueueState<Req>>) -> MutexGuard<'g, QueueState<Req>> {
+        self.ready.wait(guard).expect("worker pool queue poisoned")
     }
 
     fn close(&self) {
@@ -198,6 +210,10 @@ impl<S, Req, Resp> PoolHandle<'_, S, Req, Resp> {
 
     /// Collects `count` results from the spawned workers into their
     /// submission slots.
+    #[allow(
+        clippy::expect_used,
+        reason = "workers outlive the handle and catch every job panic, so each sent job reports"
+    )]
     fn collect(&self, slots: &mut [Option<Result<Resp, TaskPanic>>], count: usize) {
         let Some(spawned) = &self.spawned else { return };
         for _ in 0..count {
@@ -211,6 +227,10 @@ impl<S, Req, Resp> PoolHandle<'_, S, Req, Resp> {
 }
 
 /// Unwraps a batch's filled slots.
+#[allow(
+    clippy::expect_used,
+    reason = "run_on and run_queue fill every slot before finishing a batch"
+)]
 fn finish<Resp>(slots: Vec<Option<Result<Resp, TaskPanic>>>) -> Vec<Result<Resp, TaskPanic>> {
     slots
         .into_iter()
@@ -245,9 +265,10 @@ where
     B: for<'h> FnOnce(&mut PoolHandle<'h, S, Req, Resp>) -> R,
 {
     let workers = states.len();
-    assert!(workers > 0, "worker pool needs at least one state");
     let mut states = states.into_iter();
-    let mut state0 = states.next().expect("one state");
+    let Some(mut state0) = states.next() else {
+        panic!("worker pool needs at least one state");
+    };
     if workers == 1 {
         let mut handle = PoolHandle {
             state: &mut state0,
@@ -286,7 +307,7 @@ where
                         if q.closed {
                             break None;
                         }
-                        q = shared.ready.wait(q).expect("worker pool queue poisoned");
+                        q = shared.wait(q);
                     }
                 };
                 let Some((seq, req)) = job else { return };

@@ -13,12 +13,12 @@
 //! rate (what the paper's method would predict for the hot cell) and
 //! one at the ring rate.
 
+use crate::figures::shared::solve_references;
 use crate::scale::Scale;
 use crate::series::{FigureResult, Panel, Series, ShapeCheck};
 use gprs_core::cluster::{ClusterSolveOptions, MID_CELL};
-use gprs_core::template::{TemplatePool, WarmStart};
-use gprs_core::{CellConfig, Measures, ModelError, Scenario};
-use gprs_exec::{num_threads, par_map_tasks};
+use gprs_core::{CellConfig, ModelError, Scenario};
+use gprs_exec::num_threads;
 use gprs_traffic::TrafficModel;
 
 /// Hot-spot factor: the mid cell's arrival rate over the ring cells'.
@@ -82,29 +82,25 @@ pub fn run(scale: Scale) -> Result<FigureResult, ModelError> {
 
     // The homogeneous references (two single-cell solves per point) are
     // independent of each other and of the cluster sweep — fan them out
-    // over the same executor instead of leaving a serial tail. Each is
-    // the scenario's own "what would homogeneity predict for this cell"
+    // over the worker pool instead of leaving a serial tail. Each is the
+    // scenario's own "what would homogeneity predict for this cell"
     // lowering: the scaled scenario, made uniform at the hot mid cell
-    // (resp. a ring cell), dropped into the single-cell model. All the
-    // references share one shape, so workers draw pooled
-    // GeneratorTemplates and every solve reuses workspace + pattern
-    // instead of rebuilding solver state per point.
-    let homog: Vec<(Measures, Measures)> = {
-        let pool = TemplatePool::new(&scenario.base_cells()[MID_CELL])?;
-        let solves = par_map_tasks(points.len(), num_threads(), |i| {
+    // (resp. a ring cell), dropped into the single-cell model.
+    let homog = solve_references(
+        &scenario.base_cells()[MID_CELL],
+        points.len(),
+        num_threads(),
+        &opts.solve,
+        |i| {
             let at_scale = scenario.clone().with_load_scale(scales[i])?;
-            let hot_model = at_scale.homogeneous_at(MID_CELL)?.to_model()?;
-            let ring_model = at_scale.homogeneous_at(1)?.to_model()?;
-            let mut template = pool.acquire()?;
-            let hot = template.solve(&hot_model, &opts.solve, WarmStart::Cold)?;
-            let ring = template.solve(&ring_model, &opts.solve, WarmStart::Cold)?;
-            pool.release(template);
-            Ok::<_, ModelError>((hot.measures, ring.measures))
-        });
-        solves.into_iter().collect::<Result<_, _>>()?
-    };
+            Ok([
+                at_scale.homogeneous_at(MID_CELL)?.to_model()?,
+                at_scale.homogeneous_at(1)?.to_model()?,
+            ])
+        },
+    )?;
 
-    for (p, (hot, homog_ring)) in points.iter().zip(&homog) {
+    for (p, [hot, homog_ring]) in points.iter().zip(&homog) {
         let mid = p.solved.mid();
         let ring = &p.solved.cells()[1];
         mid_block.push(mid.measures.gsm_blocking_probability);

@@ -18,12 +18,12 @@
 //! (`SimConfig::for_scenario`), which the cross-validation suite runs
 //! against this fixed point.
 
+use crate::figures::shared::solve_references;
 use crate::scale::Scale;
 use crate::series::{FigureResult, Panel, Series, ShapeCheck};
 use gprs_core::cluster::{ClusterSolveOptions, MID_CELL};
-use gprs_core::template::{TemplatePool, WarmStart};
-use gprs_core::{CellConfig, CodingScheme, Measures, ModelError, Scenario};
-use gprs_exec::{num_threads, par_map_tasks};
+use gprs_core::{CellConfig, CodingScheme, ModelError, Scenario};
+use gprs_exec::num_threads;
 use gprs_traffic::TrafficModel;
 
 /// Hot-spot factor: the mid cell's arrival rate over the ring cells'.
@@ -90,33 +90,31 @@ pub fn run(scale: Scale) -> Result<FigureResult, ModelError> {
     let mut upgraded_atu = Vec::new();
     let mut legacy_atu = Vec::new();
 
-    // Homogeneous references per point, pooled like ext03 (all share
+    // Homogeneous references per point, solved like ext03's (all share
     // one CTMC shape; the coding scheme only scales service rates):
     // (a) the scenario's own uniform lowering at the hot CS-4 mid cell,
     // (b) the same cell rolled back to CS-2 — "what if the operator had
     //     not upgraded", and
     // (c) the CS-2 ring reference for the blocking bracket.
-    let homog: Vec<(Measures, Measures, Measures)> = {
-        let pool = TemplatePool::new(&scenario.base_cells()[MID_CELL])?;
-        let solves = par_map_tasks(points.len(), num_threads(), |i| {
+    let homog = solve_references(
+        &scenario.base_cells()[MID_CELL],
+        points.len(),
+        num_threads(),
+        &opts.solve,
+        |i| {
             let at_scale = scenario.clone().with_load_scale(scales[i])?;
             let upgraded_scenario = at_scale.homogeneous_at(MID_CELL)?;
             let mut legacy_cell = upgraded_scenario.base_cells()[MID_CELL].clone();
             legacy_cell.coding_scheme = CodingScheme::Cs2;
-            let upgraded_model = upgraded_scenario.to_model()?;
-            let legacy_model = Scenario::homogeneous(legacy_cell)?.to_model()?;
-            let ring_model = at_scale.homogeneous_at(1)?.to_model()?;
-            let mut template = pool.acquire()?;
-            let upgraded = template.solve(&upgraded_model, &opts.solve, WarmStart::Cold)?;
-            let legacy = template.solve(&legacy_model, &opts.solve, WarmStart::Cold)?;
-            let ring = template.solve(&ring_model, &opts.solve, WarmStart::Cold)?;
-            pool.release(template);
-            Ok::<_, ModelError>((upgraded.measures, legacy.measures, ring.measures))
-        });
-        solves.into_iter().collect::<Result<_, _>>()?
-    };
+            Ok([
+                upgraded_scenario.to_model()?,
+                Scenario::homogeneous(legacy_cell)?.to_model()?,
+                at_scale.homogeneous_at(1)?.to_model()?,
+            ])
+        },
+    )?;
 
-    for (p, (upgraded, legacy, homog_ring)) in points.iter().zip(&homog) {
+    for (p, [upgraded, legacy, homog_ring]) in points.iter().zip(&homog) {
         let mid = p.solved.mid();
         let ring = &p.solved.cells()[1];
         mid_block.push(mid.measures.gsm_blocking_probability);

@@ -9,8 +9,10 @@
 
 use crate::scale::Scale;
 use gprs_core::sweep::{par_sweep_arrival_rates, SweepPoint};
-use gprs_core::{CellConfig, ModelError};
-use gprs_exec::num_threads;
+use gprs_core::template::{GeneratorTemplate, WarmStart};
+use gprs_core::{CellConfig, GprsModel, Measures, ModelError};
+use gprs_ctmc::solver::SolveOptions;
+use gprs_exec::{num_threads, with_worker_pool};
 use gprs_traffic::TrafficModel;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -96,6 +98,51 @@ pub fn swept(
         .expect("cache poisoned")
         .insert(key, Arc::clone(&arc));
     Ok(arc)
+}
+
+/// Solves `K` homogeneous single-cell references per load point, cold,
+/// on one shape: `models(i)` lowers point `i`'s references, and the
+/// returned arrays hold their measures in the same order.
+///
+/// The points fan out over up to `threads` [`with_worker_pool`]
+/// workers, each owning one [`GeneratorTemplate`] of `shape` for the
+/// whole run, so every solve reuses a workspace and pattern instead of
+/// rebuilding solver state. Every solve starts cold, so the results are
+/// bit-identical to a fresh template per solve, for any `threads`.
+///
+/// # Errors
+///
+/// [`ModelError::Config`] if `shape` is invalid; otherwise the
+/// lowest-index point's lowering or solver error.
+///
+/// # Panics
+///
+/// Re-raises the lowest-index point's panic once every point has run.
+pub fn solve_references<const K: usize>(
+    shape: &CellConfig,
+    points: usize,
+    threads: usize,
+    opts: &SolveOptions,
+    models: impl Fn(usize) -> Result<[GprsModel; K], ModelError> + Sync,
+) -> Result<Vec<[Measures; K]>, ModelError> {
+    let templates = (0..threads.clamp(1, points.max(1)))
+        .map(|_| GeneratorTemplate::new(shape))
+        .collect::<Result<Vec<_>, _>>()?;
+    let solves = with_worker_pool(
+        templates,
+        |_, template, i: usize| {
+            let mut measures = [Measures::default(); K];
+            for (slot, model) in measures.iter_mut().zip(&models(i)?) {
+                *slot = template.solve(model, opts, WarmStart::Cold)?.measures;
+            }
+            Ok(measures)
+        },
+        |pool| pool.run_queue((0..points).collect()),
+    );
+    solves
+        .into_iter()
+        .map(|solve| solve.unwrap_or_else(|panic| panic.resume()))
+        .collect()
 }
 
 /// Extracts `(x, f(measures))` vectors from sweep points.
@@ -208,6 +255,41 @@ mod tests {
         // Outside tolerance.
         let sim = vec![(0.5, 0.8, 0.05)];
         assert_eq!(agreement(&model, &sim, 0.0, 0.0).0, 0);
+    }
+
+    #[test]
+    fn references_match_a_fresh_template_per_solve_bitwise() {
+        let shape = CellConfig::builder()
+            .traffic_model(TrafficModel::Model3)
+            .max_gprs_sessions(3)
+            .buffer_capacity(6)
+            .call_arrival_rate(0.3)
+            .build()
+            .unwrap();
+        let opts = Scale::Quick.solve_options();
+        let models = |i: usize| {
+            let at = |rate: f64| {
+                let mut cell = shape.clone();
+                cell.call_arrival_rate = rate;
+                GprsModel::new(cell)
+            };
+            Ok([at(0.2 + 0.1 * i as f64)?, at(0.4 + 0.15 * i as f64)?])
+        };
+        let points = 5;
+        let mut want = Vec::new();
+        for i in 0..points {
+            for model in &models(i).unwrap() {
+                let mut fresh = GeneratorTemplate::new(&shape).unwrap();
+                want.push(fresh.solve(model, &opts, WarmStart::Cold).unwrap().measures);
+            }
+        }
+        for threads in [1usize, 2, 8] {
+            let got = solve_references(&shape, points, threads, &opts, models).unwrap();
+            let got: Vec<Measures> = got.into_iter().flatten().collect();
+            // Debug prints every f64 in shortest round-trip form, so
+            // equal text means equal bits.
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "threads {threads}");
+        }
     }
 
     #[test]

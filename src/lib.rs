@@ -13,7 +13,7 @@
 //! | [`core`] | `gprs-core` | the paper's CTMC model (Table 1 generator, Eqs. 6–11 measures, sweeps, QoS dimensioning, adaptive PDCH management), the heterogeneous 7-cell cluster fixed point (`core::cluster`), and the unified [`Scenario`](core::scenario) layer that lowers one workload description to model, cluster, and simulator |
 //! | [`sim`] | `gprs-sim` | network-level simulator: 7-cell cluster, handovers, BSC buffers, TCP Reno, TDMA radio blocks, load supervision, wave-parallel replication engine (`sim::replication`) |
 //! | [`ctmc`] | `gprs-ctmc` | CTMC solvers: GTH, Gauss–Seidel/SOR, uniformization (stationary + transient), block tridiagonal (MBD) |
-//! | [`exec`] | `gprs-exec` | deterministic thread fan-out executors shared by the whole pipeline (ordered work queue, range/chunk maps, `RAYON_NUM_THREADS` control) |
+//! | [`exec`] | `gprs-exec` | deterministic thread fan-out shared by the whole pipeline (one worker pool with per-worker state, ordered task map, `RAYON_NUM_THREADS` control) |
 //! | [`queueing`] | `gprs-queueing` | Erlang-B / M/M/c/c closed forms, handover-flow balancing, exact IPP/M/c/K |
 //! | [`traffic`] | `gprs-traffic` | 3GPP packet-session traffic model, IPP/MMPP analytics (IDC, superposition fits, H2 equivalence), samplers |
 //! | [`des`] | `gprs-des` | discrete-event engine, RNG streams, batch-means statistics, sequential + wave-parallel replication stopping rules |
