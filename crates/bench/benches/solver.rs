@@ -2,8 +2,8 @@
 //! tridiagonal (MBD) solver choice.
 //!
 //! Compares, on the same GPRS chain:
-//! * block tridiagonal with exact-marginal projection (production),
-//! * plain block tridiagonal,
+//! * `GprsModel::solve`: block tridiagonal with exact-marginal
+//!   projection over a one-shot blocked capture (production),
 //! * point Gauss–Seidel over the flat chain,
 //! * GTH direct elimination (small chains only).
 
@@ -11,8 +11,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gprs_bench::{medium_model, small_model};
 use gprs_core::{CellConfig, GprsModel};
 use gprs_ctmc::gth::solve_gth;
-use gprs_ctmc::mbd::{solve_mbd, solve_mbd_projected};
 use gprs_ctmc::solver::{solve_gauss_seidel, SolveOptions};
+use gprs_ctmc::{solve_mbd_projected_blocked_ws, BlockedMbd, SolveWorkspace};
 use gprs_traffic::TrafficModel;
 
 fn opts() -> SolveOptions {
@@ -34,17 +34,13 @@ fn tiny_model() -> GprsModel {
 }
 
 fn bench_solver_comparison(c: &mut Criterion) {
-    // Tiny chain: all four solvers, including direct elimination.
+    // Tiny chain: all three solvers, including direct elimination.
     let tiny = tiny_model();
-    let marginal = tiny.phase_marginal();
     let guess = tiny.product_form_guess();
     let mut g = c.benchmark_group("solver_tiny_700");
     g.sample_size(20);
-    g.bench_function("mbd_projected", |b| {
-        b.iter(|| solve_mbd_projected(&tiny, &marginal, Some(&guess), &opts()).unwrap())
-    });
-    g.bench_function("mbd_plain", |b| {
-        b.iter(|| solve_mbd(&tiny, Some(&guess), &opts()).unwrap())
+    g.bench_function("model_solve", |b| {
+        b.iter(|| tiny.solve(&opts(), Some(&guess)).unwrap())
     });
     g.bench_function("point_gauss_seidel", |b| {
         b.iter(|| solve_gauss_seidel(&tiny, Some(&guess), &opts()).unwrap())
@@ -55,15 +51,11 @@ fn bench_solver_comparison(c: &mut Criterion) {
 
     // Small chain: the iterative solvers only (GTH is O(n³)).
     let model = small_model();
-    let marginal = model.phase_marginal();
     let guess = model.product_form_guess();
     let mut g = c.benchmark_group("solver_small_15k");
     g.sample_size(10);
-    g.bench_function("mbd_projected", |b| {
-        b.iter(|| solve_mbd_projected(&model, &marginal, Some(&guess), &opts()).unwrap())
-    });
-    g.bench_function("mbd_plain", |b| {
-        b.iter(|| solve_mbd(&model, Some(&guess), &opts()).unwrap())
+    g.bench_function("model_solve", |b| {
+        b.iter(|| model.solve(&opts(), Some(&guess)).unwrap())
     });
     g.bench_function("point_gauss_seidel", |b| {
         b.iter(|| solve_gauss_seidel(&model, Some(&guess), &opts()).unwrap())
@@ -91,11 +83,14 @@ fn bench_state_space_scaling(c: &mut Criterion) {
 }
 
 fn bench_single_sweep_cost(c: &mut Criterion) {
-    // One projected sweep on the medium model, isolating per-sweep cost
-    // from convergence behaviour.
+    // One projected sweep of the blocked kernel on the medium model,
+    // isolating per-sweep cost from convergence behaviour and capture.
     let model = medium_model();
     let marginal = model.phase_marginal();
     let guess = model.product_form_guess();
+    let mut blocked = BlockedMbd::new();
+    blocked.capture(&model);
+    let mut ws = SolveWorkspace::new();
     let one_sweep = SolveOptions::quick()
         .with_max_sweeps(1)
         .with_tolerance(1e-300);
@@ -104,7 +99,13 @@ fn bench_single_sweep_cost(c: &mut Criterion) {
     g.bench_function("one_projected_sweep", |b| {
         b.iter(|| {
             // NotConverged is the expected outcome after one sweep.
-            let _ = solve_mbd_projected(&model, &marginal, Some(&guess), &one_sweep);
+            let _ = solve_mbd_projected_blocked_ws(
+                &blocked,
+                &marginal,
+                Some(&guess),
+                &one_sweep,
+                &mut ws,
+            );
         })
     });
     g.finish();

@@ -563,6 +563,22 @@ fn f64_field(obj: &JsonValue, path: &str, key: &str) -> Result<f64, CodecError> 
         .ok_or_else(|| schema_err(&join(path, key), "expected a number"))
 }
 
+/// A number at `path` that must pass `valid` (`rule` names the range),
+/// so a solver parameter the option builders forbid never reaches a
+/// solve.
+fn checked_f64(
+    value: &JsonValue,
+    path: &str,
+    rule: &str,
+    valid: impl Fn(f64) -> bool,
+) -> Result<f64, CodecError> {
+    match value.as_f64() {
+        Some(x) if valid(x) => Ok(x),
+        Some(x) => Err(schema_err(path, format!("{x} is out of range: {rule}"))),
+        None => Err(schema_err(path, "expected a number")),
+    }
+}
+
 fn usize_field(obj: &JsonValue, path: &str, key: &str) -> Result<usize, CodecError> {
     field(obj, path, key)?
         .as_usize()
@@ -926,16 +942,18 @@ pub fn solve_options_to_json_value(opts: &SolveOptions) -> JsonValue {
 ///
 /// # Errors
 ///
-/// [`CodecError::Schema`] on wrong field types.
+/// [`CodecError::Schema`] on wrong field types, and on values the
+/// solvers cannot run with: a `tolerance` that is not `> 0` (no
+/// residual could ever meet it), a `sor_omega` outside `(0, 2)` (at 0
+/// the iterate never moves) or a numeric `divergence_factor` not
+/// `> 1`.
 pub fn solve_options_from_json_value(
     value: &JsonValue,
     path: &str,
 ) -> Result<SolveOptions, CodecError> {
     let mut opts = SolveOptions::default();
     if let Some(v) = value.get("tolerance") {
-        opts.tolerance = v
-            .as_f64()
-            .ok_or_else(|| schema_err(&join(path, "tolerance"), "expected a number"))?;
+        opts.tolerance = checked_f64(v, &join(path, "tolerance"), "must be > 0", |x| x > 0.0)?;
     }
     if let Some(v) = value.get("max_sweeps") {
         opts.max_sweeps = v
@@ -943,9 +961,9 @@ pub fn solve_options_from_json_value(
             .ok_or_else(|| schema_err(&join(path, "max_sweeps"), "expected an integer"))?;
     }
     if let Some(v) = value.get("sor_omega") {
-        opts.sor_omega = v
-            .as_f64()
-            .ok_or_else(|| schema_err(&join(path, "sor_omega"), "expected a number"))?;
+        opts.sor_omega = checked_f64(v, &join(path, "sor_omega"), "must lie in (0, 2)", |x| {
+            x > 0.0 && x < 2.0
+        })?;
     }
     if let Some(v) = value.get("check_every") {
         opts.check_every = v
@@ -974,7 +992,11 @@ pub fn solve_options_from_json_value(
     if let Some(v) = value.get("divergence_factor") {
         opts.divergence_factor = match v {
             JsonValue::Str(s) if s == "inf" => f64::INFINITY,
-            JsonValue::Num(x) => *x,
+            JsonValue::Num(_) => {
+                checked_f64(v, &join(path, "divergence_factor"), "must be > 1", |x| {
+                    x > 1.0
+                })?
+            }
             _ => {
                 return Err(schema_err(
                     &join(path, "divergence_factor"),
@@ -1023,17 +1045,16 @@ pub fn cluster_options_to_json_value(opts: &ClusterSolveOptions) -> JsonValue {
 ///
 /// # Errors
 ///
-/// [`CodecError::Schema`] on wrong field types or an unknown ordering
-/// label.
+/// [`CodecError::Schema`] on wrong field types, an unknown ordering
+/// label, a `tolerance` that is not `> 0`, or inner solve options
+/// that [`solve_options_from_json_value`] rejects.
 pub fn cluster_options_from_json_value(
     value: &JsonValue,
     path: &str,
 ) -> Result<ClusterSolveOptions, CodecError> {
     let mut opts = ClusterSolveOptions::default();
     if let Some(v) = value.get("tolerance") {
-        opts.tolerance = v
-            .as_f64()
-            .ok_or_else(|| schema_err(&join(path, "tolerance"), "expected a number"))?;
+        opts.tolerance = checked_f64(v, &join(path, "tolerance"), "must be > 0", |x| x > 0.0)?;
     }
     if let Some(v) = value.get("max_iterations") {
         opts.max_iterations = v
@@ -1233,6 +1254,27 @@ mod tests {
         assert_eq!(back.max_wall_time, opts.max_wall_time);
         assert!(back.divergence_factor.is_infinite());
         assert_eq!(back.tolerance, opts.tolerance);
+        // The defaults round-trip too.
+        let defaults = SolveOptions::default();
+        let text = solve_options_to_json_value(&defaults).to_json_string();
+        let back = solve_options_from_json_value(&parse_json(&text).unwrap(), "solve").unwrap();
+        assert_eq!(back, defaults);
+        // Values the solvers cannot run with are schema errors naming
+        // the field, not a solve that burns its sweep budget.
+        for (doc, at) in [
+            ("{\"sor_omega\":0}", "solve.sor_omega"),
+            ("{\"sor_omega\":2}", "solve.sor_omega"),
+            ("{\"sor_omega\":-0.5}", "solve.sor_omega"),
+            ("{\"divergence_factor\":1}", "solve.divergence_factor"),
+            ("{\"divergence_factor\":0.5}", "solve.divergence_factor"),
+            ("{\"tolerance\":0}", "solve.tolerance"),
+            ("{\"tolerance\":-1e-8}", "solve.tolerance"),
+        ] {
+            match solve_options_from_json_value(&parse_json(doc).unwrap(), "solve") {
+                Err(CodecError::Schema { path, .. }) => assert_eq!(path, at, "{doc}"),
+                other => panic!("{doc}: expected a schema error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1262,5 +1304,17 @@ mod tests {
             cluster_options_from_json_value(&parse_json("{\"ordering\":\"sor\"}").unwrap(), ""),
             Err(CodecError::Schema { .. })
         ));
+        // So are tolerances no fixed point could meet, at either level.
+        for (doc, at) in [
+            ("{\"tolerance\":0}", "cluster.tolerance"),
+            ("{\"tolerance\":-1}", "cluster.tolerance"),
+            ("{\"solve\":{\"tolerance\":0}}", "cluster.solve.tolerance"),
+            ("{\"solve\":{\"sor_omega\":0}}", "cluster.solve.sor_omega"),
+        ] {
+            match cluster_options_from_json_value(&parse_json(doc).unwrap(), "cluster") {
+                Err(CodecError::Schema { path, .. }) => assert_eq!(path, at, "{doc}"),
+                other => panic!("{doc}: expected a schema error, got {other:?}"),
+            }
+        }
     }
 }

@@ -540,7 +540,9 @@ impl IncomingTransitions for GprsModel {
 /// `(n, m, r)`, level `k`. Level (packet) transitions never change the
 /// phase, and every phase transition (call/session/MMPP event) leaves
 /// the buffer untouched — which is exactly what the block tridiagonal
-/// solver [`gprs_ctmc::mbd::solve_mbd`] exploits. Its flat layout
+/// solver exploits, through captured tables
+/// ([`gprs_ctmc::BlockedMbd`], [`gprs_ctmc::solve_mbd_projected_blocked_ws`])
+/// or matrix-free ([`gprs_ctmc::mbd::solve_mbd_projected_inplace_ws`]). Its flat layout
 /// `phase·(K+1) + level` coincides with [`StateSpace::index`], so
 /// distributions and warm starts are interchangeable between solvers.
 impl ModulatedBirthDeath for GprsModel {

@@ -3,9 +3,11 @@
 use crate::error::ModelError;
 use crate::generator::GprsModel;
 use crate::measures::Measures;
-use gprs_ctmc::mbd::solve_mbd_projected;
-use gprs_ctmc::solver::{solve_gauss_seidel, SolveOptions};
-use gprs_ctmc::StationaryDistribution;
+use gprs_ctmc::solver::{solve_gauss_seidel, Solution, SolveOptions};
+use gprs_ctmc::{
+    solve_mbd_projected_blocked_ws, BlockedMbd, SolveWorkspace, StationaryDistribution,
+};
+use std::borrow::Cow;
 
 /// A solved model: stationary distribution, measures, and solver
 /// diagnostics.
@@ -55,6 +57,13 @@ impl GprsModel {
     /// the benign phase-chain rate (typically well under a hundred
     /// sweeps, where point Gauss–Seidel needs thousands).
     ///
+    /// It runs the blocked kernel
+    /// ([`solve_mbd_projected_blocked_ws`]) over a one-shot
+    /// [`BlockedMbd`] capture of the model, projecting onto the exact
+    /// phase marginal every sweep. That is the kernel the
+    /// [`GeneratorTemplate`](crate::template::GeneratorTemplate) runs,
+    /// so a cold template solve reproduces this one bit for bit.
+    ///
     /// `warm_start` (e.g. the solution of a nearby arrival rate) speeds
     /// convergence further; when `None`, the product-form guess of
     /// [`product_form_guess`](GprsModel::product_form_guess) is used —
@@ -70,23 +79,19 @@ impl GprsModel {
         opts: &SolveOptions,
         warm_start: Option<&[f64]>,
     ) -> Result<SolvedModel, ModelError> {
-        let guess;
-        let start: &[f64] = match warm_start {
-            Some(w) => w,
-            None => {
-                guess = self.product_form_guess();
-                &guess
-            }
-        };
+        let guess = warm_start.map_or_else(|| Cow::Owned(self.product_form_guess()), Cow::from);
         let marginal = self.phase_marginal();
-        let sol = solve_mbd_projected(self, &marginal, Some(start), opts)?;
-        let measures = Measures::compute(self, &sol.pi);
-        Ok(SolvedModel {
-            pi: sol.pi,
-            measures,
-            sweeps: sol.sweeps,
-            residual: sol.residual,
-        })
+        let mut blocked = BlockedMbd::new();
+        blocked.capture(self);
+        let mut ws = SolveWorkspace::new();
+        let stats =
+            solve_mbd_projected_blocked_ws(&blocked, &marginal, Some(&guess), opts, &mut ws)?;
+        Ok(self.solved(Solution {
+            // The solver already applied the final normalization.
+            pi: StationaryDistribution::from_normalized(std::mem::take(ws.pi_mut())),
+            sweeps: stats.sweeps,
+            residual: stats.residual,
+        }))
     }
 
     /// Solves with point Gauss–Seidel over the flat chain. Slower than
@@ -102,22 +107,18 @@ impl GprsModel {
         opts: &SolveOptions,
         warm_start: Option<&[f64]>,
     ) -> Result<SolvedModel, ModelError> {
-        let guess;
-        let start: &[f64] = match warm_start {
-            Some(w) => w,
-            None => {
-                guess = self.product_form_guess();
-                &guess
-            }
-        };
-        let sol = solve_gauss_seidel(self, Some(start), opts)?;
-        let measures = Measures::compute(self, &sol.pi);
-        Ok(SolvedModel {
+        let guess = warm_start.map_or_else(|| Cow::Owned(self.product_form_guess()), Cow::from);
+        Ok(self.solved(solve_gauss_seidel(self, Some(&guess), opts)?))
+    }
+
+    /// Wraps a converged solution with its measures.
+    fn solved(&self, sol: Solution) -> SolvedModel {
+        SolvedModel {
+            measures: Measures::compute(self, &sol.pi),
             pi: sol.pi,
-            measures,
             sweeps: sol.sweeps,
             residual: sol.residual,
-        })
+        }
     }
 
     /// Solves with default options (tolerance `1e-10`).
@@ -135,6 +136,7 @@ mod tests {
     use super::*;
     use crate::config::CellConfig;
     use gprs_ctmc::gth::solve_gth;
+    use gprs_ctmc::mbd::solve_mbd_projected_inplace_ws;
     use gprs_traffic::TrafficModel;
 
     fn tiny() -> GprsModel {
@@ -226,6 +228,34 @@ mod tests {
             (warm.measures().carried_data_traffic - cold.measures().carried_data_traffic).abs()
                 < 1e-7
         );
+    }
+
+    #[test]
+    fn warm_solve_is_bit_identical_to_the_scalar_oracle() {
+        // `solve` runs the blocked kernel over a one-shot capture; the
+        // matrix-free scalar kernel staged with the same start must
+        // agree on every bit, from starts that are not the solution:
+        // a neighbouring rate's solution and an arbitrary ramp.
+        let model = tiny();
+        let mut cfg = model.config().clone();
+        cfg.call_arrival_rate = 0.45;
+        let neighbour = GprsModel::new(cfg).unwrap().solve_default().unwrap();
+        let n = model.space().num_states();
+        let ramp: Vec<f64> = (0..n).map(|i| (i % 7 + 1) as f64).collect();
+        let marginal = model.phase_marginal();
+        let opts = gprs_ctmc::SolveOptions::default();
+        for start in [neighbour.stationary().as_slice(), &ramp] {
+            let solved = model.solve(&opts, Some(start)).unwrap();
+            let mut ws = gprs_ctmc::SolveWorkspace::new();
+            ws.set_pi(start);
+            let oracle = solve_mbd_projected_inplace_ws(&model, &marginal, &opts, &mut ws).unwrap();
+            assert!(oracle.sweeps > 1, "start must not already be the solution");
+            assert_eq!(solved.sweeps(), oracle.sweeps);
+            assert_eq!(solved.residual().to_bits(), oracle.residual.to_bits());
+            for (i, (a, b)) in solved.stationary().iter().zip(ws.pi()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "state {i}");
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   [`SparseGenerator::refill_values`] instead of re-enumerated,
 //!   re-sorted and re-allocated;
 //! * a [`SolveWorkspace`] so the block tridiagonal solver
-//!   ([`gprs_ctmc::mbd::solve_mbd_projected_ws`]) and the Gauss–Seidel
-//!   fallback allocate nothing across repeated solves;
+//!   ([`gprs_ctmc::solve_mbd_projected_blocked_inplace_ws`] over
+//!   captured [`BlockedMbd`] tables) and the Gauss–Seidel fallback
+//!   allocate nothing across repeated solves;
 //! * reusable phase-marginal / start-vector buffers plus a two-deep
 //!   solution history that turns consecutive solves into warm starts:
 //!   the previous solution (multiplicatively extrapolated along the
@@ -29,7 +30,7 @@
 //! The template's arithmetic is bit-identical to the allocating
 //! one-shot path: [`GeneratorTemplate::solve`] with
 //! [`WarmStart::Cold`] reproduces `GprsModel::solve(opts, None)`
-//! exactly (both delegate to the same workspace solver), and a refilled
+//! exactly (both run the blocked kernel from the same start), and a refilled
 //! matrix equals a fresh [`GprsModel::assemble_sparse`] bit for bit —
 //! property-tested across random configurations, rates and thread
 //! counts.
@@ -74,7 +75,7 @@ use gprs_ctmc::blocked::{
 };
 use gprs_ctmc::gth::{solve_gth, RECOMMENDED_MAX_STATES};
 use gprs_ctmc::mbd::{mbd_residual_of, solve_mbd_projected_inplace_ws};
-use gprs_ctmc::solver::{solve_gauss_seidel_csr_ws, SolveOptions};
+use gprs_ctmc::solver::{solve_gauss_seidel_ws, SolveOptions};
 use gprs_ctmc::{balance_residual, SolveWorkspace, SparseGenerator};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -713,28 +714,13 @@ impl GeneratorTemplate {
     }
 
     /// Solves `model` with point Gauss–Seidel over the template's
-    /// **refilled sparse matrix** (CSR transpose for incoming access —
-    /// faster than re-deriving Table 1 backwards every sweep) and the
-    /// shared workspace. The independent cross-check path of
-    /// [`GprsModel::solve_gauss_seidel`], with the symbolic work hoisted
-    /// out of the loop. Participates in the same warm-start chain as
-    /// [`solve`](Self::solve).
-    ///
-    /// # Errors
-    ///
-    /// As [`solve`](Self::solve), plus assembly/refill errors.
-    pub fn solve_gauss_seidel(
-        &mut self,
-        model: &GprsModel,
-        opts: &SolveOptions,
-        warm: WarmStart,
-    ) -> Result<PointSolve, ModelError> {
-        let health = self.solve_gauss_seidel_health(model, opts, warm)?;
-        Ok(self.point_from(model, health))
-    }
-
-    /// [`solve_gauss_seidel`](Self::solve_gauss_seidel) minus the
-    /// measures extraction (see [`solve_health`](Self::solve_health)).
+    /// **refilled sparse matrix** (its transpose CSR serves the
+    /// incoming gather — faster than re-deriving Table 1 backwards
+    /// every sweep) and the shared workspace: the alternate rung of
+    /// [`solve_resilient`](Self::solve_resilient), and the template
+    /// form of [`GprsModel::solve_gauss_seidel`]. Participates in the
+    /// same warm-start chain as [`solve`](Self::solve); the solution
+    /// lands in [`stationary`](Self::stationary).
     fn solve_gauss_seidel_health(
         &mut self,
         model: &GprsModel,
@@ -757,7 +743,7 @@ impl GeneratorTemplate {
         }
         self.sparse_ensure(model)?;
         let sparse = &self.sparse.as_ref().expect("pattern just ensured").1;
-        let stats = match solve_gauss_seidel_csr_ws(sparse, Some(&self.start), opts, &mut self.ws) {
+        let stats = match solve_gauss_seidel_ws(sparse, Some(&self.start), opts, &mut self.ws) {
             Ok(stats) => stats,
             Err(e) => return Err(self.chain_fail(e)),
         };
@@ -1195,8 +1181,8 @@ mod tests {
             .solve_gauss_seidel(&SolveOptions::default(), None)
             .unwrap();
         let mut template = GeneratorTemplate::new(&tiny(0.5)).unwrap();
-        let point = template
-            .solve_gauss_seidel(&model, &SolveOptions::default(), WarmStart::Cold)
+        let health = template
+            .solve_gauss_seidel_health(&model, &SolveOptions::default(), WarmStart::Cold)
             .unwrap();
         for (a, b) in template
             .stationary()
@@ -1205,7 +1191,7 @@ mod tests {
         {
             assert!((a - b).abs() < 1e-7);
         }
-        assert!(point.residual <= 1e-10);
+        assert!(health.residual <= 1e-10);
     }
 
     #[test]

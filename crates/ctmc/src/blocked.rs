@@ -1,13 +1,13 @@
 //! Captured rate tables and the cache-blocked MBD sweep kernel.
 //!
-//! [`crate::mbd::solve_mbd_projected_ws`] is matrix-free: every sweep
-//! re-derives birth/death rates through virtual calls (four per level
-//! per phase for the tridiagonal assembly alone) and re-enumerates the
-//! phase transition structure through `for_each_phase_incoming`
-//! closures. On the GPRS chain each of those calls decodes a flat phase
-//! index into `(n, m, r)` with divisions and walks a branchy
-//! service-rate formula — work that is identical across the tens of
-//! sweeps of a solve and across the residual passes.
+//! The scalar kernel, [`crate::mbd::solve_mbd_projected_inplace_ws`],
+//! is matrix-free: every sweep re-derives birth/death rates through
+//! virtual calls (four per level per phase for the tridiagonal assembly
+//! alone) and re-enumerates the phase transition structure through
+//! `for_each_phase_incoming` closures. On the GPRS chain each of those
+//! calls decodes a flat phase index into `(n, m, r)` with divisions and
+//! walks a branchy service-rate formula — work that is identical across
+//! the tens of sweeps of a solve and across the residual passes.
 //!
 //! [`BlockedMbd`] hoists all of it: one capture pass materializes the
 //! birth and death rates as per-phase rows of `levels` entries, and the
@@ -35,8 +35,10 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::error::CtmcError;
-use crate::mbd::{validate_phase_marginal, ModulatedBirthDeath};
-use crate::solver::{HealthGuard, SolveOptions, SolveStats, SolveWorkspace, WarmInit};
+use crate::mbd::{
+    project_onto_marginal, solve_single_birth_death, validate_phase_marginal, ModulatedBirthDeath,
+};
+use crate::solver::{HealthGuard, SolveOptions, SolveStats, SolveWorkspace};
 
 /// Whether the blocked MBD kernel is enabled for template solves.
 ///
@@ -180,9 +182,9 @@ fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
 ///
 /// Built by [`capture`](Self::capture) from any MBD implementation and
 /// consumed by [`solve_mbd_projected_blocked_ws`] /
-/// [`solve_mbd_blocked_ws`]. Also implements [`ModulatedBirthDeath`]
-/// itself (pure table lookups), so anything generic over the trait can
-/// run on the captured tables.
+/// [`solve_mbd_projected_blocked_inplace_ws`]. Also implements
+/// [`ModulatedBirthDeath`] itself (pure table lookups), so anything
+/// generic over the trait can run on the captured tables.
 #[derive(Debug, Clone, Default)]
 pub struct BlockedMbd {
     phases: usize,
@@ -404,16 +406,15 @@ impl ModulatedBirthDeath for BlockedMbd {
     }
 }
 
-/// [`crate::mbd::solve_mbd_projected_ws`] over captured blocked tables:
-/// the same block Gauss–Seidel / Thomas iteration, with every rate
-/// lookup a contiguous slice read instead of a virtual call. The
-/// floating-point operations and their order are exactly the scalar
-/// kernel's, so results are **bit-identical** (sweep count, residual
-/// bits, iterate bits).
+/// [`crate::mbd::solve_mbd_projected_inplace_ws`] over captured blocked
+/// tables, seeded from a copy of `warm_start` (`None`: the uniform
+/// vector). The solution is left in `ws.pi()`. Bit-identical to staging
+/// the same start and calling [`solve_mbd_projected_blocked_inplace_ws`].
 ///
 /// # Errors
 ///
-/// As [`crate::mbd::solve_mbd_projected_ws`].
+/// As [`crate::mbd::solve_mbd_projected_inplace_ws`], with the warm
+/// start in place of the staged iterate.
 pub fn solve_mbd_projected_blocked_ws(
     blocked: &BlockedMbd,
     phase_marginal: &[f64],
@@ -421,62 +422,32 @@ pub fn solve_mbd_projected_blocked_ws(
     opts: &SolveOptions,
     ws: &mut SolveWorkspace,
 ) -> Result<SolveStats, CtmcError> {
-    validate_phase_marginal(blocked.phases, phase_marginal)?;
-    solve_blocked_inner(
-        blocked,
-        Some(phase_marginal),
-        WarmInit::Copy(warm_start),
-        opts,
-        ws,
-    )
+    ws.stage_pi(blocked.phases * blocked.levels, warm_start);
+    solve_mbd_projected_blocked_inplace_ws(blocked, phase_marginal, opts, ws)
 }
 
-/// [`solve_mbd_projected_blocked_ws`] seeded **in place**: the warm
-/// start is whatever the caller staged in `ws.pi()` (via
-/// [`SolveWorkspace::pi_mut`]) — normalized and iterated on without the
-/// copy. Bit-identical to passing the same vector through
-/// [`solve_mbd_projected_blocked_ws`], and the blocked twin of
-/// [`crate::mbd::solve_mbd_projected_inplace_ws`].
+/// The blocked twin of [`crate::mbd::solve_mbd_projected_inplace_ws`]:
+/// the same projected block Gauss–Seidel / Thomas iteration, seeded in
+/// place from whatever the caller staged in `ws.pi()` (via
+/// [`SolveWorkspace::pi_mut`]), so a large chain's iterate is never
+/// held twice. Every rate lookup is a contiguous slice read instead of
+/// a virtual call; the control flow, floating-point operations and
+/// their order are exactly the scalar kernel's, so results are
+/// **bit-identical** (sweep count, residual bits, iterate bits). Any
+/// edit here must be mirrored there (and vice versa) — the bitwise
+/// tests below and the template preflights in `gprs_core` enforce the
+/// pairing.
 ///
 /// # Errors
 ///
 /// As [`crate::mbd::solve_mbd_projected_inplace_ws`].
 pub fn solve_mbd_projected_blocked_inplace_ws(
-    blocked: &BlockedMbd,
+    b: &BlockedMbd,
     phase_marginal: &[f64],
     opts: &SolveOptions,
     ws: &mut SolveWorkspace,
 ) -> Result<SolveStats, CtmcError> {
-    validate_phase_marginal(blocked.phases, phase_marginal)?;
-    solve_blocked_inner(blocked, Some(phase_marginal), WarmInit::InPlace, opts, ws)
-}
-
-/// [`crate::mbd::solve_mbd_ws`] over captured blocked tables (no
-/// marginal projection); bit-identical to the scalar kernel.
-///
-/// # Errors
-///
-/// As [`crate::mbd::solve_mbd_ws`].
-pub fn solve_mbd_blocked_ws(
-    blocked: &BlockedMbd,
-    warm_start: Option<&[f64]>,
-    opts: &SolveOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<SolveStats, CtmcError> {
-    solve_blocked_inner(blocked, None, WarmInit::Copy(warm_start), opts, ws)
-}
-
-/// The blocked twin of `solve_mbd_inner`: identical control flow and
-/// arithmetic, table reads in place of trait calls. Any edit here must
-/// be mirrored there (and vice versa) — the bitwise tests below and the
-/// template preflights in `gprs_core` enforce the pairing.
-fn solve_blocked_inner(
-    b: &BlockedMbd,
-    phase_marginal: Option<&[f64]>,
-    warm_start: WarmInit<'_>,
-    opts: &SolveOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<SolveStats, CtmcError> {
+    validate_phase_marginal(b.phases, phase_marginal)?;
     let p_count = b.phases;
     let l_count = b.levels;
     let n = p_count * l_count;
@@ -484,7 +455,7 @@ fn solve_blocked_inner(
         return Err(CtmcError::EmptyChain);
     }
 
-    ws.seed_pi(n, warm_start)?;
+    ws.init_pi_in_place(n)?;
     let SolveWorkspace {
         pi,
         exit: phase_exit,
@@ -545,20 +516,7 @@ fn solve_blocked_inner(
                         reason: format!("phase {p} has zero exit rate in a multi-phase chain"),
                     });
                 }
-                // Single birth-death chain: product form, as in the
-                // scalar kernel's `solve_single_birth_death`.
-                let (brow, drow) = (b.birth_of(0), b.death_of(0));
-                pi[0] = 1.0;
-                let mut total = 1.0;
-                for l in 1..l_count {
-                    let br = brow[l - 1];
-                    let dr = drow[l];
-                    pi[l] = if dr > 0.0 { pi[l - 1] * br / dr } else { 0.0 };
-                    total += pi[l];
-                }
-                for x in pi.iter_mut() {
-                    *x /= total;
-                }
+                solve_single_birth_death(b, pi);
                 converged = Some(SolveStats {
                     sweeps: 1,
                     residual: 0.0,
@@ -599,36 +557,7 @@ fn solve_blocked_inner(
             }
         }
 
-        if let Some(marginal) = phase_marginal {
-            for p in 0..p_count {
-                let base = p * l_count;
-                let col = &mut pi[base..base + l_count];
-                let mass: f64 = col.iter().sum();
-                if mass > 0.0 {
-                    let scale = marginal[p] / mass;
-                    for x in col {
-                        *x *= scale;
-                    }
-                } else {
-                    let v = marginal[p] / l_count as f64;
-                    for x in col {
-                        *x = v;
-                    }
-                }
-            }
-        } else {
-            let total: f64 = pi.iter().sum();
-            if !total.is_finite() || total <= 0.0 {
-                return Err(CtmcError::Diverged {
-                    iterations: sweeps + 1,
-                    residual: f64::NAN,
-                });
-            }
-            let inv = 1.0 / total;
-            for x in pi.iter_mut() {
-                *x *= inv;
-            }
-        }
+        project_onto_marginal(pi, phase_marginal, l_count);
         sweeps += 1;
 
         if sweeps.is_multiple_of(opts.check_every.clamp(1, 4)) || sweeps == opts.max_sweeps {
@@ -664,8 +593,8 @@ fn solve_blocked_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mbd::tests::{exact_phase_marginal, TableMbd};
-    use crate::mbd::{mbd_residual_of, solve_mbd_projected_ws, solve_mbd_ws};
+    use crate::mbd::mbd_residual_of;
+    use crate::mbd::tests::{exact_phase_marginal, solve_staged, TableMbd};
 
     fn assert_bitwise_eq(a: &[f64], b: &[f64], ctx: &str) {
         assert_eq!(a.len(), b.len(), "{ctx}: length");
@@ -785,32 +714,32 @@ mod tests {
             b.capture(&mbd);
             let opts = SolveOptions::default().with_sor(omega);
 
-            // Projected, cold.
-            let mut ws_s = SolveWorkspace::new();
+            // Cold: the copying blocked entry against the staged
+            // scalar oracle.
             let mut ws_b = SolveWorkspace::new();
-            let s = solve_mbd_projected_ws(&mbd, &marginal, None, &opts, &mut ws_s).unwrap();
+            let (s, ws_s) = solve_staged(&mbd, &marginal, None, &opts).unwrap();
             let bl = solve_mbd_projected_blocked_ws(&b, &marginal, None, &opts, &mut ws_b).unwrap();
             assert_eq!(s.sweeps, bl.sweeps, "seed {seed}");
             assert_eq!(s.residual.to_bits(), bl.residual.to_bits(), "seed {seed}");
             assert_eq!(s.residual_evals, bl.residual_evals, "seed {seed}");
             assert_bitwise_eq(ws_s.pi(), ws_b.pi(), &format!("projected cold seed {seed}"));
 
-            // Projected, warm from the solution (checks the warm path too).
+            // Warm from the solution (checks the warm path too), both
+            // blocked entries against the scalar oracle staged the same
+            // way.
             let warm = ws_s.pi().to_vec();
-            let s2 =
-                solve_mbd_projected_ws(&mbd, &marginal, Some(&warm), &opts, &mut ws_s).unwrap();
+            let (s2, ws_s) = solve_staged(&mbd, &marginal, Some(&warm), &opts).unwrap();
             let b2 = solve_mbd_projected_blocked_ws(&b, &marginal, Some(&warm), &opts, &mut ws_b)
                 .unwrap();
             assert_eq!(s2.sweeps, b2.sweeps);
             assert_eq!(s2.residual.to_bits(), b2.residual.to_bits());
             assert_bitwise_eq(ws_s.pi(), ws_b.pi(), &format!("projected warm seed {seed}"));
-
-            // Unprojected.
-            let s3 = solve_mbd_ws(&mbd, None, &opts, &mut ws_s).unwrap();
-            let b3 = solve_mbd_blocked_ws(&b, None, &opts, &mut ws_b).unwrap();
-            assert_eq!(s3.sweeps, b3.sweeps);
-            assert_eq!(s3.residual.to_bits(), b3.residual.to_bits());
-            assert_bitwise_eq(ws_s.pi(), ws_b.pi(), &format!("unprojected seed {seed}"));
+            ws_b.set_pi(&warm);
+            let b3 =
+                solve_mbd_projected_blocked_inplace_ws(&b, &marginal, &opts, &mut ws_b).unwrap();
+            assert_eq!(s2.sweeps, b3.sweeps);
+            assert_eq!(s2.residual.to_bits(), b3.residual.to_bits());
+            assert_bitwise_eq(ws_s.pi(), ws_b.pi(), &format!("in-place warm seed {seed}"));
         }
     }
 
@@ -845,9 +774,8 @@ mod tests {
         }
         let marginal = exact_phase_marginal(&mbd2);
         let opts = SolveOptions::default();
-        let mut ws_s = SolveWorkspace::new();
         let mut ws_b = SolveWorkspace::new();
-        let s = solve_mbd_projected_ws(&mbd2, &marginal, None, &opts, &mut ws_s).unwrap();
+        let (s, ws_s) = solve_staged(&mbd2, &marginal, None, &opts).unwrap();
         let bl = solve_mbd_projected_blocked_ws(&b, &marginal, None, &opts, &mut ws_b).unwrap();
         assert_eq!(s.sweeps, bl.sweeps);
         assert_bitwise_eq(ws_s.pi(), ws_b.pi(), "recapture");
@@ -884,18 +812,12 @@ mod tests {
 
         let marginal = exact_phase_marginal(&mbd);
         let opts = SolveOptions::default();
-        let mut ws_s = SolveWorkspace::new();
         let mut ws_b = SolveWorkspace::new();
-        let s = solve_mbd_projected_ws(&mbd, &marginal, None, &opts, &mut ws_s).unwrap();
+        let (s, ws_s) = solve_staged(&mbd, &marginal, None, &opts).unwrap();
         let bl = solve_mbd_projected_blocked_ws(&b, &marginal, None, &opts, &mut ws_b).unwrap();
         assert_eq!(s.sweeps, bl.sweeps);
         assert_eq!(s.residual.to_bits(), bl.residual.to_bits());
         assert_bitwise_eq(ws_s.pi(), ws_b.pi(), "repeated rows, projected");
-        let s = solve_mbd_ws(&mbd, None, &opts, &mut ws_s).unwrap();
-        let bl = solve_mbd_blocked_ws(&b, None, &opts, &mut ws_b).unwrap();
-        assert_eq!(s.sweeps, bl.sweeps);
-        assert_eq!(s.residual.to_bits(), bl.residual.to_bits());
-        assert_bitwise_eq(ws_s.pi(), ws_b.pi(), "repeated rows, unprojected");
     }
 
     #[test]

@@ -13,21 +13,23 @@
 //!
 //! The solvers, production path first:
 //!
-//! * [`blocked::solve_mbd_projected_blocked_ws`] — the block
-//!   Gauss–Seidel/Thomas iteration for Markov-modulated birth–death
-//!   chains over rate tables captured once into a [`BlockedMbd`]: the
-//!   kernel behind every figure sweep, cluster fixed point and
-//!   campaign solve.
-//! * [`mbd::solve_mbd_projected_ws`] — the same block iteration
-//!   through the matrix-free [`mbd::ModulatedBirthDeath`] trait. It is
-//!   bit-identical to the blocked kernel: the scalar oracle of its
-//!   tests, and the kernel template solves run when
-//!   [`blocked_kernel_enabled`] is off.
+//! * [`blocked::solve_mbd_projected_blocked_ws`] (and its in-place
+//!   twin [`blocked::solve_mbd_projected_blocked_inplace_ws`]) — the
+//!   block Gauss–Seidel/Thomas iteration for Markov-modulated
+//!   birth–death chains, projected onto the exact phase marginal after
+//!   every sweep, over rate tables captured once into a
+//!   [`BlockedMbd`]: the kernel behind every one-shot model solve,
+//!   figure sweep, cluster fixed point and campaign solve.
+//! * [`mbd::solve_mbd_projected_inplace_ws`] — the same block
+//!   iteration through the matrix-free [`mbd::ModulatedBirthDeath`]
+//!   trait. It is bit-identical to the blocked kernel: the oracle of
+//!   its tests, and the kernel template solves run when
+//!   [`blocked_kernel_enabled`] returns `false`.
 //! * [`solver::solve_gauss_seidel`] — point Gauss–Seidel / SOR over
-//!   *incoming* transitions, matrix-free through the
-//!   [`IncomingTransitions`] trait. Its CSR specialization
-//!   [`solver::solve_gauss_seidel_csr_ws`] is the alternate rung of
-//!   the fallback ladder.
+//!   *incoming* transitions, through the [`IncomingTransitions`]
+//!   trait. Its gather, [`IncomingTransitions::inflow`], is a flat
+//!   transpose scan on a [`SparseGenerator`]; over the assembled matrix
+//!   this solver is the alternate rung of the fallback ladder.
 //! * [`gth::solve_gth`] — the Grassmann–Taksar–Heyman direct
 //!   elimination. Numerically stable (no subtractions), `O(n³)`; the
 //!   ground truth for small chains and the ladder's last rung.
@@ -49,10 +51,11 @@
 //!   matrix's rates in place (same sparsity pattern, no sort, no
 //!   allocation) instead of rebuilding CSR + transpose from triplets;
 //! * [`SolveWorkspace`] carries the iterate and solver scratch across
-//!   solves — the `_ws` solver variants
-//!   ([`solver::solve_gauss_seidel_ws`], [`mbd::solve_mbd_projected_ws`])
-//!   allocate nothing after their first same-shape call and leave the
-//!   solution in the workspace as a natural rolling warm start.
+//!   solves — the `_ws` solvers ([`solver::solve_gauss_seidel_ws`],
+//!   [`blocked::solve_mbd_projected_blocked_ws`] and the in-place MBD
+//!   entries) allocate nothing after their first same-shape call and
+//!   leave the solution in the workspace as a natural rolling warm
+//!   start.
 //!
 //! # Example
 //!
@@ -73,6 +76,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod blocked;
 pub mod dense;

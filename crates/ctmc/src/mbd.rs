@@ -22,8 +22,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::error::CtmcError;
-use crate::solver::{HealthGuard, Solution, SolveOptions, SolveStats, SolveWorkspace, WarmInit};
-use crate::stationary::StationaryDistribution;
+use crate::solver::{HealthGuard, SolveOptions, SolveStats, SolveWorkspace};
 
 /// Structural access to a Markov-modulated birth–death chain.
 ///
@@ -61,158 +60,40 @@ pub trait ModulatedBirthDeath {
 }
 
 /// Solves an MBD chain for its stationary distribution by block
-/// Gauss–Seidel over phases with exact tridiagonal level solves.
+/// Gauss–Seidel over phases with exact tridiagonal level solves,
+/// *projecting* onto a known exact phase marginal after every sweep:
+/// each phase column is rescaled so its total mass equals
+/// `phase_marginal[p]`.
 ///
-/// The returned distribution is indexed `phase * num_levels() + level`.
+/// The projection is an aggregation/disaggregation acceleration with an
+/// **exact** aggregate solution. It applies when the phase process is
+/// itself Markov (phase rates never depend on the level — already an
+/// MBD requirement) *and* its stationary law is known in closed form,
+/// as in the GPRS model where the `(n, m, r)` marginal is a product of
+/// Erlang and binomial distributions. The slow phase-mixing error modes
+/// that dominate plain block Gauss–Seidel are annihilated each sweep,
+/// leaving only the fast within-column dynamics to converge.
+///
+/// The start is whatever the caller staged in `ws.pi()` (via
+/// [`SolveWorkspace::set_pi`] or [`SolveWorkspace::pi_mut`]), normalized
+/// in place. The solution, indexed `phase * num_levels() + level`, is
+/// left in `ws.pi()`; repeated same-shape solves allocate nothing.
+///
+/// Every rate is read through the trait. Production solves run the
+/// bit-identical blocked twin,
+/// [`crate::blocked::solve_mbd_projected_blocked_ws`]; this kernel is
+/// the test oracle and the scalar arm of `gprs_core`'s template solves.
 ///
 /// # Errors
 ///
+/// * [`CtmcError::DimensionMismatch`] — `phase_marginal` or the staged
+///   iterate has the wrong length.
+/// * [`CtmcError::InvalidGenerator`] — `phase_marginal` is not a
+///   probability vector, the staged iterate is not non-negative with
+///   positive mass, or a phase has zero exit rate in a multi-phase
+///   chain (degenerate chain).
 /// * [`CtmcError::EmptyChain`] — no phases or no levels.
-/// * [`CtmcError::DimensionMismatch`] — wrong warm-start length.
-/// * [`CtmcError::InvalidGenerator`] — a phase with zero exit rate and
-///   no way to receive probability (degenerate chain), or invalid warm
-///   start.
 /// * [`CtmcError::NotConverged`] — iteration cap exhausted.
-///
-/// # Example
-///
-/// An M/M/1/K queue whose arrival stream is modulated by a two-phase
-/// on/off process (a miniature of the GPRS chain):
-///
-/// ```
-/// use gprs_ctmc::mbd::{solve_mbd, ModulatedBirthDeath};
-/// use gprs_ctmc::SolveOptions;
-///
-/// struct OnOffQueue;
-/// impl ModulatedBirthDeath for OnOffQueue {
-///     fn num_phases(&self) -> usize { 2 }
-///     fn num_levels(&self) -> usize { 5 }
-///     fn birth_rate(&self, phase: usize, level: usize) -> f64 {
-///         if phase == 0 && level < 4 { 2.0 } else { 0.0 } // arrivals while on
-///     }
-///     fn death_rate(&self, _phase: usize, level: usize) -> f64 {
-///         if level > 0 { 3.0 } else { 0.0 } // service
-///     }
-///     fn for_each_phase_outgoing(&self, phase: usize, v: &mut dyn FnMut(usize, f64)) {
-///         v(1 - phase, 0.5); // on <-> off at rate 0.5
-///     }
-///     fn for_each_phase_incoming(&self, phase: usize, v: &mut dyn FnMut(usize, f64)) {
-///         v(1 - phase, 0.5);
-///     }
-/// }
-///
-/// let sol = solve_mbd(&OnOffQueue, None, &SolveOptions::default())?;
-/// // Symmetric switching: each phase carries half the mass.
-/// let on_mass: f64 = sol.pi.as_slice()[..5].iter().sum();
-/// assert!((on_mass - 0.5).abs() < 1e-8);
-/// # Ok::<(), gprs_ctmc::CtmcError>(())
-/// ```
-pub fn solve_mbd<G: ModulatedBirthDeath + ?Sized>(
-    gen: &G,
-    warm_start: Option<&[f64]>,
-    opts: &SolveOptions,
-) -> Result<Solution, CtmcError> {
-    let mut ws = SolveWorkspace::new();
-    let stats = solve_mbd_inner(gen, None, WarmInit::Copy(warm_start), opts, &mut ws)?;
-    Ok(solution_from(&mut ws, stats))
-}
-
-/// [`solve_mbd`] over a reusable [`SolveWorkspace`]; the solution is
-/// left in `ws.pi()` and repeated same-shape solves allocate nothing.
-///
-/// # Errors
-///
-/// As [`solve_mbd`].
-pub fn solve_mbd_ws<G: ModulatedBirthDeath + ?Sized>(
-    gen: &G,
-    warm_start: Option<&[f64]>,
-    opts: &SolveOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<SolveStats, CtmcError> {
-    solve_mbd_inner(gen, None, WarmInit::Copy(warm_start), opts, ws)
-}
-
-fn solution_from(ws: &mut SolveWorkspace, stats: SolveStats) -> Solution {
-    Solution {
-        // The workspace already applied the final normalization.
-        pi: StationaryDistribution::from_normalized(ws.take_pi()),
-        sweeps: stats.sweeps,
-        residual: stats.residual,
-    }
-}
-
-/// Like [`solve_mbd`], but additionally *projects* onto a known exact
-/// phase marginal after every sweep: each phase column is rescaled so
-/// its total mass equals `phase_marginal[p]`.
-///
-/// This is an aggregation/disaggregation acceleration with an **exact**
-/// aggregate solution. It applies when the phase process is itself
-/// Markov (phase rates never depend on the level — already an MBD
-/// requirement) *and* its stationary law is known in closed form, as in
-/// the GPRS model where the `(n, m, r)` marginal is a product of Erlang
-/// and binomial distributions. The slow phase-mixing error modes that
-/// dominate plain block Gauss–Seidel are annihilated each sweep, leaving
-/// only the fast within-column dynamics to converge — typically an
-/// order of magnitude fewer sweeps.
-///
-/// # Errors
-///
-/// As [`solve_mbd`], plus [`CtmcError::DimensionMismatch`] if
-/// `phase_marginal` has the wrong length and
-/// [`CtmcError::InvalidGenerator`] if it is not a probability vector.
-pub fn solve_mbd_projected<G: ModulatedBirthDeath + ?Sized>(
-    gen: &G,
-    phase_marginal: &[f64],
-    warm_start: Option<&[f64]>,
-    opts: &SolveOptions,
-) -> Result<Solution, CtmcError> {
-    let mut ws = SolveWorkspace::new();
-    let stats = solve_mbd_projected_ws(gen, phase_marginal, warm_start, opts, &mut ws)?;
-    Ok(solution_from(&mut ws, stats))
-}
-
-/// [`solve_mbd_projected`] over a reusable [`SolveWorkspace`]: the
-/// iterate, the per-phase exit rates, the Thomas-algorithm scratch and
-/// the residual accumulator are all borrowed from `ws`, so repeated
-/// same-shape solves (a parameter sweep, a fixed-point iteration)
-/// allocate nothing after the first call. The solution is left in
-/// `ws.pi()` — ready to be used (or extrapolated) as the next solve's
-/// warm start. The allocating entry point delegates here, so the two
-/// run bit-identical arithmetic.
-///
-/// # Errors
-///
-/// As [`solve_mbd_projected`].
-pub fn solve_mbd_projected_ws<G: ModulatedBirthDeath + ?Sized>(
-    gen: &G,
-    phase_marginal: &[f64],
-    warm_start: Option<&[f64]>,
-    opts: &SolveOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<SolveStats, CtmcError> {
-    validate_phase_marginal(gen.num_phases(), phase_marginal)?;
-    solve_mbd_inner(
-        gen,
-        Some(phase_marginal),
-        WarmInit::Copy(warm_start),
-        opts,
-        ws,
-    )
-}
-
-/// [`solve_mbd_projected_ws`] seeded **in place**: the warm start is
-/// whatever the caller staged in `ws.pi()` (via
-/// [`SolveWorkspace::pi_mut`]) — it is normalized and iterated on
-/// without the copy the `warm_start: Option<&[f64]>` entry points pay.
-/// The arithmetic is bit-identical to passing the same vector through
-/// [`solve_mbd_projected_ws`].
-///
-/// # Errors
-///
-/// As [`solve_mbd_projected`]; additionally
-/// [`CtmcError::DimensionMismatch`] if the staged iterate has the wrong
-/// length and [`CtmcError::InvalidGenerator`] if it is not non-negative
-/// with positive mass.
 pub fn solve_mbd_projected_inplace_ws<G: ModulatedBirthDeath + ?Sized>(
     gen: &G,
     phase_marginal: &[f64],
@@ -220,38 +101,6 @@ pub fn solve_mbd_projected_inplace_ws<G: ModulatedBirthDeath + ?Sized>(
     ws: &mut SolveWorkspace,
 ) -> Result<SolveStats, CtmcError> {
     validate_phase_marginal(gen.num_phases(), phase_marginal)?;
-    solve_mbd_inner(gen, Some(phase_marginal), WarmInit::InPlace, opts, ws)
-}
-
-/// Shared marginal validation of the projected solvers (scalar here,
-/// blocked in [`crate::blocked`]) — one definition so both entry points
-/// reject exactly the same inputs.
-pub(crate) fn validate_phase_marginal(
-    expected_phases: usize,
-    phase_marginal: &[f64],
-) -> Result<(), CtmcError> {
-    if phase_marginal.len() != expected_phases {
-        return Err(CtmcError::DimensionMismatch {
-            expected: expected_phases,
-            actual: phase_marginal.len(),
-        });
-    }
-    let total: f64 = phase_marginal.iter().sum();
-    if phase_marginal.iter().any(|&x| !x.is_finite() || x < 0.0) || (total - 1.0).abs() > 1e-6 {
-        return Err(CtmcError::InvalidGenerator {
-            reason: "phase marginal must be a probability vector".into(),
-        });
-    }
-    Ok(())
-}
-
-fn solve_mbd_inner<G: ModulatedBirthDeath + ?Sized>(
-    gen: &G,
-    phase_marginal: Option<&[f64]>,
-    warm_start: WarmInit<'_>,
-    opts: &SolveOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<SolveStats, CtmcError> {
     let p_count = gen.num_phases();
     let l_count = gen.num_levels();
     let n = p_count * l_count;
@@ -259,7 +108,7 @@ fn solve_mbd_inner<G: ModulatedBirthDeath + ?Sized>(
         return Err(CtmcError::EmptyChain);
     }
 
-    ws.seed_pi(n, warm_start)?;
+    ws.init_pi_in_place(n)?;
     let SolveWorkspace {
         pi,
         exit: phase_exit,
@@ -377,41 +226,7 @@ fn solve_mbd_inner<G: ModulatedBirthDeath + ?Sized>(
             }
         }
 
-        if let Some(marginal) = phase_marginal {
-            // Aggregation/disaggregation projection: force each phase
-            // column to carry exactly its known stationary mass. This
-            // also normalizes (Σ marginal = 1).
-            for p in 0..p_count {
-                let base = p * l_count;
-                let col = &mut pi[base..base + l_count];
-                let mass: f64 = col.iter().sum();
-                if mass > 0.0 {
-                    let scale = marginal[p] / mass;
-                    for x in col {
-                        *x *= scale;
-                    }
-                } else {
-                    // Degenerate column: respread its mass uniformly.
-                    let v = marginal[p] / l_count as f64;
-                    for x in col {
-                        *x = v;
-                    }
-                }
-            }
-        } else {
-            // Normalize.
-            let total: f64 = pi.iter().sum();
-            if !total.is_finite() || total <= 0.0 {
-                return Err(CtmcError::Diverged {
-                    iterations: sweeps + 1,
-                    residual: f64::NAN,
-                });
-            }
-            let inv = 1.0 / total;
-            for x in pi.iter_mut() {
-                *x *= inv;
-            }
-        }
+        project_onto_marginal(pi, phase_marginal, l_count);
         sweeps += 1;
 
         if sweeps.is_multiple_of(opts.check_every.clamp(1, 4)) || sweeps == opts.max_sweeps {
@@ -447,9 +262,50 @@ fn solve_mbd_inner<G: ModulatedBirthDeath + ?Sized>(
     Err(HealthGuard::budget_error(sweeps, exact, opts.tolerance))
 }
 
+/// Shared marginal validation of the projected solvers (scalar here,
+/// blocked in [`crate::blocked`]) — one definition so both entry points
+/// reject exactly the same inputs.
+pub(crate) fn validate_phase_marginal(
+    expected_phases: usize,
+    phase_marginal: &[f64],
+) -> Result<(), CtmcError> {
+    if phase_marginal.len() != expected_phases {
+        return Err(CtmcError::DimensionMismatch {
+            expected: expected_phases,
+            actual: phase_marginal.len(),
+        });
+    }
+    let total: f64 = phase_marginal.iter().sum();
+    if phase_marginal.iter().any(|&x| !x.is_finite() || x < 0.0) || (total - 1.0).abs() > 1e-6 {
+        return Err(CtmcError::InvalidGenerator {
+            reason: "phase marginal must be a probability vector".into(),
+        });
+    }
+    Ok(())
+}
+
+/// Aggregation/disaggregation projection, applied after every sweep of
+/// both kernels: forces each phase column of `pi` (`levels` entries
+/// each) to carry exactly its known stationary mass. This also
+/// normalizes (Σ marginal = 1).
+pub(crate) fn project_onto_marginal(pi: &mut [f64], phase_marginal: &[f64], levels: usize) {
+    for (col, &target) in pi.chunks_exact_mut(levels).zip(phase_marginal) {
+        let mass: f64 = col.iter().sum();
+        if mass > 0.0 {
+            let scale = target / mass;
+            for x in col {
+                *x *= scale;
+            }
+        } else {
+            // Degenerate column: respread its mass uniformly.
+            col.fill(target / levels as f64);
+        }
+    }
+}
+
 /// Exact solution of a single-phase birth-death chain (product form with
-/// rescaling), used for the degenerate one-phase case.
-fn solve_single_birth_death<G: ModulatedBirthDeath + ?Sized>(gen: &G, pi: &mut [f64]) {
+/// rescaling), used by both kernels for the degenerate one-phase case.
+pub(crate) fn solve_single_birth_death<G: ModulatedBirthDeath + ?Sized>(gen: &G, pi: &mut [f64]) {
     let l_count = gen.num_levels();
     pi[0] = 1.0;
     let mut total = 1.0;
@@ -676,19 +532,53 @@ pub(crate) mod tests {
         }
     }
 
+    /// Exact phase marginal of a TableMbd: the phase process is
+    /// autonomous, so solve its own small chain directly.
+    pub(crate) fn exact_phase_marginal(mbd: &TableMbd) -> Vec<f64> {
+        let mut b = TripletBuilder::new(mbd.phases);
+        for p in 0..mbd.phases {
+            for &(q, rate) in &mbd.phase_rates[p] {
+                b.push(p, q, rate);
+            }
+        }
+        solve_gth(&b.build().unwrap()).unwrap().into_inner()
+    }
+
+    /// Stages `start` (`None`: uniform) in a fresh workspace and solves
+    /// through the projected in-place entry. Returns the stats and the
+    /// workspace holding the solution.
+    pub(crate) fn solve_staged<G: ModulatedBirthDeath + ?Sized>(
+        gen: &G,
+        phase_marginal: &[f64],
+        start: Option<&[f64]>,
+        opts: &SolveOptions,
+    ) -> Result<(SolveStats, SolveWorkspace), CtmcError> {
+        let mut ws = SolveWorkspace::new();
+        ws.stage_pi(gen.num_phases() * gen.num_levels(), start);
+        let stats = solve_mbd_projected_inplace_ws(gen, phase_marginal, opts, &mut ws)?;
+        Ok((stats, ws))
+    }
+
     #[test]
     fn matches_gth_on_random_mbd_chains() {
-        for seed in [1u64, 7, 42, 1001] {
-            let mbd = TableMbd::random(5, 8, seed);
-            let sparse = mbd.to_sparse();
-            let exact = solve_gth(&sparse).unwrap();
-            let sol = solve_mbd(&mbd, None, &SolveOptions::default()).unwrap();
-            for i in 0..sparse.num_states() {
+        for (phases, levels, seed) in [
+            (5, 8, 1u64),
+            (5, 8, 7),
+            (5, 8, 42),
+            (5, 8, 1001),
+            (6, 10, 2),
+            (6, 10, 77),
+            (6, 10, 4242),
+        ] {
+            let mbd = TableMbd::random(phases, levels, seed);
+            let marginal = exact_phase_marginal(&mbd);
+            let exact = solve_gth(&mbd.to_sparse()).unwrap();
+            let (_, ws) = solve_staged(&mbd, &marginal, None, &SolveOptions::default()).unwrap();
+            for (i, x) in ws.pi().iter().enumerate() {
                 assert!(
-                    (exact[i] - sol.pi[i]).abs() < 1e-8,
-                    "seed {seed} state {i}: {} vs {}",
-                    exact[i],
-                    sol.pi[i]
+                    (exact[i] - x).abs() < 1e-8,
+                    "seed {seed} state {i}: {} vs {x}",
+                    exact[i]
                 );
             }
         }
@@ -699,24 +589,27 @@ pub(crate) mod tests {
         // Fast levels (rates ~10) with very slow phases (rates ~0.01):
         // exactly the regime that cripples point Gauss-Seidel.
         let mbd = TableMbd::random(8, 30, 99);
-        let sol = solve_mbd(&mbd, None, &SolveOptions::default()).unwrap();
+        let marginal = exact_phase_marginal(&mbd);
+        let (stats, ws) = solve_staged(&mbd, &marginal, None, &SolveOptions::default()).unwrap();
         assert!(
-            sol.sweeps < 500,
+            stats.sweeps < 500,
             "block method should converge fast, took {}",
-            sol.sweeps
+            stats.sweeps
         );
         let sparse = mbd.to_sparse();
         let exact = solve_gth(&sparse).unwrap();
         for i in 0..sparse.num_states() {
-            assert!((exact[i] - sol.pi[i]).abs() < 1e-8);
+            assert!((exact[i] - ws.pi()[i]).abs() < 1e-8);
         }
     }
 
     #[test]
     fn warm_start_converges_immediately() {
         let mbd = TableMbd::random(4, 10, 3);
-        let first = solve_mbd(&mbd, None, &SolveOptions::default()).unwrap();
-        let second = solve_mbd(&mbd, Some(first.pi.as_slice()), &SolveOptions::default()).unwrap();
+        let marginal = exact_phase_marginal(&mbd);
+        let opts = SolveOptions::default();
+        let (_, first) = solve_staged(&mbd, &marginal, None, &opts).unwrap();
+        let (second, _) = solve_staged(&mbd, &marginal, Some(first.pi()), &opts).unwrap();
         assert!(second.sweeps <= 4);
     }
 
@@ -747,77 +640,35 @@ pub(crate) mod tests {
             fn for_each_phase_outgoing(&self, _p: usize, _v: &mut dyn FnMut(usize, f64)) {}
             fn for_each_phase_incoming(&self, _p: usize, _v: &mut dyn FnMut(usize, f64)) {}
         }
-        let sol = solve_mbd(&OnePhase, None, &SolveOptions::default()).unwrap();
+        let (_, ws) = solve_staged(&OnePhase, &[1.0], None, &SolveOptions::default()).unwrap();
         // Geometric with ratio 1/2: [8,4,2,1]/15.
         let expect = [8.0 / 15.0, 4.0 / 15.0, 2.0 / 15.0, 1.0 / 15.0];
         for (i, &e) in expect.iter().enumerate() {
-            assert!((sol.pi[i] - e).abs() < 1e-12, "level {i}");
+            assert!((ws.pi()[i] - e).abs() < 1e-12, "level {i}");
         }
     }
 
     #[test]
     fn dimension_mismatch_rejected() {
         let mbd = TableMbd::random(3, 5, 1);
-        let err = solve_mbd(&mbd, Some(&[1.0; 3]), &SolveOptions::default()).unwrap_err();
-        assert!(matches!(err, CtmcError::DimensionMismatch { .. }));
-    }
-
-    /// Exact phase marginal of a TableMbd: the phase process is
-    /// autonomous, so solve its own small chain directly.
-    pub(crate) fn exact_phase_marginal(mbd: &TableMbd) -> Vec<f64> {
-        let mut b = TripletBuilder::new(mbd.phases);
-        for p in 0..mbd.phases {
-            for &(q, rate) in &mbd.phase_rates[p] {
-                b.push(p, q, rate);
-            }
-        }
-        solve_gth(&b.build().unwrap()).unwrap().into_inner()
-    }
-
-    #[test]
-    fn projected_solver_matches_gth() {
-        for seed in [2u64, 77, 4242] {
-            let mbd = TableMbd::random(6, 10, seed);
-            let marginal = exact_phase_marginal(&mbd);
-            let sol = solve_mbd_projected(&mbd, &marginal, None, &SolveOptions::default()).unwrap();
-            let exact = solve_gth(&mbd.to_sparse()).unwrap();
-            for i in 0..mbd.phases * mbd.levels {
-                assert!(
-                    (exact[i] - sol.pi[i]).abs() < 1e-8,
-                    "seed {seed} state {i}: {} vs {}",
-                    exact[i],
-                    sol.pi[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn projection_accelerates_stiff_chains() {
-        let mbd = TableMbd::random(8, 30, 99);
         let marginal = exact_phase_marginal(&mbd);
-        let plain = solve_mbd(&mbd, None, &SolveOptions::default()).unwrap();
-        let projected =
-            solve_mbd_projected(&mbd, &marginal, None, &SolveOptions::default()).unwrap();
-        assert!(
-            projected.sweeps <= plain.sweeps,
-            "projected {} vs plain {}",
-            projected.sweeps,
-            plain.sweeps
-        );
+        let err =
+            solve_staged(&mbd, &marginal, Some(&[1.0; 3]), &SolveOptions::default()).unwrap_err();
+        assert!(matches!(err, CtmcError::DimensionMismatch { .. }));
     }
 
     #[test]
     fn projected_rejects_bad_marginal() {
         let mbd = TableMbd::random(3, 5, 1);
+        let opts = SolveOptions::default();
         // Wrong length.
         assert!(matches!(
-            solve_mbd_projected(&mbd, &[0.5, 0.5], None, &SolveOptions::default()),
+            solve_staged(&mbd, &[0.5, 0.5], None, &opts),
             Err(CtmcError::DimensionMismatch { .. })
         ));
         // Not a probability vector.
         assert!(matches!(
-            solve_mbd_projected(&mbd, &[0.5, 0.5, 0.5], None, &SolveOptions::default()),
+            solve_staged(&mbd, &[0.5, 0.5, 0.5], None, &opts),
             Err(CtmcError::InvalidGenerator { .. })
         ));
     }

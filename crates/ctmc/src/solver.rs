@@ -22,11 +22,12 @@ pub struct SolveOptions {
     /// Gauss–Seidel.
     pub sor_omega: f64,
     /// How many sweeps between residual evaluations, for the solvers
-    /// that pay a separate residual pass (the Gauss–Seidel and parallel
-    /// solvers fuse the residual into every sweep and only use this as
-    /// an upper bound on verification cadence). Values of `0` are
-    /// treated as `1`: a zero cadence would otherwise never fire and
-    /// silently disable convergence checks until `max_sweeps`.
+    /// that pay a separate residual pass (the MBD kernels check at most
+    /// every 4 sweeps; point Gauss–Seidel fuses the residual into every
+    /// sweep and uses this only as the wall-clock check cadence).
+    /// Values of `0` are treated as `1`: a zero cadence would otherwise
+    /// never fire and silently disable convergence checks until
+    /// `max_sweeps`.
     pub check_every: usize,
     /// Optional **wall-clock budget** for one solve. Checked at the
     /// residual-evaluation cadence; when it runs out the solver returns
@@ -238,16 +239,15 @@ pub struct SolveStats {
 ///
 /// Parameter sweeps and fixed-point iterations solve the *same-shaped*
 /// chain over and over with different rates; the allocating entry
-/// points ([`solve_gauss_seidel`], [`crate::mbd::solve_mbd_projected`])
-/// pay a fresh iterate vector plus solver scratch on every call. The
-/// `_ws` variants ([`solve_gauss_seidel_ws`],
-/// [`crate::mbd::solve_mbd_projected_ws`]) borrow everything from a
-/// workspace instead: buffers are grown on first use and reused
-/// afterwards, so repeated same-shape solves allocate nothing. The
-/// solution is left in [`pi`](Self::pi) (doubling as the natural
-/// rolling warm start for the next solve), and the allocating entry
-/// points delegate to the `_ws` ones, so both paths run bit-identical
-/// arithmetic.
+/// point [`solve_gauss_seidel`] pays a fresh iterate vector plus solver
+/// scratch on every call. The `_ws` solvers ([`solve_gauss_seidel_ws`],
+/// [`crate::blocked::solve_mbd_projected_blocked_ws`] and the in-place
+/// MBD entries) borrow everything from a workspace instead: buffers
+/// are grown on first use and reused afterwards, so repeated
+/// same-shape solves allocate nothing. The solution is left in
+/// [`pi`](Self::pi), doubling as the natural rolling warm start for the
+/// next solve. [`solve_gauss_seidel`] delegates to
+/// [`solve_gauss_seidel_ws`], so both run bit-identical arithmetic.
 #[derive(Debug, Clone, Default)]
 pub struct SolveWorkspace {
     /// The iterate / final stationary vector.
@@ -332,37 +332,22 @@ impl SolveWorkspace {
         &mut self.pi
     }
 
-    /// Seeds the iterate from a warm start (normalized) or uniformly.
-    pub(crate) fn init_pi(&mut self, n: usize, warm: Option<&[f64]>) -> Result<(), CtmcError> {
-        self.pi.clear();
+    /// Stages a start in the iterate buffer: a copy of `warm`, or `n`
+    /// ones (which [`Self::init_pi_in_place`] normalizes to exactly
+    /// `1 / n`). Neither validated nor normalized yet.
+    pub(crate) fn stage_pi(&mut self, n: usize, warm: Option<&[f64]>) {
         match warm {
-            Some(w) => {
-                if w.len() != n {
-                    return Err(CtmcError::DimensionMismatch {
-                        expected: n,
-                        actual: w.len(),
-                    });
-                }
-                let total: f64 = w.iter().sum();
-                if !total.is_finite()
-                    || total <= 0.0
-                    || w.iter().any(|&x| !x.is_finite() || x < 0.0)
-                {
-                    return Err(CtmcError::InvalidGenerator {
-                        reason: "warm start must be non-negative with positive mass".into(),
-                    });
-                }
-                self.pi.extend(w.iter().map(|&x| x / total));
+            Some(w) => self.set_pi(w),
+            None => {
+                self.pi.clear();
+                self.pi.resize(n, 1.0);
             }
-            None => self.pi.resize(n, 1.0 / n as f64),
         }
-        Ok(())
     }
 
-    /// Seeds the iterate from the buffer's current contents: the same
-    /// validation and normalization arithmetic as [`Self::init_pi`]
-    /// with `Some(w)` where `w` is the buffer itself (`x / total` per
-    /// element, so bit-identical), minus the copy.
+    /// Seeds the iterate from the buffer's staged contents: checks the
+    /// length and that the start is non-negative with positive mass,
+    /// then normalizes in place (`x / total` per element).
     pub(crate) fn init_pi_in_place(&mut self, n: usize) -> Result<(), CtmcError> {
         if self.pi.len() != n {
             return Err(CtmcError::DimensionMismatch {
@@ -382,24 +367,6 @@ impl SolveWorkspace {
         }
         Ok(())
     }
-
-    /// Dispatches between the copying and in-place seeding paths.
-    pub(crate) fn seed_pi(&mut self, n: usize, warm: WarmInit<'_>) -> Result<(), CtmcError> {
-        match warm {
-            WarmInit::Copy(w) => self.init_pi(n, w),
-            WarmInit::InPlace => self.init_pi_in_place(n),
-        }
-    }
-}
-
-/// How an iterative solver seeds its iterate: copy (and normalize) an
-/// external warm start / fall back to uniform, or normalize whatever
-/// the caller already staged in the workspace's own `pi` buffer.
-pub(crate) enum WarmInit<'a> {
-    /// `Some`: normalize a copy of the given vector. `None`: uniform.
-    Copy(Option<&'a [f64]>),
-    /// Normalize `ws.pi` in place; errors if its length is wrong.
-    InPlace,
 }
 
 /// Solves `πQ = 0` by Gauss–Seidel (or SOR) iteration.
@@ -452,6 +419,10 @@ pub fn solve_gauss_seidel<G: IncomingTransitions + ?Sized>(
 /// arithmetic is identical to the allocating entry point, which
 /// delegates here.
 ///
+/// Each update gathers through [`IncomingTransitions::inflow`], so a
+/// [`SparseGenerator`](crate::SparseGenerator) runs its flat transpose
+/// scan and a matrix-free model its callbacks, with the same bits.
+///
 /// # Errors
 ///
 /// As [`solve_gauss_seidel`].
@@ -477,8 +448,11 @@ pub fn solve_gauss_seidel_ws<G: IncomingTransitions + ?Sized>(
         }
     }
 
-    ws.init_pi(n, warm_start)?;
-    let (pi, exit) = (&mut ws.pi, &ws.exit);
+    ws.stage_pi(n, warm_start);
+    ws.init_pi_in_place(n)?;
+    // Plain slices, so stores into `pi` don't force reloads of the
+    // buffers' pointers and lengths.
+    let (pi, exit): (&mut [f64], &[f64]) = (&mut ws.pi, &ws.exit);
 
     let omega = opts.sor_omega;
     let mut guard = HealthGuard::new(opts);
@@ -494,10 +468,7 @@ pub fn solve_gauss_seidel_ws<G: IncomingTransitions + ?Sized>(
         let mut num = 0.0f64;
         let mut den = 0.0f64;
         for j in 0..n {
-            let mut inflow = 0.0f64;
-            gen.for_each_incoming(j, &mut |i, rate| {
-                inflow += pi[i] * rate;
-            });
+            let inflow = gen.inflow(j, pi);
             let old = pi[j];
             num += (inflow - old * exit[j]).abs();
             den += old * exit[j];
@@ -559,147 +530,13 @@ pub fn solve_gauss_seidel_ws<G: IncomingTransitions + ?Sized>(
     Err(HealthGuard::budget_error(sweeps, exact, opts.tolerance))
 }
 
-/// [`solve_gauss_seidel_ws`] specialized to a [`SparseGenerator`](crate::SparseGenerator): the
-/// inner gather runs over the flat transpose CSR arrays instead of
-/// paying a dynamic callback per edge, so the hot loop is a contiguous,
-/// branch-free scan the compiler can keep in registers. Edge order per
-/// state is exactly the `for_each_incoming` visitation order, so this
-/// kernel is **bit-identical** to the generic one on the same inputs
-/// (pinned by `csr_gs_matches_generic_bitwise` below).
-///
-/// # Errors
-///
-/// As [`solve_gauss_seidel`].
-pub fn solve_gauss_seidel_csr_ws(
-    gen: &crate::sparse::SparseGenerator,
-    warm_start: Option<&[f64]>,
-    opts: &SolveOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<SolveStats, CtmcError> {
-    let n = gen.num_states();
-    if n == 0 {
-        return Err(CtmcError::EmptyChain);
-    }
-
-    ws.exit.resize(n, 0.0);
-    ws.exit.copy_from_slice(gen.exit_rates());
-    for (s, e) in ws.exit.iter().enumerate() {
-        if *e <= 0.0 {
-            return Err(CtmcError::InvalidGenerator {
-                reason: format!("state {s} has zero exit rate (absorbing)"),
-            });
-        }
-    }
-
-    ws.init_pi(n, warm_start)?;
-    // Plain slices, so stores into `pi` don't force reloads of the
-    // buffers' pointers and lengths.
-    let (pi, exit): (&mut [f64], &[f64]) = (&mut ws.pi, &ws.exit);
-    let (tptr, tcol, tval) = gen.transpose_csr();
-
-    let omega = opts.sor_omega;
-    let mut guard = HealthGuard::new(opts);
-    let mut sweeps = 0usize;
-    let mut residual_evals = 0usize;
-    let mut converged: Option<SolveStats> = None;
-
-    while sweeps < opts.max_sweeps {
-        let mut num = 0.0f64;
-        let mut den = 0.0f64;
-        for j in 0..n {
-            let mut inflow = 0.0f64;
-            for e in tptr[j]..tptr[j + 1] {
-                inflow += pi[tcol[e] as usize] * tval[e];
-            }
-            let old = pi[j];
-            num += (inflow - old * exit[j]).abs();
-            den += old * exit[j];
-            let new = inflow / exit[j];
-            pi[j] = if omega == 1.0 {
-                new
-            } else {
-                (1.0 - omega) * old + omega * new
-            };
-            if pi[j] < 0.0 {
-                pi[j] = 0.0;
-            }
-        }
-        let total: f64 = pi.iter().sum();
-        if !total.is_finite() || total <= 0.0 {
-            return Err(CtmcError::Diverged {
-                iterations: sweeps + 1,
-                residual: if den == 0.0 { f64::NAN } else { num / den },
-            });
-        }
-        let inv = 1.0 / total;
-        for p in pi.iter_mut() {
-            *p *= inv;
-        }
-        sweeps += 1;
-
-        let residual = if den == 0.0 { 0.0 } else { num / den };
-        guard.observe(sweeps, residual)?;
-        if residual <= opts.tolerance {
-            let exact = residual_incoming_csr(tptr, tcol, tval, pi, exit);
-            residual_evals += 1;
-            if exact <= opts.tolerance {
-                converged = Some(SolveStats {
-                    sweeps,
-                    residual: exact,
-                    residual_evals,
-                });
-                break;
-            }
-        }
-        if sweeps.is_multiple_of(opts.check_cadence()) && guard.out_of_time() {
-            break;
-        }
-    }
-
-    if let Some(stats) = converged {
-        ws.normalize_pi();
-        return Ok(stats);
-    }
-    let exact = residual_incoming_csr(tptr, tcol, tval, pi, exit);
-    Err(HealthGuard::budget_error(sweeps, exact, opts.tolerance))
-}
-
-/// [`residual_incoming`] over flat transpose CSR arrays — same
-/// accumulation order, bit-identical result.
-fn residual_incoming_csr(
-    tptr: &[usize],
-    tcol: &[u32],
-    tval: &[f64],
-    pi: &[f64],
-    exit: &[f64],
-) -> f64 {
-    let mut num = 0.0f64;
-    let mut den = 0.0f64;
-    for j in 0..pi.len() {
-        let mut inflow = 0.0f64;
-        for e in tptr[j]..tptr[j + 1] {
-            inflow += pi[tcol[e] as usize] * tval[e];
-        }
-        num += (inflow - pi[j] * exit[j]).abs();
-        den += pi[j] * exit[j];
-    }
-    if den == 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
 /// Relative L1 balance residual computed via incoming transitions
 /// (single pass, no extra `O(n)` flow buffer).
 fn residual_incoming<G: IncomingTransitions + ?Sized>(gen: &G, pi: &[f64], exit: &[f64]) -> f64 {
     let mut num = 0.0f64;
     let mut den = 0.0f64;
     for j in 0..pi.len() {
-        let mut inflow = 0.0f64;
-        gen.for_each_incoming(j, &mut |i, rate| {
-            inflow += pi[i] * rate;
-        });
+        let inflow = gen.inflow(j, pi);
         num += (inflow - pi[j] * exit[j]).abs();
         den += pi[j] * exit[j];
     }
@@ -957,18 +794,41 @@ mod tests {
         assert!(power.residual <= opts.tolerance);
     }
 
+    /// A sparse generator seen only through `for_each_incoming`: the
+    /// default, callback-driven [`IncomingTransitions::inflow`].
+    struct CallbackOnly(crate::sparse::SparseGenerator);
+
+    impl crate::transitions::Transitions for CallbackOnly {
+        fn num_states(&self) -> usize {
+            self.0.num_states()
+        }
+        fn for_each_outgoing(&self, state: usize, visit: &mut dyn FnMut(usize, f64)) {
+            self.0.for_each_outgoing(state, visit);
+        }
+        fn exit_rate(&self, state: usize) -> f64 {
+            self.0.exit_rate(state)
+        }
+    }
+
+    impl IncomingTransitions for CallbackOnly {
+        fn for_each_incoming(&self, state: usize, visit: &mut dyn FnMut(usize, f64)) {
+            self.0.for_each_incoming(state, visit);
+        }
+    }
+
     #[test]
     fn csr_gs_matches_generic_bitwise() {
-        // The flat-CSR kernel is a pure layout specialization: same
+        // The flat-CSR gather is a pure layout specialization: same
         // sweep count, same residual bits, same iterate bits as the
-        // callback-driven generic solver, warm or cold, GS or SOR.
+        // callback-driven default, warm or cold, GS or SOR.
         for (seed, omega) in [(2u64, 1.0), (77, 1.1), (4242, 0.8)] {
             let g = random_irreducible(40, seed);
+            let callback = CallbackOnly(g.clone());
             let opts = SolveOptions::default().with_sor(omega);
             let mut ws_a = SolveWorkspace::new();
             let mut ws_b = SolveWorkspace::new();
-            let a = solve_gauss_seidel_ws(&g, None, &opts, &mut ws_a).unwrap();
-            let b = solve_gauss_seidel_csr_ws(&g, None, &opts, &mut ws_b).unwrap();
+            let a = solve_gauss_seidel_ws(&callback, None, &opts, &mut ws_a).unwrap();
+            let b = solve_gauss_seidel_ws(&g, None, &opts, &mut ws_b).unwrap();
             assert_eq!(a.sweeps, b.sweeps, "seed {seed}");
             assert_eq!(a.residual.to_bits(), b.residual.to_bits(), "seed {seed}");
             assert_eq!(a.residual_evals, b.residual_evals, "seed {seed}");
@@ -980,8 +840,8 @@ mod tests {
             // the solve itself.)
             let pa = ws_a.pi().to_vec();
             let pb = ws_b.pi().to_vec();
-            let wa = solve_gauss_seidel_ws(&g, Some(&pa), &opts, &mut ws_a);
-            let wb = solve_gauss_seidel_csr_ws(&g, Some(&pb), &opts, &mut ws_b);
+            let wa = solve_gauss_seidel_ws(&callback, Some(&pa), &opts, &mut ws_a);
+            let wb = solve_gauss_seidel_ws(&g, Some(&pb), &opts, &mut ws_b);
             let (wa, wb) = (wa.unwrap(), wb.unwrap());
             assert_eq!(wa.sweeps, wb.sweeps);
             assert_eq!(wa.residual.to_bits(), wb.residual.to_bits());

@@ -226,8 +226,11 @@ impl SparseGenerator {
         let mut last: Option<(u32, u32)> = None;
         for (i, j, r) in sorted {
             if last == Some((i, j)) {
-                // Duplicate (row, col): merge into the previous entry.
-                *val.last_mut().expect("duplicate follows an entry") += r;
+                // Duplicate (row, col): merge into the previous entry,
+                // which exists because `last` is set.
+                if let Some(prev) = val.last_mut() {
+                    *prev += r;
+                }
                 continue;
             }
             last = Some((i, j));
@@ -445,17 +448,6 @@ impl SparseGenerator {
         &self.exit
     }
 
-    /// The transpose (incoming) CSR as flat `(row_ptr, sources, rates)`
-    /// slices: the sources of state `j` are
-    /// `sources[row_ptr[j]..row_ptr[j + 1]]`. The cache-blocked sweep
-    /// kernels iterate these spans directly instead of paying a
-    /// callback per edge; the edge order per state is exactly the
-    /// [`IncomingTransitions::for_each_incoming`] visitation order, so
-    /// both access paths accumulate bit-identical inflows.
-    pub(crate) fn transpose_csr(&self) -> (&[usize], &[u32], &[f64]) {
-        (&self.trow_ptr, &self.tcol, &self.tval)
-    }
-
     /// Maximum exit rate over all states (the uniformization constant
     /// before head-room scaling). Returns 0 for a chain with no
     /// transitions.
@@ -527,6 +519,18 @@ impl IncomingTransitions for SparseGenerator {
         for (&i, &r) in cols.iter().zip(vals) {
             visit(i as usize, r);
         }
+    }
+
+    /// A flat scan of the transpose CSR span, with no callback per
+    /// edge; same order and products as the default, so the same bits.
+    #[inline]
+    fn inflow(&self, state: usize, pi: &[f64]) -> f64 {
+        let (cols, vals) = self.column(state);
+        let mut total = 0.0f64;
+        for (&i, &r) in cols.iter().zip(vals) {
+            total += pi[i as usize] * r;
+        }
+        total
     }
 }
 

@@ -35,11 +35,18 @@ impl StationaryDistribution {
         StationaryDistribution { pi }
     }
 
-    /// Wraps a vector that is already normalized (the workspace-based
-    /// solvers normalize in place with exactly the arithmetic of
+    /// Wraps a vector that is already normalized, such as the solution
+    /// a workspace-based solver leaves in [`SolveWorkspace::pi`]
+    /// (those solvers normalize in place with exactly the arithmetic of
     /// [`new`](Self::new), so wrapping must not divide a second time —
-    /// that would perturb the last ulp against the seed behavior).
-    pub(crate) fn from_normalized(pi: Vec<f64>) -> Self {
+    /// that would perturb the last ulp).
+    ///
+    /// The caller guarantees finite, non-negative entries summing to 1;
+    /// debug builds check it.
+    ///
+    /// [`SolveWorkspace::pi`]: crate::SolveWorkspace::pi
+    pub fn from_normalized(pi: Vec<f64>) -> Self {
+        debug_assert!(pi.iter().all(|p| p.is_finite() && *p >= 0.0));
         debug_assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         StationaryDistribution { pi }
     }

@@ -41,6 +41,21 @@ pub trait IncomingTransitions: Transitions {
     /// Visit every incoming transition `(source, rate)` into `state`,
     /// i.e. every pair with `q_{source, state} = rate > 0`.
     fn for_each_incoming(&self, state: usize, visit: &mut dyn FnMut(usize, f64));
+
+    /// The probability flow into `state`: `Σ_i pi[i] · q_{i, state}`
+    /// over its incoming transitions — the gather of a Gauss–Seidel
+    /// update and of the balance residual.
+    ///
+    /// The default accumulates `pi[source] * rate` in
+    /// [`for_each_incoming`](Self::for_each_incoming) visitation order.
+    /// Overrides with a faster access path (a flat transpose scan) must
+    /// keep that order and that product, so every implementation of a
+    /// chain returns the same bits.
+    fn inflow(&self, state: usize, pi: &[f64]) -> f64 {
+        let mut total = 0.0f64;
+        self.for_each_incoming(state, &mut |i, rate| total += pi[i] * rate);
+        total
+    }
 }
 
 /// Computes the relative L1 balance residual `‖πQ‖₁ / ‖π ∘ exit‖₁`.
