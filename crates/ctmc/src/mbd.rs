@@ -559,17 +559,10 @@ pub(crate) mod tests {
         Ok((stats, ws))
     }
 
-    #[test]
-    fn matches_gth_on_random_mbd_chains() {
-        for (phases, levels, seed) in [
-            (5, 8, 1u64),
-            (5, 8, 7),
-            (5, 8, 42),
-            (5, 8, 1001),
-            (6, 10, 2),
-            (6, 10, 77),
-            (6, 10, 4242),
-        ] {
+    /// Checks the projected solve against GTH on random `phases` x `levels`
+    /// chains, one per seed.
+    fn assert_matches_gth(phases: usize, levels: usize, seeds: &[u64]) {
+        for &seed in seeds {
             let mbd = TableMbd::random(phases, levels, seed);
             let marginal = exact_phase_marginal(&mbd);
             let exact = solve_gth(&mbd.to_sparse()).unwrap();
@@ -582,6 +575,16 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn matches_gth_on_random_mbd_chains() {
+        assert_matches_gth(5, 8, &[1, 7, 42, 1001]);
+    }
+
+    #[test]
+    fn projected_solver_matches_gth() {
+        assert_matches_gth(6, 10, &[2, 77, 4242]);
     }
 
     #[test]
