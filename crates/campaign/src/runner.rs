@@ -258,6 +258,10 @@ pub fn run_campaign(
         },
     )?;
 
+    #[allow(
+        clippy::expect_used,
+        reason = "every item is either recovered from the journal or pending, and every pending item is solved"
+    )]
     let results: Vec<ItemResult> = recovered
         .into_iter()
         .map(|e| e.expect("every item is journaled or freshly solved"))
@@ -314,29 +318,29 @@ fn run_batch(
         }
     }
 
-    for (s, slot) in slots.iter_mut().enumerate() {
-        if slot.is_none() {
-            let index = batch[s];
-            *slot = Some(ItemResult {
-                index,
-                id: spec.items[index].id.clone(),
-                status: ItemStatus::Failed,
-                attempts: consumed[s],
-                measures: None,
-                rung: SolveRung::Primary,
-                failed_rungs: 0,
-                surrogate_solves: 0,
-                failure: Some(ItemFailure::Panicked {
-                    message: last_panic[s]
-                        .take()
-                        .unwrap_or_else(|| "<unknown panic>".into()),
-                }),
-            });
-        }
-    }
     slots
         .into_iter()
-        .map(|s| s.expect("every slot resolved"))
+        .enumerate()
+        .map(|(s, slot)| {
+            slot.unwrap_or_else(|| {
+                let index = batch[s];
+                ItemResult {
+                    index,
+                    id: spec.items[index].id.clone(),
+                    status: ItemStatus::Failed,
+                    attempts: consumed[s],
+                    measures: None,
+                    rung: SolveRung::Primary,
+                    failed_rungs: 0,
+                    surrogate_solves: 0,
+                    failure: Some(ItemFailure::Panicked {
+                        message: last_panic[s]
+                            .take()
+                            .unwrap_or_else(|| "<unknown panic>".into()),
+                    }),
+                }
+            })
+        })
         .collect()
 }
 

@@ -310,6 +310,10 @@ fn retry_from_json_value(value: &JsonValue) -> Result<RetryPolicy, CampaignError
 /// section, and the CI chaos job — all of which need a reproducible
 /// workload with shape reuse and topology diversity but no appetite
 /// for wall time.
+#[allow(
+    clippy::expect_used,
+    reason = "the demo's fixed cells, graphs and scenarios are valid by construction, as its tests check"
+)]
 pub fn demo_spec(count: usize) -> CampaignSpec {
     let base = |buffer: usize, rate: f64| -> CellConfig {
         CellConfig::builder()

@@ -38,7 +38,7 @@ use crate::error::CtmcError;
 use crate::mbd::{
     project_onto_marginal, solve_single_birth_death, validate_phase_marginal, ModulatedBirthDeath,
 };
-use crate::solver::{HealthGuard, SolveOptions, SolveStats, SolveWorkspace};
+use crate::solver::{HealthGuard, Relaxation, SolveOptions, SolveStats, SolveWorkspace};
 
 /// Whether the blocked MBD kernel is enabled for template solves.
 ///
@@ -86,9 +86,11 @@ struct RowTable {
 }
 
 impl RowTable {
-    fn clear(&mut self) {
+    /// Empties the table for a capture of `phases` phases.
+    fn clear(&mut self, phases: usize) {
         self.rows.clear();
         self.ids.clear();
+        self.ids.reserve(phases);
         self.hashes.clear();
         self.slots.fill(0);
     }
@@ -253,8 +255,8 @@ impl BlockedMbd {
         self.phases = p_count;
         self.levels = l_count;
 
-        self.birth.clear();
-        self.death.clear();
+        self.birth.clear(p_count);
+        self.death.clear(p_count);
         for p in 0..p_count {
             self.birth.push_row(l_count, |l| gen.birth_rate(p, l));
             self.death.push_row(l_count, |l| gen.death_rate(p, l));
@@ -266,6 +268,18 @@ impl BlockedMbd {
             self.exit.push(gen.phase_exit_rate(p));
         }
 
+        // The first capture counts the edges so the edge arrays are
+        // allocated once at their final size: grown by doubling
+        // instead, the outgrown buffers stay resident as allocator
+        // holes. Recaptures reuse that capacity.
+        if self.in_src.capacity() == 0 {
+            let mut edges = 0usize;
+            for p in 0..p_count {
+                gen.for_each_phase_incoming(p, &mut |_, _| edges += 1);
+            }
+            self.in_src.reserve_exact(edges);
+            self.in_rate.reserve_exact(edges);
+        }
         self.in_ptr.clear();
         self.in_ptr.reserve(p_count + 1);
         self.in_src.clear();
@@ -484,7 +498,7 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
     let diag: &mut [f64] = diag;
     let cprime: &mut [f64] = cprime;
     let xcol: &mut [f64] = xcol;
-    let omega = opts.sor_omega;
+    let mut relax = Relaxation::new(opts);
 
     let mut guard = HealthGuard::new(opts);
     let mut sweeps = 0usize;
@@ -493,6 +507,7 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
     let mut converged: Option<SolveStats> = None;
 
     'sweep: while sweeps < opts.max_sweeps {
+        let omega = relax.omega();
         let forward = sweeps.is_multiple_of(2);
         for step in 0..p_count {
             let p = if forward { step } else { p_count - 1 - step };
@@ -521,6 +536,7 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
                     sweeps: 1,
                     residual: 0.0,
                     residual_evals,
+                    omega,
                 });
                 break 'sweep;
             }
@@ -569,9 +585,11 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
                     sweeps,
                     residual,
                     residual_evals,
+                    omega,
                 });
                 break 'sweep;
             }
+            relax.observe(sweeps, residual);
             if guard.out_of_time() {
                 break 'sweep;
             }
@@ -702,17 +720,24 @@ mod tests {
 
     #[test]
     fn blocked_solves_are_bitwise_equal_to_scalar() {
-        for (seed, phases, levels, omega) in [
-            (1u64, 5, 8, 1.0),
-            (7, 8, 30, 1.0),
-            (42, 6, 10, 0.8),
-            (99, 3, 12, 1.2),
+        let mut switched = 0;
+        for (seed, phases, levels, omega, adaptive) in [
+            (1u64, 5, 8, 1.0, false),
+            (7, 8, 30, 1.0, false),
+            (42, 6, 10, 0.8, false),
+            (99, 3, 12, 1.2, false),
+            (1, 5, 8, 1.0, true),
+            (7, 8, 30, 1.0, true),
+            (42, 6, 10, 0.8, true),
+            (3, 6, 60, 1.0, true),
         ] {
             let mbd = TableMbd::random(phases, levels, seed);
             let marginal = exact_phase_marginal(&mbd);
             let mut b = BlockedMbd::new();
             b.capture(&mbd);
-            let opts = SolveOptions::default().with_sor(omega);
+            let mut opts = SolveOptions::default().with_sor(omega);
+            opts.adaptive_sor = adaptive;
+            let seed = format!("{seed} adaptive {adaptive}");
 
             // Cold: the copying blocked entry against the staged
             // scalar oracle.
@@ -722,7 +747,12 @@ mod tests {
             assert_eq!(s.sweeps, bl.sweeps, "seed {seed}");
             assert_eq!(s.residual.to_bits(), bl.residual.to_bits(), "seed {seed}");
             assert_eq!(s.residual_evals, bl.residual_evals, "seed {seed}");
+            assert_eq!(s.omega.to_bits(), bl.omega.to_bits(), "seed {seed}");
             assert_bitwise_eq(ws_s.pi(), ws_b.pi(), &format!("projected cold seed {seed}"));
+            if bl.omega != omega {
+                assert!(adaptive, "seed {seed}: fixed relaxation moved");
+                switched += 1;
+            }
 
             // Warm from the solution (checks the warm path too), both
             // blocked entries against the scalar oracle staged the same
@@ -733,14 +763,19 @@ mod tests {
                 .unwrap();
             assert_eq!(s2.sweeps, b2.sweeps);
             assert_eq!(s2.residual.to_bits(), b2.residual.to_bits());
+            assert_eq!(s2.omega.to_bits(), b2.omega.to_bits());
             assert_bitwise_eq(ws_s.pi(), ws_b.pi(), &format!("projected warm seed {seed}"));
             ws_b.set_pi(&warm);
             let b3 =
                 solve_mbd_projected_blocked_inplace_ws(&b, &marginal, &opts, &mut ws_b).unwrap();
             assert_eq!(s2.sweeps, b3.sweeps);
             assert_eq!(s2.residual.to_bits(), b3.residual.to_bits());
+            assert_eq!(s2.omega.to_bits(), b3.omega.to_bits());
             assert_bitwise_eq(ws_s.pi(), ws_b.pi(), &format!("in-place warm seed {seed}"));
         }
+        // The adaptive cases exercise a switched factor, not only the
+        // starting one.
+        assert!(switched > 0, "no adaptive case switched");
     }
 
     #[test]

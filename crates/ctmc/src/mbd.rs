@@ -22,7 +22,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::error::CtmcError;
-use crate::solver::{HealthGuard, SolveOptions, SolveStats, SolveWorkspace};
+use crate::solver::{HealthGuard, Relaxation, SolveOptions, SolveStats, SolveWorkspace};
 
 /// Structural access to a Markov-modulated birth–death chain.
 ///
@@ -140,7 +140,7 @@ pub fn solve_mbd_projected_inplace_ws<G: ModulatedBirthDeath + ?Sized>(
     let diag: &mut [f64] = diag;
     let cprime: &mut [f64] = cprime;
     let xcol: &mut [f64] = xcol;
-    let omega = opts.sor_omega;
+    let mut relax = Relaxation::new(opts);
 
     let mut guard = HealthGuard::new(opts);
     let mut sweeps = 0usize;
@@ -149,6 +149,7 @@ pub fn solve_mbd_projected_inplace_ws<G: ModulatedBirthDeath + ?Sized>(
     let mut converged: Option<SolveStats> = None;
 
     'sweep: while sweeps < opts.max_sweeps {
+        let omega = relax.omega();
         // Alternate sweep direction (symmetric Gauss–Seidel): upstream
         // information that a forward sweep moves by only one phase per
         // iteration is carried across the whole chain by the backward
@@ -184,6 +185,7 @@ pub fn solve_mbd_projected_inplace_ws<G: ModulatedBirthDeath + ?Sized>(
                     sweeps: 1,
                     residual: 0.0,
                     residual_evals,
+                    omega,
                 });
                 break 'sweep;
             }
@@ -238,9 +240,11 @@ pub fn solve_mbd_projected_inplace_ws<G: ModulatedBirthDeath + ?Sized>(
                     sweeps,
                     residual,
                     residual_evals,
+                    omega,
                 });
                 break 'sweep;
             }
+            relax.observe(sweeps, residual);
             if guard.out_of_time() {
                 break 'sweep;
             }
@@ -560,19 +564,26 @@ pub(crate) mod tests {
     }
 
     /// Checks the projected solve against GTH on random `phases` x `levels`
-    /// chains, one per seed.
+    /// chains, one per seed, at fixed and at adaptive relaxation.
     fn assert_matches_gth(phases: usize, levels: usize, seeds: &[u64]) {
-        for &seed in seeds {
-            let mbd = TableMbd::random(phases, levels, seed);
-            let marginal = exact_phase_marginal(&mbd);
-            let exact = solve_gth(&mbd.to_sparse()).unwrap();
-            let (_, ws) = solve_staged(&mbd, &marginal, None, &SolveOptions::default()).unwrap();
-            for (i, x) in ws.pi().iter().enumerate() {
-                assert!(
-                    (exact[i] - x).abs() < 1e-8,
-                    "seed {seed} state {i}: {} vs {x}",
-                    exact[i]
-                );
+        for opts in [
+            SolveOptions::default(),
+            SolveOptions::default().with_adaptive_sor(),
+        ] {
+            for &seed in seeds {
+                let mbd = TableMbd::random(phases, levels, seed);
+                let marginal = exact_phase_marginal(&mbd);
+                let exact = solve_gth(&mbd.to_sparse()).unwrap();
+                let (stats, ws) = solve_staged(&mbd, &marginal, None, &opts).unwrap();
+                let ctx = format!("seed {seed} adaptive {}", opts.adaptive_sor);
+                assert!((1.0..=1.9).contains(&stats.omega), "{ctx}: {}", stats.omega);
+                for (i, x) in ws.pi().iter().enumerate() {
+                    assert!(
+                        (exact[i] - x).abs() < 1e-8,
+                        "{ctx} state {i}: {} vs {x}",
+                        exact[i]
+                    );
+                }
             }
         }
     }

@@ -19,7 +19,8 @@ pub struct SolveOptions {
     /// Hard cap on the number of sweeps.
     pub max_sweeps: usize,
     /// SOR over-relaxation factor in `(0, 2)`; `1.0` is plain
-    /// Gauss–Seidel.
+    /// Gauss–Seidel. With [`adaptive_sor`](Self::adaptive_sor) set, the
+    /// projected MBD kernels start at this factor and may move off it.
     pub sor_omega: f64,
     /// How many sweeps between residual evaluations, for the solvers
     /// that pay a separate residual pass (the MBD kernels check at most
@@ -48,6 +49,18 @@ pub struct SolveOptions {
     /// warm starts while catching genuine blow-ups within a few sweeps
     /// instead of spinning to `max_sweeps`.
     pub divergence_factor: f64,
+    /// **Adaptive block-SOR relaxation** for the projected MBD kernels
+    /// (`false` by default). The solve starts at
+    /// [`sor_omega`](Self::sor_omega); once the residual ratios between
+    /// consecutive checks settle, it switches once to Young's optimal
+    /// factor `2 / (1 + √(1 − ρ))` for the measured per-sweep
+    /// contraction `ρ`, clamped to `[1, 1.9]`, and reverts once to the
+    /// starting factor if the residual later rises above its value at
+    /// the switch. Every decision is a pure function of the residual
+    /// sequence, so results stay deterministic. Point Gauss–Seidel
+    /// ignores the flag. [`SolveStats::omega`] reports the factor in
+    /// effect when the solve stopped.
+    pub adaptive_sor: bool,
 }
 
 impl Default for SolveOptions {
@@ -59,6 +72,7 @@ impl Default for SolveOptions {
             check_every: 16,
             max_wall_time: None,
             divergence_factor: 1e6,
+            adaptive_sor: false,
         }
     }
 }
@@ -86,6 +100,13 @@ impl SolveOptions {
     pub fn with_sor(mut self, omega: f64) -> Self {
         assert!(omega > 0.0 && omega < 2.0, "SOR omega must lie in (0, 2)");
         self.sor_omega = omega;
+        self
+    }
+
+    /// Turns on adaptive relaxation ([`adaptive_sor`](Self::adaptive_sor))
+    /// for the projected MBD kernels, returning `self` for chaining.
+    pub fn with_adaptive_sor(mut self) -> Self {
+        self.adaptive_sor = true;
         self
     }
 
@@ -208,6 +229,114 @@ impl HealthGuard {
     }
 }
 
+/// The relaxation controller shared by both projected MBD kernels
+/// ([`SolveOptions::adaptive_sor`]). The kernels feed it every residual
+/// they evaluate and read the factor for the next sweep from it, so
+/// the scalar and the blocked kernel stay bit-identical.
+///
+/// The rule: start at `opts.sor_omega`. At each check take the ratio
+/// `r_k / r_{k−1}` of consecutive residuals. When two consecutive
+/// ratios are below 1 and agree within 10%, switch once to
+/// `clamp(2 / (1 + √(1 − ρ)), 1, 1.9)`, with `ρ` the per-sweep factor
+/// `ratio^(1 / interval)` (Young's formula; Hageman & Young, *Applied
+/// Iterative Methods*, 1981). If a later residual rises above the one
+/// at the switch, revert once to the starting factor and stay there.
+#[derive(Debug)]
+pub(crate) struct Relaxation {
+    omega: f64,
+    start: f64,
+    state: RelaxState,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum RelaxState {
+    /// Waiting for two matching ratios. `last` is the previous check
+    /// (`(sweeps, residual)`), `ratio` the previous ratio.
+    Watching {
+        last: Option<(usize, f64)>,
+        ratio: Option<f64>,
+    },
+    /// Switched; reverts if a residual exceeds `residual`.
+    Switched { residual: f64 },
+    /// Fixed for the rest of the solve: adaptation off, or reverted.
+    Fixed,
+}
+
+impl Relaxation {
+    /// Highest factor the controller picks.
+    const MAX_OMEGA: f64 = 1.9;
+    /// Largest relative gap between two ratios that still agree.
+    const RATIO_AGREEMENT: f64 = 0.1;
+
+    pub(crate) fn new(opts: &SolveOptions) -> Self {
+        Relaxation {
+            omega: opts.sor_omega,
+            start: opts.sor_omega,
+            state: if opts.adaptive_sor {
+                RelaxState::Watching {
+                    last: None,
+                    ratio: None,
+                }
+            } else {
+                RelaxState::Fixed
+            },
+        }
+    }
+
+    /// The factor for the next sweep.
+    pub(crate) fn omega(&self) -> f64 {
+        self.omega
+    }
+
+    /// Feeds the residual evaluated after `sweeps` sweeps.
+    pub(crate) fn observe(&mut self, sweeps: usize, residual: f64) {
+        match self.state {
+            RelaxState::Fixed => {}
+            RelaxState::Switched {
+                residual: at_switch,
+            } => {
+                if residual > at_switch {
+                    self.omega = self.start;
+                    self.state = RelaxState::Fixed;
+                }
+            }
+            RelaxState::Watching { last, ratio } => {
+                let mut next = None;
+                if let Some((prev_sweeps, prev)) = last {
+                    if sweeps > prev_sweeps && prev > 0.0 {
+                        let q = residual / prev;
+                        if let Some(q0) = ratio {
+                            if q < 1.0 && q0 < 1.0 && (q - q0).abs() <= Self::RATIO_AGREEMENT * q0 {
+                                let rho = per_sweep_factor(q, sweeps - prev_sweeps);
+                                self.omega =
+                                    (2.0 / (1.0 + (1.0 - rho).sqrt())).clamp(1.0, Self::MAX_OMEGA);
+                                self.state = RelaxState::Switched { residual };
+                                return;
+                            }
+                        }
+                        next = Some(q);
+                    }
+                }
+                self.state = RelaxState::Watching {
+                    last: Some((sweeps, residual)),
+                    ratio: next,
+                };
+            }
+        }
+    }
+}
+
+/// `ratio^(1 / interval)`: repeated square roots (IEEE-exact) for the
+/// usual power-of-two check intervals, `powf` otherwise.
+fn per_sweep_factor(ratio: f64, interval: usize) -> f64 {
+    match interval {
+        1 => ratio,
+        2 => ratio.sqrt(),
+        4 => ratio.sqrt().sqrt(),
+        k => ratio.powf(1.0 / k as f64),
+    }
+}
+
 /// Outcome of an iterative solve.
 #[derive(Debug, Clone)]
 pub struct Solution {
@@ -232,6 +361,11 @@ pub struct SolveStats {
     /// counted). Surrogate accounting sums these across a template's
     /// lifetime to show what verification actually cost.
     pub residual_evals: usize,
+    /// The relaxation factor in effect when the solve stopped: the
+    /// choice of the adaptive controller
+    /// ([`SolveOptions::adaptive_sor`]), otherwise
+    /// [`SolveOptions::sor_omega`].
+    pub omega: f64,
 }
 
 /// Reusable buffers for the iterative solvers — the numeric half of the
@@ -370,6 +504,9 @@ impl SolveWorkspace {
 }
 
 /// Solves `πQ = 0` by Gauss–Seidel (or SOR) iteration.
+///
+/// Runs at the fixed factor [`SolveOptions::sor_omega`];
+/// [`SolveOptions::adaptive_sor`] does not apply to point Gauss–Seidel.
 ///
 /// `warm_start`, when given, seeds the iteration — reusing the solution of
 /// a nearby parameter point typically cuts sweep counts by an order of
@@ -510,6 +647,7 @@ pub fn solve_gauss_seidel_ws<G: IncomingTransitions + ?Sized>(
                     sweeps,
                     residual: exact,
                     residual_evals,
+                    omega,
                 });
                 break;
             }
@@ -718,6 +856,121 @@ mod tests {
             g3.observe(3, f64::INFINITY),
             Err(CtmcError::Diverged { .. })
         ));
+    }
+
+    /// Feeds `residuals` to a controller at a cadence of 4 sweeps and
+    /// returns the factor in effect after each check.
+    fn omegas(opts: &SolveOptions, residuals: &[f64]) -> Vec<f64> {
+        let mut relax = Relaxation::new(opts);
+        residuals
+            .iter()
+            .enumerate()
+            .map(|(k, &r)| {
+                relax.observe(4 * (k + 1), r);
+                relax.omega()
+            })
+            .collect()
+    }
+
+    /// Number of times the factor changes along `omegas`, from `start`.
+    fn changes(start: f64, omegas: &[f64]) -> usize {
+        let mut prev = start;
+        omegas
+            .iter()
+            .filter(|&&w| {
+                let changed = w.to_bits() != prev.to_bits();
+                prev = w;
+                changed
+            })
+            .count()
+    }
+
+    #[test]
+    fn relaxation_switches_once_on_settled_ratios() {
+        let opts = SolveOptions::default().with_adaptive_sor();
+        // Ratio 0.5 per check from the second check on: the switch
+        // comes at the third check, to Young's factor for ρ = 0.5^(1/4).
+        let geometric: Vec<f64> = (0..10).map(|k| 0.5f64.powi(k)).collect();
+        let w = omegas(&opts, &geometric);
+        assert_eq!(w[..2], [1.0, 1.0]);
+        let rho = 0.5f64.sqrt().sqrt();
+        let young = 2.0 / (1.0 + (1.0 - rho).sqrt());
+        assert_eq!(w[2].to_bits(), young.to_bits());
+        assert!(w[2] > 1.0 && w[2] < 1.9);
+        assert!(w[2..].iter().all(|x| x.to_bits() == young.to_bits()));
+        assert_eq!(changes(1.0, &w), 1);
+    }
+
+    #[test]
+    fn relaxation_waits_while_ratios_are_unstable_or_not_contracting() {
+        let opts = SolveOptions::default().with_adaptive_sor();
+        // Ratios alternate 0.5 / 0.8: never within 10% of each other.
+        let mut r = 1.0;
+        let unstable: Vec<f64> = (0..12)
+            .map(|k| {
+                r *= if k % 2 == 0 { 0.5 } else { 0.8 };
+                r
+            })
+            .collect();
+        assert!(omegas(&opts, &unstable).iter().all(|&w| w == 1.0));
+        // Settled ratios of 1 (stagnation) and above (growth).
+        for q in [1.0f64, 1.05] {
+            let flat: Vec<f64> = (0..12).map(|k| q.powi(k)).collect();
+            assert!(omegas(&opts, &flat).iter().all(|&w| w == 1.0), "ratio {q}");
+        }
+    }
+
+    #[test]
+    fn relaxation_reverts_once_when_the_residual_rises() {
+        let opts = SolveOptions::default().with_sor(1.1).with_adaptive_sor();
+        // Switch at the third check (residual 0.25), then a residual
+        // above it: back to the starting factor for good, even though
+        // the ratios settle again afterwards.
+        let mut seq = vec![1.0, 0.5, 0.25, 0.125, 0.3];
+        seq.extend((0..8).map(|k| 0.3 * 0.5f64.powi(k + 1)));
+        let w = omegas(&opts, &seq);
+        assert!(w[2] > 1.1);
+        assert_eq!(w[3], w[2]);
+        assert!(w[4..].iter().all(|&x| x == 1.1), "{w:?}");
+        assert_eq!(changes(1.1, &w), 2);
+    }
+
+    #[test]
+    fn relaxation_stays_within_bounds() {
+        let opts = SolveOptions::default().with_adaptive_sor();
+        // Very slow contraction drives Young's factor towards 2; very
+        // fast contraction towards 1. Either way, [1, 1.9].
+        for q in [0.999_999f64, 0.99, 0.9, 0.5, 1e-3, 1e-12, 0.0] {
+            let seq: Vec<f64> = (0..8).map(|k| q.powi(k)).collect();
+            for (k, w) in omegas(&opts, &seq).into_iter().enumerate() {
+                assert!((1.0..=1.9).contains(&w), "ratio {q} check {k}: {w}");
+            }
+        }
+        let slow: Vec<f64> = (0..8).map(|k| 0.999_999f64.powi(k)).collect();
+        assert_eq!(omegas(&opts, &slow)[7], 1.9);
+        // A start below 1 is where a revert returns to, not a bound
+        // the controller picks itself.
+        let damped = SolveOptions::default().with_sor(0.8).with_adaptive_sor();
+        let w = omegas(&damped, &[1.0, 0.5, 0.25, 0.125]);
+        assert!(w[2..].iter().all(|&x| (1.0..=1.9).contains(&x)));
+    }
+
+    #[test]
+    fn relaxation_off_keeps_sor_omega() {
+        let geometric: Vec<f64> = (0..10).map(|k| 0.5f64.powi(k)).collect();
+        for omega in [1.0, 0.8, 1.3] {
+            let opts = SolveOptions::default().with_sor(omega);
+            assert!(!opts.adaptive_sor);
+            assert!(omegas(&opts, &geometric).iter().all(|&w| w == omega));
+        }
+    }
+
+    #[test]
+    fn per_sweep_factor_inverts_the_interval_power() {
+        assert_eq!(per_sweep_factor(0.25, 1), 0.25);
+        assert_eq!(per_sweep_factor(0.25, 2), 0.5);
+        assert_eq!(per_sweep_factor(0.0625, 4), 0.5);
+        assert!((per_sweep_factor(0.125, 3) - 0.5).abs() < 1e-15);
     }
 
     #[test]
