@@ -909,8 +909,7 @@ pub fn scenario_from_json(text: &str) -> Result<Scenario, CodecError> {
 /// Serializes inner-CTMC solve options. `max_wall_time` becomes
 /// `{"secs": u64, "nanos": u32}` (or `null`), `divergence_factor`
 /// serializes the documented `f64::INFINITY` sentinel as the string
-/// `"inf"`, and `"adaptive_sor": true` appears only when the flag is
-/// set.
+/// `"inf"`.
 pub fn solve_options_to_json_value(opts: &SolveOptions) -> JsonValue {
     let wall = match opts.max_wall_time {
         None => JsonValue::Null,
@@ -924,7 +923,7 @@ pub fn solve_options_to_json_value(opts: &SolveOptions) -> JsonValue {
     } else {
         JsonValue::Str("inf".into())
     };
-    let mut fields = vec![
+    JsonValue::Object(vec![
         ("tolerance".into(), JsonValue::Num(opts.tolerance)),
         ("max_sweeps".into(), JsonValue::Num(opts.max_sweeps as f64)),
         ("sor_omega".into(), JsonValue::Num(opts.sor_omega)),
@@ -934,13 +933,7 @@ pub fn solve_options_to_json_value(opts: &SolveOptions) -> JsonValue {
         ),
         ("max_wall_time".into(), wall),
         ("divergence_factor".into(), divergence),
-    ];
-    // Written only when set, so documents of options without it stay
-    // byte-identical.
-    if opts.adaptive_sor {
-        fields.push(("adaptive_sor".into(), JsonValue::Bool(true)));
-    }
-    JsonValue::Object(fields)
+    ])
 }
 
 /// Rebuilds [`SolveOptions`] from [`solve_options_to_json_value`]
@@ -1011,11 +1004,6 @@ pub fn solve_options_from_json_value(
                 ))
             }
         };
-    }
-    if let Some(v) = value.get("adaptive_sor") {
-        opts.adaptive_sor = v
-            .as_bool()
-            .ok_or_else(|| schema_err(&join(path, "adaptive_sor"), "expected a boolean"))?;
     }
     Ok(opts)
 }
@@ -1271,19 +1259,6 @@ mod tests {
         let text = solve_options_to_json_value(&defaults).to_json_string();
         let back = solve_options_from_json_value(&parse_json(&text).unwrap(), "solve").unwrap();
         assert_eq!(back, defaults);
-        assert!(!text.contains("adaptive_sor"), "{text}");
-        // The adaptive flag round-trips both ways.
-        let adaptive = SolveOptions::quick().with_adaptive_sor();
-        let text = solve_options_to_json_value(&adaptive).to_json_string();
-        assert!(text.contains("\"adaptive_sor\":true"), "{text}");
-        let back = solve_options_from_json_value(&parse_json(&text).unwrap(), "solve").unwrap();
-        assert_eq!(back, adaptive);
-        let off = solve_options_from_json_value(
-            &parse_json("{\"adaptive_sor\":false}").unwrap(),
-            "solve",
-        )
-        .unwrap();
-        assert_eq!(off, defaults);
         // Values the solvers cannot run with are schema errors naming
         // the field, not a solve that burns its sweep budget.
         for (doc, at) in [
@@ -1294,8 +1269,6 @@ mod tests {
             ("{\"divergence_factor\":0.5}", "solve.divergence_factor"),
             ("{\"tolerance\":0}", "solve.tolerance"),
             ("{\"tolerance\":-1e-8}", "solve.tolerance"),
-            ("{\"adaptive_sor\":1}", "solve.adaptive_sor"),
-            ("{\"adaptive_sor\":\"true\"}", "solve.adaptive_sor"),
         ] {
             match solve_options_from_json_value(&parse_json(doc).unwrap(), "solve") {
                 Err(CodecError::Schema { path, .. }) => assert_eq!(path, at, "{doc}"),

@@ -771,10 +771,9 @@ impl GeneratorTemplate {
     /// 3. **Alternate iterative** — point Gauss–Seidel over the
     ///    refilled sparse matrix with adjusted relaxation: plain sweeps
     ///    (`ω = 1`) if the caller over- or under-relaxed, damped sweeps
-    ///    (`ω = 0.8`) otherwise, and adaptive relaxation
-    ///    ([`SolveOptions::adaptive_sor`]) cleared — a different
-    ///    iteration operator with a different spectrum, which converges
-    ///    on chains where the block method ping-pongs.
+    ///    (`ω = 0.8`) otherwise, held fixed for the whole solve — a
+    ///    different iteration operator with a different spectrum, which
+    ///    converges on chains where the block method ping-pongs.
     /// 4. **Direct GTH** — for chains under
     ///    [`RECOMMENDED_MAX_STATES`]: exact elimination, no iteration
     ///    at all. The solution is installed into the workspace so the
@@ -844,14 +843,12 @@ impl GeneratorTemplate {
             }
         }
 
-        // Rung 3: alternate iterative solver with adjusted, fixed
-        // relaxation.
-        let mut alt_opts = if opts.sor_omega == 1.0 {
+        // Rung 3: alternate iterative solver with adjusted relaxation.
+        let alt_opts = if opts.sor_omega == 1.0 {
             opts.clone().with_sor(0.8)
         } else {
             opts.clone().with_sor(1.0)
         };
-        alt_opts.adaptive_sor = false;
         let last = match self.solve_gauss_seidel_health(model, &alt_opts, WarmStart::Cold) {
             Ok(health) => {
                 return Ok(SolveHealth {

@@ -721,23 +721,18 @@ mod tests {
     #[test]
     fn blocked_solves_are_bitwise_equal_to_scalar() {
         let mut switched = 0;
-        for (seed, phases, levels, omega, adaptive) in [
-            (1u64, 5, 8, 1.0, false),
-            (7, 8, 30, 1.0, false),
-            (42, 6, 10, 0.8, false),
-            (99, 3, 12, 1.2, false),
-            (1, 5, 8, 1.0, true),
-            (7, 8, 30, 1.0, true),
-            (42, 6, 10, 0.8, true),
-            (3, 6, 60, 1.0, true),
+        for (seed, phases, levels, omega) in [
+            (1u64, 5, 8, 1.0),
+            (7, 8, 30, 1.0),
+            (42, 6, 10, 0.8),
+            (99, 3, 12, 1.2),
+            (3, 6, 60, 1.0),
         ] {
             let mbd = TableMbd::random(phases, levels, seed);
             let marginal = exact_phase_marginal(&mbd);
             let mut b = BlockedMbd::new();
             b.capture(&mbd);
-            let mut opts = SolveOptions::default().with_sor(omega);
-            opts.adaptive_sor = adaptive;
-            let seed = format!("{seed} adaptive {adaptive}");
+            let opts = SolveOptions::default().with_sor(omega);
 
             // Cold: the copying blocked entry against the staged
             // scalar oracle.
@@ -750,7 +745,6 @@ mod tests {
             assert_eq!(s.omega.to_bits(), bl.omega.to_bits(), "seed {seed}");
             assert_bitwise_eq(ws_s.pi(), ws_b.pi(), &format!("projected cold seed {seed}"));
             if bl.omega != omega {
-                assert!(adaptive, "seed {seed}: fixed relaxation moved");
                 switched += 1;
             }
 
@@ -773,9 +767,9 @@ mod tests {
             assert_eq!(s2.omega.to_bits(), b3.omega.to_bits());
             assert_bitwise_eq(ws_s.pi(), ws_b.pi(), &format!("in-place warm seed {seed}"));
         }
-        // The adaptive cases exercise a switched factor, not only the
-        // starting one.
-        assert!(switched > 0, "no adaptive case switched");
+        // Some cases exercise a switched factor, not only the starting
+        // one.
+        assert!(switched > 0, "no case switched relaxation");
     }
 
     #[test]

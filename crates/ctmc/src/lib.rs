@@ -41,15 +41,16 @@
 //!
 //! Every iterative solver blends each update with the previous iterate
 //! by [`SolveOptions::sor_omega`] (`1.0`, the default, is plain
-//! Gauss–Seidel). The two projected MBD kernels can also choose the
-//! factor themselves: with [`SolveOptions::adaptive_sor`] set they
-//! estimate the per-sweep contraction from the residuals they check
-//! every few sweeps and switch once to Young's optimal factor, reverting
-//! if the residual rises (see the field's docs). Both kernels share one
-//! controller, so they stay bit-identical, and the choice is a pure
-//! function of the residual sequence, so results are deterministic.
-//! [`SolveStats::omega`] reports the factor a solve ended with. The flag
-//! is off by default; the figure sweeps turn it on.
+//! Gauss–Seidel). Point Gauss–Seidel keeps that factor; the two
+//! projected MBD kernels start at it and then choose the factor
+//! themselves: they estimate the per-sweep contraction from the
+//! residuals they check every few sweeps and switch once to Young's
+//! optimal factor, reverting if the residual rises (see the field's
+//! docs). Both kernels share one controller, so they stay
+//! bit-identical, and the choice is a pure function of the residual
+//! sequence, so results are deterministic. Light solves converge before
+//! the residual ratios settle and never leave the starting factor.
+//! [`SolveStats::omega`] reports the factor a solve ended with.
 //!
 //! Generators can be represented either as an assembled sparse matrix
 //! ([`SparseGenerator`], built via [`TripletBuilder`]) or as a matrix-free

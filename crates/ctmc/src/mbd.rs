@@ -564,26 +564,25 @@ pub(crate) mod tests {
     }
 
     /// Checks the projected solve against GTH on random `phases` x `levels`
-    /// chains, one per seed, at fixed and at adaptive relaxation.
+    /// chains, one per seed.
     fn assert_matches_gth(phases: usize, levels: usize, seeds: &[u64]) {
-        for opts in [
-            SolveOptions::default(),
-            SolveOptions::default().with_adaptive_sor(),
-        ] {
-            for &seed in seeds {
-                let mbd = TableMbd::random(phases, levels, seed);
-                let marginal = exact_phase_marginal(&mbd);
-                let exact = solve_gth(&mbd.to_sparse()).unwrap();
-                let (stats, ws) = solve_staged(&mbd, &marginal, None, &opts).unwrap();
-                let ctx = format!("seed {seed} adaptive {}", opts.adaptive_sor);
-                assert!((1.0..=1.9).contains(&stats.omega), "{ctx}: {}", stats.omega);
-                for (i, x) in ws.pi().iter().enumerate() {
-                    assert!(
-                        (exact[i] - x).abs() < 1e-8,
-                        "{ctx} state {i}: {} vs {x}",
-                        exact[i]
-                    );
-                }
+        for &seed in seeds {
+            let mbd = TableMbd::random(phases, levels, seed);
+            let marginal = exact_phase_marginal(&mbd);
+            let exact = solve_gth(&mbd.to_sparse()).unwrap();
+            let (stats, ws) =
+                solve_staged(&mbd, &marginal, None, &SolveOptions::default()).unwrap();
+            assert!(
+                (1.0..=1.9).contains(&stats.omega),
+                "seed {seed}: {}",
+                stats.omega
+            );
+            for (i, x) in ws.pi().iter().enumerate() {
+                assert!(
+                    (exact[i] - x).abs() < 1e-8,
+                    "seed {seed} state {i}: {} vs {x}",
+                    exact[i]
+                );
             }
         }
     }

@@ -19,8 +19,16 @@ pub struct SolveOptions {
     /// Hard cap on the number of sweeps.
     pub max_sweeps: usize,
     /// SOR over-relaxation factor in `(0, 2)`; `1.0` is plain
-    /// Gauss–Seidel. With [`adaptive_sor`](Self::adaptive_sor) set, the
-    /// projected MBD kernels start at this factor and may move off it.
+    /// Gauss–Seidel. Point Gauss–Seidel runs at this factor throughout.
+    /// The projected MBD kernels start at it and adapt it: once the
+    /// residual ratios between consecutive checks settle, they switch
+    /// once to Young's optimal factor `2 / (1 + √(1 − ρ))` for the
+    /// measured per-sweep contraction `ρ`, clamped to `[1, 1.9]`, and
+    /// revert once to this factor if the residual later rises above
+    /// its value at the switch. Every decision is a pure function of
+    /// the residual sequence, so results stay deterministic.
+    /// [`SolveStats::omega`] reports the factor in effect when a solve
+    /// stopped.
     pub sor_omega: f64,
     /// How many sweeps between residual evaluations, for the solvers
     /// that pay a separate residual pass (the MBD kernels check at most
@@ -49,18 +57,6 @@ pub struct SolveOptions {
     /// warm starts while catching genuine blow-ups within a few sweeps
     /// instead of spinning to `max_sweeps`.
     pub divergence_factor: f64,
-    /// **Adaptive block-SOR relaxation** for the projected MBD kernels
-    /// (`false` by default). The solve starts at
-    /// [`sor_omega`](Self::sor_omega); once the residual ratios between
-    /// consecutive checks settle, it switches once to Young's optimal
-    /// factor `2 / (1 + √(1 − ρ))` for the measured per-sweep
-    /// contraction `ρ`, clamped to `[1, 1.9]`, and reverts once to the
-    /// starting factor if the residual later rises above its value at
-    /// the switch. Every decision is a pure function of the residual
-    /// sequence, so results stay deterministic. Point Gauss–Seidel
-    /// ignores the flag. [`SolveStats::omega`] reports the factor in
-    /// effect when the solve stopped.
-    pub adaptive_sor: bool,
 }
 
 impl Default for SolveOptions {
@@ -72,7 +68,6 @@ impl Default for SolveOptions {
             check_every: 16,
             max_wall_time: None,
             divergence_factor: 1e6,
-            adaptive_sor: false,
         }
     }
 }
@@ -100,13 +95,6 @@ impl SolveOptions {
     pub fn with_sor(mut self, omega: f64) -> Self {
         assert!(omega > 0.0 && omega < 2.0, "SOR omega must lie in (0, 2)");
         self.sor_omega = omega;
-        self
-    }
-
-    /// Turns on adaptive relaxation ([`adaptive_sor`](Self::adaptive_sor))
-    /// for the projected MBD kernels, returning `self` for chaining.
-    pub fn with_adaptive_sor(mut self) -> Self {
-        self.adaptive_sor = true;
         self
     }
 
@@ -230,7 +218,7 @@ impl HealthGuard {
 }
 
 /// The relaxation controller shared by both projected MBD kernels
-/// ([`SolveOptions::adaptive_sor`]). The kernels feed it every residual
+/// ([`SolveOptions::sor_omega`]). The kernels feed it every residual
 /// they evaluate and read the factor for the next sweep from it, so
 /// the scalar and the blocked kernel stay bit-identical.
 ///
@@ -258,7 +246,7 @@ enum RelaxState {
     },
     /// Switched; reverts if a residual exceeds `residual`.
     Switched { residual: f64 },
-    /// Fixed for the rest of the solve: adaptation off, or reverted.
+    /// Reverted: fixed at the starting factor for the rest of the solve.
     Fixed,
 }
 
@@ -272,13 +260,9 @@ impl Relaxation {
         Relaxation {
             omega: opts.sor_omega,
             start: opts.sor_omega,
-            state: if opts.adaptive_sor {
-                RelaxState::Watching {
-                    last: None,
-                    ratio: None,
-                }
-            } else {
-                RelaxState::Fixed
+            state: RelaxState::Watching {
+                last: None,
+                ratio: None,
             },
         }
     }
@@ -362,9 +346,8 @@ pub struct SolveStats {
     /// lifetime to show what verification actually cost.
     pub residual_evals: usize,
     /// The relaxation factor in effect when the solve stopped: the
-    /// choice of the adaptive controller
-    /// ([`SolveOptions::adaptive_sor`]), otherwise
-    /// [`SolveOptions::sor_omega`].
+    /// choice of the projected MBD kernels' controller, or
+    /// [`SolveOptions::sor_omega`] for point Gauss–Seidel.
     pub omega: f64,
 }
 
@@ -505,8 +488,8 @@ impl SolveWorkspace {
 
 /// Solves `πQ = 0` by Gauss–Seidel (or SOR) iteration.
 ///
-/// Runs at the fixed factor [`SolveOptions::sor_omega`];
-/// [`SolveOptions::adaptive_sor`] does not apply to point Gauss–Seidel.
+/// Runs at the fixed factor [`SolveOptions::sor_omega`]: only the
+/// projected MBD kernels adapt it.
 ///
 /// `warm_start`, when given, seeds the iteration — reusing the solution of
 /// a nearby parameter point typically cuts sweep counts by an order of
@@ -887,7 +870,7 @@ mod tests {
 
     #[test]
     fn relaxation_switches_once_on_settled_ratios() {
-        let opts = SolveOptions::default().with_adaptive_sor();
+        let opts = SolveOptions::default();
         // Ratio 0.5 per check from the second check on: the switch
         // comes at the third check, to Young's factor for ρ = 0.5^(1/4).
         let geometric: Vec<f64> = (0..10).map(|k| 0.5f64.powi(k)).collect();
@@ -903,7 +886,7 @@ mod tests {
 
     #[test]
     fn relaxation_waits_while_ratios_are_unstable_or_not_contracting() {
-        let opts = SolveOptions::default().with_adaptive_sor();
+        let opts = SolveOptions::default();
         // Ratios alternate 0.5 / 0.8: never within 10% of each other.
         let mut r = 1.0;
         let unstable: Vec<f64> = (0..12)
@@ -922,7 +905,7 @@ mod tests {
 
     #[test]
     fn relaxation_reverts_once_when_the_residual_rises() {
-        let opts = SolveOptions::default().with_sor(1.1).with_adaptive_sor();
+        let opts = SolveOptions::default().with_sor(1.1);
         // Switch at the third check (residual 0.25), then a residual
         // above it: back to the starting factor for good, even though
         // the ratios settle again afterwards.
@@ -937,7 +920,7 @@ mod tests {
 
     #[test]
     fn relaxation_stays_within_bounds() {
-        let opts = SolveOptions::default().with_adaptive_sor();
+        let opts = SolveOptions::default();
         // Very slow contraction drives Young's factor towards 2; very
         // fast contraction towards 1. Either way, [1, 1.9].
         for q in [0.999_999f64, 0.99, 0.9, 0.5, 1e-3, 1e-12, 0.0] {
@@ -950,19 +933,9 @@ mod tests {
         assert_eq!(omegas(&opts, &slow)[7], 1.9);
         // A start below 1 is where a revert returns to, not a bound
         // the controller picks itself.
-        let damped = SolveOptions::default().with_sor(0.8).with_adaptive_sor();
+        let damped = SolveOptions::default().with_sor(0.8);
         let w = omegas(&damped, &[1.0, 0.5, 0.25, 0.125]);
         assert!(w[2..].iter().all(|&x| (1.0..=1.9).contains(&x)));
-    }
-
-    #[test]
-    fn relaxation_off_keeps_sor_omega() {
-        let geometric: Vec<f64> = (0..10).map(|k| 0.5f64.powi(k)).collect();
-        for omega in [1.0, 0.8, 1.3] {
-            let opts = SolveOptions::default().with_sor(omega);
-            assert!(!opts.adaptive_sor);
-            assert!(omegas(&opts, &geometric).iter().all(|&w| w == omega));
-        }
     }
 
     #[test]

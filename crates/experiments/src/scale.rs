@@ -44,16 +44,12 @@ impl Scale {
         }
     }
 
-    /// Solver options of the figure sweeps, with adaptive block-SOR
-    /// relaxation on ([`SolveOptions::with_adaptive_sor`]): it cuts the
-    /// sweeps of the heavy points of the large chains (Fig. 10's
-    /// `M = 150`) and leaves the light points at `ω = 1`.
+    /// Solver options.
     pub fn solve_options(self) -> SolveOptions {
-        let opts = match self {
-            Scale::Full => SolveOptions::default(),
-            Scale::Quick => SolveOptions::quick(),
-        };
-        opts.with_max_sweeps(50_000).with_adaptive_sor()
+        match self {
+            Scale::Full => SolveOptions::default().with_max_sweeps(50_000),
+            Scale::Quick => SolveOptions::quick().with_max_sweeps(50_000),
+        }
     }
 
     /// Arrival rates at which the simulator is run (expensive points).
