@@ -5,9 +5,7 @@
 //! cluster solve is deterministic by construction).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gprs_core::cluster::{
-    par_sweep_load_scales_threads, sweep_load_scales, ClusterModel, ClusterSolveOptions,
-};
+use gprs_core::cluster::{sweep_load_scales, ClusterModel, ClusterSolveOptions};
 use gprs_core::CellConfig;
 use gprs_ctmc::solver::SolveOptions;
 use gprs_exec::num_threads;
@@ -65,9 +63,7 @@ fn bench_cluster(c: &mut Criterion) {
         b.iter(|| sweep_load_scales(&cluster, &scales, &opts(1)).unwrap())
     });
     g.bench_function("parallel", |b| {
-        b.iter(|| {
-            par_sweep_load_scales_threads(&cluster, &scales, &opts(1), num_threads()).unwrap()
-        })
+        b.iter(|| sweep_load_scales(&cluster, &scales, &opts(num_threads())).unwrap())
     });
     g.finish();
 }

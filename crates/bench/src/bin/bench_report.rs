@@ -52,8 +52,9 @@ use gprs_core::cluster::{ClusterModel, ClusterSolveOptions, SweepOrdering};
 use gprs_core::codec::{parse_json, JsonValue};
 use gprs_core::sweep::{par_sweep_arrival_rates_threads, rate_grid, sweep_arrival_rates};
 use gprs_core::template::{GeneratorTemplate, WarmStart};
-use gprs_core::{CellConfig, CellGraph, Scenario};
-use gprs_ctmc::SolveOptions;
+use gprs_core::{CellConfig, CellGraph, GprsModel, Scenario};
+use gprs_ctmc::mbd::solve_mbd_projected_inplace_ws;
+use gprs_ctmc::{SolveOptions, SolveWorkspace};
 use gprs_exec::num_threads;
 use gprs_sim::{run_replications, ReplicationOptions, SimConfig, TargetMeasure};
 use gprs_traffic::TrafficModel;
@@ -153,35 +154,46 @@ fn main() {
     let sweep_refill_pps = rates.len() as f64 / refill_s;
 
     // --- Kernel microbench: repeated cold solves of the figure cell,
-    // scalar (trait-dispatched) vs cache-blocked (phase-major tables).
-    // Cold starts so every rep runs the full sweep count; the blocked
+    // scalar (trait-dispatched, the test oracle called directly) vs
+    // cache-blocked (phase-major tables, through the template). Cold
+    // starts so every rep runs the full sweep count; the blocked
     // kernel must agree on that count (it is bit-identical), which is
     // asserted before the rates are trusted. ---
     let kernel_reps = if quick { 8 } else { 20 };
-    let kernel_time = |blocked: bool| -> (f64, usize, usize) {
-        let mut template = GeneratorTemplate::new(&base).expect("template");
-        template.set_blocked_kernel(Some(blocked));
-        let model = template.model_for(base.clone()).expect("model");
-        // One warm-up solve so allocations and captures are in place.
-        template
-            .solve(&model, &solve_opts, WarmStart::Cold)
-            .expect("warm-up solve");
-        template.reset_stats();
-        let (secs, _) = timed(|| {
-            for _ in 0..kernel_reps {
-                template
-                    .solve(&model, &solve_opts, WarmStart::Cold)
-                    .expect("kernel solve");
-            }
-        });
-        (
-            secs,
-            template.stats().total_sweeps,
-            template.stationary().len(),
-        )
+    let model = GprsModel::new(base.clone()).expect("model");
+    let scalar_solve = |ws: &mut SolveWorkspace| {
+        // Staged as a cold template solve stages the blocked kernel:
+        // exact phase marginal, product-form start.
+        let marginal = model.phase_marginal();
+        ws.set_pi(&model.product_form_guess());
+        solve_mbd_projected_inplace_ws(&model, &marginal, &solve_opts, ws)
+            .expect("scalar kernel solve")
+            .sweeps
     };
-    let (scalar_s, scalar_sweeps, kernel_rows) = kernel_time(false);
-    let (blocked_s, blocked_sweeps, blocked_rows) = kernel_time(true);
+    let mut ws = SolveWorkspace::new();
+    // One warm-up solve so allocations are in place.
+    scalar_solve(&mut ws);
+    let (scalar_s, scalar_sweeps) = timed(|| {
+        (0..kernel_reps)
+            .map(|_| scalar_solve(&mut ws))
+            .sum::<usize>()
+    });
+    let kernel_rows = ws.pi().len();
+    let mut template = GeneratorTemplate::new(&base).expect("template");
+    // One warm-up solve so allocations and captures are in place.
+    template
+        .solve(&model, &solve_opts, WarmStart::Cold)
+        .expect("warm-up solve");
+    template.reset_stats();
+    let (blocked_s, _) = timed(|| {
+        for _ in 0..kernel_reps {
+            template
+                .solve(&model, &solve_opts, WarmStart::Cold)
+                .expect("kernel solve");
+        }
+    });
+    let blocked_sweeps = template.stats().total_sweeps;
+    let blocked_rows = template.stationary().len();
     assert_eq!(
         scalar_sweeps, blocked_sweeps,
         "blocked kernel must run the exact scalar sweep count"

@@ -113,8 +113,10 @@ pub struct ClusterSolveOptions {
     pub solve: SolveOptions,
     /// Worker threads for the per-iteration cell solves; `0` (the
     /// default) uses [`gprs_exec::num_threads`]. It is the default
-    /// shard count (see [`shards`](Self::shards)). Results are
-    /// identical for any value.
+    /// shard count (see [`shards`](Self::shards)). In a
+    /// [`sweep_load_scales`] it is instead the number of points solved
+    /// side by side, each on one thread. Results are identical for any
+    /// value.
     pub threads: usize,
     /// Adaptive relaxation of the outer fixed point (default `true`),
     /// two complementary mechanisms:
@@ -599,67 +601,34 @@ pub struct ClusterSweepPoint {
     pub solved: SolvedCluster,
 }
 
-/// Solves the cluster at each load scale sequentially (every cell's
-/// arrival rate multiplied by the scale; see [`ClusterModel::scaled`]).
+/// Solves the cluster at each load scale (every cell's arrival rate
+/// multiplied by the scale; see [`ClusterModel::scaled`]), fanning the
+/// points out across [`opts.threads`](ClusterSolveOptions::threads)
+/// workers. Each point solves its cells on one thread (the parallelism
+/// budget goes to the points), and results are returned in scale
+/// order, bit-identical for any worker count.
 ///
 /// # Errors
 ///
-/// Propagates the first construction or convergence error.
+/// Propagates the error of the lowest-index failing point.
 pub fn sweep_load_scales(
     base: &ClusterModel,
     scales: &[f64],
     opts: &ClusterSolveOptions,
 ) -> Result<Vec<ClusterSweepPoint>, ModelError> {
-    scales
-        .iter()
-        .map(|&scale| solve_scale_point(base, scale, opts))
-        .collect()
-}
-
-/// Like [`sweep_load_scales`], fanning the points out across
-/// [`gprs_exec::num_threads`] workers. Each point solves its
-/// cells sequentially (the parallelism budget goes to the points), and
-/// results are returned in scale order, bit-identical to the sequential
-/// sweep for any thread count.
-///
-/// # Errors
-///
-/// Propagates the error of the lowest-index failing point.
-pub fn par_sweep_load_scales(
-    base: &ClusterModel,
-    scales: &[f64],
-    opts: &ClusterSolveOptions,
-) -> Result<Vec<ClusterSweepPoint>, ModelError> {
-    par_sweep_load_scales_threads(base, scales, opts, num_threads())
-}
-
-/// [`par_sweep_load_scales`] with an explicit worker count (`1`
-/// degrades to the sequential sweep).
-///
-/// # Errors
-///
-/// As [`par_sweep_load_scales`].
-pub fn par_sweep_load_scales_threads(
-    base: &ClusterModel,
-    scales: &[f64],
-    opts: &ClusterSolveOptions,
-    threads: usize,
-) -> Result<Vec<ClusterSweepPoint>, ModelError> {
-    // Scale points drain a load-balanced queue on a persistent worker
-    // pool. Each point is solved by the same deterministic code
-    // whichever worker picks it up (no per-worker state), so results
-    // stay bit-identical for any worker count.
-    let workers = threads.clamp(1, scales.len().max(1));
-    let results = gprs_exec::with_worker_pool(
-        vec![(); workers],
-        |_, _state: &mut (), i: usize| solve_scale_point(base, scales[i], opts),
-        |pool| pool.run_queue((0..scales.len()).collect()),
-    );
-    let mut points = Vec::with_capacity(scales.len());
-    for result in results {
-        points.push(result.unwrap_or_else(|panic| panic.resume())?);
-    }
-    Ok(points)
+    // Scale points drain a load-balanced queue. Each point is solved
+    // by the same deterministic code whichever worker picks it up (no
+    // per-worker state), so results stay bit-identical for any worker
+    // count.
+    let threads = match opts.threads {
+        0 => num_threads(),
+        threads => threads,
+    };
+    gprs_exec::par_map_tasks(scales.len(), threads, |i| {
+        solve_scale_point(base, scales[i], opts)
+    })
+    .into_iter()
+    .collect()
 }
 
 fn solve_scale_point(

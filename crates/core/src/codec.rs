@@ -361,8 +361,9 @@ impl<'a> Parser<'a> {
                 return Err(self.err("expected digits in exponent"));
             }
         }
+        // Number tokens are ASCII by construction, so this never fails.
         let token = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number tokens are ASCII by construction");
+            .map_err(|_| self.err("number token is not ASCII"))?;
         token
             .parse::<f64>()
             .map(JsonValue::Num)
@@ -607,11 +608,10 @@ fn bool_field(obj: &JsonValue, path: &str, key: &str) -> Result<bool, CodecError
 /// [`graph_from_json_value`] recomputes them deterministically, which
 /// is what makes the round trip exact.
 pub fn graph_to_json_value(graph: &CellGraph) -> JsonValue {
-    let lists: Vec<JsonValue> = (0..graph.num_cells())
-        .map(|i| {
-            let nbrs = graph
-                .neighbors(i)
-                .expect("cell index in range by construction");
+    let lists: Vec<JsonValue> = graph
+        .adjacency()
+        .iter()
+        .map(|nbrs| {
             JsonValue::Array(
                 nbrs.iter()
                     .map(|&(t, w)| {

@@ -246,7 +246,26 @@ impl CellConfig {
                 return fail(format!("{name} must be positive, got {v}"));
             }
         }
-        Ok(())
+        // State indices are stored as `u32` (the sparse builder and the
+        // blocked kernel's capture assert it), so a larger chain — or
+        // one whose count does not even fit a `usize` — is a
+        // configuration error, not an allocation abort.
+        let m = self.max_gprs_sessions;
+        let states = m
+            .checked_add(1)
+            .and_then(|a| a.checked_mul(m.checked_add(2)?))
+            .map(|pairs| pairs / 2)
+            .and_then(|phases| phases.checked_mul(self.gsm_channels() + 1))
+            .and_then(|phases| phases.checked_mul(self.buffer_capacity.checked_add(1)?));
+        match states {
+            Some(n) if n <= u32::MAX as usize => Ok(()),
+            _ => fail(format!(
+                "the chain's ½(M+1)(M+2)·(N_GSM+1)·(K+1) states (M = {m}, N_GSM = {}, K = {}) \
+                 exceed the u32 state index range",
+                self.gsm_channels(),
+                self.buffer_capacity
+            )),
+        }
     }
 }
 
@@ -508,6 +527,43 @@ mod tests {
             .gsm_call_duration(-5.0)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn validation_rejects_state_counts_beyond_the_u32_index_range() {
+        let too_big = |c: CellConfig| {
+            let err = c.validate().unwrap_err();
+            assert!(
+                matches!(&err, ModelError::Config { reason } if reason.contains("u32")),
+                "{err}"
+            );
+        };
+        // (M+1)(M+2) overflows a u64 (and would wrap in `num_states`).
+        let mut c = CellConfig::builder().build().unwrap();
+        c.max_gprs_sessions = 1 << 32;
+        too_big(c);
+        // K+1 overflows; then a K whose product with the phases does.
+        let mut c = CellConfig::builder().build().unwrap();
+        c.buffer_capacity = usize::MAX;
+        too_big(c.clone());
+        c.buffer_capacity = 1 << 60;
+        too_big(c);
+        // No overflow, but past u32::MAX: 231 · 20 · 1_000_001 states.
+        assert!(CellConfig::builder()
+            .buffer_capacity(1_000_000)
+            .build()
+            .is_err());
+        // The largest count that fits stays valid: 1 · 1 · 2^32 states.
+        let mut c = CellConfig::builder()
+            .total_channels(1)
+            .reserved_pdchs(1)
+            .build()
+            .unwrap();
+        c.max_gprs_sessions = 1;
+        c.buffer_capacity = (u32::MAX as usize) / 3 - 1;
+        assert!(c.validate().is_ok());
+        c.buffer_capacity += 2;
+        too_big(c);
     }
 
     #[test]

@@ -100,6 +100,10 @@ impl CellGraph {
     /// exact neighbour *order* of the pre-graph `neighbors()` function,
     /// so lowering any scenario through this graph is bit-identical to
     /// the fixed 7-cell pipeline.
+    #[allow(
+        clippy::expect_used,
+        reason = "the fixed ring7 lists are a valid topology, as the tests check"
+    )]
     pub fn ring7() -> Self {
         let mut lists: Vec<Vec<(usize, f64)>> = Vec::with_capacity(7);
         lists.push((1..7).map(|t| (t, 1.0)).collect());
@@ -335,6 +339,11 @@ impl CellGraph {
     pub fn neighbors(&self, cell: usize) -> Result<&[(usize, f64)], ModelError> {
         self.check_cell(cell)?;
         Ok(&self.out[cell])
+    }
+
+    /// Every cell's [`neighbors`](Self::neighbors) list, by cell index.
+    pub(crate) fn adjacency(&self) -> &[Vec<(usize, f64)>] {
+        &self.out
     }
 
     /// The number of neighbours of `cell`.

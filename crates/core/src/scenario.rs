@@ -74,12 +74,11 @@
 //!
 //! Sweeping the load axis keeps the heterogeneity pattern fixed and
 //! multiplies every cell's arrival rate: [`Scenario::with_load_scale`]
-//! is the cluster analogue of the paper's arrival-rate x-axis.
+//! is the cluster analogue of the paper's arrival-rate x-axis, and
+//! [`crate::cluster::sweep_load_scales`] sweeps it over the lowered
+//! [`Scenario::to_cluster`] model.
 
-use crate::cluster::{
-    par_sweep_load_scales, sweep_load_scales, ClusterModel, ClusterSolveOptions, ClusterSweepPoint,
-    MID_CELL, NUM_CELLS,
-};
+use crate::cluster::{ClusterModel, MID_CELL, NUM_CELLS};
 use crate::config::CellConfig;
 use crate::error::ModelError;
 use crate::generator::GprsModel;
@@ -441,39 +440,6 @@ impl Scenario {
     pub fn to_cluster(&self) -> Result<ClusterModel, ModelError> {
         ClusterModel::from_graph(self.graph.clone(), self.effective_cells()?)
     }
-
-    /// Solves the scenario's cluster fixed point at each load scale
-    /// (the paper's load axis applied on top of this scenario's own
-    /// [`load_scale`](Self::load_scale)): one lowering, then
-    /// [`sweep_load_scales`] over it. Every point rides the per-cell
-    /// [`crate::template::GeneratorTemplate`]s of the cluster solver,
-    /// so the repeated outer iterations reuse their symbolic state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors and the first failing point.
-    pub fn sweep_load_scales(
-        &self,
-        scales: &[f64],
-        opts: &ClusterSolveOptions,
-    ) -> Result<Vec<ClusterSweepPoint>, ModelError> {
-        sweep_load_scales(&self.to_cluster()?, scales, opts)
-    }
-
-    /// [`Scenario::sweep_load_scales`] fanned out across
-    /// [`gprs_exec::num_threads`] workers; results are in scale order
-    /// and bit-identical to the sequential sweep for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors and the lowest-index failing point.
-    pub fn par_sweep_load_scales(
-        &self,
-        scales: &[f64],
-        opts: &ClusterSolveOptions,
-    ) -> Result<Vec<ClusterSweepPoint>, ModelError> {
-        par_sweep_load_scales(&self.to_cluster()?, scales, opts)
-    }
 }
 
 #[cfg(test)]
@@ -593,23 +559,6 @@ mod tests {
             .abs()
             / single.measures().carried_data_traffic;
         assert!(rel < 1e-6, "rel {rel:.2e}");
-    }
-
-    #[test]
-    fn scenario_load_scale_sweep_matches_the_cluster_sweep() {
-        let s = Scenario::hot_spot(tiny(0.3), 0.6).unwrap();
-        let opts = ClusterSolveOptions::quick();
-        let scales = [0.8, 1.2];
-        let via_scenario = s.sweep_load_scales(&scales, &opts).unwrap();
-        let via_cluster =
-            crate::cluster::sweep_load_scales(&s.to_cluster().unwrap(), &scales, &opts).unwrap();
-        let via_par = s.par_sweep_load_scales(&scales, &opts).unwrap();
-        assert_eq!(via_scenario.len(), 2);
-        for ((a, b), c) in via_scenario.iter().zip(&via_cluster).zip(&via_par) {
-            assert_eq!(a.scale, b.scale);
-            assert_eq!(a.solved.mid().measures, b.solved.mid().measures);
-            assert_eq!(a.solved.mid().measures, c.solved.mid().measures);
-        }
     }
 
     #[test]

@@ -223,6 +223,10 @@ impl ShardState {
                     self.out_gsm[li] = ctx.gsm_h_rate * lean.mean_voice_calls;
                     self.out_gprs[li] = ctx.gprs_h_rate * lean.mean_sessions;
                     if report {
+                        #[allow(
+                            clippy::expect_used,
+                            reason = "a reporting round asks lean_solve_cell for measures"
+                        )]
                         reported.push((
                             ctx.cell,
                             SolvedCell {
@@ -521,6 +525,10 @@ pub(crate) fn solve_sharded(
         for &c in halo {
             halo_pos[c] = usize::MAX;
         }
+        #[allow(
+            clippy::expect_used,
+            reason = "the partition gives each cell to exactly one shard, so each template is taken once"
+        )]
         let cells: Vec<CellCtx> = own
             .iter()
             .map(|&c| {
@@ -632,6 +640,10 @@ fn assemble_report(
     if let Some(e) = lowest_error(errors) {
         return Err(e);
     }
+    #[allow(
+        clippy::expect_used,
+        reason = "shards report every cell they own unless one failed, and failures returned above"
+    )]
     let cells = slots
         .into_iter()
         .map(|slot| slot.expect("every cell reported"))

@@ -127,6 +127,10 @@ pub fn pathological_configs(seed: u64, count: usize) -> Vec<CellConfig> {
 /// constraint: the harness asserts every one is rejected with a typed
 /// [`crate::ModelError::Config`] — never a panic, never a solve on
 /// garbage.
+#[allow(
+    clippy::expect_used,
+    reason = "the builder's base config is valid, as the config tests check"
+)]
 pub fn invalid_configs() -> Vec<CellConfig> {
     let base = CellConfig::builder().build().expect("base config is valid");
     let mut broken: Vec<CellConfig> = Vec::new();
@@ -154,6 +158,10 @@ pub fn invalid_configs() -> Vec<CellConfig> {
     push(&|c| c.gsm_call_duration = 0.0);
     push(&|c| c.gsm_dwell_time = -60.0);
     push(&|c| c.gprs_dwell_time = f64::INFINITY);
+    // State counts past the u32 index range, wrapped and unwrapped.
+    push(&|c| c.max_gprs_sessions = 1 << 32);
+    push(&|c| c.buffer_capacity = usize::MAX);
+    push(&|c| c.buffer_capacity = 1_000_000);
     broken
 }
 

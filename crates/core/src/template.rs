@@ -70,15 +70,12 @@ use crate::error::ModelError;
 use crate::generator::GprsModel;
 use crate::health::{SolveHealth, SolveRung};
 use crate::measures::Measures;
-use gprs_ctmc::blocked::{
-    blocked_kernel_enabled, solve_mbd_projected_blocked_inplace_ws, BlockedMbd,
-};
+use gprs_ctmc::blocked::{solve_mbd_projected_blocked_inplace_ws, BlockedMbd};
 use gprs_ctmc::gth::{solve_gth, RECOMMENDED_MAX_STATES};
-use gprs_ctmc::mbd::{mbd_residual_of, solve_mbd_projected_inplace_ws};
 use gprs_ctmc::solver::{solve_gauss_seidel_ws, SolveOptions};
 use gprs_ctmc::{balance_residual, SolveWorkspace, SparseGenerator};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The structural fingerprint of a cell configuration: two configs with
 /// the same shape produce chains with the same *state space* (the
@@ -246,6 +243,65 @@ impl SymbolicSetup {
             donor: Mutex::new(None),
         }
     }
+
+    /// A fresh pattern for `model`, valued at its rates: a clone +
+    /// refill of the donor when `key` matches it (a matching key means
+    /// a bit-identical pattern, so this equals a fresh assembly), else
+    /// a full symbolic assembly, deposited as the donor if there is
+    /// none yet.
+    fn pattern_for(
+        &self,
+        key: PatternKey,
+        model: &GprsModel,
+    ) -> Result<SparseGenerator, ModelError> {
+        {
+            let donor = lock(&self.donor);
+            if let Some((donor_key, donor_sparse)) = &*donor {
+                if *donor_key == key {
+                    let mut sparse = donor_sparse.clone();
+                    drop(donor);
+                    sparse.refill_values(model)?;
+                    return Ok(sparse);
+                }
+            }
+        }
+        let assembled = model.assemble_sparse()?;
+        let mut donor = lock(&self.donor);
+        if donor.is_none() {
+            *donor = Some((key, assembled.clone()));
+        }
+        Ok(assembled)
+    }
+}
+
+/// Locks `mutex`, recovering the guard if a panic poisoned it. Every
+/// critical section here leaves its data valid at each step (a map
+/// insert or remove, a counter bump, an `Option` store), so a panic
+/// elsewhere on the locking thread never exposes a torn value.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The template's cached pattern, refilled at `model`'s rates while its
+/// [`PatternKey`] matches the cached one, and otherwise replaced by
+/// [`SymbolicSetup::pattern_for`]. A failed refill drops the pattern;
+/// the next call rebuilds it. A free function over the two fields it
+/// touches, so callers can hold the pattern while borrowing the
+/// template's other fields.
+fn ensure_pattern<'a>(
+    cache: &'a mut Option<(PatternKey, SparseGenerator)>,
+    symbolic: &SymbolicSetup,
+    model: &GprsModel,
+) -> Result<&'a SparseGenerator, ModelError> {
+    let key = PatternKey::of(model);
+    let sparse = match cache.take() {
+        Some((cached, mut sparse)) if cached == key => {
+            sparse.refill_values(model)?;
+            sparse
+        }
+        _ => symbolic.pattern_for(key, model)?,
+    };
+    Ok(&cache.insert((key, sparse)).1)
 }
 
 /// A registry of [`SymbolicSetup`]s keyed by model shape: the config
@@ -314,7 +370,7 @@ impl TemplateRegistry {
     pub fn template_for(&self, config: &CellConfig) -> Result<GeneratorTemplate, ModelError> {
         config.validate()?;
         let shape = Shape::of(config);
-        let mut inner = self.inner.lock().expect("template registry poisoned");
+        let mut inner = lock(&self.inner);
         inner.clock += 1;
         let stamp = inner.clock;
         let symbolic = match inner.setups.get_mut(&shape) {
@@ -326,12 +382,14 @@ impl TemplateRegistry {
                 let setup = Arc::new(SymbolicSetup::new(shape));
                 if let Some(cap) = inner.capacity {
                     while inner.setups.len() >= cap {
-                        let victim = inner
+                        let Some(victim) = inner
                             .setups
                             .iter()
                             .min_by_key(|(_, e)| e.last_used)
                             .map(|(s, _)| *s)
-                            .expect("non-empty map above capacity");
+                        else {
+                            break;
+                        };
                         inner.setups.remove(&victim);
                         inner.evictions += 1;
                     }
@@ -352,20 +410,13 @@ impl TemplateRegistry {
 
     /// How many distinct shapes (symbolic setups) the registry holds.
     pub fn setups(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("template registry poisoned")
-            .setups
-            .len()
+        lock(&self.inner).setups.len()
     }
 
     /// Lifetime count of setups dropped by the LRU policy (always `0`
     /// for unbounded registries).
     pub fn evictions(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("template registry poisoned")
-            .evictions
+        lock(&self.inner).evictions
     }
 }
 
@@ -391,12 +442,8 @@ pub struct GeneratorTemplate {
     /// How many consecutive solutions the chain holds (0..=2).
     history: usize,
     /// Phase-major blocked rate tables, recaptured per point and fed to
-    /// the cache-blocked kernel when it is enabled.
+    /// the cache-blocked kernel.
     blocked: BlockedMbd,
-    /// Per-template kernel override: `Some(true/false)` forces the
-    /// blocked/scalar kernel, `None` defers to the
-    /// `GPRS_BLOCKED_KERNEL` environment toggle.
-    kernel_override: Option<bool>,
     /// The configuration `blocked` was last fully captured from
     /// (`None` before the first capture); see
     /// [`capture_blocked`](Self::capture_blocked).
@@ -442,7 +489,6 @@ impl GeneratorTemplate {
             prev2: Vec::new(),
             history: 0,
             blocked: BlockedMbd::new(),
-            kernel_override: None,
             captured: None,
             residual_scratch: Vec::new(),
             placement: Vec::new(),
@@ -516,8 +562,7 @@ impl GeneratorTemplate {
     /// assembly/refill errors.
     pub fn sparse_for(&mut self, model: &GprsModel) -> Result<&SparseGenerator, ModelError> {
         self.check_shape(model.config())?;
-        self.sparse_ensure(model)?;
-        Ok(&self.sparse.as_ref().expect("pattern just ensured").1)
+        ensure_pattern(&mut self.sparse, &self.symbolic, model)
     }
 
     /// Solves `model` with the block tridiagonal solver over the
@@ -633,10 +678,7 @@ impl GeneratorTemplate {
             self.history = 0;
         }
 
-        let use_blocked = self.kernel_override.unwrap_or_else(blocked_kernel_enabled);
-        if use_blocked {
-            self.capture_blocked(model);
-        }
+        self.capture_blocked(model);
 
         // Predict-and-verify surrogate: check whether the extrapolated
         // prediction *already* satisfies the residual tolerance; if so,
@@ -653,12 +695,9 @@ impl GeneratorTemplate {
                     *x /= total;
                 }
                 self.stats.residual_checks += 1;
-                let residual = if use_blocked {
-                    self.blocked
-                        .residual(self.ws.pi(), &mut self.residual_scratch)
-                } else {
-                    mbd_residual_of(model, self.ws.pi())
-                };
+                let residual = self
+                    .blocked
+                    .residual(self.ws.pi(), &mut self.residual_scratch);
                 if residual.is_finite() && residual <= opts.tolerance {
                     // Accept: the verified, exactly normalized
                     // prediction is already the workspace iterate and
@@ -678,16 +717,12 @@ impl GeneratorTemplate {
             }
         }
 
-        let result = if use_blocked {
-            solve_mbd_projected_blocked_inplace_ws(
-                &self.blocked,
-                &self.marginal,
-                opts,
-                &mut self.ws,
-            )
-        } else {
-            solve_mbd_projected_inplace_ws(model, &self.marginal, opts, &mut self.ws)
-        };
+        let result = solve_mbd_projected_blocked_inplace_ws(
+            &self.blocked,
+            &self.marginal,
+            opts,
+            &mut self.ws,
+        );
         let stats = match result {
             Ok(stats) => stats,
             Err(e) => return Err(self.chain_fail(e)),
@@ -741,8 +776,7 @@ impl GeneratorTemplate {
             model.product_form_guess_into(&self.marginal, &mut self.start);
             self.history = 0;
         }
-        self.sparse_ensure(model)?;
-        let sparse = &self.sparse.as_ref().expect("pattern just ensured").1;
+        let sparse = ensure_pattern(&mut self.sparse, &self.symbolic, model)?;
         let stats = match solve_gauss_seidel_ws(sparse, Some(&self.start), opts, &mut self.ws) {
             Ok(stats) => stats,
             Err(e) => return Err(self.chain_fail(e)),
@@ -868,8 +902,7 @@ impl GeneratorTemplate {
         // Rung 4: direct elimination for small chains.
         let n = model.space().num_states();
         if n <= RECOMMENDED_MAX_STATES {
-            self.sparse_ensure(model)?;
-            let sparse = &self.sparse.as_ref().expect("pattern just ensured").1;
+            let sparse = ensure_pattern(&mut self.sparse, &self.symbolic, model)?;
             let pi = solve_gth(sparse)?;
             let residual = balance_residual(sparse, pi.as_slice());
             self.ws.set_pi(pi.as_slice());
@@ -932,44 +965,6 @@ impl GeneratorTemplate {
         ModelError::from(e)
     }
 
-    /// Refills (or assembles) the cached pattern without handing out a
-    /// borrow: refill while `model`'s [`PatternKey`] matches the cached
-    /// one, fresh assembly otherwise.
-    fn sparse_ensure(&mut self, model: &GprsModel) -> Result<(), ModelError> {
-        let key = PatternKey::of(model);
-        if let Some((cached, sparse)) = &mut self.sparse {
-            if *cached == key {
-                sparse.refill_values(model)?;
-                return Ok(());
-            }
-        }
-        // Consult the shape's shared donor pattern before paying a full
-        // symbolic assembly: a matching key means a bit-identical
-        // pattern (same shape + same edge-presence signature), so a
-        // clone + refill equals a fresh assembly.
-        {
-            let donor = self.symbolic.donor.lock().expect("donor pattern poisoned");
-            if let Some((donor_key, donor_sparse)) = &*donor {
-                if *donor_key == key {
-                    let mut sparse = donor_sparse.clone();
-                    drop(donor);
-                    sparse.refill_values(model)?;
-                    self.sparse = Some((key, sparse));
-                    return Ok(());
-                }
-            }
-        }
-        let assembled = model.assemble_sparse()?;
-        {
-            let mut donor = self.symbolic.donor.lock().expect("donor pattern poisoned");
-            if donor.is_none() {
-                *donor = Some((key, assembled.clone()));
-            }
-        }
-        self.sparse = Some((key, assembled));
-        Ok(())
-    }
-
     /// The stationary distribution of the last successful solve —
     /// empty before the first, and emptied again by a failed solve (a
     /// non-converged iterate is never served).
@@ -996,16 +991,6 @@ impl GeneratorTemplate {
     /// patterns are untouched).
     pub fn reset_stats(&mut self) {
         self.stats = TemplateStats::default();
-    }
-
-    /// Forces the MBD kernel choice for this template: `Some(true)` the
-    /// cache-blocked kernel, `Some(false)` the scalar kernel, `None`
-    /// (the default) the `GPRS_BLOCKED_KERNEL` environment toggle. Both
-    /// kernels are bit-identical; this exists for benchmarking and for
-    /// exercising both code paths in tests without process-global env
-    /// races.
-    pub fn set_blocked_kernel(&mut self, forced: Option<bool>) {
-        self.kernel_override = forced;
     }
 }
 
@@ -1067,7 +1052,6 @@ mod tests {
             (&cfg, 0.11, 0.6),
         ];
         let mut fast = GeneratorTemplate::new(&cfg).unwrap();
-        fast.set_blocked_kernel(Some(true));
         for (config, gsm_h, gprs_h) in chain {
             // Same warm-start chain, but no recorded capture: this
             // template must capture the blocked tables in full.

@@ -3,9 +3,7 @@
 //! deterministic — bit-identical results in order for any worker
 //! count.
 
-use gprs_core::cluster::{
-    par_sweep_load_scales_threads, sweep_load_scales, ClusterModel, ClusterSolveOptions,
-};
+use gprs_core::cluster::{sweep_load_scales, ClusterModel, ClusterSolveOptions};
 use gprs_core::sweep::{
     par_sweep_arrival_rates_threads, par_sweep_arrival_rates_with, rate_grid, sweep_arrival_rates,
 };
@@ -125,9 +123,10 @@ fn cluster_par_sweep_is_bit_identical_across_thread_counts() {
     let cluster = ClusterModel::hot_spot(tiny_base(), 1.0).unwrap();
     let scales = [0.5, 0.8, 1.1, 1.4];
     let opts = ClusterSolveOptions::default();
-    let reference = sweep_load_scales(&cluster, &scales, &opts).unwrap();
-    for threads in [1usize, 2, 4] {
-        let par = par_sweep_load_scales_threads(&cluster, &scales, &opts, threads).unwrap();
+    let reference = sweep_load_scales(&cluster, &scales, &opts.clone().with_threads(1)).unwrap();
+    for threads in [0usize, 2, 4] {
+        let par =
+            sweep_load_scales(&cluster, &scales, &opts.clone().with_threads(threads)).unwrap();
         assert_eq!(par.len(), reference.len(), "threads {threads}");
         for (p, r) in par.iter().zip(&reference) {
             assert_eq!(p.scale, r.scale, "threads {threads}");

@@ -24,8 +24,9 @@
 //! unroll and vectorize. The floating-point operations and their order
 //! are **exactly** those of the scalar kernel, and the rates read are
 //! bit-identical to the source's, so blocked and scalar solves are
-//! bit-identical — pinned by the tests below and by the template-level
-//! preflights in `gprs_core`.
+//! bit-identical — pinned by the tests below and by `gprs_core`'s
+//! template tests. Every production solve runs this kernel; the scalar
+//! kernel is kept only as the oracle of those tests.
 //!
 //! Capture costs about one sweep's worth of rate evaluations and is
 //! repaid within the first sweep; for repeated same-shape solves the
@@ -40,29 +41,16 @@ use crate::mbd::{
 };
 use crate::solver::{HealthGuard, Relaxation, SolveOptions, SolveStats, SolveWorkspace};
 
-/// Whether the blocked MBD kernel is enabled for template solves.
+/// Always `true`: every template and model solve runs the blocked
+/// kernel.
 ///
-/// Controlled by the `GPRS_BLOCKED_KERNEL` environment variable: unset
-/// or any value other than `0` / `false` / `off` / `no` (case
-/// insensitive) means enabled. Since blocked and scalar kernels are
-/// bit-identical this toggle never changes results — it exists so CI
-/// can run the full test matrix over both code paths and so regressions
-/// can be bisected to layout vs. arithmetic.
+/// The scalar kernel, [`crate::mbd::solve_mbd_projected_inplace_ws`],
+/// is kept only as the oracle of the bitwise tests, and no environment
+/// variable selects it. This constant survives for one caller, the
+/// repository benchmark, which records it in its report; the next
+/// change to the benchmark deletes that call and this function.
 pub fn blocked_kernel_enabled() -> bool {
-    kernel_enabled_by(std::env::var("GPRS_BLOCKED_KERNEL").ok().as_deref())
-}
-
-/// The parse behind [`blocked_kernel_enabled`]: `None` (unset or not
-/// Unicode) enables the kernel, as does every value but the disabling
-/// ones.
-fn kernel_enabled_by(value: Option<&str>) -> bool {
-    match value {
-        Some(v) => !matches!(
-            v.to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        None => true,
-    }
+    true
 }
 
 /// Per-phase rate rows with each distinct row stored once.
@@ -847,16 +835,5 @@ mod tests {
         assert_eq!(s.sweeps, bl.sweeps);
         assert_eq!(s.residual.to_bits(), bl.residual.to_bits());
         assert_bitwise_eq(ws_s.pi(), ws_b.pi(), "repeated rows, projected");
-    }
-
-    #[test]
-    fn env_toggle_parses_disabling_values() {
-        for off in ["0", "false", "off", "no", "FALSE", "Off", "nO"] {
-            assert!(!kernel_enabled_by(Some(off)), "{off:?}");
-        }
-        for on in ["1", "true", "on", "yes", "", " 0", "off ", "none"] {
-            assert!(kernel_enabled_by(Some(on)), "{on:?}");
-        }
-        assert!(kernel_enabled_by(None));
     }
 }

@@ -22,9 +22,8 @@
 //!   figure sweep, cluster fixed point and campaign solve.
 //! * [`mbd::solve_mbd_projected_inplace_ws`] — the same block
 //!   iteration through the matrix-free [`mbd::ModulatedBirthDeath`]
-//!   trait. It is bit-identical to the blocked kernel: the oracle of
-//!   its tests, and the kernel template solves run when
-//!   [`blocked_kernel_enabled`] returns `false`.
+//!   trait. It is bit-identical to the blocked kernel and kept only as
+//!   the oracle of its tests; no production path runs it.
 //! * [`solver::solve_gauss_seidel`] — point Gauss–Seidel / SOR over
 //!   *incoming* transitions, through the [`IncomingTransitions`]
 //!   trait. Its gather, [`IncomingTransitions::inflow`], is a flat

@@ -16,7 +16,7 @@
 use crate::figures::shared::solve_references;
 use crate::scale::Scale;
 use crate::series::{FigureResult, Panel, Series, ShapeCheck};
-use gprs_core::cluster::{ClusterSolveOptions, MID_CELL};
+use gprs_core::cluster::{sweep_load_scales, ClusterSolveOptions, MID_CELL};
 use gprs_core::{CellConfig, ModelError, Scenario};
 use gprs_exec::num_threads;
 use gprs_traffic::TrafficModel;
@@ -68,7 +68,7 @@ pub fn run(scale: Scale) -> Result<FigureResult, ModelError> {
         scales.len(),
         scenario.base_cells()[0].num_states()
     );
-    let points = scenario.par_sweep_load_scales(&scales, &opts)?;
+    let points = sweep_load_scales(&scenario.to_cluster()?, &scales, &opts)?;
 
     let mid_rates: Vec<f64> = points.iter().map(|p| p.mid_rate).collect();
     let mut mid_block = Vec::new();

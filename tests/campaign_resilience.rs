@@ -12,8 +12,11 @@
 //! journal-boundary semantics are exercised in-process by truncating
 //! and garbling journal bytes with the `gprs_core::stress` injectors.
 
-use gprs_campaign::{demo_spec, run_campaign, ItemStatus, RunnerConfig};
+use gprs_campaign::{
+    demo_spec, run_campaign, CampaignError, CampaignSpec, ItemStatus, RunnerConfig,
+};
 use gprs_core::stress::{garble_last_line, truncate_tail, CampaignFaults};
+use gprs_core::CodecError;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -156,6 +159,28 @@ fn stale_journal_for_a_different_campaign_is_ignored() {
     assert_eq!(report.dropped_journal_lines, 4);
     assert_zero_lost_items(&report, 4);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A campaign item whose cell needs more than `u32::MAX` states —
+/// here `max_gprs_sessions = 2^32`, where the state count would wrap a
+/// `usize` and the solve would abort on a 32 GiB allocation — is a
+/// typed error as soon as the campaign document is read: every
+/// scenario cell is validated on decode, before any item runs.
+#[test]
+fn oversized_cell_is_a_typed_error_not_an_abort() {
+    let text = demo_spec(3).to_json();
+    let huge = text.replacen(
+        "\"max_gprs_sessions\":2,",
+        "\"max_gprs_sessions\":4294967296,",
+        1,
+    );
+    assert_ne!(huge, text, "the demo cell must carry the field");
+    match CampaignSpec::from_json(&huge) {
+        Err(CampaignError::Codec(CodecError::Invalid { reason })) => {
+            assert!(reason.contains("u32 state index range"), "{reason}");
+        }
+        other => panic!("expected a typed codec error, got {other:?}"),
+    }
 }
 
 /// Nightly corpus: a grid of fault placements across thread counts.
