@@ -6,12 +6,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gprs_core::cluster::{sweep_load_scales, ClusterModel, ClusterSolveOptions};
-use gprs_core::CellConfig;
+use gprs_core::{CellConfig, Scenario};
 use gprs_ctmc::solver::SolveOptions;
 use gprs_exec::num_threads;
 use gprs_traffic::TrafficModel;
 
-fn hot_spot_cluster() -> ClusterModel {
+fn hot_spot_scenario() -> Scenario {
     let ring = CellConfig::builder()
         .traffic_model(TrafficModel::Model3)
         .buffer_capacity(12)
@@ -19,7 +19,7 @@ fn hot_spot_cluster() -> ClusterModel {
         .call_arrival_rate(0.3)
         .build()
         .expect("valid config");
-    ClusterModel::hot_spot(ring, 0.6).expect("valid cluster")
+    Scenario::hot_spot(ring, 0.6).expect("valid scenario")
 }
 
 fn opts(threads: usize) -> ClusterSolveOptions {
@@ -43,7 +43,8 @@ fn check_determinism(cluster: &ClusterModel) {
 
 fn bench_cluster(c: &mut Criterion) {
     println!("cluster fan-out workers: {}", num_threads());
-    let cluster = hot_spot_cluster();
+    let scenario = hot_spot_scenario();
+    let cluster = scenario.to_cluster().expect("valid cluster");
     check_determinism(&cluster);
 
     let mut g = c.benchmark_group("cluster_fixed_point");
@@ -60,10 +61,10 @@ fn bench_cluster(c: &mut Criterion) {
     let mut g = c.benchmark_group("cluster_sweep6");
     g.sample_size(3);
     g.bench_function("sequential", |b| {
-        b.iter(|| sweep_load_scales(&cluster, &scales, &opts(1)).unwrap())
+        b.iter(|| sweep_load_scales(&scenario, &scales, &opts(1)).unwrap())
     });
     g.bench_function("parallel", |b| {
-        b.iter(|| sweep_load_scales(&cluster, &scales, &opts(num_threads())).unwrap())
+        b.iter(|| sweep_load_scales(&scenario, &scales, &opts(num_threads())).unwrap())
     });
     g.finish();
 }

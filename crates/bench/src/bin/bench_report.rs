@@ -220,7 +220,9 @@ fn main() {
     } else {
         ring
     };
-    let cluster = ClusterModel::hot_spot(ring, 0.6).expect("valid cluster");
+    let cluster = Scenario::hot_spot(ring, 0.6)
+        .and_then(|s| s.to_cluster())
+        .expect("valid cluster");
     let cluster_opts = ClusterSolveOptions::quick()
         .with_solve(solve_opts.clone())
         .with_threads(threads);

@@ -118,10 +118,6 @@ pub struct ItemResult {
     pub failure: Option<ItemFailure>,
 }
 
-fn rung_label(rung: SolveRung) -> &'static str {
-    rung.label()
-}
-
 fn rung_from_label(label: &str) -> Option<SolveRung> {
     match label {
         "primary" => Some(SolveRung::Primary),
@@ -252,7 +248,7 @@ pub fn entry_to_json_value(entry: &ItemResult) -> JsonValue {
         ),
         (
             "rung".to_string(),
-            JsonValue::Str(rung_label(entry.rung).into()),
+            JsonValue::Str(entry.rung.label().into()),
         ),
         (
             "failed_rungs".to_string(),

@@ -377,21 +377,9 @@ fn escalate(
 /// cluster: the deepest fallback rung any cell needed and the maximum
 /// failed-rung count.
 fn health_summary(solved: &SolvedCluster) -> (SolveRung, u8) {
-    let depth = |rung: SolveRung| match rung {
-        SolveRung::Primary => 0u8,
-        SolveRung::Surrogate => 1,
-        SolveRung::ColdRestart => 2,
-        SolveRung::AlternateIterative => 3,
-        SolveRung::DirectGth => 4,
-    };
-    let mut worst = SolveRung::Primary;
-    let mut failed = 0u8;
-    for cell in solved.cells() {
-        if depth(cell.health.rung) > depth(worst) {
-            worst = cell.health.rung;
-        }
-        failed = failed.max(cell.health.failed_rungs);
-    }
+    let health = || solved.cells().iter().map(|cell| cell.health);
+    let worst = health().map(|h| h.rung).max().unwrap_or_default();
+    let failed = health().map(|h| h.failed_rungs).max().unwrap_or(0);
     (worst, failed)
 }
 

@@ -9,8 +9,11 @@
 //! own outflow, which the scalar balance cannot represent.
 //!
 //! [`ClusterModel`] drops the assumption. It holds one [`CellConfig`]
-//! per cell of the closed 7-cell wraparound topology (the same topology
-//! the `gprs-sim` network simulator moves users over) and iterates a
+//! per cell of a [`CellGraph`] topology (the paper's closed 7-cell
+//! wraparound ring for the classic scenarios, the same topology the
+//! `gprs-sim` network simulator moves users over). Workloads are
+//! described once as a [`Scenario`] and lowered with
+//! [`Scenario::to_cluster`]. The model iterates a
 //! **cluster-wide fixed point on the handover arrival vectors**:
 //!
 //! 1. solve each cell's CTMC under its current incoming handover rates
@@ -37,8 +40,8 @@
 //! # Example
 //!
 //! ```
-//! use gprs_core::cluster::{ClusterModel, ClusterSolveOptions, MID_CELL};
-//! use gprs_core::CellConfig;
+//! use gprs_core::cluster::ClusterSolveOptions;
+//! use gprs_core::{CellConfig, Scenario};
 //! use gprs_traffic::TrafficModel;
 //!
 //! // Ring cells at 0.3 calls/s, mid cell overloaded at 0.6 calls/s
@@ -49,7 +52,7 @@
 //!     .max_gprs_sessions(2)
 //!     .call_arrival_rate(0.3)
 //!     .build()?;
-//! let cluster = ClusterModel::hot_spot(base, 0.6)?;
+//! let cluster = Scenario::hot_spot(base, 0.6)?.to_cluster()?;
 //! let solved = cluster.solve(&ClusterSolveOptions::quick())?;
 //! // The hot mid cell receives less handover inflow than it emits:
 //! // its lightly loaded neighbours cannot match its outflow.
@@ -64,15 +67,17 @@ use crate::error::ModelError;
 use crate::graph::CellGraph;
 use crate::health::SolveHealth;
 use crate::measures::Measures;
+use crate::scenario::Scenario;
 use crate::template::TemplateRegistry;
 use gprs_ctmc::solver::SolveOptions;
 use gprs_exec::num_threads;
 use gprs_queueing::handover::{balance_default, HandoverParams};
 
-/// Number of cells in the legacy 7-cell ring cluster — the default
-/// topology of [`ClusterModel::new`] and the paper's validation setup.
-/// Graph-typed clusters ([`ClusterModel::from_graph`]) may have any
-/// size; query [`ClusterModel::num_cells`] instead.
+/// Number of cells in the 7-cell ring cluster ([`CellGraph::ring7`]) —
+/// the topology of the classic [`Scenario`] constructors and the
+/// paper's validation setup. Graph-typed clusters
+/// ([`ClusterModel::from_graph`]) may have any size; query
+/// [`ClusterModel::num_cells`] instead.
 pub const NUM_CELLS: usize = 7;
 
 /// Index of the mid (statistics) cell — cell 0 on every topology.
@@ -376,9 +381,9 @@ impl SolvedCluster {
 
 /// The heterogeneous analytical cluster model: one configuration per
 /// cell of a [`CellGraph`] topology, solved to a cluster-wide handover
-/// fixed point. [`ClusterModel::new`] builds the legacy 7-cell ring
-/// (bit-identical to the pre-graph pipeline);
-/// [`ClusterModel::from_graph`] accepts arbitrary connected topologies.
+/// fixed point. Build one by lowering a [`Scenario`]
+/// ([`Scenario::to_cluster`]) or, for a hand-made topology, with
+/// [`ClusterModel::from_graph`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterModel {
     graph: CellGraph,
@@ -386,9 +391,8 @@ pub struct ClusterModel {
 }
 
 impl ClusterModel {
-    /// Builds a cluster on the legacy 7-cell wraparound ring
-    /// ([`CellGraph::ring7`]) from exactly [`NUM_CELLS`] per-cell
-    /// configurations (index [`MID_CELL`] is the mid cell).
+    /// Builds a cluster on an arbitrary topology: one configuration per
+    /// cell of `graph` (index [`MID_CELL`] is the statistics cell).
     ///
     /// The handover split is a rate split, so cells may differ in any
     /// parameter — coding schemes, buffers, channel splits, traffic
@@ -396,17 +400,6 @@ impl ClusterModel {
     /// generality (`gprs_sim::SimConfig` holds one `CellConfig` per
     /// cell), so every cluster this model solves can be
     /// cross-validated end to end.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Topology`] if the count is wrong,
-    /// [`ModelError::Config`] if any cell configuration is invalid.
-    pub fn new(configs: Vec<CellConfig>) -> Result<Self, ModelError> {
-        Self::from_graph(CellGraph::ring7(), configs)
-    }
-
-    /// Builds a cluster on an arbitrary topology: one configuration per
-    /// cell of `graph` (index [`MID_CELL`] is the statistics cell).
     ///
     /// # Errors
     ///
@@ -431,44 +424,6 @@ impl ClusterModel {
         Ok(ClusterModel { graph, configs })
     }
 
-    /// A homogeneous ring cluster: all seven cells share `config`. Its
-    /// fixed point reproduces the single-cell model of
-    /// [`GprsModel::new`](crate::GprsModel::new) — the oracle tests
-    /// rely on this.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClusterModel::new`].
-    pub fn uniform(config: CellConfig) -> Result<Self, ModelError> {
-        Self::new(vec![config; NUM_CELLS])
-    }
-
-    /// A homogeneous cluster on an arbitrary topology: every cell of
-    /// `graph` runs `config`. On a *flow-balanced* graph
-    /// ([`CellGraph::is_flow_balanced`]) the fixed point again
-    /// reproduces the single-cell model.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClusterModel::from_graph`].
-    pub fn uniform_graph(graph: CellGraph, config: CellConfig) -> Result<Self, ModelError> {
-        let n = graph.num_cells();
-        Self::from_graph(graph, vec![config; n])
-    }
-
-    /// A hot-spot cluster: the six ring cells run `base` unchanged, the
-    /// mid cell runs at `mid_arrival_rate` calls/s — the asymmetric
-    /// scenario the homogeneous model cannot represent.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClusterModel::new`].
-    pub fn hot_spot(base: CellConfig, mid_arrival_rate: f64) -> Result<Self, ModelError> {
-        let mut configs = vec![base; NUM_CELLS];
-        configs[MID_CELL].call_arrival_rate = mid_arrival_rate;
-        Self::new(configs)
-    }
-
     /// The per-cell configurations.
     pub fn configs(&self) -> &[CellConfig] {
         &self.configs
@@ -482,26 +437,6 @@ impl ClusterModel {
     /// The number of cells in the cluster (`graph().num_cells()`).
     pub fn num_cells(&self) -> usize {
         self.graph.num_cells()
-    }
-
-    /// A copy with every cell's call arrival rate multiplied by `scale`
-    /// (heterogeneity pattern preserved) — the cluster analogue of the
-    /// paper's arrival-rate x-axis.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Config`] if a scaled rate is invalid.
-    pub fn scaled(&self, scale: f64) -> Result<Self, ModelError> {
-        let configs = self
-            .configs
-            .iter()
-            .map(|cfg| {
-                let mut c = cfg.clone();
-                c.call_arrival_rate *= scale;
-                c
-            })
-            .collect();
-        Self::from_graph(self.graph.clone(), configs)
     }
 
     /// Runs the cluster fixed point to convergence.
@@ -601,18 +536,20 @@ pub struct ClusterSweepPoint {
     pub solved: SolvedCluster,
 }
 
-/// Solves the cluster at each load scale (every cell's arrival rate
-/// multiplied by the scale; see [`ClusterModel::scaled`]), fanning the
-/// points out across [`opts.threads`](ClusterSolveOptions::threads)
-/// workers. Each point solves its cells on one thread (the parallelism
-/// budget goes to the points), and results are returned in scale
-/// order, bit-identical for any worker count.
+/// Solves `scenario` at each load scale, fanning the points out across
+/// [`opts.threads`](ClusterSolveOptions::threads) workers. Point `s` is
+/// `scenario.clone().with_load_scale(s)?.to_cluster()?` solved on one
+/// thread — the same load-scaling path as every other lowering of the
+/// scenario ([`Scenario::with_load_scale`]), so a sweep point and a
+/// homogeneous or simulator reference at the same scale see the same
+/// rates. The parallelism budget goes to the points; results are
+/// returned in scale order, bit-identical for any worker count.
 ///
 /// # Errors
 ///
 /// Propagates the error of the lowest-index failing point.
 pub fn sweep_load_scales(
-    base: &ClusterModel,
+    scenario: &Scenario,
     scales: &[f64],
     opts: &ClusterSolveOptions,
 ) -> Result<Vec<ClusterSweepPoint>, ModelError> {
@@ -625,14 +562,14 @@ pub fn sweep_load_scales(
         threads => threads,
     };
     gprs_exec::par_map_tasks(scales.len(), threads, |i| {
-        solve_scale_point(base, scales[i], opts)
+        solve_scale_point(scenario, scales[i], opts)
     })
     .into_iter()
     .collect()
 }
 
 fn solve_scale_point(
-    base: &ClusterModel,
+    scenario: &Scenario,
     scale: f64,
     opts: &ClusterSolveOptions,
 ) -> Result<ClusterSweepPoint, ModelError> {
@@ -640,11 +577,11 @@ fn solve_scale_point(
     // workers with points, and a fixed inner thread count keeps the
     // point's result independent of how the sweep is scheduled.
     let point_opts = opts.clone().with_threads(1);
-    let scaled = base.scaled(scale)?;
-    let solved = scaled.solve(&point_opts)?;
+    let cluster = scenario.clone().with_load_scale(scale)?.to_cluster()?;
+    let solved = cluster.solve(&point_opts)?;
     Ok(ClusterSweepPoint {
         scale,
-        mid_rate: scaled.configs()[MID_CELL].call_arrival_rate,
+        mid_rate: cluster.configs()[MID_CELL].call_arrival_rate,
         solved,
     })
 }
@@ -664,6 +601,17 @@ mod tests {
             .max_gprs_sessions(2)
             .call_arrival_rate(rate)
             .build()
+            .unwrap()
+    }
+
+    fn homogeneous(cell: CellConfig) -> ClusterModel {
+        Scenario::homogeneous(cell).unwrap().to_cluster().unwrap()
+    }
+
+    fn hot_spot(ring: CellConfig, mid_arrival_rate: f64) -> ClusterModel {
+        Scenario::hot_spot(ring, mid_arrival_rate)
+            .unwrap()
+            .to_cluster()
             .unwrap()
     }
 
@@ -733,6 +681,21 @@ mod tests {
     }
 
     #[test]
+    fn handover_target_stays_in_range() {
+        // Inclusive upper boundary: i == 12 drives u to exactly 1.0,
+        // which clamps onto the last neighbour rather than panicking.
+        let g = CellGraph::ring7();
+        for cell in 0..NUM_CELLS {
+            for i in 0..=12 {
+                let u = i as f64 / 12.0;
+                let t = g.handover_target(cell, u).unwrap();
+                assert!(t < NUM_CELLS);
+                assert_ne!(t, cell);
+            }
+        }
+    }
+
+    #[test]
     fn topology_handover_target_rejects_above_one() {
         let g = CellGraph::ring7();
         for u in [1.0 + 1e-9, -1e-9, f64::NAN] {
@@ -776,18 +739,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_needs_exactly_seven_cells() {
-        match ClusterModel::new(vec![tiny(0.4); 6]) {
-            Err(ModelError::Topology { reason }) => {
-                assert!(reason.contains("7 cells"), "{reason}");
-                assert!(reason.contains('6'), "{reason}");
-            }
-            other => panic!("expected Topology error, got {other:?}"),
-        }
-        assert!(ClusterModel::new(vec![tiny(0.4); 7]).is_ok());
-    }
-
-    #[test]
     fn from_graph_rejects_config_count_mismatch_with_typed_error() {
         let graph = CellGraph::corridor(5).unwrap();
         match ClusterModel::from_graph(graph, vec![tiny(0.4); 4]) {
@@ -800,7 +751,7 @@ mod tests {
 
     #[test]
     fn uniform_cluster_balances_every_cell() {
-        let cluster = ClusterModel::uniform(tiny(0.5)).unwrap();
+        let cluster = homogeneous(tiny(0.5));
         let solved = cluster.solve(&ClusterSolveOptions::default()).unwrap();
         assert!(solved.iterations() >= 1);
         assert!(solved.flow_imbalance() < 1e-8);
@@ -822,7 +773,7 @@ mod tests {
 
     #[test]
     fn hot_spot_mid_cell_exports_load_to_the_ring() {
-        let cluster = ClusterModel::hot_spot(tiny(0.3), 0.9).unwrap();
+        let cluster = hot_spot(tiny(0.3), 0.9);
         let solved = cluster.solve(&ClusterSolveOptions::default()).unwrap();
         let mid = solved.mid();
         // The hot cell emits more than its light neighbours send back.
@@ -850,11 +801,11 @@ mod tests {
         light_cfgs[MID_CELL] = tiny(0.4);
         let mut heavy_cfgs = vec![tiny(0.8); NUM_CELLS];
         heavy_cfgs[MID_CELL] = tiny(0.4);
-        let light = ClusterModel::new(light_cfgs)
+        let light = ClusterModel::from_graph(CellGraph::ring7(), light_cfgs)
             .unwrap()
             .solve(&ClusterSolveOptions::default())
             .unwrap();
-        let heavy = ClusterModel::new(heavy_cfgs)
+        let heavy = ClusterModel::from_graph(CellGraph::ring7(), heavy_cfgs)
             .unwrap()
             .solve(&ClusterSolveOptions::default())
             .unwrap();
@@ -863,21 +814,11 @@ mod tests {
     }
 
     #[test]
-    fn scaled_preserves_the_heterogeneity_pattern() {
-        let cluster = ClusterModel::hot_spot(tiny(0.3), 0.6).unwrap();
-        let doubled = cluster.scaled(2.0).unwrap();
-        for (a, b) in cluster.configs().iter().zip(doubled.configs()) {
-            assert!((b.call_arrival_rate - 2.0 * a.call_arrival_rate).abs() < 1e-12);
-        }
-        assert!(cluster.scaled(-1.0).is_err());
-    }
-
-    #[test]
     fn sweep_points_come_back_in_scale_order() {
-        let cluster = ClusterModel::hot_spot(tiny(0.3), 0.6).unwrap();
+        let scenario = Scenario::hot_spot(tiny(0.3), 0.6).unwrap();
         let scales = [0.5, 1.0, 1.5];
         let opts = ClusterSolveOptions::quick();
-        let seq = sweep_load_scales(&cluster, &scales, &opts).unwrap();
+        let seq = sweep_load_scales(&scenario, &scales, &opts).unwrap();
         assert_eq!(seq.len(), 3);
         for (p, &s) in seq.iter().zip(&scales) {
             assert_eq!(p.scale, s);
@@ -891,11 +832,42 @@ mod tests {
     }
 
     #[test]
+    fn sweep_points_are_the_scaled_scenario_solves() {
+        // The sweep and every other lowering of a scenario scale load
+        // through one path: each point is bit-identical to solving
+        // `with_load_scale(s)` of the same scenario on one thread.
+        let scenario = Scenario::hot_spot(tiny(0.3), 0.6).unwrap();
+        let scales = [0.5, 1.0, 1.5];
+        let opts = ClusterSolveOptions::quick();
+        let points = sweep_load_scales(&scenario, &scales, &opts).unwrap();
+        for (p, &s) in points.iter().zip(&scales) {
+            let cluster = scenario
+                .clone()
+                .with_load_scale(s)
+                .unwrap()
+                .to_cluster()
+                .unwrap();
+            let direct = cluster.solve(&opts.clone().with_threads(1)).unwrap();
+            assert_eq!(p.scale, s);
+            assert_eq!(
+                p.mid_rate.to_bits(),
+                cluster.configs()[MID_CELL].call_arrival_rate.to_bits()
+            );
+            assert_eq!(p.solved.iterations(), direct.iterations(), "scale {s}");
+            for (a, b) in p.solved.cells().iter().zip(direct.cells()) {
+                assert_eq!(a.measures, b.measures, "scale {s}");
+                assert_eq!(a.sweeps, b.sweeps, "scale {s}");
+                assert_eq!(a.residual.to_bits(), b.residual.to_bits(), "scale {s}");
+            }
+        }
+    }
+
+    #[test]
     fn convergence_exactly_at_the_cap_still_succeeds() {
         // Uniform load converges after the first balance update (the
         // scalar init is already the fixed point), so a cap of 1 leaves
         // no loop slot for the reporting pass — which must run anyway.
-        let cluster = ClusterModel::uniform(tiny(0.5)).unwrap();
+        let cluster = homogeneous(tiny(0.5));
         let opts = ClusterSolveOptions {
             max_iterations: 1,
             ..ClusterSolveOptions::default()
@@ -925,7 +897,7 @@ mod tests {
         // at a ratio near 1 and needs ~190 plain iterations — a cap of
         // 60 exhausts the budget. Adaptive relaxation detects the
         // projected overrun and extrapolates the slow mode inside it.
-        let cluster = ClusterModel::hot_spot(short_dwell(0.3, 0.5), 0.9).unwrap();
+        let cluster = hot_spot(short_dwell(0.3, 0.5), 0.9);
         let capped = ClusterSolveOptions {
             max_iterations: 60,
             ..ClusterSolveOptions::default()
@@ -958,7 +930,7 @@ mod tests {
         // A hot spot that converges within the budget must take the
         // exact same trajectory with adaptivity on: every step runs at
         // θ = 1 and assigns the raw update verbatim.
-        let cluster = ClusterModel::hot_spot(tiny(0.3), 0.9).unwrap();
+        let cluster = hot_spot(tiny(0.3), 0.9);
         let adaptive = cluster.solve(&ClusterSolveOptions::default()).unwrap();
         let plain = cluster
             .solve(&ClusterSolveOptions::default().with_adaptive_relaxation(false))
@@ -975,7 +947,7 @@ mod tests {
 
     #[test]
     fn cluster_reports_healthy_primary_solves() {
-        let cluster = ClusterModel::uniform(tiny(0.5)).unwrap();
+        let cluster = homogeneous(tiny(0.5));
         let solved = cluster.solve(&ClusterSolveOptions::default()).unwrap();
         assert!(!solved.degraded());
         for cell in solved.cells() {
@@ -986,7 +958,7 @@ mod tests {
 
     #[test]
     fn surrogate_cluster_matches_the_plain_fixed_point() {
-        let cluster = ClusterModel::uniform(tiny(0.5)).unwrap();
+        let cluster = homogeneous(tiny(0.5));
         let plain = cluster.solve(&ClusterSolveOptions::default()).unwrap();
         let surr = cluster
             .solve(&ClusterSolveOptions::default().with_surrogate(true))
@@ -1017,7 +989,7 @@ mod tests {
 
     #[test]
     fn iteration_cap_reports_balance_not_converged() {
-        let cluster = ClusterModel::hot_spot(tiny(0.3), 0.9).unwrap();
+        let cluster = hot_spot(tiny(0.3), 0.9);
         let opts = ClusterSolveOptions {
             max_iterations: 1,
             tolerance: 1e-15,
@@ -1033,7 +1005,7 @@ mod tests {
     fn gauss_seidel_reaches_the_jacobi_fixed_point() {
         // Same fixed point, different sweep ordering — on the ring and
         // on a corridor (where Jacobi's information crawls).
-        let ring = ClusterModel::hot_spot(tiny(0.3), 0.9).unwrap();
+        let ring = hot_spot(tiny(0.3), 0.9);
         let corridor_cfgs: Vec<CellConfig> = (0..6).map(|i| tiny(0.2 + 0.1 * i as f64)).collect();
         let corridor =
             ClusterModel::from_graph(CellGraph::corridor(6).unwrap(), corridor_cfgs).unwrap();
@@ -1081,7 +1053,8 @@ mod tests {
     #[test]
     fn uniform_hex_torus_balances_like_the_ring() {
         let cluster =
-            ClusterModel::uniform_graph(CellGraph::hex_torus(3, 3).unwrap(), tiny(0.5)).unwrap();
+            ClusterModel::from_graph(CellGraph::hex_torus(3, 3).unwrap(), vec![tiny(0.5); 9])
+                .unwrap();
         let solved = cluster.solve(&ClusterSolveOptions::default()).unwrap();
         for cell in solved.cells() {
             assert!(

@@ -17,8 +17,10 @@
 /// The ladder runs top to bottom; each rung is only attempted after
 /// every rung above it failed with a *solver* failure (non-convergence
 /// or divergence — structural errors propagate immediately, every rung
-/// would fail identically on them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// would fail identically on them). Rungs order by ladder depth:
+/// `Primary < Surrogate < ColdRestart < AlternateIterative < DirectGth`,
+/// so the deepest rung of several solves is their `max`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum SolveRung {
     /// The primary path: block tridiagonal (MBD) solve with the
     /// requested warm start. The happy path — bit-identical to the
@@ -115,6 +117,22 @@ mod tests {
         };
         assert!(!h.degraded());
         assert_eq!(h.rung.label(), "surrogate");
+    }
+
+    #[test]
+    fn rungs_order_by_ladder_depth() {
+        use SolveRung::*;
+        let ladder = [
+            Primary,
+            Surrogate,
+            ColdRestart,
+            AlternateIterative,
+            DirectGth,
+        ];
+        for pair in ladder.windows(2) {
+            assert!(pair[0] < pair[1], "{:?} < {:?}", pair[0], pair[1]);
+        }
+        assert_eq!(ladder.iter().max(), Some(&DirectGth));
     }
 
     #[test]

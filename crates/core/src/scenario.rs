@@ -74,9 +74,10 @@
 //!
 //! Sweeping the load axis keeps the heterogeneity pattern fixed and
 //! multiplies every cell's arrival rate: [`Scenario::with_load_scale`]
-//! is the cluster analogue of the paper's arrival-rate x-axis, and
-//! [`crate::cluster::sweep_load_scales`] sweeps it over the lowered
-//! [`Scenario::to_cluster`] model.
+//! is the cluster analogue of the paper's arrival-rate x-axis and the
+//! only load-scaling path. [`crate::cluster::sweep_load_scales`]
+//! solves `with_load_scale(s)` lowered through
+//! [`Scenario::to_cluster`] at each scale `s`.
 
 use crate::cluster::{ClusterModel, MID_CELL, NUM_CELLS};
 use crate::config::CellConfig;
@@ -193,24 +194,21 @@ impl Scenario {
         Self::from_cells("asymmetric-ring", cells)
     }
 
-    /// The general constructor: exactly [`NUM_CELLS`] per-cell
-    /// configurations (index [`MID_CELL`] is the mid/statistics cell),
-    /// free to differ in *any* parameter — arrival rates, coding
-    /// schemes, buffer sizes, channel splits. Both lowerings accept the
-    /// full generality: the analytical cluster solves one CTMC per
-    /// cell, and the simulator (`gprs_sim::SimConfig::for_scenario`)
-    /// runs one `CellConfig` per cell.
+    /// The general ring constructor: exactly [`NUM_CELLS`] per-cell
+    /// configurations on [`CellGraph::ring7`] (index [`MID_CELL`] is
+    /// the mid/statistics cell), free to differ in *any* parameter —
+    /// arrival rates, coding schemes, buffer sizes, channel splits.
+    /// Both lowerings accept the full generality: the analytical
+    /// cluster solves one CTMC per cell, and the simulator
+    /// (`gprs_sim::SimConfig::for_scenario`) runs one `CellConfig` per
+    /// cell.
     ///
     /// # Errors
     ///
-    /// [`ModelError::Config`] if the count is wrong or a cell is
+    /// As [`Scenario::from_graph`]: [`ModelError::Topology`] if the
+    /// count is not [`NUM_CELLS`], [`ModelError::Config`] if a cell is
     /// invalid.
     pub fn from_cells(name: impl Into<String>, cells: Vec<CellConfig>) -> Result<Self, ModelError> {
-        if cells.len() != NUM_CELLS {
-            return Err(ModelError::Config {
-                reason: format!("scenario needs {NUM_CELLS} cells, got {}", cells.len()),
-            });
-        }
         Self::from_graph(name, CellGraph::ring7(), cells)
     }
 
@@ -377,8 +375,8 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// [`ModelError::Config`] if `cell >= NUM_CELLS` or the effective
-    /// cells fail validation.
+    /// [`ModelError::Config`] if `cell >= self.num_cells()` or the
+    /// effective cells fail validation.
     pub fn homogeneous_at(&self, cell: usize) -> Result<Self, ModelError> {
         if cell >= self.num_cells() {
             return Err(ModelError::Config {
@@ -571,6 +569,18 @@ mod tests {
             .unwrap()
             .homogeneous_at(7)
             .is_err());
+    }
+
+    #[test]
+    fn cluster_needs_exactly_seven_cells() {
+        match Scenario::from_cells("short", vec![tiny(0.4); 6]) {
+            Err(ModelError::Topology { reason }) => {
+                assert!(reason.contains("7 cells"), "{reason}");
+                assert!(reason.contains('6'), "{reason}");
+            }
+            other => panic!("expected Topology error, got {other:?}"),
+        }
+        assert!(Scenario::from_cells("ring", vec![tiny(0.4); 7]).is_ok());
     }
 
     #[test]

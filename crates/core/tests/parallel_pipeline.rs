@@ -3,11 +3,11 @@
 //! deterministic — bit-identical results in order for any worker
 //! count.
 
-use gprs_core::cluster::{sweep_load_scales, ClusterModel, ClusterSolveOptions};
+use gprs_core::cluster::{sweep_load_scales, ClusterSolveOptions};
 use gprs_core::sweep::{
     par_sweep_arrival_rates_threads, par_sweep_arrival_rates_with, rate_grid, sweep_arrival_rates,
 };
-use gprs_core::CellConfig;
+use gprs_core::{CellConfig, Scenario};
 use gprs_ctmc::solver::SolveOptions;
 use gprs_traffic::TrafficModel;
 use std::sync::Mutex;
@@ -74,7 +74,10 @@ fn cluster_fixed_point_is_bit_identical_across_thread_counts() {
     // over its shard workers; like the arrival-rate sweep, the worker count
     // (RAYON_NUM_THREADS in production, explicit here) must not change
     // a single bit of the result.
-    let cluster = ClusterModel::hot_spot(tiny_base(), 1.0).unwrap();
+    let cluster = Scenario::hot_spot(tiny_base(), 1.0)
+        .unwrap()
+        .to_cluster()
+        .unwrap();
     let reference = cluster
         .solve(&ClusterSolveOptions::default().with_threads(1))
         .unwrap();
@@ -120,13 +123,13 @@ fn cluster_fixed_point_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn cluster_par_sweep_is_bit_identical_across_thread_counts() {
-    let cluster = ClusterModel::hot_spot(tiny_base(), 1.0).unwrap();
+    let scenario = Scenario::hot_spot(tiny_base(), 1.0).unwrap();
     let scales = [0.5, 0.8, 1.1, 1.4];
     let opts = ClusterSolveOptions::default();
-    let reference = sweep_load_scales(&cluster, &scales, &opts.clone().with_threads(1)).unwrap();
+    let reference = sweep_load_scales(&scenario, &scales, &opts.clone().with_threads(1)).unwrap();
     for threads in [0usize, 2, 4] {
         let par =
-            sweep_load_scales(&cluster, &scales, &opts.clone().with_threads(threads)).unwrap();
+            sweep_load_scales(&scenario, &scales, &opts.clone().with_threads(threads)).unwrap();
         assert_eq!(par.len(), reference.len(), "threads {threads}");
         for (p, r) in par.iter().zip(&reference) {
             assert_eq!(p.scale, r.scale, "threads {threads}");

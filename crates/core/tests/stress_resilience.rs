@@ -8,10 +8,10 @@
 //! `cargo test --test stress_resilience -- --ignored` or via the
 //! nightly CI stress job); a quick subset runs in tier-1 on every push.
 
-use gprs_core::cluster::{ClusterModel, ClusterSolveOptions};
+use gprs_core::cluster::ClusterSolveOptions;
 use gprs_core::stress::{invalid_configs, pathological_configs};
 use gprs_core::template::{GeneratorTemplate, PointSolve, WarmStart};
-use gprs_core::{CellConfig, GprsModel, ModelError, SolveRung};
+use gprs_core::{CellConfig, GprsModel, ModelError, Scenario, SolveRung};
 use gprs_ctmc::solver::SolveOptions;
 use gprs_queueing::QueueingError;
 use gprs_traffic::TrafficModel;
@@ -255,7 +255,7 @@ fn budget_bound_cluster_is_rescued_by_adaptive_relaxation() {
         .gprs_dwell_time(1.0)
         .build()
         .unwrap();
-    let cluster = ClusterModel::hot_spot(base, 0.9).unwrap();
+    let cluster = Scenario::hot_spot(base, 0.9).unwrap().to_cluster().unwrap();
     let capped = ClusterSolveOptions {
         max_iterations: 60,
         ..ClusterSolveOptions::default()

@@ -77,7 +77,7 @@ pub fn run(scale: Scale) -> Result<FigureResult, ModelError> {
         scales.len(),
         scenario.base_cells()[0].num_states()
     );
-    let points = sweep_load_scales(&scenario.to_cluster()?, &scales, &opts)?;
+    let points = sweep_load_scales(&scenario, &scales, &opts)?;
 
     let mid_rates: Vec<f64> = points.iter().map(|p| p.mid_rate).collect();
     let mut mid_block = Vec::new();

@@ -1,7 +1,7 @@
 //! Simulator configuration.
 
-use crate::cluster::{MID_CELL, NUM_CELLS};
 use crate::supervision::SupervisionConfig;
+use gprs_core::cluster::{MID_CELL, NUM_CELLS};
 use gprs_core::{CellConfig, CellGraph, ModelError, Scenario};
 
 /// How the radio link serves the BSC buffer.
@@ -94,15 +94,7 @@ impl SimConfig {
     /// `cell`. Sensible defaults (10 batches × 2000 s, 1000 s warm-up,
     /// 50 ms wired delay, processor-sharing radio, TCP enabled).
     pub fn builder(cell: CellConfig) -> SimConfigBuilder {
-        Self::builder_cells(vec![cell; NUM_CELLS])
-    }
-
-    /// Starts a builder from explicit per-cell configurations (mid cell
-    /// first) on the legacy [`CellGraph::ring7`] topology. The vector
-    /// is validated at [`SimConfigBuilder::build`] time: exactly
-    /// [`NUM_CELLS`] entries, each individually valid.
-    pub fn builder_cells(cells: Vec<CellConfig>) -> SimConfigBuilder {
-        Self::builder_graph(CellGraph::ring7(), cells)
+        Self::builder_graph(CellGraph::ring7(), vec![cell; NUM_CELLS])
     }
 
     /// Starts a builder from an arbitrary topology plus per-cell
@@ -123,7 +115,6 @@ impl SimConfig {
                 tcp: TcpConfig::default(),
                 supervision: None,
             },
-            rate_override: None,
         }
     }
 
@@ -240,9 +231,6 @@ impl SimConfig {
 #[derive(Debug, Clone)]
 pub struct SimConfigBuilder {
     config: SimConfig,
-    /// Pending per-cell arrival-rate override, applied to the cells at
-    /// [`SimConfigBuilder::build`] time (last call wins).
-    rate_override: Option<Vec<f64>>,
 }
 
 impl SimConfigBuilder {
@@ -295,68 +283,15 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets per-cell combined call arrival rates (one per cluster cell,
-    /// mid cell first), overriding each cell's configured rate.
-    ///
-    /// [`SimConfigBuilder::cell_arrival_rates`] and
-    /// [`SimConfigBuilder::hot_spot`] both assign the *entire* per-cell
-    /// rate vector: **the last call wins**, replacing whatever an
-    /// earlier call of either method set (they do not merge). Cells'
-    /// other parameters are untouched.
-    pub fn cell_arrival_rates(mut self, rates: Vec<f64>) -> Self {
-        self.rate_override = Some(rates);
-        self
-    }
-
-    /// Hot-spot convenience: the mid cell runs at `mid_rate` calls/s,
-    /// the six ring cells keep their configured arrival rates.
-    ///
-    /// Like [`SimConfigBuilder::cell_arrival_rates`], this assigns the
-    /// *entire* per-cell rate vector — **the last call wins**: a
-    /// `hot_spot` after `cell_arrival_rates` rebuilds all seven rates
-    /// from the configured cells (discarding the earlier vector), and a
-    /// `cell_arrival_rates` after `hot_spot` replaces the hot-spot
-    /// pattern wholesale.
-    pub fn hot_spot(self, mid_rate: f64) -> Self {
-        let mut rates: Vec<f64> = self
-            .config
-            .cells
-            .iter()
-            .map(|c| c.call_arrival_rate)
-            .collect();
-        rates[MID_CELL] = mid_rate;
-        self.cell_arrival_rates(rates)
-    }
-
     /// Finalizes the configuration.
     ///
     /// # Panics
     ///
     /// Panics if warm-up/batch parameters are not positive, fewer than
-    /// two batches are requested, the cell vector is not exactly
-    /// [`NUM_CELLS`] valid configurations, a rate override is
-    /// malformed, or a supervision range cannot leave at least one
-    /// voice channel in every cell.
-    pub fn build(mut self) -> SimConfig {
-        if let Some(rates) = self.rate_override.take() {
-            assert_eq!(
-                rates.len(),
-                self.config.num_cells(),
-                "need one arrival rate per cluster cell"
-            );
-            assert!(
-                rates.iter().all(|r| r.is_finite() && *r > 0.0),
-                "per-cell arrival rates must be finite and positive"
-            );
-            assert_eq!(
-                self.config.cells.len(),
-                self.config.num_cells(),
-                "need one cell config per cluster cell"
-            );
-            for (cell, rate) in self.config.cells.iter_mut().zip(rates) {
-                cell.call_arrival_rate = rate;
-            }
-        }
+    /// two batches are requested, the cell vector is not one valid
+    /// configuration per graph cell, or a supervision range cannot
+    /// leave at least one voice channel in every cell.
+    pub fn build(self) -> SimConfig {
         let c = &self.config;
         assert!(c.warmup >= 0.0, "warmup must be >= 0");
         assert!(c.num_batches >= 2, "need at least two batches for CIs");
@@ -441,7 +376,8 @@ mod tests {
 
     #[test]
     fn hot_spot_overrides_only_the_mid_cell() {
-        let cfg = SimConfig::builder(cell()).hot_spot(1.2).build();
+        let s = Scenario::hot_spot(cell(), 1.2).unwrap();
+        let cfg = SimConfig::for_scenario(&s).unwrap().build();
         assert!((cfg.arrival_rate_in(MID_CELL) - 1.2).abs() < 1e-12);
         for c in 1..NUM_CELLS {
             assert!((cfg.arrival_rate_in(c) - 0.5).abs() < 1e-12, "cell {c}");
@@ -449,38 +385,14 @@ mod tests {
     }
 
     #[test]
-    fn per_cell_rate_setters_are_last_call_wins() {
-        // hot_spot after cell_arrival_rates: the earlier vector is
-        // discarded wholesale, every ring cell reverts to the base rate.
-        let cfg = SimConfig::builder(cell())
-            .cell_arrival_rates(vec![9.0; NUM_CELLS])
-            .hot_spot(1.2)
-            .build();
-        assert!((cfg.arrival_rate_in(MID_CELL) - 1.2).abs() < 1e-12);
-        for c in 1..NUM_CELLS {
-            assert!((cfg.arrival_rate_in(c) - 0.5).abs() < 1e-12, "cell {c}");
-        }
-
-        // cell_arrival_rates after hot_spot: the hot-spot pattern is
-        // replaced, not merged.
-        let cfg = SimConfig::builder(cell())
-            .hot_spot(1.2)
-            .cell_arrival_rates(vec![0.7; NUM_CELLS])
-            .build();
-        for c in 0..NUM_CELLS {
-            assert!((cfg.arrival_rate_in(c) - 0.7).abs() < 1e-12, "cell {c}");
-        }
-    }
-
-    #[test]
-    fn builder_cells_accepts_full_heterogeneity() {
+    fn builder_graph_accepts_full_heterogeneity() {
         let mut cells = vec![cell(); NUM_CELLS];
         cells[0].coding_scheme = CodingScheme::Cs4;
         cells[2].buffer_capacity = 40;
         cells[3].total_channels = 16;
         cells[4].max_gprs_sessions = 5;
         cells[5].call_arrival_rate = 0.9;
-        let cfg = SimConfig::builder_cells(cells.clone()).build();
+        let cfg = SimConfig::builder_graph(CellGraph::ring7(), cells.clone()).build();
         assert!(!cfg.is_uniform());
         assert_eq!(cfg.cells, cells);
         assert_eq!(cfg.cell(0).coding_scheme, CodingScheme::Cs4);
@@ -490,21 +402,24 @@ mod tests {
 
     #[test]
     fn scenario_lowering_matches_hand_wiring() {
-        use gprs_core::Scenario;
-        // Homogeneous: a uniform cell vector, TCP on — exactly the
-        // legacy builder output.
+        // Homogeneous: a uniform cell vector on the ring, TCP on —
+        // exactly the builder output.
         let s = Scenario::homogeneous(cell()).unwrap();
         let lowered = SimConfig::for_scenario(&s).unwrap().seed(7).build();
         let legacy = SimConfig::builder(cell()).seed(7).build();
         assert_eq!(lowered, legacy);
 
-        // Hot spot: per-cell rates match the hot_spot() convenience.
+        // Hot spot: the lowering equals the hand-wired per-cell vector.
         let s = Scenario::hot_spot(cell(), 1.2).unwrap();
         let lowered = SimConfig::for_scenario(&s).unwrap().seed(7).build();
-        let legacy = SimConfig::builder(cell()).seed(7).hot_spot(1.2).build();
+        let mut cells = vec![cell(); NUM_CELLS];
+        cells[MID_CELL].call_arrival_rate = 1.2;
+        let hand_wired = SimConfig::builder_graph(CellGraph::ring7(), cells)
+            .seed(7)
+            .build();
         assert_eq!(
-            lowered.cells, legacy.cells,
-            "scenario lowering must reproduce the hand-wired rate vector"
+            lowered, hand_wired,
+            "scenario lowering must reproduce the hand-wired configuration"
         );
         assert!((lowered.arrival_rate_in(MID_CELL) - 1.2).abs() < 1e-12);
 
@@ -525,7 +440,6 @@ mod tests {
 
     #[test]
     fn heterogeneous_scenarios_lower_verbatim() {
-        use gprs_core::Scenario;
         // Mixed buffers, coding schemes and channel splits — the
         // scenarios the analytical cluster was always able to represent
         // now survive the simulator lowering unchanged.
@@ -540,25 +454,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one arrival rate per cluster cell")]
-    fn wrong_rate_count_rejected() {
-        let _ = SimConfig::builder(cell())
-            .cell_arrival_rates(vec![0.5; 3])
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn non_positive_rate_rejected() {
-        let mut rates = vec![0.5; NUM_CELLS];
-        rates[3] = 0.0;
-        let _ = SimConfig::builder(cell()).cell_arrival_rates(rates).build();
-    }
-
-    #[test]
     #[should_panic(expected = "one cell config per cluster cell")]
     fn wrong_cell_count_rejected() {
-        let _ = SimConfig::builder_cells(vec![cell(); 3]).build();
+        let _ = SimConfig::builder_graph(CellGraph::ring7(), vec![cell(); 3]).build();
     }
 
     #[test]
@@ -566,7 +464,7 @@ mod tests {
     fn invalid_cell_is_attributed() {
         let mut cells = vec![cell(); NUM_CELLS];
         cells[4].buffer_capacity = 0;
-        let _ = SimConfig::builder_cells(cells).build();
+        let _ = SimConfig::builder_graph(CellGraph::ring7(), cells).build();
     }
 
     #[test]
@@ -581,6 +479,8 @@ mod tests {
             max_reserved: 6,
             ..SupervisionConfig::default()
         };
-        let _ = SimConfig::builder_cells(cells).supervision(sup).build();
+        let _ = SimConfig::builder_graph(CellGraph::ring7(), cells)
+            .supervision(sup)
+            .build();
     }
 }

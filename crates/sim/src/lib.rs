@@ -52,7 +52,6 @@
 pub const RADIO_BLOCK_SECONDS: f64 = 0.02;
 
 pub mod cell;
-pub mod cluster;
 pub mod config;
 pub mod events;
 pub mod packet;

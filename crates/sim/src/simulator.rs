@@ -29,13 +29,13 @@
 //! and batch-means confidence intervals, as in the paper.
 
 use crate::cell::Cell;
-use crate::cluster::MID_CELL;
 use crate::config::{RadioModel, SimConfig};
 use crate::events::Event;
 use crate::packet::{blocks_per_packet, Packet, SessionId};
 use crate::results::SimResults;
 use crate::supervision::LoadSupervisor;
 use crate::tcp::{Seq, TcpReceiver, TcpSender};
+use gprs_core::cluster::MID_CELL;
 use gprs_des::rng::RngStreams;
 use gprs_des::stats::{Tally, TimeWeighted};
 use gprs_des::{ConfidenceInterval, EventId, SimTime, Simulation};
@@ -959,8 +959,8 @@ impl GprsSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::NUM_CELLS;
-    use gprs_core::CellConfig;
+    use gprs_core::cluster::NUM_CELLS;
+    use gprs_core::{CellConfig, CellGraph, Scenario};
     use gprs_traffic::TrafficModel;
 
     fn small_cell(rate: f64) -> CellConfig {
@@ -1054,12 +1054,13 @@ mod tests {
         // mid-cell voice load relative to the homogeneous run, and the
         // heterogeneous run stays deterministic.
         let homogeneous = GprsSimulator::new(quick_cfg(0.3, 21)).run();
+        let scenario = Scenario::hot_spot(small_cell(0.3), 0.9).unwrap();
         let hot_cfg = || {
-            SimConfig::builder(small_cell(0.3))
+            SimConfig::for_scenario(&scenario)
+                .unwrap()
                 .seed(21)
                 .warmup(200.0)
                 .batches(4, 500.0)
-                .hot_spot(0.9)
                 .build()
         };
         let hot = GprsSimulator::new(hot_cfg()).run();
@@ -1090,7 +1091,7 @@ mod tests {
         ring.max_gprs_sessions = 12;
         let mut cells = vec![ring; NUM_CELLS];
         cells[MID_CELL] = mid;
-        let cfg = SimConfig::builder_cells(cells)
+        let cfg = SimConfig::builder_graph(CellGraph::ring7(), cells)
             .seed(9)
             .warmup(100.0)
             .batches(3, 400.0)
@@ -1112,7 +1113,7 @@ mod tests {
         let run = |mid_cs: CodingScheme| {
             let mut cells = vec![base(); NUM_CELLS];
             cells[MID_CELL].coding_scheme = mid_cs;
-            let cfg = SimConfig::builder_cells(cells)
+            let cfg = SimConfig::builder_graph(CellGraph::ring7(), cells)
                 .seed(15)
                 .warmup(200.0)
                 .batches(4, 500.0)

@@ -10,7 +10,7 @@
 //!   `ClusterModel` solves.
 
 use gprs_core::cluster::NUM_CELLS;
-use gprs_core::{CellConfig, CodingScheme, Scenario};
+use gprs_core::{CellConfig, CellGraph, CodingScheme, Scenario};
 use gprs_sim::{GprsSimulator, SimConfig};
 use gprs_traffic::TrafficModel;
 use proptest::prelude::*;
@@ -64,7 +64,10 @@ proptest! {
             b.seed(seed).warmup(50.0).batches(2, 150.0).build()
         };
         let legacy = finish(SimConfig::builder(cell.clone()));
-        let explicit = finish(SimConfig::builder_cells(vec![cell.clone(); NUM_CELLS]));
+        let explicit = finish(SimConfig::builder_graph(
+            CellGraph::ring7(),
+            vec![cell.clone(); NUM_CELLS],
+        ));
         let scenario = Scenario::homogeneous(cell).expect("valid scenario");
         let lowered = finish(SimConfig::for_scenario(&scenario).expect("lowerable"));
         // The configs themselves coincide...

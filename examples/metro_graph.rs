@@ -94,8 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_gprs_sessions(3)
         .call_arrival_rate(0.03)
         .build()?;
-    let solved =
-        ClusterModel::uniform_graph(torus, uniform)?.solve(&ClusterSolveOptions::quick())?;
+    let cells = vec![uniform; torus.num_cells()];
+    let solved = ClusterModel::from_graph(torus, cells)?.solve(&ClusterSolveOptions::quick())?;
     let mid = solved.mid();
     println!(
         "\nuniform 3x4 hex torus: {} iterations, cell 0 HO in {:.4}/s = out {:.4}/s \

@@ -46,8 +46,8 @@
 //! homogeneity assumption cannot represent):
 //!
 //! ```
-//! use gprs_repro::core::cluster::{ClusterModel, ClusterSolveOptions};
-//! use gprs_repro::core::CellConfig;
+//! use gprs_repro::core::cluster::ClusterSolveOptions;
+//! use gprs_repro::core::{CellConfig, Scenario};
 //! use gprs_repro::traffic::TrafficModel;
 //!
 //! let ring = CellConfig::builder()
@@ -57,7 +57,7 @@
 //!     .call_arrival_rate(0.3)
 //!     .build()?;
 //! // Mid cell at twice the ring load.
-//! let cluster = ClusterModel::hot_spot(ring, 0.6)?;
+//! let cluster = Scenario::hot_spot(ring, 0.6)?.to_cluster()?;
 //! let solved = cluster.solve(&ClusterSolveOptions::quick())?;
 //! // The hot cell exports handover flow to its light neighbours.
 //! assert!(solved.mid().gsm_handover_out > solved.mid().gsm_handover_in);

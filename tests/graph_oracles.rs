@@ -42,7 +42,8 @@ fn uniform_hex_torus_matches_the_homogeneous_model() {
 
     let graph = CellGraph::hex_torus(3, 4).unwrap();
     assert!(graph.is_flow_balanced());
-    let cluster = ClusterModel::uniform_graph(graph, config).unwrap();
+    let cells = vec![config; graph.num_cells()];
+    let cluster = ClusterModel::from_graph(graph, cells).unwrap();
     let opts = ClusterSolveOptions::default()
         .with_tolerance(1e-12)
         .with_solve(tight);

@@ -8,7 +8,7 @@
 //! historical ring fixtures.
 
 use gprs_core::cluster::ClusterSolveOptions;
-use gprs_core::{CellConfig, CellGraph, ClusterModel, SolvedCluster, SweepOrdering};
+use gprs_core::{CellConfig, CellGraph, ClusterModel, Scenario, SolvedCluster, SweepOrdering};
 use gprs_traffic::TrafficModel;
 use proptest::prelude::*;
 
@@ -174,7 +174,10 @@ fn check_model(model: &ClusterModel, ordering: SweepOrdering, what: &str) {
 /// layout, plus a shard count past the cell count (clamped to 7).
 #[test]
 fn ring7_sharded_matches_classic_bitwise() {
-    let model = ClusterModel::uniform(tiny(0.35)).unwrap();
+    let model = Scenario::homogeneous(tiny(0.35))
+        .unwrap()
+        .to_cluster()
+        .unwrap();
     check_model(&model, SweepOrdering::Jacobi, "ring7");
     check_model(&model, SweepOrdering::GaussSeidel, "ring7");
     let base = ClusterSolveOptions::quick();
@@ -203,7 +206,10 @@ fn corridor_sharded_matches_classic_bitwise() {
 /// — theta, adaptive step count — must survive sharding bit-for-bit.
 #[test]
 fn hot_spot_adaptive_relaxation_trace_survives_sharding() {
-    let model = ClusterModel::hot_spot(tiny(0.25), 0.9).unwrap();
+    let model = Scenario::hot_spot(tiny(0.25), 0.9)
+        .unwrap()
+        .to_cluster()
+        .unwrap();
     let base = ClusterSolveOptions::quick().with_adaptive_relaxation(true);
     check_layouts(&model, &base, "hotspot");
 }
@@ -212,7 +218,10 @@ fn hot_spot_adaptive_relaxation_trace_survives_sharding() {
 /// modes are preserved under sharding, for both orderings.
 #[test]
 fn surrogate_solves_survive_sharding() {
-    let model = ClusterModel::uniform(tiny(0.3)).unwrap();
+    let model = Scenario::homogeneous(tiny(0.3))
+        .unwrap()
+        .to_cluster()
+        .unwrap();
     for ordering in [SweepOrdering::Jacobi, SweepOrdering::GaussSeidel] {
         let base = ClusterSolveOptions::quick()
             .with_surrogate(true)
