@@ -19,14 +19,22 @@
 //! rows, and the tables stay cache-resident however large the chain.
 //!
 //! [`solve_mbd_projected_blocked_ws`] then runs the same block
-//! Gauss–Seidel / Thomas sweep as the scalar kernel, but with every
-//! inner loop a contiguous, branch-free slice scan the compiler can
-//! unroll and vectorize. The floating-point operations and their order
-//! are **exactly** those of the scalar kernel, and the rates read are
-//! bit-identical to the source's, so blocked and scalar solves are
-//! bit-identical — pinned by the tests below and by `gprs_core`'s
-//! template tests. Every production solve runs this kernel; the scalar
-//! kernel is kept only as the oracle of those tests.
+//! Gauss–Seidel / Thomas sweep as the scalar kernel, with every inner
+//! loop a contiguous slice scan. The Thomas solve of one phase is a
+//! pair of serial recurrences, each level waiting on the previous
+//! level's divide, so a phase-by-phase sweep is latency-bound. Phases
+//! that share no phase transition, in either direction, can be solved
+//! in either order without changing a bit: neither reads the other's
+//! column. The capture therefore also orders the phases into groups
+//! of up to four pairwise uncoupled phases, a schedule that keeps
+//! every coupled pair in its sequential order, and the sweep runs each
+//! group's recurrences side by side, one lane per phase. Each lane does
+//! exactly the scalar kernel's floating-point operations in their
+//! order, and the rates read are bit-identical to the source's, so
+//! blocked and scalar solves are bit-identical — pinned by the tests
+//! below and by `gprs_core`'s template tests. Every production solve
+//! runs this kernel; the scalar kernel is kept, phase by phase, only as
+//! the oracle of those tests.
 //!
 //! Capture costs about one sweep's worth of rate evaluations and is
 //! repaid within the first sweep; for repeated same-shape solves the
@@ -40,6 +48,14 @@ use crate::mbd::{
     project_onto_marginal, solve_single_birth_death, validate_phase_marginal, ModulatedBirthDeath,
 };
 use crate::solver::{HealthGuard, Relaxation, SolveOptions, SolveStats, SolveWorkspace};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Most phases one group of the sweep schedule holds: the sweep runs a
+/// group's Thomas recurrences side by side, one lane per phase. Four
+/// lanes took Fig. 10's M = 150 sweep from ≈27–32 to ≈17 ns/row on a
+/// 2-core x86-64 VM.
+const LANES: usize = 4;
 
 /// Always `true`: every template and model solve runs the blocked
 /// kernel.
@@ -168,6 +184,18 @@ fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// Writes `value` at index `i` of `v`, appending when `i == v.len()`,
+/// and reports whether `v` already held it there.
+fn store<T: Copy + PartialEq>(v: &mut Vec<T>, i: usize, value: T) -> bool {
+    match v.get_mut(i) {
+        Some(slot) => std::mem::replace(slot, value) == value,
+        None => {
+            v.push(value);
+            false
+        }
+    }
+}
+
 /// Captured rate tables of a [`ModulatedBirthDeath`] chain.
 ///
 /// Built by [`capture`](Self::capture) from any MBD implementation and
@@ -191,6 +219,11 @@ pub struct BlockedMbd {
     in_ptr: Vec<usize>,
     in_src: Vec<u32>,
     in_rate: Vec<f64>,
+    /// Sweep schedule: every phase once, in forward solve order, split
+    /// into groups of pairwise uncoupled phases. Group sizes (1 to
+    /// `LANES`) are in `group_len`; the groups tile `order`.
+    order: Vec<u32>,
+    group_len: Vec<u8>,
 }
 
 impl BlockedMbd {
@@ -233,6 +266,13 @@ impl BlockedMbd {
     /// than any earlier capture held. Cost is one rate evaluation per
     /// table entry — about one sweep's worth of the work it then saves
     /// on every sweep.
+    ///
+    /// The sweep schedule is rebuilt only when the incoming-edge pattern
+    /// differs from the previous capture's, so same-shape refills keep
+    /// it. Building it visits every edge twice and holds two transient
+    /// per-phase arrays (a pending count and a ready heap), never an
+    /// edge-sized one; the schedule itself keeps one `u32` per phase and
+    /// one byte per group.
     pub fn capture<G: ModulatedBirthDeath + ?Sized>(&mut self, gen: &G) {
         let p_count = gen.num_phases();
         let l_count = gen.num_levels();
@@ -268,17 +308,119 @@ impl BlockedMbd {
             self.in_src.reserve_exact(edges);
             self.in_rate.reserve_exact(edges);
         }
-        self.in_ptr.clear();
-        self.in_ptr.reserve(p_count + 1);
-        self.in_src.clear();
-        self.in_rate.clear();
-        self.in_ptr.push(0);
+        // Overwritten in place, so the previous pattern can be compared
+        // entry by entry as the new one is written.
+        let mut same_pattern = store(&mut self.in_ptr, 0, 0);
+        let mut e = 0usize;
         for p in 0..p_count {
+            let (in_src, in_rate) = (&mut self.in_src, &mut self.in_rate);
             gen.for_each_phase_incoming(p, &mut |q, rate| {
-                self.in_src.push(q as u32);
-                self.in_rate.push(rate);
+                same_pattern &= store(in_src, e, q as u32);
+                store(in_rate, e, rate);
+                e += 1;
             });
-            self.in_ptr.push(self.in_src.len());
+            same_pattern &= store(&mut self.in_ptr, p + 1, e);
+        }
+        same_pattern &= self.in_ptr.len() == p_count + 1 && self.in_src.len() == e;
+        self.in_ptr.truncate(p_count + 1);
+        self.in_src.truncate(e);
+        self.in_rate.truncate(e);
+        if !same_pattern {
+            self.build_schedule();
+        }
+    }
+
+    /// Source phases of the incoming transitions of phase `p`.
+    fn sources(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        self.in_src[self.in_ptr[p]..self.in_ptr[p + 1]]
+            .iter()
+            .map(|&q| q as usize)
+    }
+
+    /// Orders the phases into the sweep schedule: smallest-index-first
+    /// Kahn over the coupling graph, where phases `p` and `q` are
+    /// coupled if either lists the other as an incoming source. Each
+    /// group takes up to `LANES` of the lowest-index phases whose
+    /// lower-index coupled phases all sit in earlier groups. So no two
+    /// phases of a group are coupled, and every coupled pair keeps its
+    /// sequential order: a forward sweep over the groups, and a
+    /// backward sweep over them reversed, read and write exactly what
+    /// the phase-by-phase sweeps do.
+    ///
+    /// `pending[s]` counts the lower phases that list `s` as a source
+    /// and are not yet scheduled; it is found from the edges alone,
+    /// with no reverse adjacency. In a structurally symmetric pattern,
+    /// as the GPRS chain's is, that is every lower coupled phase. A
+    /// lower source of `s` that does not list `s` back is checked when
+    /// `s` comes up: while it is unscheduled, `s` is deferred to a later
+    /// group, and after `LANES` deferrals the group closes. The lowest
+    /// unscheduled phase is always ready, so such one-way edges cost
+    /// lanes, never validity.
+    fn build_schedule(&mut self) {
+        const DONE: u32 = u32::MAX;
+        let p_count = self.phases;
+        let mut pending = vec![0u32; p_count];
+        for q in 0..p_count {
+            for s in self.sources(q).filter(|&s| s > q) {
+                pending[s] += 1;
+            }
+        }
+        let mut ready: BinaryHeap<Reverse<u32>> = (0..p_count)
+            .filter(|&p| pending[p] == 0)
+            .map(|p| Reverse(p as u32))
+            .collect();
+        self.order.clear();
+        self.order.reserve_exact(p_count);
+        self.group_len.clear();
+        let mut deferred = Vec::with_capacity(LANES);
+        while !ready.is_empty() {
+            let start = self.order.len();
+            while self.order.len() - start < LANES && deferred.len() < LANES {
+                let Some(Reverse(p)) = ready.pop() else {
+                    break;
+                };
+                let p = p as usize;
+                if self.sources(p).any(|s| s < p && pending[s] != DONE) {
+                    deferred.push(Reverse(p as u32));
+                } else {
+                    self.order.push(p as u32);
+                }
+            }
+            ready.extend(deferred.drain(..));
+            for &q in &self.order[start..] {
+                pending[q as usize] = DONE;
+            }
+            for &q in &self.order[start..] {
+                let q = q as usize;
+                for s in self.sources(q).filter(|&s| s > q) {
+                    pending[s] -= 1;
+                    if pending[s] == 0 {
+                        ready.push(Reverse(s as u32));
+                    }
+                }
+            }
+            self.group_len.push((self.order.len() - start) as u8);
+        }
+        debug_assert_eq!(self.order.len(), p_count, "schedule misses a phase");
+    }
+
+    /// Visits the schedule's groups in forward sweep order, or in
+    /// reverse for a backward sweep.
+    fn for_each_group(&self, forward: bool, mut visit: impl FnMut(&[u32])) {
+        if forward {
+            let mut start = 0;
+            for &len in &self.group_len {
+                let end = start + len as usize;
+                visit(&self.order[start..end]);
+                start = end;
+            }
+        } else {
+            let mut end = self.order.len();
+            for &len in self.group_len.iter().rev() {
+                let start = end - len as usize;
+                visit(&self.order[start..end]);
+                end = start;
+            }
         }
     }
 
@@ -433,16 +575,22 @@ pub fn solve_mbd_projected_blocked_ws(
 /// place from whatever the caller staged in `ws.pi()` (via
 /// [`SolveWorkspace::pi_mut`]), so a large chain's iterate is never
 /// held twice. Every rate lookup is a contiguous slice read instead of
-/// a virtual call; the control flow, floating-point operations and
-/// their order are exactly the scalar kernel's, so results are
-/// **bit-identical** (sweep count, residual bits, iterate bits). Any
-/// edit here must be mirrored there (and vice versa) — the bitwise
-/// tests below and the template preflights in `gprs_core` enforce the
-/// pairing.
+/// a virtual call, and the phases are solved group by group in the
+/// captured schedule, a group's uncoupled phases side by side (see the
+/// [module docs](self)). Per phase, the gather, Thomas solve, `max(0)`,
+/// relaxation blend, projection and residual cadence are exactly the
+/// scalar kernel's floating-point operations in their order, so results
+/// are **bit-identical** (sweep count, residual bits, iterate bits).
+/// Any edit to that arithmetic here must be mirrored there (and vice
+/// versa) — the bitwise tests below and the template preflights in
+/// `gprs_core` enforce the pairing. The lane scratch lives in `ws`, so
+/// repeated solves allocate nothing.
 ///
 /// # Errors
 ///
-/// As [`crate::mbd::solve_mbd_projected_inplace_ws`].
+/// As [`crate::mbd::solve_mbd_projected_inplace_ws`]; a multi-phase
+/// chain with zero-exit phases names the lowest of them, as the
+/// scalar kernel's first forward sweep does.
 pub fn solve_mbd_projected_blocked_inplace_ws(
     b: &BlockedMbd,
     phase_marginal: &[f64],
@@ -458,35 +606,46 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
     }
 
     ws.init_pi_in_place(n)?;
+    let mut relax = Relaxation::new(opts);
+    // A phase with no exit is a degenerate chain unless it is the only
+    // phase, which is a plain birth–death chain. The scalar kernel
+    // finds it in its first sweep, a forward one; the exit rates are
+    // fixed, so checking them up front is the same outcome.
+    if opts.max_sweeps > 0 {
+        if let Some(p) = b.exit.iter().position(|&d| d <= 0.0) {
+            if p_count > 1 {
+                return Err(CtmcError::InvalidGenerator {
+                    reason: format!("phase {p} has zero exit rate in a multi-phase chain"),
+                });
+            }
+            solve_single_birth_death(b, &mut ws.pi);
+            ws.normalize_pi();
+            return Ok(SolveStats {
+                sweeps: 1,
+                residual: 0.0,
+                residual_evals: 0,
+                omega: relax.omega(),
+            });
+        }
+    }
+
     let SolveWorkspace {
         pi,
-        exit: phase_exit,
         rhs,
-        diag,
         cprime,
-        xcol,
         inflow,
+        ..
     } = ws;
-
-    phase_exit.resize(p_count, 0.0);
-    phase_exit.copy_from_slice(&b.exit);
-
-    rhs.resize(l_count, 0.0);
-    diag.resize(l_count, 0.0);
-    cprime.resize(l_count, 0.0);
-    xcol.resize(l_count, 0.0);
+    // One column of `levels` entries per lane.
+    rhs.resize(LANES * l_count, 0.0);
+    cprime.resize(LANES * l_count, 0.0);
     // Work on plain slices from here on. Through the `&mut Vec`s the
     // optimizer must reload each buffer's pointer and length after
     // every store to another buffer (it cannot prove they don't
-    // alias), which keeps the gather, elimination and back-substitution
-    // loops scalar.
+    // alias), which keeps the gather and blend loops scalar.
     let pi: &mut [f64] = pi;
-    let phase_exit: &[f64] = phase_exit;
     let rhs: &mut [f64] = rhs;
-    let diag: &mut [f64] = diag;
     let cprime: &mut [f64] = cprime;
-    let xcol: &mut [f64] = xcol;
-    let mut relax = Relaxation::new(opts);
 
     let mut guard = HealthGuard::new(opts);
     let mut sweeps = 0usize;
@@ -494,72 +653,16 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
     let mut residual_evals = 0usize;
     let mut converged: Option<SolveStats> = None;
 
-    'sweep: while sweeps < opts.max_sweeps {
+    while sweeps < opts.max_sweeps {
         let omega = relax.omega();
         let forward = sweeps.is_multiple_of(2);
-        for step in 0..p_count {
-            let p = if forward { step } else { p_count - 1 - step };
-            let d_p = phase_exit[p];
-            // Gather inflow from other phases: contiguous source rows,
-            // fixed-width level runs — the loop the compiler vectorizes.
-            for x in rhs.iter_mut() {
-                *x = 0.0;
-            }
-            for e in b.in_ptr[p]..b.in_ptr[p + 1] {
-                let rate = b.in_rate[e];
-                let qbase = b.in_src[e] as usize * l_count;
-                for (l, x) in rhs.iter_mut().enumerate() {
-                    *x += rate * pi[qbase + l];
-                }
-            }
-
-            if d_p <= 0.0 {
-                if p_count > 1 {
-                    return Err(CtmcError::InvalidGenerator {
-                        reason: format!("phase {p} has zero exit rate in a multi-phase chain"),
-                    });
-                }
-                solve_single_birth_death(b, pi);
-                converged = Some(SolveStats {
-                    sweeps: 1,
-                    residual: 0.0,
-                    residual_evals,
-                    omega,
-                });
-                break 'sweep;
-            }
-
-            let base = p * l_count;
-            let brow = b.birth_of(p);
-            let drow = b.death_of(p);
-            for l in 0..l_count {
-                diag[l] = d_p + brow[l] + drow[l];
-            }
-            // Thomas forward elimination over the contiguous rows.
-            let mut beta = diag[0];
-            cprime[0] = -drow[1.min(l_count - 1)] / beta;
-            rhs[0] /= beta;
-            for l in 1..l_count {
-                let a_l = -brow[l - 1]; // sub-diagonal
-                beta = diag[l] - a_l * cprime[l - 1];
-                let c_l = if l + 1 < l_count { -drow[l + 1] } else { 0.0 };
-                cprime[l] = c_l / beta;
-                rhs[l] = (rhs[l] - a_l * rhs[l - 1]) / beta;
-            }
-            // Back substitution, then (block-)SOR blend into pi.
-            xcol[l_count - 1] = rhs[l_count - 1].max(0.0);
-            for l in (0..l_count - 1).rev() {
-                xcol[l] = (rhs[l] - cprime[l] * xcol[l + 1]).max(0.0);
-            }
-            if omega == 1.0 {
-                pi[base..base + l_count].copy_from_slice(xcol);
-            } else {
-                for l in 0..l_count {
-                    let v = (1.0 - omega) * pi[base + l] + omega * xcol[l];
-                    pi[base + l] = v.max(0.0);
-                }
-            }
-        }
+        b.for_each_group(forward, |group| match *group {
+            [p] => solve_group(b, [p], omega, pi, rhs, cprime),
+            [p, q] => solve_group(b, [p, q], omega, pi, rhs, cprime),
+            [p, q, r] => solve_group(b, [p, q, r], omega, pi, rhs, cprime),
+            [p, q, r, s] => solve_group(b, [p, q, r, s], omega, pi, rhs, cprime),
+            _ => unreachable!("schedule group of {} phases", group.len()),
+        });
 
         project_onto_marginal(pi, phase_marginal, l_count);
         sweeps += 1;
@@ -575,11 +678,11 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
                     residual_evals,
                     omega,
                 });
-                break 'sweep;
+                break;
             }
             relax.observe(sweeps, residual);
             if guard.out_of_time() {
-                break 'sweep;
+                break;
             }
         }
     }
@@ -596,11 +699,99 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
     Err(HealthGuard::budget_error(sweeps, exact, opts.tolerance))
 }
 
+/// Solves the level columns of `K` pairwise uncoupled phases and blends
+/// them into `pi`: the scalar kernel's per-phase step, run for the `K`
+/// phases side by side so their serial Thomas recurrences overlap.
+/// `rhs` and `cprime` hold one column of scratch per lane; the
+/// back-substitution overwrites `rhs` with the solution column.
+fn solve_group<const K: usize>(
+    b: &BlockedMbd,
+    phases: [u32; K],
+    omega: f64,
+    pi: &mut [f64],
+    rhs: &mut [f64],
+    cprime: &mut [f64],
+) {
+    let l_count = b.levels;
+    let phases = phases.map(|p| p as usize);
+    let rhs: [&mut [f64]; K] = lane_columns(rhs, l_count);
+    let cprime: [&mut [f64]; K] = lane_columns(cprime, l_count);
+    let brow: [&[f64]; K] = std::array::from_fn(|k| b.birth_of(phases[k]));
+    let drow: [&[f64]; K] = std::array::from_fn(|k| b.death_of(phases[k]));
+    let d: [f64; K] = std::array::from_fn(|k| b.exit[phases[k]]);
+
+    // Gather inflow from other phases: contiguous source rows,
+    // fixed-width level runs — the loop the compiler vectorizes. No
+    // lane's phase is a source of another's, so every lane reads what
+    // the phase-by-phase sweep would.
+    for k in 0..K {
+        let p = phases[k];
+        rhs[k].fill(0.0);
+        for e in b.in_ptr[p]..b.in_ptr[p + 1] {
+            let rate = b.in_rate[e];
+            let qbase = b.in_src[e] as usize * l_count;
+            for (x, &v) in rhs[k].iter_mut().zip(&pi[qbase..qbase + l_count]) {
+                *x += rate * v;
+            }
+        }
+    }
+
+    // Thomas forward elimination, the lanes interleaved level by level.
+    let mut beta: [f64; K] = std::array::from_fn(|k| d[k] + brow[k][0] + drow[k][0]);
+    for k in 0..K {
+        cprime[k][0] = -drow[k][1.min(l_count - 1)] / beta[k];
+        rhs[k][0] /= beta[k];
+    }
+    for l in 1..l_count {
+        for k in 0..K {
+            let a_l = -brow[k][l - 1]; // sub-diagonal
+            beta[k] = (d[k] + brow[k][l] + drow[k][l]) - a_l * cprime[k][l - 1];
+            let c_l = if l + 1 < l_count {
+                -drow[k][l + 1]
+            } else {
+                0.0
+            };
+            cprime[k][l] = c_l / beta[k];
+            rhs[k][l] = (rhs[k][l] - a_l * rhs[k][l - 1]) / beta[k];
+        }
+    }
+    // Back substitution in place, then (block-)SOR blend into pi.
+    for k in 0..K {
+        rhs[k][l_count - 1] = rhs[k][l_count - 1].max(0.0);
+    }
+    for l in (0..l_count - 1).rev() {
+        for k in 0..K {
+            rhs[k][l] = (rhs[k][l] - cprime[k][l] * rhs[k][l + 1]).max(0.0);
+        }
+    }
+    for k in 0..K {
+        let base = phases[k] * l_count;
+        let col = &mut pi[base..base + l_count];
+        if omega == 1.0 {
+            col.copy_from_slice(rhs[k]);
+        } else {
+            for (x, &v) in col.iter_mut().zip(&*rhs[k]) {
+                *x = ((1.0 - omega) * *x + omega * v).max(0.0);
+            }
+        }
+    }
+}
+
+/// The first `K` consecutive columns of `levels` entries of `buf`.
+fn lane_columns<const K: usize>(buf: &mut [f64], levels: usize) -> [&mut [f64]; K] {
+    let mut rest = buf;
+    std::array::from_fn(|_| {
+        let (column, tail) = std::mem::take(&mut rest).split_at_mut(levels);
+        rest = tail;
+        column
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mbd::mbd_residual_of;
-    use crate::mbd::tests::{exact_phase_marginal, solve_staged, TableMbd};
+    use crate::mbd::tests::{exact_phase_marginal, solve_staged, uniform, TableMbd};
 
     fn assert_bitwise_eq(a: &[f64], b: &[f64], ctx: &str) {
         assert_eq!(a.len(), b.len(), "{ctx}: length");
@@ -835,5 +1026,231 @@ mod tests {
         assert_eq!(s.sweeps, bl.sweeps);
         assert_eq!(s.residual.to_bits(), bl.residual.to_bits());
         assert_bitwise_eq(ws_s.pi(), ws_b.pi(), "repeated rows, projected");
+    }
+
+    /// A `rows` x `cols` lattice of phases, each coupled both ways to
+    /// its four neighbours: a structurally symmetric pattern, like the
+    /// GPRS chain's, with room for full schedule groups.
+    fn lattice(rows: usize, cols: usize, levels: usize, seed: u64) -> TableMbd {
+        let mut next = uniform(seed ^ 0x5eed);
+        let phase_rates = (0..rows * cols)
+            .map(|p| {
+                let (i, j) = (p / cols, p % cols);
+                let mut out = Vec::new();
+                if i > 0 {
+                    out.push((p - cols, 0.01 + 0.05 * next()));
+                }
+                if i + 1 < rows {
+                    out.push((p + cols, 0.01 + 0.05 * next()));
+                }
+                if j > 0 {
+                    out.push((p - 1, 0.01 + 0.05 * next()));
+                }
+                if j + 1 < cols {
+                    out.push((p + 1, 0.01 + 0.05 * next()));
+                }
+                out
+            })
+            .collect();
+        TableMbd::random(rows * cols, levels, seed).with_phase_rates(phase_rates)
+    }
+
+    /// A cycle through the phases in shuffled order, which keeps the
+    /// chain irreducible, plus a one-way transition for each other
+    /// ordered phase pair with probability `density`: an asymmetric
+    /// pattern, as dense as asked.
+    fn dense(phases: usize, levels: usize, density: f64, seed: u64) -> TableMbd {
+        let mut next = uniform(seed ^ 0xd5e);
+        let mut cycle: Vec<usize> = (0..phases).collect();
+        for i in (1..phases).rev() {
+            cycle.swap(i, (next() * (i + 1) as f64) as usize);
+        }
+        let mut successor = vec![0; phases];
+        for (i, &p) in cycle.iter().enumerate() {
+            successor[p] = cycle[(i + 1) % phases];
+        }
+        let phase_rates = (0..phases)
+            .map(|p| {
+                let mut out = vec![(successor[p], 0.01 + 0.05 * next())];
+                for q in (0..phases).filter(|&q| q != p && q != successor[p]) {
+                    if next() < density {
+                        out.push((q, 0.02 * next()));
+                    }
+                }
+                out
+            })
+            .collect();
+        TableMbd::random(phases, levels, seed).with_phase_rates(phase_rates)
+    }
+
+    /// Checks the captured schedule: every phase once, groups of 1 to
+    /// `LANES` phases, the backward walk the forward one reversed, and
+    /// every coupled pair in its sequential order. Returns the number
+    /// of groups of each size.
+    fn assert_valid_schedule(b: &BlockedMbd) -> [usize; LANES + 1] {
+        let mut sizes = [0; LANES + 1];
+        let mut group_of = vec![usize::MAX; b.num_phases()];
+        let mut forward: Vec<Vec<u32>> = Vec::new();
+        b.for_each_group(true, |group| {
+            assert!((1..=LANES).contains(&group.len()), "group {group:?}");
+            sizes[group.len()] += 1;
+            for &p in group {
+                assert_eq!(group_of[p as usize], usize::MAX, "phase {p} twice");
+                group_of[p as usize] = forward.len();
+            }
+            forward.push(group.to_vec());
+        });
+        assert!(
+            group_of.iter().all(|&g| g != usize::MAX),
+            "a phase is unscheduled"
+        );
+        let mut backward: Vec<Vec<u32>> = Vec::new();
+        b.for_each_group(false, |group| backward.push(group.to_vec()));
+        backward.reverse();
+        assert_eq!(forward, backward);
+        for p in 0..b.num_phases() {
+            for q in b.sources(p).filter(|&q| q != p) {
+                assert_eq!(
+                    q < p,
+                    group_of[q] < group_of[p],
+                    "edge {q} -> {p}: groups {} and {}",
+                    group_of[q],
+                    group_of[p]
+                );
+                assert_ne!(group_of[q], group_of[p], "edge {q} -> {p} inside a group");
+            }
+        }
+        sizes
+    }
+
+    #[test]
+    fn schedule_groups_uncoupled_phases_in_sequential_order() {
+        // A dense pattern first, then a lattice of the same phase count
+        // into the same tables: the pattern changed, so the schedule is
+        // rebuilt for it.
+        let mut b = BlockedMbd::new();
+        b.capture(&dense(48, 6, 0.3, 5));
+        assert_valid_schedule(&b);
+        b.capture(&lattice(6, 8, 6, 5));
+        let sizes = assert_valid_schedule(&b);
+        assert!(sizes[LANES] > 0, "no full group on the lattice: {sizes:?}");
+        // A same-pattern refill and a phase-rate recapture keep it.
+        let before = b.order.clone();
+        b.capture(&lattice(6, 8, 6, 77));
+        b.recapture_phase_rates(&lattice(6, 8, 6, 78));
+        assert_eq!(b.order, before);
+        assert_valid_schedule(&b);
+
+        // A ring couples each phase to the next, so every group is a
+        // single phase; so does a pattern coupling nearly every pair.
+        // Sparser one-way patterns fill groups around their deferrals.
+        for (name, mbd, full_groups) in [
+            ("ring", TableMbd::random(40, 5, 3), false),
+            ("dense 0.6", dense(30, 5, 0.6, 9), false),
+            ("dense 0.1", dense(40, 5, 0.1, 9), true),
+            ("lattice", lattice(9, 13, 5, 1), true),
+        ] {
+            let mut b = BlockedMbd::new();
+            b.capture(&mbd);
+            let sizes = assert_valid_schedule(&b);
+            assert_eq!(sizes[LANES] > 0, full_groups, "{name}: {sizes:?}");
+        }
+    }
+
+    /// Solves `mbd` cold and then warm from the solution, scalar and
+    /// blocked, and asserts every stat and iterate bit equal. Returns
+    /// whether the relaxation controller switched away from `omega`.
+    fn assert_blocked_matches_scalar(mbd: &TableMbd, omega: f64, ctx: &str) -> bool {
+        let marginal = exact_phase_marginal(mbd);
+        let mut b = BlockedMbd::new();
+        b.capture(mbd);
+        let opts = SolveOptions::default().with_sor(omega);
+        let mut ws_b = SolveWorkspace::new();
+        let mut warm = None;
+        let mut switched = false;
+        for pass in ["cold", "warm"] {
+            let start = warm.as_deref();
+            let (s, ws_s) = solve_staged(mbd, &marginal, start, &opts).unwrap();
+            ws_b.stage_pi(marginal.len() * mbd.num_levels(), start);
+            let bl =
+                solve_mbd_projected_blocked_inplace_ws(&b, &marginal, &opts, &mut ws_b).unwrap();
+            let ctx = format!("{ctx} omega {omega} {pass}");
+            assert_eq!(s.sweeps, bl.sweeps, "{ctx}");
+            assert_eq!(s.residual.to_bits(), bl.residual.to_bits(), "{ctx}");
+            assert_eq!(s.residual_evals, bl.residual_evals, "{ctx}");
+            assert_eq!(s.omega.to_bits(), bl.omega.to_bits(), "{ctx}");
+            assert_bitwise_eq(ws_s.pi(), ws_b.pi(), &ctx);
+            switched |= bl.omega != omega;
+            warm = Some(ws_s.pi().to_vec());
+        }
+        switched
+    }
+
+    #[test]
+    fn grouped_sweeps_are_bitwise_equal_to_scalar() {
+        let mut switched = 0;
+        for omega in [1.0, 1.2] {
+            for (name, mbd) in [
+                ("lattice 6x8", lattice(6, 8, 12, 4)),
+                ("lattice 3x17", lattice(3, 17, 9, 8)),
+                ("dense 0.1", dense(40, 10, 0.1, 6)),
+                ("dense 0.3", dense(24, 8, 0.3, 2)),
+            ] {
+                switched += usize::from(assert_blocked_matches_scalar(&mbd, omega, name));
+            }
+        }
+        assert!(switched > 0, "no case switched relaxation");
+    }
+
+    #[test]
+    fn zero_exit_phase_errors_name_the_lowest_one_in_both_kernels() {
+        // Phases 2 and 4 of a 5-phase ring keep no outgoing transition.
+        let mbd = TableMbd::random(5, 8, 3).with_phase_rates(vec![
+            vec![(1, 0.02)],
+            vec![(2, 0.03)],
+            vec![],
+            vec![(4, 0.05)],
+            vec![],
+        ]);
+        let marginal = [0.2; 5];
+        let opts = SolveOptions::default();
+        let mut b = BlockedMbd::new();
+        b.capture(&mbd);
+        let mut ws = SolveWorkspace::new();
+        let blocked = solve_mbd_projected_blocked_ws(&b, &marginal, None, &opts, &mut ws);
+        let scalar = solve_staged(&mbd, &marginal, None, &opts).map(|(stats, _)| stats);
+        for (kernel, result) in [("blocked", blocked), ("scalar", scalar)] {
+            match result {
+                Err(CtmcError::InvalidGenerator { reason }) => assert_eq!(
+                    reason, "phase 2 has zero exit rate in a multi-phase chain",
+                    "{kernel}"
+                ),
+                other => panic!("{kernel}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn one_phase_zero_exit_chain_is_solved_as_a_birth_death_chain() {
+        let mbd = TableMbd::random(1, 6, 5).with_phase_rates(vec![vec![]]);
+        let opts = SolveOptions::default();
+        let mut b = BlockedMbd::new();
+        b.capture(&mbd);
+        let mut ws_b = SolveWorkspace::new();
+        let bl = solve_mbd_projected_blocked_ws(&b, &[1.0], None, &opts, &mut ws_b).unwrap();
+        let (s, ws_s) = solve_staged(&mbd, &[1.0], None, &opts).unwrap();
+        for stats in [s, bl] {
+            assert_eq!(stats.sweeps, 1);
+            assert_eq!(stats.residual.to_bits(), 0.0f64.to_bits());
+            assert_eq!(stats.residual_evals, 0);
+            assert_eq!(stats.omega.to_bits(), opts.sor_omega.to_bits());
+        }
+        assert_bitwise_eq(ws_s.pi(), ws_b.pi(), "one phase");
+        // The product form, normalized once more by the workspace.
+        let mut expect = vec![0.0; 6];
+        solve_single_birth_death(&mbd, &mut expect);
+        for (x, e) in ws_b.pi().iter().zip(&expect) {
+            assert!((x - e).abs() <= 1e-15 * e, "{x} vs {e}");
+        }
     }
 }

@@ -402,15 +402,20 @@ pub(crate) mod tests {
         phase_rates: Vec<Vec<(usize, f64)>>, // outgoing per phase
     }
 
+    /// Uniform draws in [0, 1) from a xorshift seeded with `seed`.
+    pub(crate) fn uniform(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
     impl TableMbd {
         pub(crate) fn random(phases: usize, levels: usize, seed: u64) -> Self {
-            let mut state = seed | 1;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 11) as f64 / (1u64 << 53) as f64
-            };
+            let mut next = uniform(seed);
             let mut birth = vec![0.0; phases * levels];
             let mut death = vec![0.0; phases * levels];
             for p in 0..phases {
@@ -445,19 +450,27 @@ pub(crate) mod tests {
         /// `factor` — identical pattern and birth/death tables, moved
         /// phase-coupling rates (the partial-recapture contract).
         pub(crate) fn with_scaled_phase_rates(&self, factor: f64) -> Self {
-            let mut scaled = TableMbd {
-                phases: self.phases,
-                levels: self.levels,
-                birth: self.birth.clone(),
-                death: self.death.clone(),
-                phase_rates: self.phase_rates.clone(),
-            };
-            for edges in &mut scaled.phase_rates {
+            let mut phase_rates = self.phase_rates.clone();
+            for edges in &mut phase_rates {
                 for (_, rate) in edges.iter_mut() {
                     *rate *= factor;
                 }
             }
-            scaled
+            self.with_phase_rates(phase_rates)
+        }
+
+        /// The same birth/death tables with the outgoing phase
+        /// transitions `phase_rates[p]` (`(target, rate)` pairs) of
+        /// each phase `p` in place of the random ones.
+        pub(crate) fn with_phase_rates(&self, phase_rates: Vec<Vec<(usize, f64)>>) -> Self {
+            assert_eq!(phase_rates.len(), self.phases);
+            TableMbd {
+                phases: self.phases,
+                levels: self.levels,
+                birth: self.birth.clone(),
+                death: self.death.clone(),
+                phase_rates,
+            }
         }
 
         /// The same chain with phase `p`'s birth row copied from phase

@@ -369,15 +369,18 @@ pub struct SolveStats {
 pub struct SolveWorkspace {
     /// The iterate / final stationary vector.
     pub(crate) pi: Vec<f64>,
-    /// Per-state exit rates (GS) or per-phase exit rates (MBD).
+    /// Per-state exit rates (GS) or per-phase exit rates (scalar MBD
+    /// kernel; the blocked kernel reads its captured ones).
     pub(crate) exit: Vec<f64>,
-    /// Tridiagonal right-hand side (MBD).
+    /// Tridiagonal right-hand side (MBD); in the blocked kernel one
+    /// column per lane, overwritten by the lane's solution column.
     pub(crate) rhs: Vec<f64>,
-    /// Tridiagonal diagonal (MBD).
+    /// Tridiagonal diagonal (scalar MBD kernel).
     pub(crate) diag: Vec<f64>,
-    /// Thomas algorithm forward-elimination coefficients (MBD).
+    /// Thomas algorithm forward-elimination coefficients (MBD); in the
+    /// blocked kernel one column per lane.
     pub(crate) cprime: Vec<f64>,
-    /// Tridiagonal solution column (MBD).
+    /// Tridiagonal solution column (scalar MBD kernel).
     pub(crate) xcol: Vec<f64>,
     /// Per-level inflow accumulator for the residual pass (MBD).
     pub(crate) inflow: Vec<f64>,
