@@ -16,8 +16,9 @@
 //! than as absolutes.
 //!
 //! The document's `"schema"` field versions its shape
-//! (`gprs-bench-report/v5` since the `kernel` section dropped its
-//! sweep-surrogate keys; `v4` added `shard`, `v3` added `campaign`),
+//! (`gprs-bench-report/v6` since the `campaign` section dropped its
+//! template-cache eviction count; `v5` dropped the `kernel` section's
+//! sweep-surrogate keys, `v4` added `shard`, `v3` added `campaign`),
 //! so trajectory tooling can evolve the format without guessing.
 //!
 //! Two sizes of the same workloads (the `"mode"` field records which
@@ -410,7 +411,7 @@ fn main() {
     // --- Emit JSON (hand-rolled: the workspace is dependency-free). ---
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"gprs-bench-report/v5\",");
+    let _ = writeln!(json, "  \"schema\": \"gprs-bench-report/v6\",");
     let _ = writeln!(
         json,
         "  \"mode\": \"{}\",",
@@ -539,11 +540,6 @@ fn main() {
         json,
         "    \"template_setups\": {},",
         campaign_report.template_setups
-    );
-    let _ = writeln!(
-        json,
-        "    \"template_evictions\": {},",
-        campaign_report.template_evictions
     );
     let _ = writeln!(
         json,

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! campaign-run <spec.json> [--journal PATH] [--out PATH] [--threads N]
-//!              [--batch-size N] [--template-cap N]
-//!              [--crash-after-batches N]
+//!              [--batch-size N] [--crash-after-batches N]
 //! campaign-run --emit-demo N
 //! ```
 //!
@@ -25,7 +24,7 @@ use gprs_campaign::{demo_spec, run_campaign, CampaignSpec, RunnerConfig};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: campaign-run <spec.json> [--journal PATH] [--out PATH] \
-[--threads N] [--batch-size N] [--template-cap N] [--crash-after-batches N]\n\
+[--threads N] [--batch-size N] [--crash-after-batches N]\n\
        campaign-run --emit-demo N";
 
 fn parse_count(flag: &str, value: Option<String>) -> Result<usize, String> {
@@ -50,9 +49,6 @@ fn run() -> Result<ExitCode, String> {
             "--out" => out = Some(args.next().ok_or("--out needs a path")?),
             "--threads" => cfg.threads = parse_count("--threads", args.next())?,
             "--batch-size" => cfg.batch_size = parse_count("--batch-size", args.next())?,
-            "--template-cap" => {
-                cfg.template_capacity = Some(parse_count("--template-cap", args.next())?)
-            }
             "--crash-after-batches" => {
                 cfg.crash_after_batches = Some(parse_count("--crash-after-batches", args.next())?)
             }

@@ -26,9 +26,10 @@
 //!   answers, is served flagged as [`ItemStatus::Degraded`] with its
 //!   [`gprs_core::SolveHealth`]-derived summary instead of failing
 //!   the campaign.
-//! * **Template reuse** — all items share one (optionally LRU-capped)
-//!   [`gprs_core::TemplateRegistry`], so identical-shape scenarios
-//!   across the whole campaign pay one symbolic setup.
+//! * **Shape accounting** — all items share one
+//!   [`gprs_core::TemplateRegistry`], which counts the distinct cell
+//!   shapes across the whole campaign
+//!   ([`CampaignReport::template_setups`]).
 //!
 //! The `campaign-run` binary drives all of this from the command line;
 //! `bench-report` embeds a demo campaign as its `campaign` section.

@@ -7,8 +7,8 @@
 //! (workers spawn once per run and park between batches, instead of
 //! re-spawning per batch). Per-item solve outcomes are independent of
 //! thread count and batch boundaries (the cluster solver's determinism
-//! contract plus a shared template registry that only caches symbolic
-//! structure), which is what makes the journal's resume path bitwise:
+//! contract plus a shared template registry that only counts cell
+//! shapes), which is what makes the journal's resume path bitwise:
 //! a journaled item is reused verbatim, an unjournaled one re-solves
 //! to the exact bytes it would have produced the first time.
 
@@ -38,10 +38,6 @@ pub struct RunnerConfig {
     /// default of 8. Smaller batches lose less work to a crash, larger
     /// ones fsync less often.
     pub batch_size: usize,
-    /// LRU cap on the shared template registry (`None` = unbounded).
-    /// Shapes beyond the cap re-run symbolic setup on reuse but
-    /// numerics are unaffected.
-    pub template_capacity: Option<usize>,
     /// Chaos hook: `Some(n)` aborts the process (SIGKILL-equivalent,
     /// no unwinding, no cleanup) immediately after the `n`-th batch
     /// has been journaled and fsync'd. Used by the kill-and-resume
@@ -78,10 +74,8 @@ pub struct CampaignReport {
     /// Total retry attempts across items (attempts beyond each item's
     /// first, including panicked and degraded attempts).
     pub retries: usize,
-    /// Symbolic template setups performed by the shared registry.
+    /// Distinct cell shapes the campaign-wide template registry saw.
     pub template_setups: usize,
-    /// Shapes evicted by the registry's LRU cap.
-    pub template_evictions: u64,
     /// Wall time of this run (excludes journaled work from prior
     /// runs).
     pub elapsed: Duration,
@@ -151,10 +145,6 @@ impl CampaignReport {
                 JsonValue::Num(self.template_setups as f64),
             ),
             (
-                "template_evictions".into(),
-                JsonValue::Num(self.template_evictions as f64),
-            ),
-            (
                 "elapsed_secs".into(),
                 JsonValue::Num(self.elapsed.as_secs_f64()),
             ),
@@ -214,10 +204,7 @@ pub fn run_campaign(
         .filter(|&i| recovered[i].is_none())
         .collect();
 
-    let registry = match cfg.template_capacity {
-        Some(cap) => TemplateRegistry::with_capacity(cap),
-        None => TemplateRegistry::new(),
-    };
+    let registry = TemplateRegistry::new();
     let faults = cfg.faults.clone();
     let faults_ref = faults.as_deref();
 
@@ -274,7 +261,6 @@ pub fn run_campaign(
         dropped_journal_lines: dropped,
         retries,
         template_setups: registry.setups(),
-        template_evictions: registry.evictions(),
         elapsed: started.elapsed(),
     })
 }

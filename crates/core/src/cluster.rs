@@ -89,8 +89,9 @@ pub enum SweepOrdering {
     /// Classic simultaneous (Jacobi) sweeps: every cell is solved at
     /// the *previous* iteration's arrival vector, then the whole
     /// vector updates at once. The default — and on the 7-cell ring
-    /// bit-identical to the historical fixed-point iteration, with
-    /// adaptive relaxation available.
+    /// bit-identical to the historical fixed-point iteration — and the
+    /// only ordering that applies adaptive relaxation (see
+    /// [`ClusterModel::solve`]).
     #[default]
     Jacobi,
     /// Graph-ordered block Gauss–Seidel sweeps: the cells are greedily
@@ -123,30 +124,6 @@ pub struct ClusterSolveOptions {
     /// side by side, each on one thread. Results are identical for any
     /// value.
     pub threads: usize,
-    /// Adaptive relaxation of the outer fixed point (default `true`),
-    /// two complementary mechanisms:
-    ///
-    /// * **Oscillation damping** — when two successive handover
-    ///   updates point in opposite directions *without contracting*
-    ///   (negative dot product, update norm above half the previous:
-    ///   the vector is ping-ponging around the fixed point), the step
-    ///   factor is halved, down to a floor of `1/8`, and recovers
-    ///   geometrically once updates realign.
-    /// * **Budget-aware extrapolation** — strongly coupled clusters
-    ///   (short dwell times: handover rate far above completion rate)
-    ///   contract at a ratio near `1` and exhaust `max_iterations`
-    ///   monotonically. When the observed contraction ratio projects
-    ///   convergence *beyond* the remaining iteration budget, the step
-    ///   is extrapolated Aitken-style to `1/(1−ratio)` (capped), which
-    ///   collapses the slow mode. Hot-spot cases that previously ended
-    ///   in [`gprs_queueing::QueueingError::BalanceNotConverged`]
-    ///   converge well inside the budget with this on.
-    ///
-    /// Trajectories that converge within the budget without
-    /// oscillating are untouched: the factor stays at `1` and every
-    /// update is applied verbatim, bit-identical to the fixed
-    /// iteration.
-    pub adaptive_relaxation: bool,
     /// Sweep ordering over the cell graph (default
     /// [`SweepOrdering::Jacobi`], the historical bit-exact iteration).
     /// Adaptive relaxation only applies to Jacobi sweeps; Gauss–Seidel
@@ -185,7 +162,6 @@ impl Default for ClusterSolveOptions {
             max_iterations: 500,
             solve: SolveOptions::default(),
             threads: 0,
-            adaptive_relaxation: true,
             ordering: SweepOrdering::Jacobi,
             surrogate: false,
             shards: 0,
@@ -218,13 +194,6 @@ impl ClusterSolveOptions {
     /// Sets the inner solver options, returning `self` for chaining.
     pub fn with_solve(mut self, solve: SolveOptions) -> Self {
         self.solve = solve;
-        self
-    }
-
-    /// Enables or disables adaptive relaxation, returning `self` for
-    /// chaining.
-    pub fn with_adaptive_relaxation(mut self, on: bool) -> Self {
-        self.adaptive_relaxation = on;
         self
     }
 
@@ -344,10 +313,13 @@ impl SolvedCluster {
         self.cells.iter().any(|c| c.health.degraded())
     }
 
-    /// How many *distinct* symbolic setups
-    /// ([`crate::template::SymbolicSetup`]) this solve performed — one
-    /// per distinct cell shape, not one per cell: a 1000-cell corridor
-    /// with 5 cell kinds reports 5.
+    /// How many distinct cell shapes the solve's [`TemplateRegistry`]
+    /// has seen — one per shape, not one per cell: a 1000-cell
+    /// corridor with 5 cell kinds reports 5. The count spans the
+    /// registry's lifetime, so against a registry shared across
+    /// solves ([`ClusterModel::solve_with_registry`]) it includes the
+    /// shapes of earlier solves; [`ClusterModel::solve`] uses a fresh
+    /// registry and counts this cluster's shapes only.
     pub fn symbolic_setups(&self) -> usize {
         self.symbolic_setups
     }
@@ -465,21 +437,37 @@ impl ClusterModel {
     /// fallback ladder of
     /// [`crate::template::GeneratorTemplate::solve_resilient`]
     /// (health reported per cell in [`SolvedCell::health`]), and the
-    /// Jacobi iteration applies the adaptive relaxation described on
-    /// [`ClusterSolveOptions::adaptive_relaxation`].
+    /// Jacobi iteration always applies adaptive relaxation, two
+    /// complementary mechanisms:
+    ///
+    /// * **Oscillation damping** — when two successive handover
+    ///   updates point in opposite directions *without contracting*
+    ///   (negative dot product, update norm above half the previous:
+    ///   the vector is ping-ponging around the fixed point), the step
+    ///   factor is halved, down to a floor of `1/8`, and recovers
+    ///   geometrically once updates realign.
+    /// * **Budget-aware extrapolation** — strongly coupled clusters
+    ///   (short dwell times: handover rate far above completion rate)
+    ///   contract at a ratio near `1` and exhaust `max_iterations`
+    ///   monotonically. When the observed contraction ratio projects
+    ///   convergence *beyond* the remaining iteration budget, the step
+    ///   is extrapolated Aitken-style to `1/(1−ratio)` (capped), which
+    ///   collapses the slow mode inside the budget.
+    ///
+    /// Trajectories that converge within the budget without
+    /// oscillating are untouched: the factor stays at `1` and every
+    /// update is applied verbatim ([`SolvedCluster::adaptive_steps`]
+    /// reports `0`).
     pub fn solve(&self, opts: &ClusterSolveOptions) -> Result<SolvedCluster, ModelError> {
         self.solve_with_registry(opts, &TemplateRegistry::new())
     }
 
     /// [`ClusterModel::solve`] against a caller-supplied
-    /// [`TemplateRegistry`]: identical numerics (the registry only
-    /// shares *symbolic* CSR patterns, never numeric state — a
-    /// clone+refill is bit-identical to a fresh assembly), but
-    /// identical-shape cells across *many* solves share their setups.
-    /// This is the campaign engine's entry point: one long-lived
-    /// (typically LRU-capped, see [`TemplateRegistry::with_capacity`])
-    /// registry spans every item of a campaign, so a thousand
-    /// same-shape what-if scenarios pay one symbolic setup.
+    /// [`TemplateRegistry`]: identical numerics (the registry shares
+    /// nothing between templates; it only records the cell shapes it
+    /// has seen). One registry may span many solves — a campaign's
+    /// items, say — and then [`SolvedCluster::symbolic_setups`] counts
+    /// the distinct shapes across all of them.
     ///
     /// # Errors
     ///
@@ -894,29 +882,26 @@ mod tests {
     #[test]
     fn adaptive_relaxation_rescues_budget_bound_hot_spot() {
         // High mobility (0.5 s dwell): the outer fixed point contracts
-        // at a ratio near 1 and needs ~190 plain iterations — a cap of
-        // 60 exhausts the budget. Adaptive relaxation detects the
-        // projected overrun and extrapolates the slow mode inside it.
+        // at a ratio near 1. At the default budget it converges at
+        // θ = 1 throughout (the plain trajectory) but needs more than
+        // 60 iterations; under a cap of 60 adaptive relaxation detects
+        // the projected overrun and extrapolates the slow mode inside
+        // it.
         let cluster = hot_spot(short_dwell(0.3, 0.5), 0.9);
+        let deep = cluster.solve(&ClusterSolveOptions::default()).unwrap();
+        assert_eq!(deep.adaptive_steps(), 0);
+        assert!(deep.iterations() > 60, "took {}", deep.iterations());
+
         let capped = ClusterSolveOptions {
             max_iterations: 60,
             ..ClusterSolveOptions::default()
         };
-
-        match cluster.solve(&capped.clone().with_adaptive_relaxation(false)) {
-            Err(ModelError::Queueing(QueueingError::BalanceNotConverged { .. })) => {}
-            other => panic!("plain iteration should exhaust the cap, got {other:?}"),
-        }
-
         let rescued = cluster.solve(&capped).unwrap();
         assert!(rescued.iterations() <= 60);
         assert!(rescued.adaptive_steps() > 0, "extrapolation never engaged");
 
-        // The rescued fixed point is the same one the plain iteration
-        // reaches with a deep budget.
-        let deep = cluster
-            .solve(&ClusterSolveOptions::default().with_adaptive_relaxation(false))
-            .unwrap();
+        // The rescued fixed point is the one the plain trajectory
+        // reaches with the deep budget.
         for (a, b) in rescued.cells().iter().zip(deep.cells()) {
             assert!((a.gsm_handover_in - b.gsm_handover_in).abs() < 1e-7);
             assert!(
@@ -927,22 +912,14 @@ mod tests {
 
     #[test]
     fn adaptive_relaxation_leaves_converging_trajectories_untouched() {
-        // A hot spot that converges within the budget must take the
-        // exact same trajectory with adaptivity on: every step runs at
+        // A hot spot that converges within the budget without
+        // oscillating takes the plain trajectory: every step runs at
         // θ = 1 and assigns the raw update verbatim.
         let cluster = hot_spot(tiny(0.3), 0.9);
-        let adaptive = cluster.solve(&ClusterSolveOptions::default()).unwrap();
-        let plain = cluster
-            .solve(&ClusterSolveOptions::default().with_adaptive_relaxation(false))
-            .unwrap();
-        assert_eq!(adaptive.adaptive_steps(), 0);
-        assert_eq!(adaptive.relaxation(), 1.0);
-        assert_eq!(adaptive.iterations(), plain.iterations());
-        for (a, b) in adaptive.cells().iter().zip(plain.cells()) {
-            assert_eq!(a.gsm_handover_in.to_bits(), b.gsm_handover_in.to_bits());
-            assert_eq!(a.gprs_handover_in.to_bits(), b.gprs_handover_in.to_bits());
-            assert_eq!(a.measures, b.measures);
-        }
+        let solved = cluster.solve(&ClusterSolveOptions::default()).unwrap();
+        assert_eq!(solved.adaptive_steps(), 0);
+        assert_eq!(solved.relaxation(), 1.0);
+        assert!(solved.handover_delta() <= ClusterSolveOptions::default().tolerance);
     }
 
     #[test]
@@ -1048,6 +1025,24 @@ mod tests {
         // outflow share, so it is a net exporter.
         let end = &solved.cells()[0];
         assert!(end.gsm_handover_in < end.gsm_handover_out);
+    }
+
+    #[test]
+    fn symbolic_setups_counts_every_shape_the_registry_has_seen() {
+        let opts = ClusterSolveOptions::quick();
+        let shallow = homogeneous(tiny(0.5));
+        let mut deep_cell = tiny(0.5);
+        deep_cell.buffer_capacity = 7;
+        let deep = homogeneous(deep_cell);
+        // Alone, each cluster has one shape.
+        assert_eq!(deep.solve(&opts).unwrap().symbolic_setups(), 1);
+        // Against one registry, the second solve also counts the
+        // first's shape.
+        let registry = TemplateRegistry::new();
+        let first = shallow.solve_with_registry(&opts, &registry).unwrap();
+        assert_eq!(first.symbolic_setups(), 1);
+        let second = deep.solve_with_registry(&opts, &registry).unwrap();
+        assert_eq!(second.symbolic_setups(), 2);
     }
 
     #[test]

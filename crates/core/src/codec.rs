@@ -1027,10 +1027,6 @@ pub fn cluster_options_to_json_value(opts: &ClusterSolveOptions) -> JsonValue {
         ("solve".into(), solve_options_to_json_value(&opts.solve)),
         ("threads".into(), JsonValue::Num(opts.threads as f64)),
         (
-            "adaptive_relaxation".into(),
-            JsonValue::Bool(opts.adaptive_relaxation),
-        ),
-        (
             "ordering".into(),
             JsonValue::Str(ordering_label(opts.ordering).into()),
         ),
@@ -1068,11 +1064,6 @@ pub fn cluster_options_from_json_value(
         opts.threads = v
             .as_usize()
             .ok_or_else(|| schema_err(&join(path, "threads"), "expected an integer"))?;
-    }
-    if let Some(v) = value.get("adaptive_relaxation") {
-        opts.adaptive_relaxation = v
-            .as_bool()
-            .ok_or_else(|| schema_err(&join(path, "adaptive_relaxation"), "expected a boolean"))?;
     }
     if let Some(v) = value.get("ordering") {
         let label = v
@@ -1292,8 +1283,14 @@ mod tests {
         assert!(matches!(back.ordering, SweepOrdering::GaussSeidel));
         assert!(back.surrogate);
         assert_eq!(back.shards, 4);
-        // An empty object is all defaults.
+        // An empty object is all defaults; unknown keys are ignored, so
+        // one carrying only the retired relaxation switch is too.
         let defaults = cluster_options_from_json_value(&parse_json("{}").unwrap(), "").unwrap();
+        let legacy = parse_json("{\"adaptive_relaxation\":false}").unwrap();
+        assert_eq!(
+            cluster_options_from_json_value(&legacy, "").unwrap(),
+            defaults
+        );
         assert_eq!(defaults.max_iterations, 500);
         assert_eq!(
             defaults.shards, 0,

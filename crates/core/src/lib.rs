@@ -120,6 +120,4 @@ pub use measures::Measures;
 pub use scenario::Scenario;
 pub use solve::SolvedModel;
 pub use state::{CellState, StateSpace};
-pub use template::{
-    GeneratorTemplate, PointSolve, SymbolicSetup, TemplateRegistry, TemplateStats, WarmStart,
-};
+pub use template::{GeneratorTemplate, PointSolve, TemplateRegistry, TemplateStats, WarmStart};

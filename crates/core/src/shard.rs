@@ -465,13 +465,13 @@ pub(crate) fn solve_sharded(
     let classes = graph.color_classes();
     let (init_gsm, init_gprs) = model.initial_rates()?;
 
-    // Templates in global cell order: the registry sees the same
-    // sequence at every shard count, so symbolic-setup counts and the
-    // lowest-failing-cell error do not depend on it.
+    // Templates in global cell order, so the lowest-failing-cell error
+    // does not depend on the shard count.
     let mut templates: Vec<Option<GeneratorTemplate>> = Vec::with_capacity(n);
     for cfg in model.configs() {
         templates.push(Some(registry.template_for(cfg)?));
     }
+    let shapes = registry.setups();
 
     let shard_of = partition.assignment().to_vec();
     let mut local_of = vec![0usize; n];
@@ -587,12 +587,12 @@ pub(crate) fn solve_sharded(
                 .collect::<Result<_, ModelError>>()?;
             match opts.ordering {
                 SweepOrdering::Jacobi => {
-                    jacobi_rounds(pool, opts, registry, n, k, &halo_lists, &shard_lists)
+                    jacobi_rounds(pool, opts, shapes, n, k, &halo_lists, &shard_lists)
                 }
                 SweepOrdering::GaussSeidel => gauss_seidel_rounds(
                     pool,
                     opts,
-                    registry,
+                    shapes,
                     n,
                     k,
                     &halo_lists,
@@ -614,7 +614,7 @@ fn assemble_report(
     handover_delta: f64,
     relaxation: f64,
     adaptive_steps: usize,
-    registry: &TemplateRegistry,
+    shapes: usize,
 ) -> Result<SolvedCluster, ModelError> {
     let mut slots: Vec<Option<SolvedCell>> = (0..n).map(|_| None).collect();
     let mut surrogate_total = 0usize;
@@ -654,7 +654,7 @@ fn assemble_report(
         handover_delta,
         relaxation,
         adaptive_steps,
-        symbolic_setups: registry.setups(),
+        symbolic_setups: shapes,
         surrogate_solves: surrogate_total,
     })
 }
@@ -676,7 +676,7 @@ fn halo_snapshot(
 fn jacobi_rounds(
     pool: &mut PoolHandle<'_, ShardState, ShardReq, ShardResp>,
     opts: &ClusterSolveOptions,
-    registry: &TemplateRegistry,
+    shapes: usize,
     n: usize,
     k: usize,
     halo_lists: &[Vec<usize>],
@@ -707,7 +707,7 @@ fn jacobi_rounds(
                 .collect(),
         );
         if converged {
-            return assemble_report(resps, n, iteration, delta, theta, adaptive_steps, registry);
+            return assemble_report(resps, n, iteration, delta, theta, adaptive_steps, shapes);
         }
         let mut errors = Vec::new();
         for resp in resps {
@@ -774,7 +774,7 @@ fn jacobi_rounds(
         // ratio projects convergence beyond the remaining iteration
         // budget get the Aitken step `1/(1−ratio)`; everything else
         // runs at `θ = 1`, which assigns the raw next vector verbatim.
-        if opts.adaptive_relaxation && have_prev {
+        if have_prev {
             let dot: f64 = update.iter().zip(&prev_update).map(|(a, b)| a * b).sum();
             let cur_sq: f64 = update.iter().map(|u| u * u).sum();
             let prev_sq: f64 = prev_update.iter().map(|u| u * u).sum();
@@ -822,7 +822,7 @@ fn jacobi_rounds(
 fn gauss_seidel_rounds(
     pool: &mut PoolHandle<'_, ShardState, ShardReq, ShardResp>,
     opts: &ClusterSolveOptions,
-    registry: &TemplateRegistry,
+    shapes: usize,
     n: usize,
     k: usize,
     halo_lists: &[Vec<usize>],
@@ -898,7 +898,7 @@ fn gauss_seidel_rounds(
                     .map(|s| (s, ShardReq::Solve { report: true }))
                     .collect(),
             );
-            return assemble_report(resps, n, iteration + 1, delta, 1.0, 0, registry);
+            return assemble_report(resps, n, iteration + 1, delta, 1.0, 0, shapes);
         }
     }
 

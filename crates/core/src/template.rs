@@ -74,8 +74,8 @@ use gprs_ctmc::blocked::{solve_mbd_projected_blocked_inplace_ws, BlockedMbd};
 use gprs_ctmc::gth::{solve_gth, RECOMMENDED_MAX_STATES};
 use gprs_ctmc::solver::{solve_gauss_seidel_ws, SolveOptions};
 use gprs_ctmc::{balance_residual, SolveWorkspace, SparseGenerator};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::collections::HashSet;
+use std::sync::{Mutex, PoisonError};
 
 /// The structural fingerprint of a cell configuration: two configs with
 /// the same shape produce chains with the same *state space* (the
@@ -212,85 +212,13 @@ pub struct PointSolve {
     pub health: SolveHealth,
 }
 
-/// The *shared* symbolic artifacts of one model shape, reference-
-/// counted across every [`GeneratorTemplate`] of that shape: currently
-/// the donor CSR pattern — the first template of a shape that needs an
-/// assembled matrix pays the full symbolic assembly (enumeration,
-/// sorting, allocation) once and deposits the pattern here; every later
-/// same-shape template *clones* the pattern and merely refills its
-/// rates, bit-identical to a fresh assembly.
-///
-/// Per-solve numeric state (workspace, warm-start chain, stationary
-/// vector) deliberately stays per template: sharing it across cells
-/// would entangle their warm-start trajectories and break the bitwise
-/// reproducibility contract of the cluster fixed point.
-///
-/// Build these through a [`TemplateRegistry`], which deduplicates one
-/// setup per distinct shape — a 1000-cell city with 5 distinct cell
-/// kinds costs 5 symbolic setups, not 1000.
-#[derive(Debug)]
-pub struct SymbolicSetup {
-    shape: Shape,
-    /// The shape's donor CSR pattern and the [`PatternKey`] it was
-    /// assembled under; filled by the first template that assembles.
-    donor: Mutex<Option<(PatternKey, SparseGenerator)>>,
-}
-
-impl SymbolicSetup {
-    fn new(shape: Shape) -> Self {
-        SymbolicSetup {
-            shape,
-            donor: Mutex::new(None),
-        }
-    }
-
-    /// A fresh pattern for `model`, valued at its rates: a clone +
-    /// refill of the donor when `key` matches it (a matching key means
-    /// a bit-identical pattern, so this equals a fresh assembly), else
-    /// a full symbolic assembly, deposited as the donor if there is
-    /// none yet.
-    fn pattern_for(
-        &self,
-        key: PatternKey,
-        model: &GprsModel,
-    ) -> Result<SparseGenerator, ModelError> {
-        {
-            let donor = lock(&self.donor);
-            if let Some((donor_key, donor_sparse)) = &*donor {
-                if *donor_key == key {
-                    let mut sparse = donor_sparse.clone();
-                    drop(donor);
-                    sparse.refill_values(model)?;
-                    return Ok(sparse);
-                }
-            }
-        }
-        let assembled = model.assemble_sparse()?;
-        let mut donor = lock(&self.donor);
-        if donor.is_none() {
-            *donor = Some((key, assembled.clone()));
-        }
-        Ok(assembled)
-    }
-}
-
-/// Locks `mutex`, recovering the guard if a panic poisoned it. Every
-/// critical section here leaves its data valid at each step (a map
-/// insert or remove, a counter bump, an `Option` store), so a panic
-/// elsewhere on the locking thread never exposes a torn value.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The template's cached pattern, refilled at `model`'s rates while its
-/// [`PatternKey`] matches the cached one, and otherwise replaced by
-/// [`SymbolicSetup::pattern_for`]. A failed refill drops the pattern;
-/// the next call rebuilds it. A free function over the two fields it
-/// touches, so callers can hold the pattern while borrowing the
-/// template's other fields.
+/// [`PatternKey`] matches the cached one, and otherwise assembled
+/// afresh. A failed refill drops the pattern; the next call rebuilds
+/// it. A free function over the one field it touches, so callers can
+/// hold the pattern while borrowing the template's other fields.
 fn ensure_pattern<'a>(
     cache: &'a mut Option<(PatternKey, SparseGenerator)>,
-    symbolic: &SymbolicSetup,
     model: &GprsModel,
 ) -> Result<&'a SparseGenerator, ModelError> {
     let key = PatternKey::of(model);
@@ -299,124 +227,50 @@ fn ensure_pattern<'a>(
             sparse.refill_values(model)?;
             sparse
         }
-        _ => symbolic.pattern_for(key, model)?,
+        _ => model.assemble_sparse()?,
     };
     Ok(&cache.insert((key, sparse)).1)
 }
 
-/// A registry of [`SymbolicSetup`]s keyed by model shape: the config
-/// deduplication layer of the cluster solver. Templates requested
-/// through [`template_for`](TemplateRegistry::template_for) share one
-/// setup per distinct shape, and [`setups`](TemplateRegistry::setups)
-/// reports how many distinct shapes have been seen — the counter the
-/// metro-scale regression tests assert on.
+/// The distinct cell shapes a cluster or campaign has asked templates
+/// for. Templates share nothing: each one assembles its own CSR
+/// pattern on demand. The registry only counts shapes —
+/// [`setups`](TemplateRegistry::setups) is the counter the metro-scale
+/// regression tests assert on (a 1000-cell corridor with 5 cell kinds
+/// reports 5).
 #[derive(Debug, Default)]
 pub struct TemplateRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-#[derive(Debug, Default)]
-struct RegistryInner {
-    setups: HashMap<Shape, RegistryEntry>,
-    /// LRU capacity; `None` is unbounded (the historical behaviour).
-    capacity: Option<usize>,
-    /// Monotone use counter stamping [`RegistryEntry::last_used`].
-    clock: u64,
-    /// Lifetime count of setups dropped by the LRU policy.
-    evictions: u64,
-}
-
-#[derive(Debug)]
-struct RegistryEntry {
-    setup: Arc<SymbolicSetup>,
-    last_used: u64,
+    shapes: Mutex<HashSet<Shape>>,
 }
 
 impl TemplateRegistry {
-    /// An empty, unbounded registry.
+    /// An empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty registry that keeps at most `capacity` symbolic setups,
-    /// evicting the least-recently-used shape when a new one would
-    /// exceed the cap — the campaign engine's guard against unbounded
-    /// memory growth over long shape-diverse campaigns. A capacity of
-    /// `0` is treated as `1` (the registry always retains the shape it
-    /// just served).
-    ///
-    /// Eviction only drops the *registry's* reference: templates
-    /// already holding the setup keep working, and a re-requested
-    /// evicted shape simply re-assembles its donor pattern. Because a
-    /// fresh assembly is bit-identical to a pattern clone+refill,
-    /// eviction can never change numeric results — only the setup
-    /// count and assembly work.
-    pub fn with_capacity(capacity: usize) -> Self {
-        TemplateRegistry {
-            inner: Mutex::new(RegistryInner {
-                capacity: Some(capacity.max(1)),
-                ..RegistryInner::default()
-            }),
-        }
-    }
-
-    /// A template for `config`, sharing its [`SymbolicSetup`] with
-    /// every previously requested config of the same shape (the
-    /// template's own workspace and warm-start chain are fresh).
+    /// A fresh template for `config` ([`GeneratorTemplate::new`]),
+    /// recording its shape.
     ///
     /// # Errors
     ///
     /// [`ModelError::Config`] if `config` is invalid.
     pub fn template_for(&self, config: &CellConfig) -> Result<GeneratorTemplate, ModelError> {
-        config.validate()?;
-        let shape = Shape::of(config);
-        let mut inner = lock(&self.inner);
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let symbolic = match inner.setups.get_mut(&shape) {
-            Some(entry) => {
-                entry.last_used = stamp;
-                entry.setup.clone()
-            }
-            None => {
-                let setup = Arc::new(SymbolicSetup::new(shape));
-                if let Some(cap) = inner.capacity {
-                    while inner.setups.len() >= cap {
-                        let Some(victim) = inner
-                            .setups
-                            .iter()
-                            .min_by_key(|(_, e)| e.last_used)
-                            .map(|(s, _)| *s)
-                        else {
-                            break;
-                        };
-                        inner.setups.remove(&victim);
-                        inner.evictions += 1;
-                    }
-                }
-                inner.setups.insert(
-                    shape,
-                    RegistryEntry {
-                        setup: setup.clone(),
-                        last_used: stamp,
-                    },
-                );
-                setup
-            }
-        };
-        drop(inner);
-        Ok(GeneratorTemplate::with_symbolic(shape, symbolic))
+        let template = GeneratorTemplate::new(config)?;
+        self.shapes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(template.shape);
+        Ok(template)
     }
 
-    /// How many distinct shapes (symbolic setups) the registry holds.
+    /// How many distinct cell shapes the registry has seen over its
+    /// lifetime.
     pub fn setups(&self) -> usize {
-        lock(&self.inner).setups.len()
-    }
-
-    /// Lifetime count of setups dropped by the LRU policy (always `0`
-    /// for unbounded registries).
-    pub fn evictions(&self) -> u64 {
-        lock(&self.inner).evictions
+        self.shapes
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 
@@ -425,10 +279,6 @@ impl TemplateRegistry {
 #[derive(Debug, Clone)]
 pub struct GeneratorTemplate {
     shape: Shape,
-    /// The shape's shared symbolic artifacts (donor CSR pattern);
-    /// unshared when built via [`GeneratorTemplate::new`], one per
-    /// distinct shape when built via [`TemplateRegistry`].
-    symbolic: Arc<SymbolicSetup>,
     /// Cached CSR pattern and the [`PatternKey`] it was assembled
     /// under; assembled on first demand, revalued while the key holds,
     /// re-assembled when it changes.
@@ -470,18 +320,8 @@ impl GeneratorTemplate {
     /// [`ModelError::Config`] if `config` is invalid.
     pub fn new(config: &CellConfig) -> Result<Self, ModelError> {
         config.validate()?;
-        let shape = Shape::of(config);
-        Ok(Self::with_symbolic(
-            shape,
-            Arc::new(SymbolicSetup::new(shape)),
-        ))
-    }
-
-    fn with_symbolic(shape: Shape, symbolic: Arc<SymbolicSetup>) -> Self {
-        debug_assert_eq!(shape, symbolic.shape);
-        GeneratorTemplate {
-            shape,
-            symbolic,
+        Ok(GeneratorTemplate {
+            shape: Shape::of(config),
             sparse: None,
             ws: SolveWorkspace::new(),
             marginal: Vec::new(),
@@ -494,7 +334,7 @@ impl GeneratorTemplate {
             placement: Vec::new(),
             placement_p_off: f64::NAN,
             stats: TemplateStats::default(),
-        }
+        })
     }
 
     /// Whether `config` has this template's shape.
@@ -562,7 +402,7 @@ impl GeneratorTemplate {
     /// assembly/refill errors.
     pub fn sparse_for(&mut self, model: &GprsModel) -> Result<&SparseGenerator, ModelError> {
         self.check_shape(model.config())?;
-        ensure_pattern(&mut self.sparse, &self.symbolic, model)
+        ensure_pattern(&mut self.sparse, model)
     }
 
     /// Solves `model` with the block tridiagonal solver over the
@@ -776,7 +616,7 @@ impl GeneratorTemplate {
             model.product_form_guess_into(&self.marginal, &mut self.start);
             self.history = 0;
         }
-        let sparse = ensure_pattern(&mut self.sparse, &self.symbolic, model)?;
+        let sparse = ensure_pattern(&mut self.sparse, model)?;
         let stats = match solve_gauss_seidel_ws(sparse, Some(&self.start), opts, &mut self.ws) {
             Ok(stats) => stats,
             Err(e) => return Err(self.chain_fail(e)),
@@ -902,7 +742,7 @@ impl GeneratorTemplate {
         // Rung 4: direct elimination for small chains.
         let n = model.space().num_states();
         if n <= RECOMMENDED_MAX_STATES {
-            let sparse = ensure_pattern(&mut self.sparse, &self.symbolic, model)?;
+            let sparse = ensure_pattern(&mut self.sparse, model)?;
             let pi = solve_gth(sparse)?;
             let residual = balance_residual(sparse, pi.as_slice());
             self.ws.set_pi(pi.as_slice());
@@ -1312,77 +1152,36 @@ mod tests {
         assert_eq!(registry.setups(), 2);
     }
 
-    #[test]
-    fn capped_registry_evicts_least_recently_used_shape() {
-        // Three distinct shapes through a 2-setup registry.
-        let registry = TemplateRegistry::with_capacity(2);
-        let shape = |buffer: usize| {
-            let mut c = tiny(0.3);
-            c.buffer_capacity = buffer;
-            c
-        };
-        registry.template_for(&shape(5)).unwrap();
-        registry.template_for(&shape(6)).unwrap();
-        assert_eq!(registry.setups(), 2);
-        assert_eq!(registry.evictions(), 0);
-        // Touch 5 so 6 becomes the LRU victim, then insert 7.
-        registry.template_for(&shape(5)).unwrap();
-        registry.template_for(&shape(7)).unwrap();
-        assert_eq!(registry.setups(), 2);
-        assert_eq!(registry.evictions(), 1);
-        // 5 survived the eviction: re-requesting it adds nothing...
-        registry.template_for(&shape(5)).unwrap();
-        assert_eq!(registry.setups(), 2);
-        assert_eq!(registry.evictions(), 1);
-        // ...while the evicted 6 costs another eviction to readmit.
-        registry.template_for(&shape(6)).unwrap();
-        assert_eq!(registry.evictions(), 2);
-        // Eviction cannot change numbers: a solve through the capped
-        // registry matches an unshared template bitwise.
-        let model = GprsModel::new(shape(6)).unwrap();
-        let opts = SolveOptions::default();
-        let mut shared = registry.template_for(&shape(6)).unwrap();
-        let mut plain = GeneratorTemplate::new(&shape(6)).unwrap();
-        let a = shared.solve(&model, &opts, WarmStart::Cold).unwrap();
-        let b = plain.solve(&model, &opts, WarmStart::Cold).unwrap();
-        assert_eq!(a.residual.to_bits(), b.residual.to_bits());
-        assert_eq!(shared.stationary(), plain.stationary());
-    }
-
-    #[test]
-    fn registry_templates_share_the_donor_pattern_bitwise() {
-        let registry = TemplateRegistry::new();
-        let mut a = registry.template_for(&tiny(0.3)).unwrap();
-        let mut b = registry.template_for(&tiny(0.7)).unwrap();
-        // `a` assembles and donates the pattern; `b` must serve a
-        // matrix bit-identical to its own fresh assembly via
-        // clone + refill.
-        let model_a = GprsModel::new(tiny(0.3)).unwrap();
-        a.sparse_for(&model_a).unwrap();
-        let model_b = GprsModel::new(tiny(0.7)).unwrap();
-        let fresh = model_b.assemble_sparse().unwrap();
-        let served = b.sparse_for(&model_b).unwrap();
-        assert!(served.same_pattern(&fresh));
-        for s in 0..fresh.num_states() {
-            assert_eq!(served.row(s), fresh.row(s), "row {s}");
-        }
-        assert_eq!(served.exit_rates(), fresh.exit_rates());
-    }
-
+    /// Registry-built templates are plain templates: bitwise the same
+    /// on the primary path and, with a starved budget, on the GTH rung
+    /// they reach through their own CSR pattern.
     #[test]
     fn registry_solves_match_unshared_templates_bitwise() {
-        let opts = SolveOptions::default();
+        let starved = SolveOptions::default()
+            .with_max_sweeps(1)
+            .with_tolerance(1e-300);
         let registry = TemplateRegistry::new();
-        for rate in [0.3, 0.6] {
-            let model = GprsModel::new(tiny(rate)).unwrap();
-            let mut shared = registry.template_for(&tiny(rate)).unwrap();
-            let mut plain = GeneratorTemplate::new(&tiny(rate)).unwrap();
-            let a = shared.solve(&model, &opts, WarmStart::Cold).unwrap();
-            let b = plain.solve(&model, &opts, WarmStart::Cold).unwrap();
-            assert_eq!(a.sweeps, b.sweeps);
-            assert_eq!(a.residual.to_bits(), b.residual.to_bits());
-            assert_eq!(shared.stationary(), plain.stationary());
+        for (opts, rung) in [
+            (SolveOptions::default(), SolveRung::Primary),
+            (starved, SolveRung::DirectGth),
+        ] {
+            for rate in [0.3, 0.6] {
+                let model = GprsModel::new(tiny(rate)).unwrap();
+                let mut shared = registry.template_for(&tiny(rate)).unwrap();
+                let mut plain = GeneratorTemplate::new(&tiny(rate)).unwrap();
+                let a = shared
+                    .solve_resilient(&model, &opts, WarmStart::Cold)
+                    .unwrap();
+                let b = plain
+                    .solve_resilient(&model, &opts, WarmStart::Cold)
+                    .unwrap();
+                assert_eq!(a.health.rung, rung, "rate {rate}");
+                assert_eq!(a.health, b.health, "rate {rate}");
+                assert_eq!(a.residual.to_bits(), b.residual.to_bits());
+                assert_eq!(shared.stationary(), plain.stationary());
+            }
         }
+        assert_eq!(registry.setups(), 1);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use gprs_core::stress::{invalid_configs, pathological_configs};
 use gprs_core::template::{GeneratorTemplate, PointSolve, WarmStart};
 use gprs_core::{CellConfig, GprsModel, ModelError, Scenario, SolveRung};
 use gprs_ctmc::solver::SolveOptions;
-use gprs_queueing::QueueingError;
 use gprs_traffic::TrafficModel;
 use std::time::{Duration, Instant};
 
@@ -238,10 +237,10 @@ fn happy_path_is_bit_identical_to_the_plain_solver() {
     assert_eq!(&resilient.measures, plain.measures());
 }
 
-/// Pin: a high-mobility hot-spot cluster that exhausts the outer
-/// fixed-point budget under plain iteration (BalanceNotConverged) is
-/// rescued by adaptive relaxation — and lands on the same fixed point
-/// a deep plain run reaches.
+/// Pin: a high-mobility hot-spot cluster whose plain trajectory needs
+/// more than 60 outer iterations is rescued under a cap of 60 by
+/// adaptive relaxation — and lands on the same fixed point the plain
+/// trajectory reaches with the default budget.
 #[test]
 fn budget_bound_cluster_is_rescued_by_adaptive_relaxation() {
     let base = CellConfig::builder()
@@ -256,24 +255,22 @@ fn budget_bound_cluster_is_rescued_by_adaptive_relaxation() {
         .build()
         .unwrap();
     let cluster = Scenario::hot_spot(base, 0.9).unwrap().to_cluster().unwrap();
+
+    // The default budget converges at θ = 1 throughout: the plain
+    // trajectory, which a cap of 60 would cut short.
+    let deep = cluster.solve(&ClusterSolveOptions::default()).unwrap();
+    assert_eq!(deep.adaptive_steps(), 0);
+    assert!(deep.iterations() > 60, "took {}", deep.iterations());
+
     let capped = ClusterSolveOptions {
         max_iterations: 60,
         ..ClusterSolveOptions::default()
     };
-
-    match cluster.solve(&capped.clone().with_adaptive_relaxation(false)) {
-        Err(ModelError::Queueing(QueueingError::BalanceNotConverged { .. })) => {}
-        other => panic!("expected the capped plain iteration to fail, got {other:?}"),
-    }
-
     let rescued = cluster.solve(&capped).unwrap();
     assert!(rescued.iterations() <= 60);
     assert!(rescued.adaptive_steps() > 0, "extrapolation never engaged");
     assert!(!rescued.degraded(), "per-cell solves stayed on rung 1");
 
-    let deep = cluster
-        .solve(&ClusterSolveOptions::default().with_adaptive_relaxation(false))
-        .unwrap();
     for (cell, (a, b)) in rescued.cells().iter().zip(deep.cells()).enumerate() {
         assert!(
             (a.gsm_handover_in - b.gsm_handover_in).abs() < 1e-7,

@@ -4,9 +4,8 @@
 //!
 //! A 100-cell urban corridor with five recurring cell kinds (cycled
 //! buffer depths — five distinct state-space *shapes*) is solved with
-//! graph-ordered Gauss–Seidel sweeps; the shape-keyed template registry
-//! performs the symbolic setup (state-space enumeration, CSR pattern,
-//! solver workspace) once per kind, not once per cell. A uniform hex
+//! graph-ordered Gauss–Seidel sweeps; the template registry counts five
+//! distinct cell shapes, one per kind, not one per cell. A uniform hex
 //! torus then demonstrates the flow-balanced case that degenerates to
 //! the paper's homogeneous single-cell model.
 //!
@@ -64,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         solved.flow_imbalance()
     );
     println!(
-        "symbolic setups: {} (one per cell kind, not one per cell)",
+        "distinct cell shapes: {} (one per cell kind, not one per cell)",
         solved.symbolic_setups()
     );
     assert_eq!(solved.symbolic_setups(), 5.min(n));

@@ -6,10 +6,9 @@
 //!   satisfies, now on a 12-cell topology the legacy code could not
 //!   even represent.
 //! * A **metro-scale corridor** (1000 cells, 5 cell kinds) exercises
-//!   the shape-keyed symbolic-setup deduplication: the registry must
-//!   report exactly 5 symbolic setups — one per distinct
-//!   state-space/CSR shape, not one per cell — and the fixed point must
-//!   still conserve handover flow.
+//!   the shape-keyed template registry: it must report exactly 5
+//!   distinct cell shapes — one per state-space shape, not one per
+//!   cell — and the fixed point must still conserve handover flow.
 
 use gprs_repro::core::cluster::ClusterSolveOptions;
 use gprs_repro::core::{CellConfig, CellGraph, ClusterModel, GprsModel};
@@ -122,9 +121,8 @@ fn corridor_kind(i: usize, n: usize) -> CellConfig {
 
 #[test]
 fn metro_corridor_reuses_one_symbolic_setup_per_cell_kind() {
-    // 1000 cells, 5 kinds: the whole point of the shape-keyed registry
-    // is that the symbolic work (state-space enumeration, CSR pattern,
-    // solver workspace sizing) happens 5 times, not 1000.
+    // 1000 cells, 5 kinds: the shape-keyed registry must count 5
+    // distinct shapes, not 1000.
     let n = 1000;
     let graph = CellGraph::corridor(n).unwrap();
     let cells: Vec<CellConfig> = (0..n).map(|i| corridor_kind(i, n)).collect();
@@ -135,7 +133,7 @@ fn metro_corridor_reuses_one_symbolic_setup_per_cell_kind() {
     assert_eq!(
         solved.symbolic_setups(),
         5,
-        "expected one symbolic setup per cell kind"
+        "expected one distinct shape per cell kind"
     );
     assert!(
         solved.flow_imbalance() < 1e-6,

@@ -210,8 +210,7 @@ fn hot_spot_adaptive_relaxation_trace_survives_sharding() {
         .unwrap()
         .to_cluster()
         .unwrap();
-    let base = ClusterSolveOptions::quick().with_adaptive_relaxation(true);
-    check_layouts(&model, &base, "hotspot");
+    check_layouts(&model, &ClusterSolveOptions::quick(), "hotspot");
 }
 
 /// The surrogate (predict-and-verify) solve path counts and warm-start
