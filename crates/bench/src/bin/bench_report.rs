@@ -283,8 +283,8 @@ fn main() {
     );
 
     // --- Sharded fixed point: the 1000-cell corridor on 2 and 4
-    // persistent partition workers vs the 1-shard baseline (every cell
-    // solved inline on the calling thread). Small per-cell state
+    // persistent template-owning workers vs the 1-shard baseline
+    // (every cell solved inline on the calling thread). Small per-cell state
     // spaces put the solve in the overhead-dominated regime metro
     // layouts live in (per-solve fixed costs — capture, measures
     // extraction, decode — dwarf the CTMC sweeps). Identical options

@@ -34,8 +34,10 @@
 //! (every cell's inflow equals its own outflow), which is both the
 //! initialization and the oracle the test suite checks against. The
 //! per-iteration cell solves are independent, so the one fixed-point
-//! engine (`gprs_core::shard`) partitions the cells over persistent
-//! workers — results are bit-identical for any shard and thread count.
+//! engine (`gprs_core::shard`) hands them to persistent workers that
+//! own the cells' templates, while one coordinator holds the handover
+//! vectors and runs every cross-cell sum in a fixed order — results are
+//! bit-identical for any shard and thread count.
 //!
 //! # Example
 //!
@@ -117,12 +119,12 @@ pub struct ClusterSolveOptions {
     pub max_iterations: usize,
     /// Options for the inner per-cell CTMC solves.
     pub solve: SolveOptions,
-    /// Worker threads for the per-iteration cell solves; `0` (the
-    /// default) uses [`gprs_exec::num_threads`]. It is the default
-    /// shard count (see [`shards`](Self::shards)). In a
-    /// [`sweep_load_scales`] it is instead the number of points solved
-    /// side by side, each on one thread. Results are identical for any
-    /// value.
+    /// Worker threads; `0` (the default) uses
+    /// [`gprs_exec::num_threads`]. In a cluster solve it only sets the
+    /// default shard count (see [`shards`](Self::shards)), which is the
+    /// number of threads the solve runs on. In a [`sweep_load_scales`]
+    /// it is instead the number of points solved side by side, each on
+    /// one thread. Results are identical for any value.
     pub threads: usize,
     /// Sweep ordering over the cell graph (default
     /// [`SweepOrdering::Jacobi`], the historical bit-exact iteration).
@@ -142,14 +144,14 @@ pub struct ClusterSolveOptions {
     /// [`SolvedCluster::surrogate_solves`] reports how often the
     /// shortcut fired.
     pub surrogate: bool,
-    /// Shard count of the fixed-point engine (`gprs_core::shard`): the
-    /// cell graph is partitioned into that many contiguous shards
-    /// ([`CellGraph::partition`]), each owned by a persistent worker
-    /// that holds its cells' templates for the entire solve and
-    /// exchanges only boundary fluxes between outer iterations. `0`
-    /// (the default) uses the effective thread count
+    /// Worker count of the fixed-point engine (`gprs_core::shard`):
+    /// the cells go to that many persistent workers as near-equal
+    /// consecutive index ranges, and each worker holds its cells'
+    /// templates for the entire solve and solves the cells the
+    /// coordinator sends it, at the arrival rates it sends. `0` (the
+    /// default) uses the effective thread count
     /// ([`threads`](Self::threads)); `1` runs every cell inline on the
-    /// calling thread. The count is clamped to the cell count. Results
+    /// calling thread. The count is clamped to `1..=cells`. Results
     /// are **bitwise identical** for every value — sharding is purely
     /// an execution strategy.
     pub shards: usize,
@@ -210,9 +212,8 @@ impl ClusterSolveOptions {
         self
     }
 
-    /// Sets the shard count for the partitioned fixed-point engine
-    /// (see the [`shards`](Self::shards) field), returning `self` for
-    /// chaining.
+    /// Sets the worker count of the fixed-point engine (see the
+    /// [`shards`](Self::shards) field), returning `self` for chaining.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -527,7 +528,9 @@ pub struct ClusterSweepPoint {
 /// Solves `scenario` at each load scale, fanning the points out across
 /// [`opts.threads`](ClusterSolveOptions::threads) workers. Point `s` is
 /// `scenario.clone().with_load_scale(s)?.to_cluster()?` solved on one
-/// thread — the same load-scaling path as every other lowering of the
+/// thread (`threads` and [`shards`](ClusterSolveOptions::shards) both
+/// pinned to 1, so a sweep never runs more than `threads` threads) —
+/// the same load-scaling path as every other lowering of the
 /// scenario ([`Scenario::with_load_scale`]), so a sweep point and a
 /// homogeneous or simulator reference at the same scale see the same
 /// rates. The parallelism budget goes to the points; results are
@@ -562,9 +565,9 @@ fn solve_scale_point(
     opts: &ClusterSolveOptions,
 ) -> Result<ClusterSweepPoint, ModelError> {
     // Inner solves run sequentially: the sweep already saturates the
-    // workers with points, and a fixed inner thread count keeps the
-    // point's result independent of how the sweep is scheduled.
-    let point_opts = opts.clone().with_threads(1);
+    // workers with points. An explicit shard count would win over the
+    // thread count, so both are pinned.
+    let point_opts = opts.clone().with_threads(1).with_shards(1);
     let cluster = scenario.clone().with_load_scale(scale)?.to_cluster()?;
     let solved = cluster.solve(&point_opts)?;
     Ok(ClusterSweepPoint {

@@ -433,48 +433,6 @@ impl CellGraph {
         })
     }
 
-    /// Splits the cells into `shards` **contiguous** shards for the
-    /// sharded cluster fixed point: cells are taken in BFS order from
-    /// cell 0 (the deterministic traversal the connectivity check
-    /// already defines), the order is cut into `shards` near-equal
-    /// consecutive chunks, and each chunk becomes one shard. BFS
-    /// contiguity keeps most handover edges shard-internal, so the
-    /// halo sets — the boundary cells whose fluxes must be exchanged
-    /// between outer iterations — stay small.
-    ///
-    /// `shards` is clamped to the cell count (never more shards than
-    /// cells); `shards == 1` yields the trivial whole-graph partition.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Topology`] if `shards == 0`.
-    pub fn partition(&self, shards: usize) -> Result<Partition, ModelError> {
-        Partition::contiguous(self, shards)
-    }
-
-    /// Deterministic BFS order from cell 0 over the out-neighbour
-    /// lists — every cell exactly once (the graph is connected by
-    /// construction).
-    fn bfs_order(&self) -> Vec<usize> {
-        let n = self.num_cells();
-        let mut order = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(0usize);
-        visited[0] = true;
-        while let Some(i) = queue.pop_front() {
-            order.push(i);
-            for &(t, _) in &self.out[i] {
-                if !visited[t] {
-                    visited[t] = true;
-                    queue.push_back(t);
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), n);
-        order
-    }
-
     /// A greedy colouring of the cells (ascending index, first free
     /// colour): cells of one colour class share no edge, so a
     /// Gauss–Seidel sweep may solve each class in parallel while still
@@ -505,178 +463,6 @@ impl CellGraph {
             classes[c].push(i);
         }
         classes
-    }
-}
-
-/// A partition of a [`CellGraph`]'s cells into shards with explicit
-/// **halo sets** — the machinery under the sharded cluster fixed
-/// point. Each shard owns a disjoint set of cells; its halo is the
-/// exact set of *foreign* cells some owned cell imports handover flux
-/// from (the sources of cross-shard in-edges). Between outer fixed-
-/// point iterations a shard needs precisely its halo cells' boundary
-/// fluxes and nothing else.
-///
-/// # Invariants (validated at construction)
-///
-/// * every cell belongs to exactly one shard;
-/// * every shard is non-empty and stores its cells in ascending order;
-/// * `halo(s)` is sorted, duplicate-free, disjoint from `shard(s)`,
-///   and equals the exact cross-shard in-edge source complement:
-///   a cell `c` is in `halo(s)` iff `c ∉ shard(s)` and some edge
-///   `c → d` exists with `d ∈ shard(s)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Partition {
-    /// Shard index per cell.
-    assignment: Vec<usize>,
-    /// Owned cells per shard, each ascending.
-    shards: Vec<Vec<usize>>,
-    /// Halo per shard: foreign flux-source cells, sorted ascending.
-    halos: Vec<Vec<usize>>,
-}
-
-impl Partition {
-    /// The contiguity-based partitioner behind
-    /// [`CellGraph::partition`]: BFS order from cell 0, cut into
-    /// `shards` near-equal consecutive chunks (clamped to the cell
-    /// count).
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Topology`] if `shards == 0`.
-    pub fn contiguous(graph: &CellGraph, shards: usize) -> Result<Self, ModelError> {
-        let n = graph.num_cells();
-        if shards == 0 {
-            return Err(topology_err("a partition needs >= 1 shard, got 0"));
-        }
-        let k = shards.min(n);
-        let order = graph.bfs_order();
-        let mut assignment = vec![0usize; n];
-        // Near-equal consecutive chunks: the first `n % k` shards get
-        // one extra cell.
-        let base = n / k;
-        let extra = n % k;
-        let mut start = 0usize;
-        for (s, chunk) in (0..k).map(|s| base + usize::from(s < extra)).enumerate() {
-            for &cell in &order[start..start + chunk] {
-                assignment[cell] = s;
-            }
-            start += chunk;
-        }
-        Self::from_assignment(graph, assignment)
-    }
-
-    /// Builds a partition from an explicit cell → shard assignment and
-    /// derives the halo sets from `graph`.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Topology`] if `assignment` does not cover exactly
-    /// `graph.num_cells()` cells, or the shard indices are not the
-    /// dense range `0..num_shards` (every shard must own at least one
-    /// cell).
-    pub fn from_assignment(graph: &CellGraph, assignment: Vec<usize>) -> Result<Self, ModelError> {
-        let n = graph.num_cells();
-        if assignment.len() != n {
-            return Err(topology_err(format!(
-                "assignment covers {} cells, but the graph has {n}",
-                assignment.len()
-            )));
-        }
-        let k = match assignment.iter().max() {
-            Some(&max) => max + 1,
-            None => return Err(topology_err("a partition needs >= 1 shard, got 0")),
-        };
-        let mut shards: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (cell, &s) in assignment.iter().enumerate() {
-            shards[s].push(cell);
-        }
-        if let Some(empty) = shards.iter().position(|cells| cells.is_empty()) {
-            return Err(topology_err(format!(
-                "shard {empty} owns no cells (shard indices must be dense)"
-            )));
-        }
-        // Ascending by construction (cells enumerated in order); the
-        // halo of shard s: foreign sources of in-edges into s.
-        let mut halos: Vec<Vec<usize>> = Vec::with_capacity(k);
-        for (s, cells) in shards.iter().enumerate() {
-            let mut halo: Vec<usize> = Vec::new();
-            for &cell in cells {
-                for e in graph.in_edges(cell)? {
-                    if assignment[e.source] != s {
-                        halo.push(e.source);
-                    }
-                }
-            }
-            halo.sort_unstable();
-            halo.dedup();
-            halos.push(halo);
-        }
-        Ok(Partition {
-            assignment,
-            shards,
-            halos,
-        })
-    }
-
-    /// Number of shards (at least 1).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of cells across all shards.
-    pub fn num_cells(&self) -> usize {
-        self.assignment.len()
-    }
-
-    fn check_shard(&self, shard: usize) -> Result<(), ModelError> {
-        if shard >= self.num_shards() {
-            return Err(topology_err(format!(
-                "shard {shard} out of range (partition has {} shards)",
-                self.num_shards()
-            )));
-        }
-        Ok(())
-    }
-
-    /// The cells owned by `shard`, ascending.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Topology`] if `shard` is out of range.
-    pub fn shard(&self, shard: usize) -> Result<&[usize], ModelError> {
-        self.check_shard(shard)?;
-        Ok(&self.shards[shard])
-    }
-
-    /// The halo of `shard`: the foreign cells whose boundary fluxes the
-    /// shard imports, sorted ascending.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Topology`] if `shard` is out of range.
-    pub fn halo(&self, shard: usize) -> Result<&[usize], ModelError> {
-        self.check_shard(shard)?;
-        Ok(&self.halos[shard])
-    }
-
-    /// The shard owning `cell`.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::Topology`] if `cell` is out of range.
-    pub fn shard_of(&self, cell: usize) -> Result<usize, ModelError> {
-        if cell >= self.assignment.len() {
-            return Err(topology_err(format!(
-                "cell {cell} out of range (partition covers {} cells)",
-                self.assignment.len()
-            )));
-        }
-        Ok(self.assignment[cell])
-    }
-
-    /// The full cell → shard assignment.
-    pub fn assignment(&self) -> &[usize] {
-        &self.assignment
     }
 }
 
@@ -851,114 +637,5 @@ mod tests {
         }
         // A corridor is bipartite: exactly two classes.
         assert_eq!(CellGraph::corridor(10).unwrap().color_classes().len(), 2);
-    }
-
-    #[test]
-    fn contiguous_partition_covers_every_cell_exactly_once() {
-        for (g, k) in [
-            (CellGraph::ring7(), 1),
-            (CellGraph::ring7(), 3),
-            (CellGraph::ring7(), 7),
-            (CellGraph::hex_torus(4, 5).unwrap(), 4),
-            (CellGraph::corridor(23).unwrap(), 5),
-        ] {
-            let p = g.partition(k).unwrap();
-            assert_eq!(p.num_shards(), k);
-            assert_eq!(p.num_cells(), g.num_cells());
-            let mut seen = vec![false; g.num_cells()];
-            for s in 0..p.num_shards() {
-                let cells = p.shard(s).unwrap();
-                assert!(!cells.is_empty(), "shard {s} empty");
-                assert!(
-                    cells.windows(2).all(|w| w[0] < w[1]),
-                    "shard {s} not ascending"
-                );
-                for &c in cells {
-                    assert!(!seen[c], "cell {c} in two shards");
-                    seen[c] = true;
-                    assert_eq!(p.shard_of(c).unwrap(), s);
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "uncovered cell");
-        }
-    }
-
-    #[test]
-    fn halos_are_the_exact_cross_shard_in_edge_complement() {
-        let g = CellGraph::corridor(12).unwrap();
-        let p = g.partition(3).unwrap();
-        for s in 0..p.num_shards() {
-            let own = p.shard(s).unwrap();
-            let halo = p.halo(s).unwrap();
-            assert!(
-                halo.windows(2).all(|w| w[0] < w[1]),
-                "halo {s} not sorted/deduped"
-            );
-            // Exact complement: c in halo(s) iff c foreign and c is the
-            // source of some in-edge into the shard.
-            for c in 0..g.num_cells() {
-                let expected = !own.contains(&c)
-                    && own
-                        .iter()
-                        .any(|&d| g.in_edges(d).unwrap().iter().any(|e| e.source == c));
-                assert_eq!(halo.contains(&c), expected, "shard {s} cell {c}");
-            }
-        }
-        // The trivial partition has empty halos.
-        let whole = g.partition(1).unwrap();
-        assert!(whole.halo(0).unwrap().is_empty());
-        assert_eq!(whole.shard(0).unwrap().len(), 12);
-    }
-
-    #[test]
-    fn contiguous_shards_are_bfs_contiguous_on_a_corridor() {
-        // BFS order on a corridor is 0, 1, 2, …, so the chunks are
-        // index ranges — the halo of an interior shard is exactly its
-        // two boundary neighbours.
-        let g = CellGraph::corridor(12).unwrap();
-        let p = g.partition(3).unwrap();
-        assert_eq!(p.shard(0).unwrap(), &[0, 1, 2, 3]);
-        assert_eq!(p.shard(1).unwrap(), &[4, 5, 6, 7]);
-        assert_eq!(p.shard(2).unwrap(), &[8, 9, 10, 11]);
-        assert_eq!(p.halo(1).unwrap(), &[3, 8]);
-    }
-
-    #[test]
-    fn partition_shard_count_is_clamped_and_zero_rejected() {
-        let g = CellGraph::ring7();
-        let p = g.partition(100).unwrap();
-        assert_eq!(p.num_shards(), 7);
-        for s in 0..7 {
-            assert_eq!(p.shard(s).unwrap().len(), 1);
-        }
-        match g.partition(0) {
-            Err(ModelError::Topology { reason }) => assert!(reason.contains(">= 1 shard")),
-            other => panic!("expected Topology error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn from_assignment_rejects_bad_assignments() {
-        let g = CellGraph::ring7();
-        let reject =
-            |assignment: Vec<usize>, needle: &str| match Partition::from_assignment(&g, assignment)
-            {
-                Err(ModelError::Topology { reason }) => {
-                    assert!(reason.contains(needle), "{reason:?} missing {needle:?}")
-                }
-                other => panic!("expected Topology error about {needle:?}, got {other:?}"),
-            };
-        reject(vec![0; 6], "covers 6 cells");
-        reject(vec![0, 0, 0, 2, 2, 2, 2], "shard 1 owns no cells");
-        let p = Partition::from_assignment(&g, vec![0, 1, 0, 1, 0, 1, 0]).unwrap();
-        assert_eq!(p.shard(0).unwrap(), &[0, 2, 4, 6]);
-        assert_eq!(p.shard(1).unwrap(), &[1, 3, 5]);
-        // On the complete-ish ring every foreign cell is a halo cell.
-        assert_eq!(p.halo(0).unwrap(), &[1, 3, 5]);
-        assert_eq!(p.halo(1).unwrap(), &[0, 2, 4, 6]);
-        match p.shard(2) {
-            Err(ModelError::Topology { reason }) => assert!(reason.contains("out of range")),
-            other => panic!("expected out-of-range error, got {other:?}"),
-        }
     }
 }

@@ -114,7 +114,7 @@ pub use coding::CodingScheme;
 pub use config::{CellConfig, CellConfigBuilder};
 pub use error::ModelError;
 pub use generator::GprsModel;
-pub use graph::{CellGraph, Partition};
+pub use graph::CellGraph;
 pub use health::{SolveHealth, SolveRung};
 pub use measures::Measures;
 pub use scenario::Scenario;

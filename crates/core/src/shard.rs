@@ -1,27 +1,26 @@
-//! The cluster fixed-point engine: persistent partition workers with
-//! halo-exchange boundary fluxes.
+//! The cluster fixed-point engine: a coordinator that holds the
+//! handover vectors, and persistent workers that own the cell
+//! templates.
 //!
 //! [`ClusterModel::solve_with_registry`] runs every solve through this
-//! module. It partitions the [`CellGraph`](crate::graph::CellGraph)
-//! into contiguous shards ([`Partition`](crate::graph::Partition)),
-//! hands each shard to a **long-lived worker**
-//! ([`gprs_exec::with_worker_pool`]; the calling thread serves shard
-//! 0) that owns its cells' [`GeneratorTemplate`]s for the entire solve,
-//! and drives the outer iteration as a round protocol in which only
-//! **boundary fluxes** (the halo sets of the partition) cross shard
-//! boundaries:
+//! module. The cells go to `k` **long-lived workers**
+//! ([`gprs_exec::with_worker_pool`]; the calling thread serves worker
+//! 0) as near-equal consecutive index ranges, and each worker owns its
+//! cells' [`GeneratorTemplate`]s for the entire solve. The coordinator
+//! holds the rest of the fixed point: the `2·n` handover arrival rates,
+//! the out-fluxes of the latest solves, the next vector and the update
+//! vector. Every outer step is one round:
 //!
-//! * **Jacobi** — per outer iteration: a `Solve` round (each worker
-//!   solves its owned cells and returns the boundary out-fluxes), an
-//!   `Accumulate` round (workers import their halo fluxes, accumulate
-//!   shard-local inflows over precomputed per-cell flux lists and
-//!   return their update segments), a coordinator step that runs the
-//!   adaptive-relaxation arithmetic on the globally assembled update
-//!   vector, and an `Apply` round (workers step their owned arrival
-//!   rates).
-//! * **Gauss–Seidel** — per colour class: one `GsClass` round in which
-//!   each worker refreshes and re-solves its cells of that class
-//!   against the latest own + imported fluxes.
+//! * **Jacobi** — one round per outer iteration: the coordinator sends
+//!   every cell at its current arrival rates, each worker solves the
+//!   cells it is sent and returns their out-fluxes, and the coordinator
+//!   accumulates the inflows, measures the change, picks the adaptive
+//!   relaxation step and moves the arrival rates.
+//! * **Gauss–Seidel** — one round per colour class: the coordinator
+//!   refreshes the class members' arrival rates from the latest
+//!   out-fluxes and sends just those cells.
+//! * **Report** — the final pass sends every cell with `report: true`,
+//!   and each worker also returns the cell's [`SolvedCell`].
 //!
 //! Per-solve overheads stay low because the templates persist: between
 //! outer iterations only the handover arrival rates move, so each
@@ -32,24 +31,27 @@
 //! per-cell decode tables replace the per-state `space.decode(idx)`
 //! calls in the population means.
 //!
-//! **Bitwise contract**: every floating-point value is produced by the
-//! same operations in the same order at every shard count — inflow
-//! sums run over in-edges in ascending source order, `delta` is a
-//! max-reduction (order-insensitive), and the relaxation dot products
-//! are evaluated sequentially on the assembled global update vector.
+//! **Bitwise contract**: a worker's answer for a cell depends only on
+//! that cell's template and the rates it is sent, and every cross-cell
+//! sum runs on the coordinator in one fixed order — inflow sums over
+//! in-edges in ascending source order, `delta` as a max-reduction, and
+//! the relaxation dot products sequentially over the interleaved `2·n`
+//! update vector. The worker count therefore moves no bit.
 //! `tests/shard_equivalence.rs` pins bit-equality of every
 //! [`SolvedCluster`] field across shard and thread counts for both
-//! orderings; `tests/graph_equivalence.rs` pins the ring results to
-//! the historical fixtures.
+//! orderings; `tests/graph_equivalence.rs` and
+//! `tests/ordering_fixtures.rs` pin the results to fixtures.
 
 use crate::cluster::{ClusterModel, ClusterSolveOptions, SolvedCell, SolvedCluster, SweepOrdering};
 use crate::config::CellConfig;
 use crate::error::ModelError;
+use crate::graph::CellGraph;
 use crate::health::{SolveHealth, SolveRung};
 use crate::template::{GeneratorTemplate, TemplateRegistry, WarmStart};
 use gprs_ctmc::solver::SolveOptions;
 use gprs_exec::{with_worker_pool, PoolHandle};
 use gprs_queueing::QueueingError;
+use std::ops::Range;
 
 /// Floor of the adaptive relaxation factor: halving stops at `1/8` —
 /// enough to tame a ping-ponging fixed point whose oscillatory mode
@@ -62,323 +64,104 @@ const MIN_RELAXATION: f64 = 0.125;
 /// step, faster ones get their exact `1/(1−ratio)` jump.
 const MAX_RELAXATION: f64 = 16.0;
 
-/// Where one inflow term's source flux lives: an owned cell of the
-/// same shard (local index) or an imported halo cell (position in the
-/// shard's halo list).
-#[derive(Debug, Clone, Copy)]
-enum Src {
-    Own(usize),
-    Halo(usize),
-}
-
-/// One precomputed in-edge term of an owned cell: resolved source slot
-/// plus the raw weight and source weight-total of the edge. Terms are
-/// stored in ascending global source order, so the accumulated inflow
-/// sum is the same at every shard count.
-#[derive(Debug, Clone, Copy)]
-struct FluxTerm {
-    src: Src,
-    weight: f64,
-    source_total: f64,
-}
-
-/// One owned cell: its configuration, persistent template and
-/// precomputed per-state decode tables (`n`, `m`, filled on the first
-/// solve). The counts are tiny integers, so `u16` keeps the tables in
-/// cache across a metro-scale shard; widening to `f64` at use is exact
-/// and therefore bit-identical to a `f64` table.
+/// One owned cell: its configuration, persistent template, the inner
+/// sweeps it has accumulated over the solve, and precomputed per-state
+/// decode tables (`n`, `m`, filled on the first solve). The counts are
+/// tiny integers, so `u16` keeps the tables in cache across a
+/// metro-scale shard; widening to `f64` at use is exact and therefore
+/// bit-identical to a `f64` table.
 struct CellCtx {
-    cell: usize,
     config: CellConfig,
     template: GeneratorTemplate,
     gsm_h_rate: f64,
     gprs_h_rate: f64,
+    sweeps: usize,
     ns: Vec<u16>,
     ms: Vec<u16>,
 }
 
-/// Outcome of one lean in-shard cell solve.
+/// Outcome of one lean cell solve.
 struct LeanCell {
     mean_voice_calls: f64,
     mean_sessions: f64,
-    sweeps: usize,
-    residual: f64,
     health: SolveHealth,
     measures: Option<crate::measures::Measures>,
 }
 
-/// The per-worker owned state: one shard of cells with everything the
-/// worker needs to run outer iterations without touching shared
-/// memory — templates, arrival/out-flux vectors, flux lists, and the
-/// import buffers for halo fluxes.
+/// One worker's state: the consecutive cell range it owns, starting at
+/// `first`.
 struct ShardState {
+    first: usize,
     cells: Vec<CellCtx>,
-    /// Per owned cell: inflow terms, ascending global source order.
-    flux: Vec<Vec<FluxTerm>>,
-    /// Local indices of owned cells some other shard imports.
-    export_idx: Vec<usize>,
-    /// Local indices per colour class (Gauss–Seidel rounds).
-    class_members: Vec<Vec<usize>>,
-    lam_gsm: Vec<f64>,
-    lam_gprs: Vec<f64>,
-    out_gsm: Vec<f64>,
-    out_gprs: Vec<f64>,
-    next_gsm: Vec<f64>,
-    next_gprs: Vec<f64>,
-    /// Interleaved `[gsm, gprs]` update segment of the owned cells.
-    update: Vec<f64>,
-    total_sweeps: Vec<usize>,
-    surrogate_solves: usize,
     solve_opts: SolveOptions,
     warm: WarmStart,
 }
 
-/// One round request from the coordinator to a shard worker. Halo
-/// buffers are aligned to the shard's halo list (ascending cell
-/// order).
-enum ShardReq {
-    /// Solve every owned cell at the current arrival rates (a Jacobi
-    /// iteration, or the reporting pass of either ordering).
-    Solve { report: bool },
-    /// Import halo fluxes, accumulate inflows and return the update
-    /// segment plus the shard-local delta (Jacobi).
-    Accumulate {
-        halo_gsm: Vec<f64>,
-        halo_gprs: Vec<f64>,
-    },
-    /// Step the owned arrival rates by `theta` (Jacobi).
-    Apply { theta: f64 },
-    /// Refresh and re-solve the owned cells of one colour class
-    /// against own + imported fluxes (Gauss–Seidel).
-    GsClass {
-        class: usize,
-        halo_gsm: Vec<f64>,
-        halo_gprs: Vec<f64>,
-    },
+/// One round request: solve each listed `(cell, gsm rate, gprs rate)`
+/// at the rates given, ascending by cell.
+struct ShardReq {
+    cells: Vec<(usize, f64, f64)>,
+    report: bool,
 }
 
-/// One round response. Exports carry `(cell, gsm flux, gprs flux)`
-/// triples for the boundary cells this round recomputed; `failed` is
-/// the shard's lowest-cell-index error, if any.
-enum ShardResp {
-    Solved {
-        exports: Vec<(usize, f64, f64)>,
-        failed: Option<(usize, ModelError)>,
-    },
-    Report {
-        cells: Vec<(usize, SolvedCell)>,
-        surrogate_solves: usize,
-        failed: Option<(usize, ModelError)>,
-    },
-    Accumulated {
-        delta: f64,
-        update: Vec<f64>,
-    },
-    Applied,
-    ClassDone {
-        delta: f64,
-        exports: Vec<(usize, f64, f64)>,
-        failed: Option<(usize, ModelError)>,
-    },
+/// One round response: `(cell, gsm out-flux, gprs out-flux)` per solved
+/// cell, the cells' [`SolvedCell`]s on a reporting round, the number of
+/// solves the surrogate served, and the worker's lowest failing cell,
+/// if any (the worker stops there).
+struct ShardResp {
+    out: Vec<(usize, f64, f64)>,
+    reported: Vec<SolvedCell>,
+    surrogate_solves: usize,
+    failed: Option<(usize, ModelError)>,
 }
 
 impl ShardState {
-    fn handle(&mut self, req: ShardReq) -> ShardResp {
-        match req {
-            ShardReq::Solve { report } => self.solve_round(report),
-            ShardReq::Accumulate {
-                halo_gsm,
-                halo_gprs,
-            } => self.accumulate_round(&halo_gsm, &halo_gprs),
-            ShardReq::Apply { theta } => {
-                self.apply_round(theta);
-                ShardResp::Applied
-            }
-            ShardReq::GsClass {
-                class,
-                halo_gsm,
-                halo_gprs,
-            } => self.gs_class_round(class, &halo_gsm, &halo_gprs),
-        }
-    }
-
-    fn solve_round(&mut self, report: bool) -> ShardResp {
-        let mut failed: Option<(usize, ModelError)> = None;
-        let mut reported: Vec<(usize, SolvedCell)> = Vec::new();
-        for li in 0..self.cells.len() {
-            let ctx = &mut self.cells[li];
-            match lean_solve_cell(
+    fn solve(&mut self, req: ShardReq) -> ShardResp {
+        let mut resp = ShardResp {
+            out: Vec::with_capacity(req.cells.len()),
+            reported: Vec::new(),
+            surrogate_solves: 0,
+            failed: None,
+        };
+        for (cell, lam_gsm, lam_gprs) in req.cells {
+            let ctx = &mut self.cells[cell - self.first];
+            let lean = match lean_solve_cell(
                 ctx,
-                self.lam_gsm[li],
-                self.lam_gprs[li],
+                lam_gsm,
+                lam_gprs,
                 &self.solve_opts,
                 self.warm,
-                report,
+                req.report,
             ) {
-                Ok(lean) => {
-                    self.total_sweeps[li] += lean.sweeps;
-                    if lean.health.rung == SolveRung::Surrogate {
-                        self.surrogate_solves += 1;
-                    }
-                    self.out_gsm[li] = ctx.gsm_h_rate * lean.mean_voice_calls;
-                    self.out_gprs[li] = ctx.gprs_h_rate * lean.mean_sessions;
-                    if report {
-                        #[allow(
-                            clippy::expect_used,
-                            reason = "a reporting round asks lean_solve_cell for measures"
-                        )]
-                        reported.push((
-                            ctx.cell,
-                            SolvedCell {
-                                measures: lean.measures.expect("report solve computes measures"),
-                                gsm_handover_in: self.lam_gsm[li],
-                                gprs_handover_in: self.lam_gprs[li],
-                                gsm_handover_out: self.out_gsm[li],
-                                gprs_handover_out: self.out_gprs[li],
-                                mean_voice_calls: lean.mean_voice_calls,
-                                mean_sessions: lean.mean_sessions,
-                                sweeps: self.total_sweeps[li],
-                                residual: lean.residual,
-                                health: lean.health,
-                            },
-                        ));
-                    }
-                }
+                Ok(lean) => lean,
                 Err(e) => {
-                    // Cells are ascending, so the first failure is the
-                    // shard's lowest; the coordinator reports the
-                    // lowest across shards.
-                    failed = Some((ctx.cell, e));
+                    resp.failed = Some((cell, e));
                     break;
                 }
-            }
-        }
-        if report {
-            ShardResp::Report {
-                cells: reported,
-                surrogate_solves: self.surrogate_solves,
-                failed,
-            }
-        } else {
-            ShardResp::Solved {
-                exports: self.exports(),
-                failed,
-            }
-        }
-    }
-
-    /// The boundary fluxes other shards import, in ascending cell
-    /// order.
-    fn exports(&self) -> Vec<(usize, f64, f64)> {
-        self.export_idx
-            .iter()
-            .map(|&li| (self.cells[li].cell, self.out_gsm[li], self.out_gprs[li]))
-            .collect()
-    }
-
-    fn accumulate_round(&mut self, halo_gsm: &[f64], halo_gprs: &[f64]) -> ShardResp {
-        let mut delta = 0.0f64;
-        for li in 0..self.cells.len() {
-            let (next_gsm, next_gprs) = self.inflow(li, halo_gsm, halo_gprs);
-            for (slot, (cur, next)) in
-                [(self.lam_gsm[li], next_gsm), (self.lam_gprs[li], next_gprs)]
-                    .into_iter()
-                    .enumerate()
-            {
-                let scale = cur.abs().max(next.abs()).max(1e-300);
-                delta = delta.max((next - cur).abs() / scale);
-                self.update[2 * li + slot] = next - cur;
-            }
-            self.next_gsm[li] = next_gsm;
-            self.next_gprs[li] = next_gprs;
-        }
-        ShardResp::Accumulated {
-            delta,
-            update: self.update.clone(),
-        }
-    }
-
-    /// The inflow sums of owned cell `li` over its precomputed flux
-    /// list, in ascending global source order.
-    fn inflow(&self, li: usize, halo_gsm: &[f64], halo_gprs: &[f64]) -> (f64, f64) {
-        let mut next_gsm = 0.0;
-        let mut next_gprs = 0.0;
-        for t in &self.flux[li] {
-            let (src_gsm, src_gprs) = match t.src {
-                Src::Own(j) => (self.out_gsm[j], self.out_gprs[j]),
-                Src::Halo(h) => (halo_gsm[h], halo_gprs[h]),
             };
-            next_gsm += src_gsm * t.weight / t.source_total;
-            next_gprs += src_gprs * t.weight / t.source_total;
-        }
-        (next_gsm, next_gprs)
-    }
-
-    fn apply_round(&mut self, theta: f64) {
-        for li in 0..self.cells.len() {
-            if theta == 1.0 {
-                self.lam_gsm[li] = self.next_gsm[li];
-                self.lam_gprs[li] = self.next_gprs[li];
-            } else {
-                // Extrapolated steps may overshoot; arrival rates stay
-                // physical.
-                self.lam_gsm[li] = (self.lam_gsm[li] + theta * self.update[2 * li]).max(0.0);
-                self.lam_gprs[li] = (self.lam_gprs[li] + theta * self.update[2 * li + 1]).max(0.0);
+            ctx.sweeps += lean.health.sweeps;
+            if lean.health.rung == SolveRung::Surrogate {
+                resp.surrogate_solves += 1;
+            }
+            let out_gsm = ctx.gsm_h_rate * lean.mean_voice_calls;
+            let out_gprs = ctx.gprs_h_rate * lean.mean_sessions;
+            resp.out.push((cell, out_gsm, out_gprs));
+            if let Some(measures) = lean.measures {
+                resp.reported.push(SolvedCell {
+                    measures,
+                    gsm_handover_in: lam_gsm,
+                    gprs_handover_in: lam_gprs,
+                    gsm_handover_out: out_gsm,
+                    gprs_handover_out: out_gprs,
+                    mean_voice_calls: lean.mean_voice_calls,
+                    mean_sessions: lean.mean_sessions,
+                    sweeps: ctx.sweeps,
+                    residual: lean.health.residual,
+                    health: lean.health,
+                });
             }
         }
-    }
-
-    fn gs_class_round(&mut self, class: usize, halo_gsm: &[f64], halo_gprs: &[f64]) -> ShardResp {
-        let mut delta = 0.0f64;
-        let members = std::mem::take(&mut self.class_members[class]);
-        // Refresh every class cell first (no two class members share
-        // an edge, so the refreshes are independent), then solve.
-        for &li in &members {
-            let (next_gsm, next_gprs) = self.inflow(li, halo_gsm, halo_gprs);
-            for (cur, next) in [
-                (&mut self.lam_gsm[li], next_gsm),
-                (&mut self.lam_gprs[li], next_gprs),
-            ] {
-                let scale = cur.abs().max(next.abs()).max(1e-300);
-                delta = delta.max((next - *cur).abs() / scale);
-                *cur = next;
-            }
-        }
-        let mut failed: Option<(usize, ModelError)> = None;
-        let mut exports: Vec<(usize, f64, f64)> = Vec::new();
-        for &li in &members {
-            let ctx = &mut self.cells[li];
-            match lean_solve_cell(
-                ctx,
-                self.lam_gsm[li],
-                self.lam_gprs[li],
-                &self.solve_opts,
-                self.warm,
-                false,
-            ) {
-                Ok(lean) => {
-                    self.total_sweeps[li] += lean.sweeps;
-                    if lean.health.rung == SolveRung::Surrogate {
-                        self.surrogate_solves += 1;
-                    }
-                    self.out_gsm[li] = ctx.gsm_h_rate * lean.mean_voice_calls;
-                    self.out_gprs[li] = ctx.gprs_h_rate * lean.mean_sessions;
-                    if self.export_idx.binary_search(&li).is_ok() {
-                        exports.push((ctx.cell, self.out_gsm[li], self.out_gprs[li]));
-                    }
-                }
-                Err(e) => {
-                    failed = Some((ctx.cell, e));
-                    break;
-                }
-            }
-        }
-        self.class_members[class] = members;
-        ShardResp::ClassDone {
-            delta,
-            exports,
-            failed,
-        }
+        resp
     }
 }
 
@@ -418,40 +201,132 @@ fn lean_solve_cell(
     Ok(LeanCell {
         mean_voice_calls,
         mean_sessions,
-        sweeps: health.sweeps,
-        residual: health.residual,
         health,
         measures,
     })
 }
 
-/// Unwraps a round of responses, resuming worker panics on the
-/// coordinator.
-fn run_round(
-    pool: &mut PoolHandle<'_, ShardState, ShardReq, ShardResp>,
-    reqs: Vec<(usize, ShardReq)>,
-) -> Vec<ShardResp> {
-    pool.run_on(reqs)
-        .into_iter()
-        .map(|r| match r {
-            Ok(resp) => resp,
-            Err(panic) => panic.resume(),
+/// The cells each of `shards` workers owns: near-equal consecutive
+/// index ranges over `0..cells`, the first `cells % k` one cell longer,
+/// with the worker count `k` clamped to `1..=cells`.
+fn worker_ranges(cells: usize, shards: usize) -> Vec<Range<usize>> {
+    let k = shards.clamp(1, cells.max(1));
+    let mut start = 0;
+    (0..k)
+        .map(|w| {
+            let len = cells / k + usize::from(w < cells % k);
+            start += len;
+            start - len..start
         })
         .collect()
 }
 
-/// Picks the lowest-cell-index error across shards, so the reported
-/// error does not depend on the shard count.
-fn lowest_error(candidates: Vec<(usize, ModelError)>) -> Option<ModelError> {
-    candidates
-        .into_iter()
-        .min_by_key(|&(cell, _)| cell)
-        .map(|(_, e)| e)
+/// The relative change of one arrival rate, as `delta` measures it.
+fn relative_change(cur: f64, next: f64) -> f64 {
+    let scale = cur.abs().max(next.abs()).max(1e-300);
+    (next - cur).abs() / scale
 }
 
-/// The cluster fixed point over `num_shards` partition workers:
-/// called from [`ClusterModel::solve_with_registry`] with
-/// `1 <= num_shards <= cells`.
+/// The coordinator's half of the fixed point: per cell, the handover
+/// arrival rates and the out-fluxes of its latest solve, plus the
+/// worker owning it.
+struct Coordinator<'a> {
+    graph: &'a CellGraph,
+    owner: Vec<usize>,
+    lam_gsm: Vec<f64>,
+    lam_gprs: Vec<f64>,
+    out_gsm: Vec<f64>,
+    out_gprs: Vec<f64>,
+    surrogate_solves: usize,
+    shapes: usize,
+}
+
+type Pool<'h> = PoolHandle<'h, ShardState, ShardReq, ShardResp>;
+
+impl Coordinator<'_> {
+    /// One round: sends each of `cells` (ascending) to its worker at
+    /// its current arrival rates and stores the returned out-fluxes.
+    /// Returns the reported cells in cell order, or the lowest failing
+    /// cell's error.
+    fn round(
+        &mut self,
+        pool: &mut Pool<'_>,
+        cells: &[usize],
+        report: bool,
+    ) -> Result<Vec<SolvedCell>, ModelError> {
+        let mut jobs: Vec<Vec<(usize, f64, f64)>> = vec![Vec::new(); pool.worker_count()];
+        for &c in cells {
+            jobs[self.owner[c]].push((c, self.lam_gsm[c], self.lam_gprs[c]));
+        }
+        let reqs = jobs
+            .into_iter()
+            .enumerate()
+            .filter(|(_, cells)| !cells.is_empty())
+            .map(|(w, cells)| (w, ShardReq { cells, report }))
+            .collect();
+        let mut reported = Vec::new();
+        let mut failed: Option<(usize, ModelError)> = None;
+        for resp in pool.run_on(reqs) {
+            let resp = resp.unwrap_or_else(|panic| panic.resume());
+            for (c, gsm, gprs) in resp.out {
+                self.out_gsm[c] = gsm;
+                self.out_gprs[c] = gprs;
+            }
+            self.surrogate_solves += resp.surrogate_solves;
+            reported.extend(resp.reported);
+            // Report the lowest failing cell, so the error does not
+            // depend on the worker count.
+            if let Some((c, e)) = resp.failed {
+                if failed.as_ref().is_none_or(|(f, _)| c < *f) {
+                    failed = Some((c, e));
+                }
+            }
+        }
+        match failed {
+            Some((_, e)) => Err(e),
+            None => Ok(reported),
+        }
+    }
+
+    /// The inflow sums of cell `c` from the current out-fluxes, over
+    /// its in-edges in ascending source order.
+    fn inflow(&self, c: usize) -> Result<(f64, f64), ModelError> {
+        let mut next_gsm = 0.0;
+        let mut next_gprs = 0.0;
+        for e in self.graph.in_edges(c)? {
+            next_gsm += self.out_gsm[e.source] * e.weight / e.source_total;
+            next_gprs += self.out_gprs[e.source] * e.weight / e.source_total;
+        }
+        Ok((next_gsm, next_gprs))
+    }
+
+    /// The reporting pass: re-solves every cell at the current arrival
+    /// rates, counting as one iteration.
+    fn report(
+        mut self,
+        pool: &mut Pool<'_>,
+        iterations: usize,
+        handover_delta: f64,
+        relaxation: f64,
+        adaptive_steps: usize,
+    ) -> Result<SolvedCluster, ModelError> {
+        let all: Vec<usize> = (0..self.owner.len()).collect();
+        let cells = self.round(pool, &all, true)?;
+        debug_assert_eq!(cells.len(), all.len());
+        Ok(SolvedCluster {
+            cells,
+            iterations,
+            handover_delta,
+            relaxation,
+            adaptive_steps,
+            symbolic_setups: self.shapes,
+            surrogate_solves: self.surrogate_solves,
+        })
+    }
+}
+
+/// The cluster fixed point over `num_shards` workers (clamped to
+/// `1..=cells`): called from [`ClusterModel::solve_with_registry`].
 pub(crate) fn solve_sharded(
     model: &ClusterModel,
     opts: &ClusterSolveOptions,
@@ -459,37 +334,17 @@ pub(crate) fn solve_sharded(
     num_shards: usize,
 ) -> Result<SolvedCluster, ModelError> {
     let n = model.num_cells();
-    let graph = model.graph();
-    let partition = graph.partition(num_shards)?;
-    let k = partition.num_shards();
-    let classes = graph.color_classes();
     let (init_gsm, init_gprs) = model.initial_rates()?;
 
     // Templates in global cell order, so the lowest-failing-cell error
     // does not depend on the shard count.
-    let mut templates: Vec<Option<GeneratorTemplate>> = Vec::with_capacity(n);
-    for cfg in model.configs() {
-        templates.push(Some(registry.template_for(cfg)?));
-    }
+    let mut templates = model
+        .configs()
+        .iter()
+        .map(|cfg| registry.template_for(cfg))
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter();
     let shapes = registry.setups();
-
-    let shard_of = partition.assignment().to_vec();
-    let mut local_of = vec![0usize; n];
-    for s in 0..k {
-        for (li, &c) in partition.shard(s)?.iter().enumerate() {
-            local_of[c] = li;
-        }
-    }
-    // A cell is a boundary cell if any other shard imports it.
-    let mut is_boundary = vec![false; n];
-    for s in 0..k {
-        for &c in partition.halo(s)? {
-            is_boundary[c] = true;
-        }
-    }
-    let halo_lists: Vec<Vec<usize>> = (0..k)
-        .map(|s| Ok(partition.halo(s)?.to_vec()))
-        .collect::<Result<_, ModelError>>()?;
 
     let warm = if opts.surrogate {
         WarmStart::Predicted
@@ -497,283 +352,100 @@ pub(crate) fn solve_sharded(
         WarmStart::Chained
     };
 
-    let mut states: Vec<ShardState> = Vec::with_capacity(k);
-    let mut halo_pos = vec![usize::MAX; n];
-    for (s, halo) in halo_lists.iter().enumerate() {
-        let own = partition.shard(s)?;
-        for (h, &c) in halo.iter().enumerate() {
-            halo_pos[c] = h;
-        }
-        let mut flux = Vec::with_capacity(own.len());
-        for &c in own {
-            flux.push(
-                graph
-                    .in_edges(c)?
-                    .iter()
-                    .map(|e| FluxTerm {
-                        src: if shard_of[e.source] == s {
-                            Src::Own(local_of[e.source])
-                        } else {
-                            Src::Halo(halo_pos[e.source])
-                        },
-                        weight: e.weight,
-                        source_total: e.source_total,
-                    })
-                    .collect(),
-            );
-        }
-        for &c in halo {
-            halo_pos[c] = usize::MAX;
-        }
-        #[allow(
-            clippy::expect_used,
-            reason = "the partition gives each cell to exactly one shard, so each template is taken once"
-        )]
-        let cells: Vec<CellCtx> = own
+    let mut owner = Vec::with_capacity(n);
+    let mut states = Vec::new();
+    for (w, range) in worker_ranges(n, num_shards).into_iter().enumerate() {
+        owner.resize(range.end, w);
+        let first = range.start;
+        let cells = model.configs()[range]
             .iter()
-            .map(|&c| {
-                let config = model.configs()[c].clone();
-                CellCtx {
-                    cell: c,
-                    gsm_h_rate: config.gsm_handover_rate(),
-                    gprs_h_rate: config.gprs_handover_rate(),
-                    template: templates[c].take().expect("each cell owned once"),
-                    config,
-                    ns: Vec::new(),
-                    ms: Vec::new(),
-                }
+            .zip(templates.by_ref())
+            .map(|(config, template)| CellCtx {
+                gsm_h_rate: config.gsm_handover_rate(),
+                gprs_h_rate: config.gprs_handover_rate(),
+                config: config.clone(),
+                template,
+                sweeps: 0,
+                ns: Vec::new(),
+                ms: Vec::new(),
             })
             .collect();
-        let lam_gsm: Vec<f64> = own.iter().map(|&c| init_gsm[c]).collect();
-        let lam_gprs: Vec<f64> = own.iter().map(|&c| init_gprs[c]).collect();
         states.push(ShardState {
-            flux,
-            export_idx: (0..own.len()).filter(|&li| is_boundary[own[li]]).collect(),
-            class_members: classes
-                .iter()
-                .map(|class| {
-                    class
-                        .iter()
-                        .filter(|&&c| shard_of[c] == s)
-                        .map(|&c| local_of[c])
-                        .collect()
-                })
-                .collect(),
-            // Out fluxes seed from the scalar-balance arrival rates
-            // (at which every cell's inflow equals its own outflow):
-            // Gauss–Seidel reads them before the first solve, Jacobi
-            // overwrites them first.
-            out_gsm: lam_gsm.clone(),
-            out_gprs: lam_gprs.clone(),
-            next_gsm: vec![0.0; own.len()],
-            next_gprs: vec![0.0; own.len()],
-            update: vec![0.0; 2 * own.len()],
-            total_sweeps: vec![0; own.len()],
-            surrogate_solves: 0,
+            first,
+            cells,
             solve_opts: opts.solve.clone(),
             warm,
-            lam_gsm,
-            lam_gprs,
-            cells,
         });
     }
 
+    let coord = Coordinator {
+        graph: model.graph(),
+        owner,
+        // Out-fluxes seed from the scalar-balance arrival rates (at
+        // which every cell's inflow equals its own outflow):
+        // Gauss–Seidel reads them before the first solve, Jacobi
+        // overwrites them first.
+        out_gsm: init_gsm.clone(),
+        out_gprs: init_gprs.clone(),
+        lam_gsm: init_gsm,
+        lam_gprs: init_gprs,
+        surrogate_solves: 0,
+        shapes,
+    };
     with_worker_pool(
         states,
-        |_, state: &mut ShardState, req| state.handle(req),
-        |pool| {
-            let shard_lists: Vec<&[usize]> = (0..k)
-                .map(|s| partition.shard(s))
-                .collect::<Result<_, ModelError>>()?;
-            match opts.ordering {
-                SweepOrdering::Jacobi => {
-                    jacobi_rounds(pool, opts, shapes, n, k, &halo_lists, &shard_lists)
-                }
-                SweepOrdering::GaussSeidel => gauss_seidel_rounds(
-                    pool,
-                    opts,
-                    shapes,
-                    n,
-                    k,
-                    &halo_lists,
-                    &classes,
-                    &init_gsm,
-                    &init_gprs,
-                    &is_boundary,
-                ),
-            }
+        |_, state: &mut ShardState, req| state.solve(req),
+        |pool| match opts.ordering {
+            SweepOrdering::Jacobi => jacobi(coord, pool, opts),
+            SweepOrdering::GaussSeidel => gauss_seidel(coord, pool, opts),
         },
     )
 }
 
-/// Gathers a reporting round into a [`SolvedCluster`].
-fn assemble_report(
-    resps: Vec<ShardResp>,
-    n: usize,
-    iterations: usize,
-    handover_delta: f64,
-    relaxation: f64,
-    adaptive_steps: usize,
-    shapes: usize,
-) -> Result<SolvedCluster, ModelError> {
-    let mut slots: Vec<Option<SolvedCell>> = (0..n).map(|_| None).collect();
-    let mut surrogate_total = 0usize;
-    let mut errors = Vec::new();
-    for resp in resps {
-        match resp {
-            ShardResp::Report {
-                cells,
-                surrogate_solves,
-                failed,
-            } => {
-                surrogate_total += surrogate_solves;
-                if let Some(err) = failed {
-                    errors.push(err);
-                }
-                for (cell, solved) in cells {
-                    slots[cell] = Some(solved);
-                }
-            }
-            _ => unreachable!("report round returns Report responses"),
-        }
-    }
-    if let Some(e) = lowest_error(errors) {
-        return Err(e);
-    }
-    #[allow(
-        clippy::expect_used,
-        reason = "shards report every cell they own unless one failed, and failures returned above"
-    )]
-    let cells = slots
-        .into_iter()
-        .map(|slot| slot.expect("every cell reported"))
-        .collect();
-    Ok(SolvedCluster {
-        cells,
-        iterations,
-        handover_delta,
-        relaxation,
-        adaptive_steps,
-        symbolic_setups: shapes,
-        surrogate_solves: surrogate_total,
-    })
-}
-
-/// Builds each shard's halo import buffers from the global boundary
-/// flux arrays.
-fn halo_snapshot(
-    halo: &[usize],
-    boundary_gsm: &[f64],
-    boundary_gprs: &[f64],
-) -> (Vec<f64>, Vec<f64>) {
-    (
-        halo.iter().map(|&c| boundary_gsm[c]).collect(),
-        halo.iter().map(|&c| boundary_gprs[c]).collect(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn jacobi_rounds(
-    pool: &mut PoolHandle<'_, ShardState, ShardReq, ShardResp>,
+fn jacobi(
+    mut coord: Coordinator<'_>,
+    pool: &mut Pool<'_>,
     opts: &ClusterSolveOptions,
-    shapes: usize,
-    n: usize,
-    k: usize,
-    halo_lists: &[Vec<usize>],
-    shard_lists: &[&[usize]],
 ) -> Result<SolvedCluster, ModelError> {
-    let mut boundary_gsm = vec![0.0f64; n];
-    let mut boundary_gprs = vec![0.0f64; n];
-
+    let n = coord.owner.len();
+    let all: Vec<usize> = (0..n).collect();
+    let mut next_gsm = vec![0.0f64; n];
+    let mut next_gprs = vec![0.0f64; n];
     let mut delta = f64::INFINITY;
-    let mut converged = false;
     let mut theta = 1.0f64;
     let mut adaptive_steps = 0usize;
+    // Interleaved `[gsm, gprs]` per cell.
     let mut update = vec![0.0f64; 2 * n];
     let mut prev_update = vec![0.0f64; 2 * n];
     let mut have_prev = false;
 
-    // One slot past the cap: the cap bounds *balance* iterations, and
-    // the reporting pass of a vector that converged at the cap still
-    // runs.
-    for iteration in 1..=opts.max_iterations + 1 {
-        if iteration > opts.max_iterations && !converged {
-            break;
-        }
-        let resps = run_round(
-            pool,
-            (0..k)
-                .map(|s| (s, ShardReq::Solve { report: converged }))
-                .collect(),
-        );
-        if converged {
-            return assemble_report(resps, n, iteration, delta, theta, adaptive_steps, shapes);
-        }
-        let mut errors = Vec::new();
-        for resp in resps {
-            match resp {
-                ShardResp::Solved { exports, failed } => {
-                    if let Some(err) = failed {
-                        errors.push(err);
-                    }
-                    for (cell, gsm, gprs) in exports {
-                        boundary_gsm[cell] = gsm;
-                        boundary_gprs[cell] = gprs;
-                    }
-                }
-                _ => unreachable!("solve round returns Solved responses"),
-            }
-        }
-        if let Some(e) = lowest_error(errors) {
-            return Err(e);
-        }
+    // The cap bounds *balance* iterations; the reporting pass of a
+    // vector that converged at the cap still runs.
+    for iteration in 1..=opts.max_iterations {
+        coord.round(pool, &all, false)?;
 
-        // Halo exchange + shard-local accumulation.
-        let resps = run_round(
-            pool,
-            (0..k)
-                .map(|s| {
-                    let (halo_gsm, halo_gprs) =
-                        halo_snapshot(&halo_lists[s], &boundary_gsm, &boundary_gprs);
-                    (
-                        s,
-                        ShardReq::Accumulate {
-                            halo_gsm,
-                            halo_gprs,
-                        },
-                    )
-                })
-                .collect(),
-        );
         delta = 0.0;
-        for (s, resp) in resps.into_iter().enumerate() {
-            match resp {
-                ShardResp::Accumulated {
-                    delta: local,
-                    update: seg,
-                } => {
-                    delta = delta.max(local);
-                    // Scatter the shard's segment into the global
-                    // update vector at entry 2·cell+slot, so the
-                    // relaxation sums below run in cell order.
-                    for (li, pair) in seg.chunks_exact(2).enumerate() {
-                        let cell = shard_lists[s][li];
-                        update[2 * cell] = pair[0];
-                        update[2 * cell + 1] = pair[1];
-                    }
-                }
-                _ => unreachable!("accumulate round returns Accumulated responses"),
+        for c in 0..n {
+            let (gsm, gprs) = coord.inflow(c)?;
+            for (slot, (cur, next)) in [(coord.lam_gsm[c], gsm), (coord.lam_gprs[c], gprs)]
+                .into_iter()
+                .enumerate()
+            {
+                delta = delta.max(relative_change(cur, next));
+                update[2 * c + slot] = next - cur;
             }
+            next_gsm[c] = gsm;
+            next_gprs[c] = gprs;
         }
 
-        // Adaptive relaxation on the globally assembled update vector
-        // (sequential sums over the interleaved 2n entries). Two
-        // successive updates pointing in opposite directions *without
-        // shrinking* mean the vector is ping-ponging around the fixed
-        // point: halve the step. Aligned updates whose contraction
-        // ratio projects convergence beyond the remaining iteration
-        // budget get the Aitken step `1/(1−ratio)`; everything else
-        // runs at `θ = 1`, which assigns the raw next vector verbatim.
+        // Adaptive relaxation on the update vector (sequential sums
+        // over the interleaved 2n entries). Two successive updates
+        // pointing in opposite directions *without shrinking* mean the
+        // vector is ping-ponging around the fixed point: halve the
+        // step. Aligned updates whose contraction ratio projects
+        // convergence beyond the remaining iteration budget get the
+        // Aitken step `1/(1−ratio)`; everything else runs at `θ = 1`,
+        // which assigns the raw next vector verbatim.
         if have_prev {
             let dot: f64 = update.iter().zip(&prev_update).map(|(a, b)| a * b).sum();
             let cur_sq: f64 = update.iter().map(|u| u * u).sum();
@@ -797,18 +469,23 @@ fn jacobi_rounds(
                 }
             }
         }
-        if theta != 1.0 {
+        if theta == 1.0 {
+            coord.lam_gsm.copy_from_slice(&next_gsm);
+            coord.lam_gprs.copy_from_slice(&next_gprs);
+        } else {
             adaptive_steps += 1;
+            // Extrapolated steps may overshoot; arrival rates stay
+            // physical.
+            for c in 0..n {
+                coord.lam_gsm[c] = (coord.lam_gsm[c] + theta * update[2 * c]).max(0.0);
+                coord.lam_gprs[c] = (coord.lam_gprs[c] + theta * update[2 * c + 1]).max(0.0);
+            }
         }
-        let _ = run_round(
-            pool,
-            (0..k).map(|s| (s, ShardReq::Apply { theta })).collect(),
-        );
         std::mem::swap(&mut prev_update, &mut update);
         have_prev = true;
 
         if delta <= opts.tolerance {
-            converged = true;
+            return coord.report(pool, iteration + 1, delta, theta, adaptive_steps);
         }
     }
 
@@ -818,87 +495,31 @@ fn jacobi_rounds(
     }))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gauss_seidel_rounds(
-    pool: &mut PoolHandle<'_, ShardState, ShardReq, ShardResp>,
+fn gauss_seidel(
+    mut coord: Coordinator<'_>,
+    pool: &mut Pool<'_>,
     opts: &ClusterSolveOptions,
-    shapes: usize,
-    n: usize,
-    k: usize,
-    halo_lists: &[Vec<usize>],
-    classes: &[Vec<usize>],
-    init_gsm: &[f64],
-    init_gprs: &[f64],
-    is_boundary: &[bool],
 ) -> Result<SolvedCluster, ModelError> {
-    // Out fluxes seed from the scalar-balance arrival rates, so the
-    // boundary buffers start from the same values as the shard-local
-    // ones.
-    let mut boundary_gsm = vec![0.0f64; n];
-    let mut boundary_gprs = vec![0.0f64; n];
-    for c in 0..n {
-        if is_boundary[c] {
-            boundary_gsm[c] = init_gsm[c];
-            boundary_gprs[c] = init_gprs[c];
-        }
-    }
-
+    let classes = coord.graph.color_classes();
     let mut delta = f64::INFINITY;
     for iteration in 1..=opts.max_iterations {
         delta = 0.0;
-        for ci in 0..classes.len() {
-            let resps = run_round(
-                pool,
-                (0..k)
-                    .map(|s| {
-                        let (halo_gsm, halo_gprs) =
-                            halo_snapshot(&halo_lists[s], &boundary_gsm, &boundary_gprs);
-                        (
-                            s,
-                            ShardReq::GsClass {
-                                class: ci,
-                                halo_gsm,
-                                halo_gprs,
-                            },
-                        )
-                    })
-                    .collect(),
-            );
-            let mut errors = Vec::new();
-            for resp in resps {
-                match resp {
-                    ShardResp::ClassDone {
-                        delta: local,
-                        exports,
-                        failed,
-                    } => {
-                        delta = delta.max(local);
-                        if let Some(err) = failed {
-                            errors.push(err);
-                        }
-                        for (cell, gsm, gprs) in exports {
-                            boundary_gsm[cell] = gsm;
-                            boundary_gprs[cell] = gprs;
-                        }
-                    }
-                    _ => unreachable!("class round returns ClassDone responses"),
-                }
+        for class in &classes {
+            // No two class members share an edge, so each refresh reads
+            // only out-fluxes of other classes.
+            for &c in class {
+                let (gsm, gprs) = coord.inflow(c)?;
+                delta = delta
+                    .max(relative_change(coord.lam_gsm[c], gsm))
+                    .max(relative_change(coord.lam_gprs[c], gprs));
+                coord.lam_gsm[c] = gsm;
+                coord.lam_gprs[c] = gprs;
             }
-            if let Some(e) = lowest_error(errors) {
-                return Err(e);
-            }
+            coord.round(pool, class, false)?;
         }
 
         if delta <= opts.tolerance {
-            // Reporting pass: re-solve every cell simultaneously at
-            // the converged vector, counting as one iteration.
-            let resps = run_round(
-                pool,
-                (0..k)
-                    .map(|s| (s, ShardReq::Solve { report: true }))
-                    .collect(),
-            );
-            return assemble_report(resps, n, iteration + 1, delta, 1.0, 0, shapes);
+            return coord.report(pool, iteration + 1, delta, 1.0, 0);
         }
     }
 
@@ -906,4 +527,38 @@ fn gauss_seidel_rounds(
         iterations: opts.max_iterations,
         last_delta: delta,
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::worker_ranges;
+
+    #[test]
+    fn worker_ranges_cover_every_cell_once_in_near_equal_runs() {
+        assert_eq!(worker_ranges(12, 3), vec![0..4, 4..8, 8..12]);
+        assert_eq!(worker_ranges(7, 3), vec![0..3, 3..5, 5..7]);
+        for cells in 2..=30 {
+            for shards in 1..=cells {
+                let ranges = worker_ranges(cells, shards);
+                assert_eq!(ranges.len(), shards);
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges[shards - 1].end, cells);
+                for pair in ranges.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start, "{cells}/{shards}");
+                    assert!(pair[0].len() >= pair[1].len());
+                    assert!(pair[0].len() <= pair[1].len() + 1);
+                }
+                assert!(ranges.iter().all(|r| !r.is_empty()));
+            }
+        }
+    }
+
+    #[test]
+    fn worker_count_is_clamped_to_the_cells() {
+        assert_eq!(
+            worker_ranges(7, 100),
+            (0..7).map(|c| c..c + 1).collect::<Vec<_>>()
+        );
+        assert_eq!(worker_ranges(7, 0), vec![0..7]);
+    }
 }

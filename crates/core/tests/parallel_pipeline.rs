@@ -127,9 +127,12 @@ fn cluster_par_sweep_is_bit_identical_across_thread_counts() {
     let scales = [0.5, 0.8, 1.1, 1.4];
     let opts = ClusterSolveOptions::default();
     let reference = sweep_load_scales(&scenario, &scales, &opts.clone().with_threads(1)).unwrap();
-    for threads in [0usize, 2, 4] {
-        let par =
-            sweep_load_scales(&scenario, &scales, &opts.clone().with_threads(threads)).unwrap();
+    // The last input asks for 4 shards per point: the sweep pins each
+    // point to one thread regardless.
+    let inputs = [(0usize, 0usize), (2, 0), (4, 0), (2, 4)];
+    for (threads, shards) in inputs {
+        let point_opts = opts.clone().with_threads(threads).with_shards(shards);
+        let par = sweep_load_scales(&scenario, &scales, &point_opts).unwrap();
         assert_eq!(par.len(), reference.len(), "threads {threads}");
         for (p, r) in par.iter().zip(&reference) {
             assert_eq!(p.scale, r.scale, "threads {threads}");

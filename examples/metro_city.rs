@@ -1,16 +1,17 @@
 //! A real-city-style weighted topology through the **sharded** cluster
 //! fixed point: the graph is loaded from a committed JSON file via the
 //! codec (the same schema `gprs-campaign` specs embed), not built from
-//! a generator, and the solve runs on the persistent partition workers
-//! with halo-exchange boundary fluxes.
+//! a generator, and the solve runs on persistent workers that own
+//! consecutive cell ranges while one coordinator holds the handover
+//! vectors.
 //!
 //! The city (`examples/data/metro_city.json`, 48 cells): a dense 4x4
 //! downtown grid, a 12-cell ring road feeding it with commuter-biased
 //! weights (heavier toward the core than out of it), and four radial
 //! corridors whose handover flux thins toward the outskirts. Edge
 //! *presence* is symmetric (handover moves users both ways) but the
-//! weights are not — exactly the asymmetry the weighted in-edge scan
-//! and the shard halo exchange must agree on.
+//! weights are not — exactly the asymmetry the coordinator's weighted
+//! in-edge sums must get right at every worker count.
 //!
 //! ```text
 //! cargo run --release --example metro_city [shards]

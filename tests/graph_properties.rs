@@ -137,71 +137,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The contiguous partitioner is a true partition on any random
-    /// connected graph: every cell lands in exactly one shard, shard
-    /// lists are ascending, and `shard_of`/`assignment` agree with the
-    /// shard lists.
-    #[test]
-    fn partition_covers_every_cell_exactly_once(
-        n in 3usize..=24,
-        k in 1usize..=8,
-        seed in 1u64..u64::MAX,
-    ) {
-        let graph = random_graph(n, seed);
-        let p = graph.partition(k).unwrap();
-        prop_assert_eq!(p.num_shards(), k.min(n));
-        prop_assert_eq!(p.num_cells(), n);
-        let mut owner: Vec<Option<usize>> = vec![None; n];
-        for s in 0..p.num_shards() {
-            let cells = p.shard(s).unwrap();
-            prop_assert!(!cells.is_empty(), "shard {} empty", s);
-            prop_assert!(cells.windows(2).all(|w| w[0] < w[1]));
-            for &c in cells {
-                prop_assert!(owner[c].is_none(), "cell {} owned twice", c);
-                owner[c] = Some(s);
-                prop_assert_eq!(p.shard_of(c).unwrap(), s);
-                prop_assert_eq!(p.assignment()[c], s);
-            }
-        }
-        prop_assert!(owner.iter().all(|o| o.is_some()), "uncovered cell");
-    }
-
-    /// Each shard's halo is the exact cross-shard in-edge source
-    /// complement: a cell is in `halo(s)` iff it lies outside shard `s`
-    /// and some edge from it enters the shard — no missing boundary
-    /// source (which would silently freeze a flux) and no spurious one.
-    #[test]
-    fn halos_equal_the_cross_shard_in_edge_complement(
-        n in 3usize..=24,
-        k in 1usize..=8,
-        seed in 1u64..u64::MAX,
-    ) {
-        let graph = random_graph(n, seed);
-        let p = graph.partition(k).unwrap();
-        for s in 0..p.num_shards() {
-            let own = p.shard(s).unwrap();
-            let halo = p.halo(s).unwrap();
-            prop_assert!(halo.windows(2).all(|w| w[0] < w[1]), "halo {} unsorted", s);
-            for c in 0..n {
-                let expected = !own.contains(&c)
-                    && own.iter().any(|&d| {
-                        graph.in_edges(d).unwrap().iter().any(|e| e.source == c)
-                    });
-                prop_assert_eq!(
-                    halo.contains(&c),
-                    expected,
-                    "shard {} cell {}",
-                    s,
-                    c
-                );
-            }
-        }
-    }
-}
-
-proptest! {
     // Each case runs full cluster solves; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
