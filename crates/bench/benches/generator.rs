@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gprs_bench::{medium_model, small_model};
-use gprs_ctmc::{IncomingTransitions, SparseGenerator, Transitions};
+use gprs_ctmc::{SparseGenerator, Transitions};
 
 fn bench_enumeration(c: &mut Criterion) {
     let model = medium_model();
@@ -15,15 +15,6 @@ fn bench_enumeration(c: &mut Criterion) {
             let mut acc = 0.0f64;
             for s in 0..n {
                 model.for_each_outgoing(s, &mut |_, rate| acc += rate);
-            }
-            acc
-        })
-    });
-    g.bench_function("reverse_full_pass", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for s in 0..n {
-                model.for_each_incoming(s, &mut |_, rate| acc += rate);
             }
             acc
         })

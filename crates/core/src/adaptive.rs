@@ -438,7 +438,8 @@ pub struct TransientPoint {
 /// Evaluates a PDCH re-dimensioning transiently: the chain starts in the
 /// *old* configuration's stationary law (mapped onto the new state
 /// space via [`map_distribution`]) and relaxes under the *new*
-/// generator. Returns one [`TransientPoint`] per requested time.
+/// generator. Returns one [`TransientPoint`] per requested time. The
+/// new generator is assembled once and uniformized for every horizon.
 ///
 /// The distance column answers the controller-design question "how long
 /// must a decision epoch be": steady-state reasoning about the new
@@ -465,9 +466,10 @@ pub fn reconfiguration_transient(
         old_solved.stationary(),
     )?;
     let target = new_solved.stationary().as_slice();
+    let generator = new_model.assemble_sparse()?;
     let mut points = Vec::with_capacity(times.len());
     for &t in times {
-        let pi_t = transient::solve_transient(&new_model, &pi0, t)?;
+        let pi_t = transient::solve_transient(&generator, &pi0, t)?;
         let distance = pi_t
             .iter()
             .zip(target)

@@ -1,13 +1,15 @@
 //! The CTMC generator of the cell model: the paper's Table 1.
 //!
-//! [`GprsModel`] implements the `gprs-ctmc` access traits *matrix-free*:
-//! transitions are computed from the state on the fly, so even the
-//! Fig. 10 configuration (`M = 150`, ~2·10⁷ states) never materializes a
-//! matrix. Both directions are provided — [`Transitions`] enumerates a
-//! state's successors (Table 1 read forwards), [`IncomingTransitions`]
-//! its predecessors (each rule inverted by hand). The two are checked
-//! against each other by property tests, and against an assembled sparse
-//! matrix on small instances.
+//! [`GprsModel`] computes its transitions from the state on the fly, in
+//! two views. [`Transitions`] enumerates a state's successors (Table 1
+//! read forwards); it is what [`GprsModel::assemble_sparse`] turns into
+//! the CSR that every flat solver reads. [`ModulatedBirthDeath`] splits
+//! the same rules into buffer-level moves and phase moves; the block
+//! solvers capture it, so even the Fig. 10 configuration (`M = 150`,
+//! ~2·10⁷ states) never materializes a flat matrix. The forward view is
+//! the independent oracle of the block view: tests check the two
+//! against each other, and the block solution against the assembled
+//! matrix's balance residual.
 //!
 //! # Transition rules (Table 1)
 //!
@@ -34,7 +36,7 @@ use crate::config::CellConfig;
 use crate::error::ModelError;
 use crate::state::{CellState, StateSpace};
 use gprs_ctmc::mbd::ModulatedBirthDeath;
-use gprs_ctmc::{IncomingTransitions, SparseGenerator, Transitions};
+use gprs_ctmc::{SparseGenerator, Transitions};
 use gprs_queueing::handover::{balance_default, BalancedCell, HandoverParams};
 use gprs_queueing::mmcc::MmccQueue;
 
@@ -256,8 +258,9 @@ impl GprsModel {
     }
 
     /// Assembles the full sparse generator, enumerating Table 1's rows
-    /// in order on the calling thread. Prefer the matrix-free traits for
-    /// solves that never need the assembled matrix.
+    /// in order on the calling thread: the input of the flat solvers
+    /// (point Gauss–Seidel, power iteration, GTH, uniformization). The
+    /// block solver never needs it.
     ///
     /// # Errors
     ///
@@ -451,91 +454,6 @@ impl Transitions for GprsModel {
     }
 }
 
-impl IncomingTransitions for GprsModel {
-    fn for_each_incoming(&self, state: usize, visit: &mut dyn FnMut(usize, f64)) {
-        let sp = &self.space;
-        let rt = &self.rates;
-        let s = sp.decode(state);
-        let CellState { n, k, m, r } = s;
-
-        // Inverse of (i): a GSM arrival brought us from n−1.
-        if n > 0 {
-            visit(sp.index(CellState { n: n - 1, ..s }), rt.lam_gsm);
-        }
-        // Inverse of (iii): a GSM departure brought us from n+1.
-        if n < sp.n_gsm() {
-            visit(
-                sp.index(CellState { n: n + 1, ..s }),
-                (n + 1) as f64 * rt.mu_gsm,
-            );
-        }
-        // Inverse of (ii): a GPRS arrival joined on (from (m−1, r),
-        // needs r ≤ m−1) or off (from (m−1, r−1)).
-        if m > 0 {
-            if r < m {
-                visit(sp.index(CellState { m: m - 1, ..s }), rt.p_on * rt.lam_gprs);
-            }
-            if r > 0 {
-                visit(
-                    sp.index(CellState {
-                        m: m - 1,
-                        r: r - 1,
-                        ..s
-                    }),
-                    rt.p_off * rt.lam_gprs,
-                );
-            }
-        }
-        // Inverse of (iv): a departure from (m+1, r) (an on-session
-        // left: (m+1)−r of them) or from (m+1, r+1) (an off-session
-        // left: r+1 of them).
-        if m < sp.m_cap() {
-            visit(
-                sp.index(CellState { m: m + 1, ..s }),
-                (m + 1 - r) as f64 * rt.mu_gprs,
-            );
-            visit(
-                sp.index(CellState {
-                    m: m + 1,
-                    r: r + 1,
-                    ..s
-                }),
-                (r + 1) as f64 * rt.mu_gprs,
-            );
-        }
-        // Inverse of (v): a packet arrived while the buffer held k−1.
-        if k > 0 {
-            let source = CellState { k: k - 1, ..s };
-            let rate = self.offered_packet_rate(source);
-            if rate > 0.0 {
-                visit(sp.index(source), rate);
-            }
-        }
-        // Inverse of (vi): a service completion from k+1.
-        if k < sp.k_cap() {
-            let busy = self.busy_pdchs(k + 1, n);
-            if busy > 0 {
-                visit(
-                    sp.index(CellState { k: k + 1, ..s }),
-                    busy as f64 * rt.mu_service,
-                );
-            }
-        }
-        // Inverse of (vii): MMPP moves. Into r from r−1 (one source went
-        // off: source had m−(r−1) on) and from r+1 (one went on: source
-        // had r+1 off).
-        if r > 0 {
-            visit(
-                sp.index(CellState { r: r - 1, ..s }),
-                (m - (r - 1)) as f64 * rt.a,
-            );
-        }
-        if r < m {
-            visit(sp.index(CellState { r: r + 1, ..s }), (r + 1) as f64 * rt.b);
-        }
-    }
-}
-
 /// The model as a Markov-modulated birth–death process: phase
 /// `(n, m, r)`, level `k`. Level (packet) transitions never change the
 /// phase, and every phase transition (call/session/MMPP event) leaves
@@ -701,41 +619,6 @@ mod tests {
                 assert!(rate > 0.0, "non-positive rate at {idx} -> {j}");
                 assert!(j < model.num_states());
             });
-        }
-    }
-
-    #[test]
-    fn forward_and_reverse_agree_via_sparse_transpose() {
-        let model = GprsModel::new(tiny_config()).unwrap();
-        let sparse = model.assemble_sparse().unwrap();
-        for idx in 0..model.num_states() {
-            // Collect incoming transitions from the matrix-free reverse.
-            let mut direct: Vec<(usize, f64)> = Vec::new();
-            model.for_each_incoming(idx, &mut |i, rate| direct.push((i, rate)));
-            direct.sort_by_key(|&(i, _)| i);
-            // Merge duplicates (the reverse enumeration may visit a
-            // source twice if two rules share endpoints).
-            let mut merged: Vec<(usize, f64)> = Vec::new();
-            for (i, rate) in direct {
-                if let Some(last) = merged.last_mut() {
-                    if last.0 == i {
-                        last.1 += rate;
-                        continue;
-                    }
-                }
-                merged.push((i, rate));
-            }
-            let (cols, vals) = sparse.column(idx);
-            let expected: Vec<(usize, f64)> = cols
-                .iter()
-                .map(|&c| c as usize)
-                .zip(vals.iter().copied())
-                .collect();
-            assert_eq!(merged.len(), expected.len(), "state {idx}");
-            for ((i1, r1), (i2, r2)) in merged.iter().zip(&expected) {
-                assert_eq!(i1, i2, "state {idx}");
-                assert!((r1 - r2).abs() < 1e-12, "state {idx}: {r1} vs {r2}");
-            }
         }
     }
 

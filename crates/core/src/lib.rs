@@ -57,8 +57,9 @@
 //! * [`config`] — cell parameters, Table 2 defaults, builder.
 //! * [`coding`] — GPRS coding schemes CS-1..CS-4 and per-PDCH rates.
 //! * [`state`] — the `(n, k, m, r)` state space and its linear indexing.
-//! * [`generator`] — Table 1 transition rates, forward *and* reverse
-//!   (matrix-free), implementing the `gprs-ctmc` traits.
+//! * [`generator`] — Table 1 transition rates, computed on the fly in
+//!   two views: forward rows (assembled into the flat solvers' CSR) and
+//!   the Markov-modulated birth–death view of the block solvers.
 //! * [`measures`] — Eqs. 6–11: CVT, AGS, CDT, PLP, QD, ATU, blocking.
 //! * [`solve`] — handover balancing + steady-state solution.
 //! * [`sweep`] — warm-started arrival-rate sweeps (the paper's x-axes),

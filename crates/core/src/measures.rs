@@ -216,7 +216,8 @@ mod tests {
             .unwrap();
         let model = GprsModel::new(config).unwrap();
         let guess = model.product_form_guess();
-        let sol = solve_gauss_seidel(&model, Some(&guess), &SolveOptions::default()).unwrap();
+        let sparse = model.assemble_sparse().unwrap();
+        let sol = solve_gauss_seidel(&sparse, Some(&guess), &SolveOptions::default()).unwrap();
         (model, sol.pi)
     }
 

@@ -94,21 +94,23 @@ impl GprsModel {
         }))
     }
 
-    /// Solves with point Gauss–Seidel over the flat chain. Slower than
+    /// Solves with point Gauss–Seidel over the assembled flat chain
+    /// ([`assemble_sparse`](Self::assemble_sparse)). Slower than
     /// [`solve`](Self::solve) on stiff configurations; retained as an
-    /// independent cross-check of the block solver (the two implement
-    /// the generator through different code paths).
+    /// independent cross-check of the block solver (the CSR comes from
+    /// the forward Table 1, the block solver from the MBD view).
     ///
     /// # Errors
     ///
-    /// [`ModelError::Ctmc`] on convergence failure.
+    /// [`ModelError::Ctmc`] on assembly or convergence failure.
     pub fn solve_gauss_seidel(
         &self,
         opts: &SolveOptions,
         warm_start: Option<&[f64]>,
     ) -> Result<SolvedModel, ModelError> {
         let guess = warm_start.map_or_else(|| Cow::Owned(self.product_form_guess()), Cow::from);
-        Ok(self.solved(solve_gauss_seidel(self, Some(&guess), opts)?))
+        let sparse = self.assemble_sparse()?;
+        Ok(self.solved(solve_gauss_seidel(&sparse, Some(&guess), opts)?))
     }
 
     /// Wraps a converged solution with its measures.
@@ -170,8 +172,8 @@ mod tests {
 
     #[test]
     fn block_solver_and_point_gauss_seidel_agree() {
-        // Two independent code paths (MBD view vs flat Table 1 reverse
-        // enumeration) must produce the same distribution.
+        // Two independent code paths (MBD view vs the CSR assembled
+        // from the forward Table 1) must produce the same distribution.
         let model = tiny();
         let block = model.solve_default().unwrap();
         let point = model

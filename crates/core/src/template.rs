@@ -590,8 +590,7 @@ impl GeneratorTemplate {
 
     /// Solves `model` with point Gauss–Seidel over the template's
     /// **refilled sparse matrix** (its transpose CSR serves the
-    /// incoming gather — faster than re-deriving Table 1 backwards
-    /// every sweep) and the shared workspace: the alternate rung of
+    /// incoming gather) and the shared workspace: the alternate rung of
     /// [`solve_resilient`](Self::solve_resilient), and the template
     /// form of [`GprsModel::solve_gauss_seidel`]. Participates in the
     /// same warm-start chain as [`solve`](Self::solve); the solution

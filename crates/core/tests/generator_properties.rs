@@ -1,11 +1,11 @@
 //! Property-based tests of the Table 1 generator over randomized
-//! configurations: the forward, reverse, and MBD views must all agree,
-//! the chain must be a valid irreducible generator, and the measures
-//! must stay physical.
+//! configurations: the forward and MBD views must agree, the chain must
+//! be a valid irreducible generator, and the measures must stay
+//! physical.
 
 use gprs_core::{CellConfig, GprsModel};
 use gprs_ctmc::mbd::ModulatedBirthDeath;
-use gprs_ctmc::{IncomingTransitions, Transitions};
+use gprs_ctmc::Transitions;
 use gprs_traffic::SessionParams;
 use proptest::prelude::*;
 
@@ -41,35 +41,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn forward_reverse_and_mbd_views_agree(cfg in config_strategy()) {
+    fn forward_and_mbd_views_agree(cfg in config_strategy()) {
         let model = GprsModel::new(cfg).unwrap();
         let n = model.num_states();
         let levels = model.space().k_cap() + 1;
 
-        // Forward adjacency.
-        let mut fwd: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-        for (s, row) in fwd.iter_mut().enumerate() {
-            model.for_each_outgoing(s, &mut |t, r| row.push((t, r)));
-        }
-        // Reverse must be the exact transpose.
-        for t in 0..n {
-            let mut incoming: Vec<(usize, f64)> = Vec::new();
-            model.for_each_incoming(t, &mut |s, r| incoming.push((s, r)));
-            incoming.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let mut expected: Vec<(usize, f64)> = (0..n)
-                .flat_map(|s| {
-                    fwd[s].iter().filter(|&&(tt, _)| tt == t).map(move |&(_, r)| (s, r))
-                })
-                .collect();
-            expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            prop_assert_eq!(incoming.len(), expected.len());
-            for (a, b) in incoming.iter().zip(&expected) {
-                prop_assert_eq!(a.0, b.0);
-                prop_assert!((a.1 - b.1).abs() < 1e-12);
-            }
-        }
-        // MBD view must reproduce the flat transitions.
-        for (s, fwd_row) in fwd.iter().enumerate() {
+        // The MBD view must reproduce the forward transitions.
+        for s in 0..n {
             let st = model.space().decode(s);
             let phase = model.space().phase_index(st.n, st.m, st.r);
             let mut mbd: Vec<(usize, f64)> = Vec::new();
@@ -81,7 +59,8 @@ proptest! {
                 mbd.push((q * levels + st.k, r));
             });
             mbd.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let mut flat = fwd_row.clone();
+            let mut flat: Vec<(usize, f64)> = Vec::new();
+            model.for_each_outgoing(s, &mut |t, r| flat.push((t, r)));
             flat.sort_by(|a, b| a.partial_cmp(b).unwrap());
             prop_assert_eq!(mbd.len(), flat.len());
             for (a, b) in mbd.iter().zip(&flat) {

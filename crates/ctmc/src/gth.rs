@@ -12,8 +12,8 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::CtmcError;
+use crate::sparse::SparseGenerator;
 use crate::stationary::StationaryDistribution;
-use crate::transitions::Transitions;
 
 /// Practical size limit above which GTH becomes unreasonably slow; the
 /// function does not enforce it, but callers (and tests) should.
@@ -21,15 +21,17 @@ pub const RECOMMENDED_MAX_STATES: usize = 2000;
 
 /// Solves `πQ = 0`, `Σπ = 1` by GTH elimination.
 ///
-/// The input is any [`Transitions`] implementation; the off-diagonal rates
-/// are copied into a dense working matrix.
+/// The CSR's off-diagonal rates are copied, row by row, into a dense
+/// working matrix.
 ///
 /// # Errors
 ///
 /// * [`CtmcError::EmptyChain`] for a chain with zero states.
 /// * [`CtmcError::InvalidGenerator`] if the chain is reducible in a way
 ///   that produces a zero pivot (a state, other than the last remaining
-///   one, with no transitions to lower-numbered states after folding).
+///   one, with no transitions to lower-numbered states after folding),
+///   or if the unnormalized solution overflows (rates too large for
+///   `f64`).
 ///
 /// # Example
 ///
@@ -43,7 +45,7 @@ pub const RECOMMENDED_MAX_STATES: usize = 2000;
 /// assert!((pi[0] - 0.25).abs() < 1e-14);
 /// # Ok::<(), gprs_ctmc::CtmcError>(())
 /// ```
-pub fn solve_gth<G: Transitions + ?Sized>(gen: &G) -> Result<StationaryDistribution, CtmcError> {
+pub fn solve_gth(gen: &SparseGenerator) -> Result<StationaryDistribution, CtmcError> {
     let n = gen.num_states();
     if n == 0 {
         return Err(CtmcError::EmptyChain);
@@ -55,9 +57,10 @@ pub fn solve_gth<G: Transitions + ?Sized>(gen: &G) -> Result<StationaryDistribut
     // Copy off-diagonal rates into a dense working matrix.
     let mut a = DenseMatrix::zeros(n);
     for i in 0..n {
-        gen.for_each_outgoing(i, &mut |j, rate| {
-            a.add(i, j, rate);
-        });
+        let (cols, vals) = gen.row(i);
+        for (&j, &rate) in cols.iter().zip(vals) {
+            a.add(i, j as usize, rate);
+        }
     }
 
     // Fold states n-1, n-2, ..., 1 into the remaining chain.
@@ -103,6 +106,11 @@ pub fn solve_gth<G: Transitions + ?Sized>(gen: &G) -> Result<StationaryDistribut
     }
 
     let total: f64 = x.iter().sum();
+    if !total.is_finite() {
+        return Err(CtmcError::InvalidGenerator {
+            reason: format!("elimination overflowed: unnormalized mass {total}"),
+        });
+    }
     for v in &mut x {
         *v /= total;
     }
@@ -166,6 +174,13 @@ mod tests {
         let pi = solve_gth(&g).unwrap();
         assert!(balance_residual(&g, &pi) < 1e-12);
         assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn overflowing_rates_are_an_error_not_a_panic() {
+        let g = crate::sparse::overflowing_exit_chain();
+        let err = solve_gth(&g).unwrap_err();
+        assert!(matches!(err, CtmcError::InvalidGenerator { .. }), "{err:?}");
     }
 
     #[test]

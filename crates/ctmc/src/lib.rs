@@ -24,17 +24,22 @@
 //!   iteration through the matrix-free [`mbd::ModulatedBirthDeath`]
 //!   trait. It is bit-identical to the blocked kernel and kept only as
 //!   the oracle of its tests; no production path runs it.
-//! * [`solver::solve_gauss_seidel`] — point Gauss–Seidel / SOR over
-//!   *incoming* transitions, through the [`IncomingTransitions`]
-//!   trait. Its gather, [`IncomingTransitions::inflow`], is a flat
-//!   transpose scan on a [`SparseGenerator`]; over the assembled matrix
-//!   this solver is the alternate rung of the fallback ladder.
+//! * [`solver::solve_gauss_seidel`] — point Gauss–Seidel / SOR. Each
+//!   update gathers its inflow from the stored transpose
+//!   ([`SparseGenerator::column`]); it is the alternate rung of the
+//!   fallback ladder.
 //! * [`gth::solve_gth`] — the Grassmann–Taksar–Heyman direct
 //!   elimination. Numerically stable (no subtractions), `O(n³)`; the
 //!   ground truth for small chains and the ladder's last rung.
-//! * [`power::solve_power`] — uniformization-based power iteration
-//!   over *outgoing* transitions. Simple and robust but slow on stiff
+//! * [`power::solve_power`] — uniformization-based power iteration,
+//!   pushing along the CSR rows. Simple and robust but slow on stiff
 //!   chains; used for cross-checks.
+//!
+//! The flat solvers above, the transient solver
+//! [`transient::solve_transient`] and [`balance_residual`] take one
+//! input, an assembled [`SparseGenerator`]: its rows, its stored
+//! transpose and its stored exit rates. Power iteration and the
+//! transient solver share one uniformized step over the rows.
 //!
 //! # Relaxation
 //!
@@ -51,9 +56,11 @@
 //! the residual ratios settle and never leave the starting factor.
 //! [`SolveStats::omega`] reports the factor a solve ended with.
 //!
-//! Generators can be represented either as an assembled sparse matrix
-//! ([`SparseGenerator`], built via [`TripletBuilder`]) or as a matrix-free
-//! implementation of the [`Transitions`] / [`IncomingTransitions`] traits.
+//! A flat generator is an assembled sparse matrix ([`SparseGenerator`]),
+//! built from triplets via [`TripletBuilder`] or from a model's rows via
+//! the [`Transitions`] trait ([`SparseGenerator::from_transitions`]).
+//! The block solvers read a Markov-modulated birth–death view instead
+//! ([`mbd::ModulatedBirthDeath`]), captured into a [`BlockedMbd`].
 //!
 //! # Repeated solves: the symbolic/numeric split
 //!
@@ -112,4 +119,4 @@ pub use error::CtmcError;
 pub use solver::{Solution, SolveOptions, SolveStats, SolveWorkspace};
 pub use sparse::{SparseGenerator, TripletBuilder};
 pub use stationary::StationaryDistribution;
-pub use transitions::{balance_residual, try_balance_residual, IncomingTransitions, Transitions};
+pub use transitions::{balance_residual, try_balance_residual, Transitions};

@@ -2,22 +2,41 @@
 //!
 //! The chain is uniformized with constant `Λ ≥ max exit rate`, giving the
 //! stochastic matrix `P = I + Q/Λ`, whose stationary vector equals the
-//! CTMC's. Power iteration `π ← πP` only needs *outgoing* transitions
-//! ("push" style), which makes it a useful cross-check for the
-//! Gauss–Seidel solver and for models that cannot enumerate incoming
-//! transitions. Convergence is geometric in the subdominant eigenvalue,
-//! which for stiff chains is painfully close to 1 — prefer
-//! [`crate::solver::solve_gauss_seidel`] for production runs.
+//! CTMC's. Power iteration `π ← πP` pushes along the CSR rows, where
+//! Gauss–Seidel gathers along the stored transpose, which makes it a
+//! useful cross-check of that solver. Convergence is geometric in the
+//! subdominant eigenvalue, which for stiff chains is painfully close to
+//! 1 — prefer [`crate::solver::solve_gauss_seidel`] for production runs.
+//!
+//! The step `v ← v·P` is shared with the transient solver
+//! ([`crate::transient`]).
 
 use crate::error::CtmcError;
 use crate::solver::{HealthGuard, Solution, SolveOptions};
+use crate::sparse::SparseGenerator;
 use crate::stationary::StationaryDistribution;
-use crate::transitions::{balance_residual, Transitions};
+use crate::transitions::balance_residual;
 
 /// Head-room factor applied to the maximum exit rate when uniformizing;
 /// keeps the self-loop probability strictly positive, which breaks
 /// periodicity.
 pub const UNIFORMIZATION_HEADROOM: f64 = 1.02;
+
+/// One uniformized step `next ← v·(I + Q/Λ)` over the CSR rows.
+pub(crate) fn uniformized_step(gen: &SparseGenerator, lambda: f64, v: &[f64], next: &mut [f64]) {
+    let exit = gen.exit_rates();
+    next.fill(0.0);
+    for (i, &p) in v.iter().enumerate() {
+        if p == 0.0 {
+            continue;
+        }
+        let (cols, vals) = gen.row(i);
+        for (&j, &rate) in cols.iter().zip(vals) {
+            next[j as usize] += p * rate / lambda;
+        }
+        next[i] += p * (1.0 - exit[i] / lambda);
+    }
+}
 
 /// Solves `πQ = 0` by uniformized power iteration.
 ///
@@ -28,8 +47,8 @@ pub const UNIFORMIZATION_HEADROOM: f64 = 1.02;
 /// Same contract as [`crate::solver::solve_gauss_seidel`]; additionally
 /// returns [`CtmcError::InvalidGenerator`] if no state has a positive
 /// exit rate.
-pub fn solve_power<G: Transitions + ?Sized>(
-    gen: &G,
+pub fn solve_power(
+    gen: &SparseGenerator,
     warm_start: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> Result<Solution, CtmcError> {
@@ -38,12 +57,7 @@ pub fn solve_power<G: Transitions + ?Sized>(
         return Err(CtmcError::EmptyChain);
     }
 
-    let mut exit = vec![0.0f64; n];
-    let mut max_exit = 0.0f64;
-    for (s, e) in exit.iter_mut().enumerate() {
-        *e = gen.exit_rate(s);
-        max_exit = max_exit.max(*e);
-    }
+    let max_exit = gen.max_exit_rate();
     if max_exit <= 0.0 {
         return Err(CtmcError::InvalidGenerator {
             reason: "no state has a positive exit rate".into(),
@@ -75,17 +89,7 @@ pub fn solve_power<G: Transitions + ?Sized>(
     let mut iterations = 0usize;
     let mut residual = f64::INFINITY;
     while iterations < opts.max_sweeps {
-        next.iter_mut().for_each(|x| *x = 0.0);
-        for i in 0..n {
-            let p = pi[i];
-            if p == 0.0 {
-                continue;
-            }
-            gen.for_each_outgoing(i, &mut |j, rate| {
-                next[j] += p * rate / lambda;
-            });
-            next[i] += p * (1.0 - exit[i] / lambda);
-        }
+        uniformized_step(gen, lambda, &pi, &mut next);
         let total: f64 = next.iter().sum();
         if !total.is_finite() || total <= 0.0 {
             return Err(CtmcError::Diverged {

@@ -1,13 +1,15 @@
-//! Gauss–Seidel / SOR steady-state solver over incoming transitions.
+//! Point Gauss–Seidel / SOR steady-state solver, and the options,
+//! workspace and health guard every iterative solver shares.
 //!
-//! This is the workhorse solver of the reproduction: it works matrix-free
-//! through [`IncomingTransitions`], supports warm starts (essential for
-//! the paper's arrival-rate sweeps), and uses the relative L1 balance
-//! residual as its convergence criterion.
+//! Point Gauss–Seidel gathers each state's inflow from the stored
+//! transpose of a [`SparseGenerator`] ([`SparseGenerator::column`]),
+//! supports warm starts, and uses the relative L1 balance residual as
+//! its convergence criterion. It is the alternate rung of the fallback
+//! ladder and the flat cross-check of the block solvers.
 
 use crate::error::CtmcError;
+use crate::sparse::SparseGenerator;
 use crate::stationary::StationaryDistribution;
-use crate::transitions::IncomingTransitions;
 use std::time::{Duration, Instant};
 
 /// Options controlling the iterative solvers.
@@ -369,8 +371,8 @@ pub struct SolveStats {
 pub struct SolveWorkspace {
     /// The iterate / final stationary vector.
     pub(crate) pi: Vec<f64>,
-    /// Per-state exit rates (GS) or per-phase exit rates (scalar MBD
-    /// kernel; the blocked kernel reads its captured ones).
+    /// Per-phase exit rates of the scalar MBD kernel (the blocked kernel
+    /// reads its captured ones).
     pub(crate) exit: Vec<f64>,
     /// Tridiagonal right-hand side (MBD); in the blocked kernel one
     /// column per lane, overwritten by the lane's solution column.
@@ -521,8 +523,8 @@ impl SolveWorkspace {
 /// assert!(sol.residual <= 1e-10);
 /// # Ok::<(), gprs_ctmc::CtmcError>(())
 /// ```
-pub fn solve_gauss_seidel<G: IncomingTransitions + ?Sized>(
-    gen: &G,
+pub fn solve_gauss_seidel(
+    gen: &SparseGenerator,
     warm_start: Option<&[f64]>,
     opts: &SolveOptions,
 ) -> Result<Solution, CtmcError> {
@@ -542,15 +544,14 @@ pub fn solve_gauss_seidel<G: IncomingTransitions + ?Sized>(
 /// arithmetic is identical to the allocating entry point, which
 /// delegates here.
 ///
-/// Each update gathers through [`IncomingTransitions::inflow`], so a
-/// [`SparseGenerator`](crate::SparseGenerator) runs its flat transpose
-/// scan and a matrix-free model its callbacks, with the same bits.
+/// Each update gathers the state's stored transpose column
+/// ([`SparseGenerator::column`]) and divides by its stored exit rate.
 ///
 /// # Errors
 ///
 /// As [`solve_gauss_seidel`].
-pub fn solve_gauss_seidel_ws<G: IncomingTransitions + ?Sized>(
-    gen: &G,
+pub fn solve_gauss_seidel_ws(
+    gen: &SparseGenerator,
     warm_start: Option<&[f64]>,
     opts: &SolveOptions,
     ws: &mut SolveWorkspace,
@@ -560,22 +561,19 @@ pub fn solve_gauss_seidel_ws<G: IncomingTransitions + ?Sized>(
         return Err(CtmcError::EmptyChain);
     }
 
-    // Pre-compute exit rates; every state must be able to leave.
-    ws.exit.resize(n, 0.0);
-    for (s, e) in ws.exit.iter_mut().enumerate() {
-        *e = gen.exit_rate(s);
-        if *e <= 0.0 {
-            return Err(CtmcError::InvalidGenerator {
-                reason: format!("state {s} has zero exit rate (absorbing)"),
-            });
-        }
+    // Every state must be able to leave.
+    let exit = gen.exit_rates();
+    if let Some(s) = exit.iter().position(|&e| e <= 0.0) {
+        return Err(CtmcError::InvalidGenerator {
+            reason: format!("state {s} has zero exit rate (absorbing)"),
+        });
     }
 
     ws.stage_pi(n, warm_start);
     ws.init_pi_in_place(n)?;
-    // Plain slices, so stores into `pi` don't force reloads of the
-    // buffers' pointers and lengths.
-    let (pi, exit): (&mut [f64], &[f64]) = (&mut ws.pi, &ws.exit);
+    // A plain slice, so stores into `pi` don't force reloads of the
+    // buffer's pointer and length.
+    let pi: &mut [f64] = &mut ws.pi;
 
     let omega = opts.sor_omega;
     let mut guard = HealthGuard::new(opts);
@@ -626,7 +624,7 @@ pub fn solve_gauss_seidel_ws<G: IncomingTransitions + ?Sized>(
         let residual = if den == 0.0 { 0.0 } else { num / den };
         guard.observe(sweeps, residual)?;
         if residual <= opts.tolerance {
-            let exact = residual_incoming(gen, pi, exit);
+            let exact = residual_incoming(gen, pi);
             residual_evals += 1;
             if exact <= opts.tolerance {
                 converged = Some(SolveStats {
@@ -650,13 +648,14 @@ pub fn solve_gauss_seidel_ws<G: IncomingTransitions + ?Sized>(
     // Budget exhausted (sweeps or wall clock): report the *exact*
     // residual of the frozen iterate, not the fused mid-sweep estimate
     // — `NotConverged` always carries a finite, trustworthy number.
-    let exact = residual_incoming(gen, pi, exit);
+    let exact = residual_incoming(gen, pi);
     Err(HealthGuard::budget_error(sweeps, exact, opts.tolerance))
 }
 
-/// Relative L1 balance residual computed via incoming transitions
+/// Relative L1 balance residual computed via the transpose gather
 /// (single pass, no extra `O(n)` flow buffer).
-fn residual_incoming<G: IncomingTransitions + ?Sized>(gen: &G, pi: &[f64], exit: &[f64]) -> f64 {
+fn residual_incoming(gen: &SparseGenerator, pi: &[f64]) -> f64 {
+    let exit = gen.exit_rates();
     let mut num = 0.0f64;
     let mut den = 0.0f64;
     for j in 0..pi.len() {
@@ -951,26 +950,14 @@ mod tests {
 
     #[test]
     fn nonfinite_rates_abort_as_diverged() {
-        // A generator reporting an infinite rate poisons the iterate in
-        // one sweep; the solver must abort with `Diverged`, not panic in
-        // normalization or spin to max_sweeps.
-        struct InfRate;
-        impl crate::transitions::Transitions for InfRate {
-            fn num_states(&self) -> usize {
-                2
-            }
-            fn for_each_outgoing(&self, state: usize, visit: &mut dyn FnMut(usize, f64)) {
-                visit(1 - state, f64::INFINITY);
-            }
-        }
-        impl IncomingTransitions for InfRate {
-            fn for_each_incoming(&self, state: usize, visit: &mut dyn FnMut(usize, f64)) {
-                visit(1 - state, f64::INFINITY);
-            }
-        }
-        let err = solve_gauss_seidel(&InfRate, None, &SolveOptions::default()).unwrap_err();
+        // Two rates of 1e308 out of one state overflow its exit rate;
+        // the iterate is poisoned in one sweep and the solvers must
+        // abort with `Diverged`, not panic in normalization or spin to
+        // max_sweeps.
+        let g = crate::sparse::overflowing_exit_chain();
+        let err = solve_gauss_seidel(&g, None, &SolveOptions::default()).unwrap_err();
         assert!(matches!(err, CtmcError::Diverged { .. }), "got {err:?}");
-        let err = crate::power::solve_power(&InfRate, None, &SolveOptions::default()).unwrap_err();
+        let err = crate::power::solve_power(&g, None, &SolveOptions::default()).unwrap_err();
         assert!(matches!(err, CtmcError::Diverged { .. }), "got {err:?}");
     }
 
@@ -1021,60 +1008,6 @@ mod tests {
         assert!(sol.sweeps < opts.max_sweeps);
         let power = crate::power::solve_power(&g, None, &opts).unwrap();
         assert!(power.residual <= opts.tolerance);
-    }
-
-    /// A sparse generator seen only through `for_each_incoming`: the
-    /// default, callback-driven [`IncomingTransitions::inflow`].
-    struct CallbackOnly(crate::sparse::SparseGenerator);
-
-    impl crate::transitions::Transitions for CallbackOnly {
-        fn num_states(&self) -> usize {
-            self.0.num_states()
-        }
-        fn for_each_outgoing(&self, state: usize, visit: &mut dyn FnMut(usize, f64)) {
-            self.0.for_each_outgoing(state, visit);
-        }
-        fn exit_rate(&self, state: usize) -> f64 {
-            self.0.exit_rate(state)
-        }
-    }
-
-    impl IncomingTransitions for CallbackOnly {
-        fn for_each_incoming(&self, state: usize, visit: &mut dyn FnMut(usize, f64)) {
-            self.0.for_each_incoming(state, visit);
-        }
-    }
-
-    #[test]
-    fn csr_gs_matches_generic_bitwise() {
-        // The flat-CSR gather is a pure layout specialization: same
-        // sweep count, same residual bits, same iterate bits as the
-        // callback-driven default, warm or cold, GS or SOR.
-        for (seed, omega) in [(2u64, 1.0), (77, 1.1), (4242, 0.8)] {
-            let g = random_irreducible(40, seed);
-            let callback = CallbackOnly(g.clone());
-            let opts = SolveOptions::default().with_sor(omega);
-            let mut ws_a = SolveWorkspace::new();
-            let mut ws_b = SolveWorkspace::new();
-            let a = solve_gauss_seidel_ws(&callback, None, &opts, &mut ws_a).unwrap();
-            let b = solve_gauss_seidel_ws(&g, None, &opts, &mut ws_b).unwrap();
-            assert_eq!(a.sweeps, b.sweeps, "seed {seed}");
-            assert_eq!(a.residual.to_bits(), b.residual.to_bits(), "seed {seed}");
-            assert_eq!(a.residual_evals, b.residual_evals, "seed {seed}");
-            for (s, (x, y)) in ws_a.pi().iter().zip(ws_b.pi()).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "seed {seed} state {s}");
-            }
-            // Warm restart from the solution: both finish in one sweep.
-            // (Copied out first: the workspace is mutably borrowed by
-            // the solve itself.)
-            let pa = ws_a.pi().to_vec();
-            let pb = ws_b.pi().to_vec();
-            let wa = solve_gauss_seidel_ws(&callback, Some(&pa), &opts, &mut ws_a);
-            let wb = solve_gauss_seidel_ws(&g, Some(&pb), &opts, &mut ws_b);
-            let (wa, wb) = (wa.unwrap(), wb.unwrap());
-            assert_eq!(wa.sweeps, wb.sweeps);
-            assert_eq!(wa.residual.to_bits(), wb.residual.to_bits());
-        }
     }
 
     #[test]

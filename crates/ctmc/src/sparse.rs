@@ -3,13 +3,15 @@
 //!
 //! Assembly is a single sequential validation-and-build pass:
 //! triplets are validated, sorted, and merged straight into the CSR
-//! arrays and their transpose. Matrix-free models assemble through
+//! arrays and their transpose. Models assemble through
 //! [`SparseGenerator::from_transitions`], which enumerates rows in
-//! order. Only the solver's fallback rungs and tests assemble a CSR;
-//! the sweep kernels run matrix-free.
+//! order. The CSR is the one input of the flat solvers (point
+//! Gauss–Seidel, power iteration, GTH, uniformization and the balance
+//! residual); the production sweep kernels run on the block structure
+//! instead ([`crate::BlockedMbd`]).
 
 use crate::error::CtmcError;
-use crate::transitions::{IncomingTransitions, Transitions};
+use crate::transitions::Transitions;
 
 /// Accumulates `(source, target, rate)` triplets and assembles a
 /// [`SparseGenerator`].
@@ -160,8 +162,8 @@ fn sort_and_validate(
     Ok(entries)
 }
 
-/// Enumerates (and validates) the outgoing triplets of a matrix-free
-/// model, in row order.
+/// Enumerates (and validates) the outgoing triplets of a model, in row
+/// order.
 fn enumerate_rows<G: Transitions + ?Sized>(gen: &G) -> Result<Vec<(u32, u32, f64)>, CtmcError> {
     let n = gen.num_states();
     let mut out = Vec::new();
@@ -182,7 +184,7 @@ fn enumerate_rows<G: Transitions + ?Sized>(gen: &G) -> Result<Vec<(u32, u32, f64
 }
 
 /// A CTMC generator stored in compressed sparse row form, together with
-/// its transpose (for incoming-transition access) and per-state exit
+/// its transpose (for incoming-transition gathers) and per-state exit
 /// rates.
 ///
 /// Construct via [`TripletBuilder`] or [`SparseGenerator::from_transitions`].
@@ -286,8 +288,7 @@ impl SparseGenerator {
         }
     }
 
-    /// Assembles a sparse generator by enumerating all transitions of a
-    /// matrix-free model.
+    /// Assembles a sparse generator by enumerating every row of a model.
     ///
     /// # Errors
     ///
@@ -443,6 +444,19 @@ impl SparseGenerator {
         (&self.tcol[lo..hi], &self.tval[lo..hi])
     }
 
+    /// The probability flow into `state`: `Σ_i pi[i] · q_{i, state}`,
+    /// accumulated over the stored transpose column in source order —
+    /// the gather of a Gauss–Seidel update and of its residual.
+    #[inline]
+    pub(crate) fn inflow(&self, state: usize, pi: &[f64]) -> f64 {
+        let (cols, vals) = self.column(state);
+        let mut total = 0.0f64;
+        for (&i, &r) in cols.iter().zip(vals) {
+            total += pi[i as usize] * r;
+        }
+        total
+    }
+
     /// Per-state exit rates (negated diagonal of `Q`).
     pub fn exit_rates(&self) -> &[f64] {
         &self.exit
@@ -496,6 +510,8 @@ impl SparseGenerator {
     }
 }
 
+/// Lets an assembled matrix be re-assembled (or refill another with the
+/// same pattern) like any other model.
 impl Transitions for SparseGenerator {
     fn num_states(&self) -> usize {
         self.n
@@ -507,31 +523,19 @@ impl Transitions for SparseGenerator {
             visit(j as usize, r);
         }
     }
-
-    fn exit_rate(&self, state: usize) -> f64 {
-        self.exit[state]
-    }
 }
 
-impl IncomingTransitions for SparseGenerator {
-    fn for_each_incoming(&self, state: usize, visit: &mut dyn FnMut(usize, f64)) {
-        let (cols, vals) = self.column(state);
-        for (&i, &r) in cols.iter().zip(vals) {
-            visit(i as usize, r);
-        }
-    }
-
-    /// A flat scan of the transpose CSR span, with no callback per
-    /// edge; same order and products as the default, so the same bits.
-    #[inline]
-    fn inflow(&self, state: usize, pi: &[f64]) -> f64 {
-        let (cols, vals) = self.column(state);
-        let mut total = 0.0f64;
-        for (&i, &r) in cols.iter().zip(vals) {
-            total += pi[i as usize] * r;
-        }
-        total
-    }
+/// A valid CSR whose state 0 has two rates of 1e308, so its exit rate
+/// overflows to infinity: every flat solver must fail on it with a
+/// typed error, never hang or panic.
+#[cfg(test)]
+pub(crate) fn overflowing_exit_chain() -> SparseGenerator {
+    let mut b = TripletBuilder::new(3);
+    b.push(0, 1, 1e308);
+    b.push(0, 2, 1e308);
+    b.push(1, 0, 1.0);
+    b.push(2, 0, 1.0);
+    b.build().expect("finite, non-negative rates")
 }
 
 #[cfg(test)]
@@ -796,7 +800,9 @@ mod tests {
     fn transitions_trait_impl_matches_storage() {
         let g = three_cycle();
         let mut seen = Vec::new();
-        g.for_each_incoming(0, &mut |i, r| seen.push((i, r)));
-        assert_eq!(seen, vec![(2, 0.5)]);
+        g.for_each_outgoing(2, &mut |j, r| seen.push((j, r)));
+        assert_eq!(seen, vec![(0, 0.5)]);
+        // The gather reads the same entry through the transpose.
+        assert_eq!(g.inflow(0, &[1.0, 1.0, 4.0]), 2.0);
     }
 }

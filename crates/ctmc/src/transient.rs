@@ -6,9 +6,14 @@
 //! management, i.e. reacting to load changes) needs; it also provides an
 //! independent check of the steady-state solvers (`π(t)` for large `t`
 //! must approach `π`).
+//!
+//! The chain is read from its assembled CSR: each term costs one
+//! uniformized step over the rows, the step power iteration also takes
+//! ([`crate::power`]).
 
 use crate::error::CtmcError;
-use crate::transitions::Transitions;
+use crate::power::{uniformized_step, UNIFORMIZATION_HEADROOM};
+use crate::sparse::SparseGenerator;
 
 /// Truncation tolerance for the Poisson tail: terms are accumulated until
 /// the cumulative weight exceeds `1 - POISSON_TAIL_EPS`.
@@ -22,7 +27,8 @@ pub const POISSON_TAIL_EPS: f64 = 1e-12;
 /// * [`CtmcError::EmptyChain`] — zero states.
 /// * [`CtmcError::DimensionMismatch`] — `pi0` has wrong length.
 /// * [`CtmcError::InvalidGenerator`] — `pi0` is not a probability vector,
-///   or `t` is negative/non-finite.
+///   `t` is negative/non-finite, or `Λ·t` overflows (the exit rates are
+///   too large for the horizon).
 ///
 /// # Example
 ///
@@ -38,11 +44,7 @@ pub const POISSON_TAIL_EPS: f64 = 1e-12;
 /// assert!((pi[0] - 0.5).abs() < 1e-9); // long horizon ≈ steady state
 /// # Ok::<(), gprs_ctmc::CtmcError>(())
 /// ```
-pub fn solve_transient<G: Transitions + ?Sized>(
-    gen: &G,
-    pi0: &[f64],
-    t: f64,
-) -> Result<Vec<f64>, CtmcError> {
+pub fn solve_transient(gen: &SparseGenerator, pi0: &[f64], t: f64) -> Result<Vec<f64>, CtmcError> {
     let n = gen.num_states();
     if n == 0 {
         return Err(CtmcError::EmptyChain);
@@ -65,17 +67,19 @@ pub fn solve_transient<G: Transitions + ?Sized>(
         });
     }
 
-    let mut exit = vec![0.0f64; n];
-    let mut max_exit = 0.0f64;
-    for (s, e) in exit.iter_mut().enumerate() {
-        *e = gen.exit_rate(s);
-        max_exit = max_exit.max(*e);
-    }
+    let max_exit = gen.max_exit_rate();
     if max_exit == 0.0 || t == 0.0 {
         return Ok(pi0.to_vec());
     }
-    let lambda = max_exit * crate::power::UNIFORMIZATION_HEADROOM;
+    let lambda = max_exit * UNIFORMIZATION_HEADROOM;
     let q = lambda * t;
+    if !q.is_finite() {
+        // The Poisson truncation point and weights below need a finite
+        // mean; an overflowing one would loop without end.
+        return Err(CtmcError::InvalidGenerator {
+            reason: format!("uniformized horizon Λ·t = {lambda:e}·{t} is not finite"),
+        });
+    }
 
     // Poisson(q) weights computed iteratively; for large q start from the
     // mode to avoid underflow of e^{-q}.
@@ -101,18 +105,7 @@ pub fn solve_transient<G: Transitions + ?Sized>(
         if cumulative >= 1.0 - POISSON_TAIL_EPS || k >= k_max {
             break;
         }
-        // v ← v·P
-        next.iter_mut().for_each(|x| *x = 0.0);
-        for i in 0..n {
-            let p = v[i];
-            if p == 0.0 {
-                continue;
-            }
-            gen.for_each_outgoing(i, &mut |j, rate| {
-                next[j] += p * rate / lambda;
-            });
-            next[i] += p * (1.0 - exit[i] / lambda);
-        }
+        uniformized_step(gen, lambda, &v, &mut next);
         std::mem::swap(&mut v, &mut next);
         k += 1;
         log_w += q.ln() - (k as f64).ln();
@@ -192,6 +185,19 @@ mod tests {
         let pi = solve_transient(&g, &[1.0, 0.0], 300.0).unwrap();
         assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!((pi[0] - 0.75).abs() < 1e-6);
+    }
+
+    #[test]
+    fn overflowing_uniformization_rate_is_rejected() {
+        // Two rates of 1e308 out of state 0 sum to an infinite exit
+        // rate: Λ·t is not finite, so no Poisson truncation exists.
+        let g = crate::sparse::overflowing_exit_chain();
+        assert_eq!(g.max_exit_rate(), f64::INFINITY);
+        let err = solve_transient(&g, &[1.0, 0.0, 0.0], 1.0).unwrap_err();
+        assert!(matches!(err, CtmcError::InvalidGenerator { .. }), "{err:?}");
+        // A zero horizon needs no uniformization at all.
+        let pi = solve_transient(&g, &[1.0, 0.0, 0.0], 0.0).unwrap();
+        assert_eq!(pi, vec![1.0, 0.0, 0.0]);
     }
 
     #[test]

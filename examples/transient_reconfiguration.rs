@@ -64,13 +64,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- The worst case -------------------------------------------------
     // An empty cell is maximally out of equilibrium: this bounds how
     // long any reconfiguration transient can last.
+    let new_csr = new.assemble_sparse()?;
     let n = new.space().num_states();
     let mut pi0 = vec![0.0; n];
     pi0[0] = 1.0;
     println!("\nrelaxation of the new configuration from an empty cell:");
     println!("  t [s]    CDT      PLP        distance to steady state");
     for &t in &times {
-        let pi_t = transient::solve_transient(&new, &pi0, t)?;
+        let pi_t = transient::solve_transient(&new_csr, &pi0, t)?;
         let dist: f64 = pi_t
             .iter()
             .zip(new_solved.stationary().as_slice())
