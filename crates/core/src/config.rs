@@ -136,57 +136,6 @@ impl CellConfig {
         (m + 1) * (m + 2) / 2 * (self.gsm_channels() + 1) * (self.buffer_capacity + 1)
     }
 
-    /// Whether `self` and `other` are equal bit for bit: `f64` fields
-    /// compare by [`f64::to_bits`], so `0.0` and `-0.0` differ. Two
-    /// such configurations lower to generators whose rates can differ
-    /// only through externally supplied handover arrival rates.
-    pub(crate) fn bitwise_eq(&self, other: &CellConfig) -> bool {
-        // Exhaustive destructuring: a new field fails to compile here
-        // until it is compared.
-        let CellConfig {
-            total_channels,
-            reserved_pdchs,
-            buffer_capacity,
-            tcp_threshold,
-            coding_scheme,
-            gsm_call_duration,
-            gsm_dwell_time,
-            gprs_dwell_time,
-            gprs_fraction,
-            call_arrival_rate,
-            max_gprs_sessions,
-            traffic:
-                SessionParams {
-                    packet_calls_per_session,
-                    reading_time,
-                    packets_per_call,
-                    packet_interarrival,
-                },
-            block_error_rate,
-        } = self;
-        let o = other;
-        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
-        *total_channels == o.total_channels
-            && *reserved_pdchs == o.reserved_pdchs
-            && *buffer_capacity == o.buffer_capacity
-            && *coding_scheme == o.coding_scheme
-            && *max_gprs_sessions == o.max_gprs_sessions
-            && same(*tcp_threshold, o.tcp_threshold)
-            && same(*gsm_call_duration, o.gsm_call_duration)
-            && same(*gsm_dwell_time, o.gsm_dwell_time)
-            && same(*gprs_dwell_time, o.gprs_dwell_time)
-            && same(*gprs_fraction, o.gprs_fraction)
-            && same(*call_arrival_rate, o.call_arrival_rate)
-            && same(
-                *packet_calls_per_session,
-                o.traffic.packet_calls_per_session,
-            )
-            && same(*reading_time, o.traffic.reading_time)
-            && same(*packets_per_call, o.traffic.packets_per_call)
-            && same(*packet_interarrival, o.traffic.packet_interarrival)
-            && same(*block_error_rate, o.block_error_rate)
-    }
-
     /// Validates all parameters.
     ///
     /// # Errors
@@ -405,23 +354,6 @@ impl CellConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bitwise_eq_compares_every_field_by_bits() {
-        let c = CellConfig::builder().build().unwrap();
-        assert!(c.bitwise_eq(&c.clone()));
-        let mut d = c.clone();
-        d.traffic.packet_interarrival *= 2.0;
-        assert!(!c.bitwise_eq(&d), "nested session parameters");
-        let mut d = c.clone();
-        d.coding_scheme = CodingScheme::Cs4;
-        assert!(!c.bitwise_eq(&d), "coding scheme");
-        // `==` treats the zeros as equal; bitwise equality does not.
-        let mut d = c.clone();
-        d.block_error_rate = -0.0;
-        assert_eq!(c, d);
-        assert!(!c.bitwise_eq(&d), "signed zero");
-    }
 
     #[test]
     fn base_setting_matches_table2() {

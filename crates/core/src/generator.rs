@@ -464,14 +464,18 @@ impl Transitions for GprsModel {
 /// `phase·(K+1) + level` coincides with [`StateSpace::index`], so
 /// distributions and warm starts are interchangeable between solvers.
 impl ModulatedBirthDeath for GprsModel {
+    #[inline]
     fn num_phases(&self) -> usize {
         self.space.num_phases()
     }
 
+    #[inline]
     fn num_levels(&self) -> usize {
         self.space.k_cap() + 1
     }
 
+    // Reads only the rates in `LevelKey`: a new input joins the key.
+    #[inline]
     fn birth_rate(&self, phase: usize, level: usize) -> f64 {
         if level >= self.space.k_cap() {
             return 0.0; // buffer full: arrivals are lost, not queued
@@ -480,11 +484,14 @@ impl ModulatedBirthDeath for GprsModel {
         self.offered_packet_rate(CellState { n, k: level, m, r })
     }
 
+    // Reads only the rates in `LevelKey`: a new input joins the key.
+    #[inline]
     fn death_rate(&self, phase: usize, level: usize) -> f64 {
         let (n, _, _) = self.space.phase_decode(phase);
         self.busy_pdchs(level, n) as f64 * self.rates.mu_service
     }
 
+    #[inline]
     fn for_each_phase_outgoing(&self, phase: usize, visit: &mut dyn FnMut(usize, f64)) {
         let sp = &self.space;
         let rt = &self.rates;
@@ -515,6 +522,7 @@ impl ModulatedBirthDeath for GprsModel {
         }
     }
 
+    #[inline]
     fn for_each_phase_incoming(&self, phase: usize, visit: &mut dyn FnMut(usize, f64)) {
         let sp = &self.space;
         let rt = &self.rates;
@@ -542,6 +550,71 @@ impl ModulatedBirthDeath for GprsModel {
         }
         if r < m {
             visit(sp.phase_index(n, m, r + 1), (r + 1) as f64 * rt.b);
+        }
+    }
+
+    /// The outgoing rates of
+    /// [`for_each_phase_outgoing`](Self::for_each_phase_outgoing),
+    /// summed from zero in its order, without the visits: the same
+    /// bits as the trait's default.
+    #[inline]
+    fn phase_exit_rate(&self, phase: usize) -> f64 {
+        let sp = &self.space;
+        let rt = &self.rates;
+        let (n, m, r) = sp.phase_decode(phase);
+        let mut total = 0.0;
+        if n < sp.n_gsm() {
+            total += rt.lam_gsm;
+        }
+        if n > 0 {
+            total += n as f64 * rt.mu_gsm;
+        }
+        if m < sp.m_cap() {
+            total += rt.p_on * rt.lam_gprs;
+            total += rt.p_off * rt.lam_gprs;
+        }
+        if m > 0 {
+            if r < m {
+                total += (m - r) as f64 * rt.mu_gprs;
+            }
+            if r > 0 {
+                total += r as f64 * rt.mu_gprs;
+            }
+        }
+        if r < m {
+            total += (m - r) as f64 * rt.a;
+        }
+        if r > 0 {
+            total += r as f64 * rt.b;
+        }
+        total
+    }
+}
+
+/// The rates the birth and death rows of [`GprsModel`]'s
+/// [`ModulatedBirthDeath`] view read: the packet rate, the service
+/// rate, the throttle level and the channel count (through
+/// [`GprsModel::offered_packet_rate`] and [`GprsModel::busy_pdchs`]),
+/// compared by their bits. Two models of one state-space shape with
+/// equal keys have bit-identical birth and death rows, so a template
+/// that holds one model's captured rows may keep them for the other and
+/// refresh only the phase-coupling rates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LevelKey {
+    lam_packet: u64,
+    mu_service: u64,
+    throttle: u64,
+    n_total: usize,
+}
+
+impl LevelKey {
+    pub(crate) fn of(model: &GprsModel) -> LevelKey {
+        let r = &model.rates;
+        LevelKey {
+            lam_packet: r.lam_packet.to_bits(),
+            mu_service: r.mu_service.to_bits(),
+            throttle: r.throttle.to_bits(),
+            n_total: r.n_total,
         }
     }
 }

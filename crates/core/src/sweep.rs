@@ -92,8 +92,10 @@ pub fn rate_grid(lo: f64, hi: f64, points: usize) -> Vec<f64> {
 }
 
 /// Solves one chunk of consecutive rates through a template: cold at
-/// the chunk head, chained afterwards (the warm-start contract). Each
-/// point runs through the fallback ladder of
+/// the chunk head, chained afterwards (the warm-start contract), the
+/// last point as the chain's [tail](WarmStart::ChainTail) so that no
+/// predecessor copy outlives the chunk. Each point runs through the
+/// fallback ladder of
 /// [`GeneratorTemplate::solve_resilient`] — bit-identical to the plain
 /// solve on the happy path, degrading gracefully (with the rung
 /// recorded in [`SweepPoint::health`]) instead of sinking the whole
@@ -112,7 +114,12 @@ fn solve_chunk(
         let mut cfg = base.clone();
         cfg.call_arrival_rate = rate;
         let model = template.model_for(cfg)?;
-        let solved = template.solve_resilient(&model, opts, WarmStart::Chained)?;
+        let warm = if offset + 1 == rates.len() {
+            WarmStart::ChainTail
+        } else {
+            WarmStart::Chained
+        };
+        let solved = template.solve_resilient(&model, opts, warm)?;
         let point = SweepPoint {
             rate,
             measures: solved.measures,
@@ -377,6 +384,55 @@ mod tests {
                 assert_eq!(p.residual.to_bits(), s.residual.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn chunk_tails_equal_the_chained_template_solves() {
+        // Each chunk's last point is solved as the chain's tail, which
+        // keeps no predecessor: the points must still equal a template
+        // solving every point of every chunk `Chained`. The 7-point
+        // grid's 3-point chunks put an extrapolating solve at the tail.
+        let base = tiny_base();
+        let opts = SolveOptions::default();
+        for len in [2, 3, 5, 7] {
+            let rates = rate_grid(0.1, 1.0, len);
+            let swept = sweep_arrival_rates(&base, &rates, &opts).unwrap();
+            let mut template = GeneratorTemplate::new(&base).unwrap();
+            let mut chained = Vec::new();
+            for chunk in rates.chunks(warm_chunk_len(len)) {
+                template.reset_chain();
+                for &rate in chunk {
+                    let mut cfg = base.clone();
+                    cfg.call_arrival_rate = rate;
+                    let model = template.model_for(cfg).unwrap();
+                    let solved = template
+                        .solve_resilient(&model, &opts, WarmStart::Chained)
+                        .unwrap();
+                    chained.push(SweepPoint {
+                        rate,
+                        measures: solved.measures,
+                        sweeps: solved.sweeps,
+                        residual: solved.residual,
+                        health: solved.health,
+                    });
+                }
+            }
+            // `Debug` prints every f64 round-trip exactly.
+            assert_eq!(format!("{swept:?}"), format!("{chained:?}"), "{len} points");
+        }
+    }
+
+    #[test]
+    fn two_point_chunks_allocate_no_predecessor() {
+        let base = tiny_base();
+        let opts = SolveOptions::default();
+        let mut template = GeneratorTemplate::new(&base).unwrap();
+        let rates = rate_grid(0.2, 0.4, 3);
+        solve_chunk(&base, &rates[..2], 0, &opts, &mut template, &|_, _| {}).unwrap();
+        assert_eq!(template.predecessor_capacity(), 0, "2-point chunk");
+        // A longer chunk needs its predecessor to extrapolate the tail.
+        solve_chunk(&base, &rates, 0, &opts, &mut template, &|_, _| {}).unwrap();
+        assert!(template.predecessor_capacity() > 0, "3-point chunk");
     }
 
     #[test]

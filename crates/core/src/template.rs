@@ -67,7 +67,7 @@
 
 use crate::config::CellConfig;
 use crate::error::ModelError;
-use crate::generator::GprsModel;
+use crate::generator::{GprsModel, LevelKey};
 use crate::health::{SolveHealth, SolveRung};
 use crate::measures::Measures;
 use gprs_ctmc::blocked::{solve_mbd_projected_blocked_inplace_ws, BlockedMbd};
@@ -165,6 +165,14 @@ pub enum WarmStart {
     /// the history), so a prediction is only ever extrapolated from
     /// genuinely solved predecessors.
     Predicted,
+    /// [`Chained`](WarmStart::Chained) for the last point of a chain:
+    /// the same start, so the same solution bit for bit, but the
+    /// solution before last is neither kept nor rotated. A chain's last
+    /// point thus holds one iterate instead of two, and a two-point
+    /// chain never allocates the second. Afterwards the history holds
+    /// this solution alone, so a later chained solve extrapolates again
+    /// only once it has a second predecessor.
+    ChainTail,
 }
 
 /// Cumulative solver accounting across a [`GeneratorTemplate`]'s
@@ -232,6 +240,22 @@ fn ensure_pattern<'a>(
     Ok(&cache.insert((key, sparse)).1)
 }
 
+/// Multiplicative (log-space) extrapolation of one entry from its last
+/// value `p` and the one before, `q`: the tails of these distributions
+/// move exponentially along a rate sweep (tilted geometric decay into
+/// high buffer levels), so continuing each entry's *ratio* tracks the
+/// next point far better than an arithmetic secant — measured ~25%
+/// fewer sweeps on the figure workloads. The ratio clamp keeps noise on
+/// near-zero entries from exploding the guess.
+#[inline]
+fn extrapolate(p: f64, q: f64) -> f64 {
+    if p > 0.0 && q > 0.0 {
+        p * (p / q).clamp(0.25, 4.0)
+    } else {
+        p
+    }
+}
+
 /// The distinct cell shapes a cluster or campaign has asked templates
 /// for. Templates share nothing: each one assembles its own CSR
 /// pattern on demand. The registry only counts shapes —
@@ -294,10 +318,14 @@ pub struct GeneratorTemplate {
     /// Phase-major blocked rate tables, recaptured per point and fed to
     /// the cache-blocked kernel.
     blocked: BlockedMbd,
-    /// The configuration `blocked` was last fully captured from
-    /// (`None` before the first capture); see
+    /// The level key of the model `blocked` was last fully captured
+    /// from (`None` before the first capture); see
     /// [`capture_blocked`](Self::capture_blocked).
-    captured: Option<CellConfig>,
+    captured: Option<LevelKey>,
+    /// Full captures of `blocked` so far; the partial recapture does
+    /// not count.
+    #[cfg(test)]
+    full_captures: usize,
     /// Per-level scratch for surrogate residual verification.
     residual_scratch: Vec<f64>,
     /// Cached session placement table (`Binomial(r; m, p_off)` per
@@ -330,6 +358,8 @@ impl GeneratorTemplate {
             history: 0,
             blocked: BlockedMbd::new(),
             captured: None,
+            #[cfg(test)]
+            full_captures: 0,
             residual_scratch: Vec::new(),
             placement: Vec::new(),
             placement_p_off: f64::NAN,
@@ -468,31 +498,26 @@ impl GeneratorTemplate {
         // solver entry points normalize the staged iterate without the
         // copy the `Option<&[f64]>` warm-start path pays. Every value
         // matches the former staging-buffer flow bit for bit — the only
-        // change is where the bytes live.
-        let chained =
-            matches!(warm, WarmStart::Chained | WarmStart::Predicted) && self.history >= 1;
+        // change is where the bytes live. A chain's tail builds the
+        // same start without saving its predecessor.
+        let chained = warm != WarmStart::Cold && self.history >= 1;
+        let tail = warm == WarmStart::ChainTail;
         if chained {
             if self.history >= 2 {
-                // Multiplicative (log-space) extrapolation: the
-                // tails of these distributions move exponentially
-                // along a rate sweep (tilted geometric decay into
-                // high buffer levels), so continuing each entry's
-                // *ratio* tracks the next point far better than an
-                // arithmetic secant — measured ~25% fewer sweeps on
-                // the figure workloads. The ratio clamp keeps noise
-                // on near-zero entries from exploding the guess.
                 debug_assert_eq!(self.prev2.len(), n, "history >= 2 with unsized prev2");
-                for (slot, q_slot) in self.ws.pi_mut().iter_mut().zip(&mut self.prev2) {
-                    let p = *slot;
-                    let q = *q_slot;
-                    *q_slot = p;
-                    *slot = if p > 0.0 && q > 0.0 {
-                        p * (p / q).clamp(0.25, 4.0)
-                    } else {
-                        p
-                    };
+                let pi = self.ws.pi_mut();
+                if tail {
+                    for (slot, &q) in pi.iter_mut().zip(&self.prev2) {
+                        *slot = extrapolate(*slot, q);
+                    }
+                } else {
+                    for (slot, q_slot) in pi.iter_mut().zip(&mut self.prev2) {
+                        let p = *slot;
+                        *slot = extrapolate(p, *q_slot);
+                        *q_slot = p;
+                    }
                 }
-            } else {
+            } else if !tail {
                 self.prev2.resize(n, 0.0);
                 self.prev2.copy_from_slice(self.ws.pi());
             }
@@ -542,7 +567,7 @@ impl GeneratorTemplate {
                     // Accept: the verified, exactly normalized
                     // prediction is already the workspace iterate and
                     // the history already rotated — serve it as-is.
-                    self.history = (self.history + 1).min(2);
+                    self.push_history(warm);
                     self.stats.solves += 1;
                     self.stats.accepted += 1;
                     return Ok(SolveHealth {
@@ -567,12 +592,23 @@ impl GeneratorTemplate {
             Ok(stats) => stats,
             Err(e) => return Err(self.chain_fail(e)),
         };
-        self.history = (self.history + 1).min(2);
+        self.push_history(warm);
         self.stats.solves += 1;
         self.stats.total_sweeps += stats.sweeps;
         self.stats.residual_checks += stats.residual_evals;
 
         Ok(SolveHealth::primary(stats.sweeps, stats.residual))
+    }
+
+    /// Counts the solution just placed in the workspace into the
+    /// history: a chain's tail leaves it the only one, as it kept no
+    /// predecessor.
+    fn push_history(&mut self, warm: WarmStart) {
+        self.history = if warm == WarmStart::ChainTail {
+            1
+        } else {
+            (self.history + 1).min(2)
+        };
     }
 
     /// Assembles the full [`PointSolve`] for the solution currently in
@@ -592,35 +628,24 @@ impl GeneratorTemplate {
     /// **refilled sparse matrix** (its transpose CSR serves the
     /// incoming gather) and the shared workspace: the alternate rung of
     /// [`solve_resilient`](Self::solve_resilient), and the template
-    /// form of [`GprsModel::solve_gauss_seidel`]. Participates in the
-    /// same warm-start chain as [`solve`](Self::solve); the solution
-    /// lands in [`stationary`](Self::stationary).
+    /// form of [`GprsModel::solve_gauss_seidel`]. Starts cold from the
+    /// product-form guess; the solution lands in
+    /// [`stationary`](Self::stationary) and starts a new warm-start
+    /// chain.
     fn solve_gauss_seidel_health(
         &mut self,
         model: &GprsModel,
         opts: &SolveOptions,
-        warm: WarmStart,
     ) -> Result<SolveHealth, ModelError> {
         self.check_shape(model.config())?;
-        let n = model.space().num_states();
-        let use_chain =
-            matches!(warm, WarmStart::Chained | WarmStart::Predicted) && self.history >= 1;
-        if use_chain {
-            self.start.resize(n, 0.0);
-            self.start.copy_from_slice(self.ws.pi());
-            self.prev2.resize(n, 0.0);
-            self.prev2.copy_from_slice(self.ws.pi());
-        } else {
-            self.marginal_into(model);
-            model.product_form_guess_into(&self.marginal, &mut self.start);
-            self.history = 0;
-        }
+        self.marginal_into(model);
+        model.product_form_guess_into(&self.marginal, &mut self.start);
         let sparse = ensure_pattern(&mut self.sparse, model)?;
         let stats = match solve_gauss_seidel_ws(sparse, Some(&self.start), opts, &mut self.ws) {
             Ok(stats) => stats,
             Err(e) => return Err(self.chain_fail(e)),
         };
-        self.history = (self.history + 1).min(2);
+        self.history = 1;
         self.stats.solves += 1;
         self.stats.total_sweeps += stats.sweeps;
         self.stats.residual_checks += stats.residual_evals;
@@ -688,8 +713,7 @@ impl GeneratorTemplate {
         opts: &SolveOptions,
         warm: WarmStart,
     ) -> Result<SolveHealth, ModelError> {
-        let was_warm =
-            matches!(warm, WarmStart::Chained | WarmStart::Predicted) && self.history >= 1;
+        let was_warm = warm != WarmStart::Cold && self.history >= 1;
 
         // Rung 1: the primary path, bit-identical on success.
         match self.solve_health(model, opts, warm) {
@@ -722,7 +746,7 @@ impl GeneratorTemplate {
         } else {
             opts.clone().with_sor(1.0)
         };
-        let last = match self.solve_gauss_seidel_health(model, &alt_opts, WarmStart::Cold) {
+        let last = match self.solve_gauss_seidel_health(model, &alt_opts) {
             Ok(health) => {
                 return Ok(SolveHealth {
                     rung: SolveRung::AlternateIterative,
@@ -772,24 +796,27 @@ impl GeneratorTemplate {
 
     /// Brings the blocked rate tables up to date with `model`.
     ///
-    /// The cluster fixed point re-solves the same cell configuration
-    /// hundreds of times, varying *only* the handover arrival rates —
-    /// which enter the generator exclusively through the phase-coupling
-    /// rates (GSM handover arrivals and GPRS session arrivals). The
-    /// per-level birth/death tables depend on the configuration alone,
-    /// so when `model`'s configuration is bitwise equal to the one of
-    /// the last full [`BlockedMbd::capture`], refreshing only the
-    /// phase-exit rates and phase-coupling CSR values in place
-    /// reproduces a full capture bit for bit at a fraction of the
-    /// cost. Any other configuration is captured in full.
+    /// The birth/death rows read only the rates in `model`'s
+    /// [`LevelKey`] (packet rate, service rate, throttle level, channel
+    /// count); call arrival rates, dwell times and handover arrivals
+    /// enter the generator only through the phase-coupling rates. So
+    /// when the key equals the one of the last full
+    /// [`BlockedMbd::capture`], refreshing only the phase-exit rates
+    /// and phase-coupling CSR values in place reproduces a full capture
+    /// bit for bit at a fraction of the cost: every outer iteration of
+    /// the cluster fixed point, and every point of an arrival-rate
+    /// sweep after the template's first, takes this path. Any other
+    /// key is captured in full.
     fn capture_blocked(&mut self, model: &GprsModel) {
-        match &self.captured {
-            Some(config) if config.bitwise_eq(model.config()) => {
-                self.blocked.recapture_phase_rates(model);
-            }
-            _ => {
-                self.blocked.capture(model);
-                self.captured = Some(model.config().clone());
+        let key = LevelKey::of(model);
+        if self.captured == Some(key) {
+            self.blocked.recapture_phase_rates(model);
+        } else {
+            self.blocked.capture(model);
+            self.captured = Some(key);
+            #[cfg(test)]
+            {
+                self.full_captures += 1;
             }
         }
     }
@@ -831,12 +858,124 @@ impl GeneratorTemplate {
     pub fn reset_stats(&mut self) {
         self.stats = TemplateStats::default();
     }
+
+    /// Capacity of the buffer that keeps the solution before last.
+    #[cfg(test)]
+    pub(crate) fn predecessor_capacity(&self) -> usize {
+        self.prev2.capacity()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gprs_traffic::TrafficModel;
+    use crate::coding::CodingScheme;
+    use gprs_ctmc::mbd::ModulatedBirthDeath;
+    use gprs_traffic::{SessionParams, TrafficModel};
+    use proptest::prelude::*;
+
+    /// A configuration of `shape` (channels, buffer, sessions) whose
+    /// level-key inputs come from `level` (TCP threshold, packet
+    /// interarrival, block error rate) and every other rate from
+    /// `phase` (call rate, GPRS fraction, reading time, GPRS dwell).
+    fn keyed_config(
+        (n, k, m): (usize, usize, usize),
+        (eta, dd, bler): (f64, f64, f64),
+        (rate, frac, read, dwell): (f64, f64, f64, f64),
+    ) -> CellConfig {
+        CellConfig::builder()
+            .total_channels(n)
+            .reserved_pdchs(1)
+            .buffer_capacity(k)
+            .max_gprs_sessions(m)
+            .tcp_threshold(eta)
+            .traffic_params(SessionParams::new(3.0, read, 5.0, dd))
+            .block_error_rate(bler)
+            .call_arrival_rate(rate)
+            .gprs_fraction(frac)
+            .gprs_dwell_time(dwell)
+            .build()
+            .unwrap()
+    }
+
+    fn shape() -> impl Strategy<Value = (usize, usize, usize)> {
+        (2usize..7, 1usize..7, 1usize..4)
+    }
+
+    fn level_rates() -> impl Strategy<Value = (f64, f64, f64)> {
+        (0.3f64..1.0, 0.05f64..2.0, 0.0f64..0.3)
+    }
+
+    fn phase_rates() -> impl Strategy<Value = (f64, f64, f64, f64)> {
+        (0.05f64..3.0, 0.01f64..0.6, 1.0f64..30.0, 30.0f64..300.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Same shape and level rates, any other rates and handover
+        /// arrivals: equal keys, and bit-identical birth and death rows.
+        #[test]
+        fn equal_level_keys_capture_identical_rate_rows(
+            shape in shape(),
+            level in level_rates(),
+            a in phase_rates(),
+            b in phase_rates(),
+            handovers in (0.0f64..0.5, 0.0f64..0.5),
+        ) {
+            let first = GprsModel::new(keyed_config(shape, level, a)).unwrap();
+            let second = GprsModel::with_handover_arrivals(
+                keyed_config(shape, level, b),
+                handovers.0,
+                handovers.1,
+            )
+            .unwrap();
+            prop_assert_eq!(LevelKey::of(&first), LevelKey::of(&second));
+            let (mut x, mut y) = (BlockedMbd::new(), BlockedMbd::new());
+            x.capture(&first);
+            y.capture(&second);
+            for p in 0..x.num_phases() {
+                for l in 0..x.num_levels() {
+                    prop_assert_eq!(x.birth_rate(p, l).to_bits(), y.birth_rate(p, l).to_bits());
+                    prop_assert_eq!(x.death_rate(p, l).to_bits(), y.death_rate(p, l).to_bits());
+                }
+            }
+        }
+
+        /// Every input of `offered_packet_rate` and `busy_pdchs` moves
+        /// the key: the packet rate, the service rate (coding scheme and
+        /// block error rate), the throttle level and the channel count.
+        #[test]
+        fn every_level_rate_moves_the_key(
+            shape in shape(),
+            level in level_rates(),
+            rates in phase_rates(),
+            factor in 1.1f64..3.0,
+        ) {
+            let base = keyed_config(shape, level, rates);
+            let key = LevelKey::of(&GprsModel::new(base.clone()).unwrap());
+            let mut moved = Vec::new();
+            let mut c = base.clone();
+            c.traffic.packet_interarrival *= factor;
+            moved.push(("packet interarrival", c));
+            let mut c = base.clone();
+            c.coding_scheme = CodingScheme::Cs4;
+            moved.push(("coding scheme", c));
+            let mut c = base.clone();
+            c.block_error_rate += 0.05;
+            moved.push(("block error rate", c));
+            let mut c = base.clone();
+            c.tcp_threshold /= factor;
+            moved.push(("TCP threshold", c));
+            let mut c = base.clone();
+            c.total_channels += 1;
+            moved.push(("channels", c));
+            for (what, config) in moved {
+                let model = GprsModel::new(config).unwrap();
+                prop_assert_ne!(LevelKey::of(&model), key, "{}", what);
+            }
+        }
+    }
 
     fn tiny(rate: f64) -> CellConfig {
         CellConfig::builder()
@@ -864,15 +1003,16 @@ mod tests {
         assert_eq!(point.measures, *one_shot.measures());
     }
 
-    /// The cluster-engine contract: across a chain of solves, the
-    /// template's partial phase-rate recapture (taken whenever the
-    /// configuration is bitwise unchanged) must reproduce a full
+    /// The cluster-engine and rate-sweep contract: across a chain of
+    /// solves, the template's partial phase-rate recapture (taken
+    /// whenever the level key is unchanged) must reproduce a full
     /// capture bit for bit — sweeps, residual bits, stationary bits,
     /// measures and the blocked tables themselves. The chain changes
-    /// the configuration mid-way (a call arrival rate, then a packet
-    /// rate, which moves the birth tables a stale recapture would
-    /// keep) and returns to the first, so every switch must fall back
-    /// to a full capture.
+    /// the call arrival rate, which moves only phase-coupling rates and
+    /// so keeps the partial path, then the packet rate, which moves the
+    /// birth tables a stale recapture would keep, and returns to the
+    /// first configuration: both packet-rate switches must capture in
+    /// full.
     #[test]
     fn fast_recapture_chain_is_bitwise_equal_to_full_capture() {
         let opts = SolveOptions::default();
@@ -880,18 +1020,19 @@ mod tests {
         let faster_calls = tiny(0.55);
         let mut faster_packets = cfg.clone();
         faster_packets.traffic.packet_interarrival *= 0.5;
+        // The last field: whether the step captures in full.
         let chain = [
-            (&cfg, 0.05, 0.3),
-            (&cfg, 0.08, 0.45),
-            (&faster_calls, 0.08, 0.45),
-            (&faster_calls, 0.03, 0.2),
-            (&faster_packets, 0.03, 0.2),
-            (&faster_packets, 0.06, 0.35),
-            (&cfg, 0.06, 0.35),
-            (&cfg, 0.11, 0.6),
+            (&cfg, 0.05, 0.3, true),
+            (&cfg, 0.08, 0.45, false),
+            (&faster_calls, 0.08, 0.45, false),
+            (&faster_calls, 0.03, 0.2, false),
+            (&faster_packets, 0.03, 0.2, true),
+            (&faster_packets, 0.06, 0.35, false),
+            (&cfg, 0.06, 0.35, true),
+            (&cfg, 0.11, 0.6, false),
         ];
         let mut fast = GeneratorTemplate::new(&cfg).unwrap();
-        for (config, gsm_h, gprs_h) in chain {
+        for (config, gsm_h, gprs_h, full_capture) in chain {
             // Same warm-start chain, but no recorded capture: this
             // template must capture the blocked tables in full.
             let mut full = fast.clone();
@@ -899,11 +1040,17 @@ mod tests {
             let model = fast
                 .model_with_handovers(config.clone(), gsm_h, gprs_h)
                 .unwrap();
+            let captures = fast.full_captures;
             let a = full.solve(&model, &opts, WarmStart::Chained).unwrap();
             let b = fast.solve(&model, &opts, WarmStart::Chained).unwrap();
             let at = format!(
                 "{} calls/s at ({gsm_h}, {gprs_h})",
                 config.call_arrival_rate
+            );
+            assert_eq!(
+                fast.full_captures - captures,
+                usize::from(full_capture),
+                "full captures, {at}"
             );
             assert_eq!(a.sweeps, b.sweeps, "sweeps, {at}");
             assert_eq!(a.residual.to_bits(), b.residual.to_bits(), "residual, {at}");
@@ -915,7 +1062,7 @@ mod tests {
                 format!("{:?}", fast.blocked),
                 "blocked tables, {at}"
             );
-            assert!(fast.captured.as_ref().unwrap().bitwise_eq(config), "{at}");
+            assert_eq!(fast.captured, Some(LevelKey::of(&model)), "{at}");
         }
     }
 
@@ -1005,7 +1152,7 @@ mod tests {
             .unwrap();
         let mut template = GeneratorTemplate::new(&tiny(0.5)).unwrap();
         let health = template
-            .solve_gauss_seidel_health(&model, &SolveOptions::default(), WarmStart::Cold)
+            .solve_gauss_seidel_health(&model, &SolveOptions::default())
             .unwrap();
         for (a, b) in template
             .stationary()

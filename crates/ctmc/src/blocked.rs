@@ -28,13 +28,27 @@
 //! column. The capture therefore also orders the phases into groups
 //! of up to four pairwise uncoupled phases, a schedule that keeps
 //! every coupled pair in its sequential order, and the sweep runs each
-//! group's recurrences side by side, one lane per phase. Each lane does
-//! exactly the scalar kernel's floating-point operations in their
-//! order, and the rates read are bit-identical to the source's, so
-//! blocked and scalar solves are bit-identical — pinned by the tests
-//! below and by `gprs_core`'s template tests. Every production solve
-//! runs this kernel; the scalar kernel is kept, phase by phase, only as
-//! the oracle of those tests.
+//! group's recurrences side by side, one lane per phase. The lanes'
+//! Thomas coefficients and iterates are stored interleaved, one row of
+//! lanes per level, so a level's elimination step and its
+//! back-substitution step are packed operations over all lanes. Each
+//! lane still does exactly the scalar kernel's floating-point
+//! operations in their order (no fused multiply-add, no reassociation),
+//! and the rates read are bit-identical to the source's, so blocked and
+//! scalar solves are bit-identical — pinned by the tests below and by
+//! `gprs_core`'s template tests. Every production solve runs this
+//! kernel; the scalar kernel is kept, phase by phase, only as the
+//! oracle of those tests.
+//!
+//! The scalar kernel projects the iterate onto the phase marginal in a
+//! pass of its own after each sweep. The blocked kernel projects each
+//! phase column inside the sweep instead, right after the last group
+//! that reads the column in that sweep's direction, while the column is
+//! still in cache; the capture buckets the columns by that group for
+//! both directions along with the schedule. Nothing reads a column
+//! between its last reader and the end of the sweep, so the projected
+//! values are the bits the separate pass would produce, and a sweep
+//! reads and writes the large iterate once instead of twice.
 //!
 //! Capture costs about one sweep's worth of rate evaluations and is
 //! repaid within the first sweep; for repeated same-shape solves the
@@ -45,9 +59,10 @@
 
 use crate::error::CtmcError;
 use crate::mbd::{
-    project_onto_marginal, solve_single_birth_death, validate_phase_marginal, ModulatedBirthDeath,
+    project_column, solve_single_birth_death, validate_phase_marginal, ModulatedBirthDeath,
 };
 use crate::solver::{HealthGuard, Relaxation, SolveOptions, SolveStats, SolveWorkspace};
+use std::array::from_fn;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -224,6 +239,46 @@ pub struct BlockedMbd {
     /// `LANES`) are in `group_len`; the groups tile `order`.
     order: Vec<u32>,
     group_len: Vec<u8>,
+    /// Where the sweep projects each phase column, by direction
+    /// (`[forward, backward]`): bucket `g` holds the columns whose last
+    /// reader in that direction is group `g`, numbered in forward
+    /// order. Built with the schedule.
+    project: [Buckets; 2],
+}
+
+/// Phase columns bucketed by schedule group: group `g`'s columns are
+/// `cols[ptr[g]..ptr[g + 1]]`.
+#[derive(Debug, Clone, Default)]
+struct Buckets {
+    ptr: Vec<u32>,
+    cols: Vec<u32>,
+}
+
+impl Buckets {
+    /// Buckets every column `q` under `bucket_of[q]`, for `groups`
+    /// groups; within a bucket columns keep increasing order.
+    fn of(bucket_of: &[u32], groups: usize) -> Buckets {
+        let mut ptr = vec![0u32; groups + 1];
+        for &g in bucket_of {
+            ptr[g as usize + 1] += 1;
+        }
+        for g in 0..groups {
+            ptr[g + 1] += ptr[g];
+        }
+        let mut next = ptr.clone();
+        let mut cols = vec![0u32; bucket_of.len()];
+        for (q, &g) in bucket_of.iter().enumerate() {
+            cols[next[g as usize] as usize] = q as u32;
+            next[g as usize] += 1;
+        }
+        Buckets { ptr, cols }
+    }
+
+    /// The columns of group `g`.
+    #[inline]
+    fn get(&self, g: usize) -> &[u32] {
+        &self.cols[self.ptr[g] as usize..self.ptr[g + 1] as usize]
+    }
 }
 
 impl BlockedMbd {
@@ -269,10 +324,12 @@ impl BlockedMbd {
     ///
     /// The sweep schedule is rebuilt only when the incoming-edge pattern
     /// differs from the previous capture's, so same-shape refills keep
-    /// it. Building it visits every edge twice and holds two transient
-    /// per-phase arrays (a pending count and a ready heap), never an
+    /// it. Building it visits every edge three times and holds a few
+    /// transient per-phase arrays (a pending count, a ready heap, each
+    /// phase's group and its first and last readers), never an
     /// edge-sized one; the schedule itself keeps one `u32` per phase and
-    /// one byte per group.
+    /// one byte per group, and its projection buckets two `u32`s per
+    /// phase and per group.
     pub fn capture<G: ModulatedBirthDeath + ?Sized>(&mut self, gen: &G) {
         let p_count = gen.num_phases();
         let l_count = gen.num_levels();
@@ -356,6 +413,13 @@ impl BlockedMbd {
     /// group, and after `LANES` deferrals the group closes. The lowest
     /// unscheduled phase is always ready, so such one-way edges cost
     /// lanes, never validity.
+    ///
+    /// The projection buckets come last. A sweep reads column `q` in
+    /// `q`'s own group and in the group of every phase that lists `q`
+    /// as a source, and writes it only in its own group; after the last
+    /// of those reads in the sweep's direction the column holds its
+    /// end-of-sweep values and nothing reads it again, so projecting it
+    /// there gives the bits a projection pass after the sweep would.
     fn build_schedule(&mut self) {
         const DONE: u32 = u32::MAX;
         let p_count = self.phases;
@@ -402,23 +466,46 @@ impl BlockedMbd {
             self.group_len.push((self.order.len() - start) as u8);
         }
         debug_assert_eq!(self.order.len(), p_count, "schedule misses a phase");
+
+        let groups = self.group_len.len();
+        let mut group_of = vec![0u32; p_count];
+        let mut start = 0;
+        for (g, &len) in self.group_len.iter().enumerate() {
+            let end = start + len as usize;
+            for &p in &self.order[start..end] {
+                group_of[p as usize] = g as u32;
+            }
+            start = end;
+        }
+        // The latest reader of each column ends its forward sweep; the
+        // earliest ends its backward one.
+        let mut latest = group_of.clone();
+        let mut earliest = group_of.clone();
+        for (p, &g) in group_of.iter().enumerate() {
+            for s in self.sources(p) {
+                latest[s] = latest[s].max(g);
+                earliest[s] = earliest[s].min(g);
+            }
+        }
+        self.project = [Buckets::of(&latest, groups), Buckets::of(&earliest, groups)];
     }
 
-    /// Visits the schedule's groups in forward sweep order, or in
-    /// reverse for a backward sweep.
-    fn for_each_group(&self, forward: bool, mut visit: impl FnMut(&[u32])) {
+    /// Visits the schedule's groups, each with its forward-order
+    /// index, in forward sweep order, or in reverse for a backward
+    /// sweep.
+    fn for_each_group(&self, forward: bool, mut visit: impl FnMut(usize, &[u32])) {
         if forward {
             let mut start = 0;
-            for &len in &self.group_len {
+            for (g, &len) in self.group_len.iter().enumerate() {
                 let end = start + len as usize;
-                visit(&self.order[start..end]);
+                visit(g, &self.order[start..end]);
                 start = end;
             }
         } else {
             let mut end = self.order.len();
-            for &len in self.group_len.iter().rev() {
+            for (g, &len) in self.group_len.iter().enumerate().rev() {
                 let start = end - len as usize;
-                visit(&self.order[start..end]);
+                visit(g, &self.order[start..end]);
                 end = start;
             }
         }
@@ -429,17 +516,18 @@ impl BlockedMbd {
     /// `gen`, keeping the captured birth/death tables and the CSR
     /// pattern untouched.
     ///
-    /// This is the cheap recapture for fixed-point iterations that
-    /// re-solve the *same* chain under moving phase-arrival rates (the
-    /// cluster handover balance): between outer iterations only the
-    /// handover arrival terms move, and those enter exclusively through
-    /// phase transitions — births (packet arrivals) and deaths (packet
+    /// This is the cheap recapture for repeated solves of the *same*
+    /// chain under moving phase-transition rates: the cluster handover
+    /// balance, whose outer iterations move only the handover arrival
+    /// terms, and arrival-rate sweeps, whose points move only the call
+    /// and session arrival rates. Those enter exclusively through phase
+    /// transitions — births (packet arrivals) and deaths (packet
     /// services) do not depend on them. The birth/death tables are not
     /// re-read, so the caller must only use this when they cannot have
     /// moved; `gprs_core`'s generator template checks that by taking
-    /// this path only when the cell configuration is bitwise equal to
-    /// the one of its last full capture. Under that contract the
-    /// refreshed tables are **bit-identical** to a full
+    /// this path only when the rates the birth/death rows read equal
+    /// those of its last full capture bit for bit. Under that contract
+    /// the refreshed tables are **bit-identical** to a full
     /// [`capture`](Self::capture) of the same generator, at a fraction
     /// of the rate evaluations.
     ///
@@ -477,34 +565,37 @@ impl BlockedMbd {
     /// the verification half of the predict-and-verify surrogate:
     /// `inflow` is caller-owned scratch so the check allocates nothing.
     pub fn residual(&self, pi: &[f64], inflow: &mut Vec<f64>) -> f64 {
-        let p_count = self.phases;
         let l_count = self.levels;
         inflow.resize(l_count, 0.0);
+        // Plain slices, as in the sweep: through the `&mut Vec` every
+        // store would reload its pointer and length.
+        let inflow: &mut [f64] = inflow;
         let mut num = 0.0f64;
         let mut den = 0.0f64;
-        for p in 0..p_count {
-            let base = p * l_count;
+        for p in 0..self.phases {
+            let col = &pi[p * l_count..(p + 1) * l_count];
             inflow.fill(0.0);
             for e in self.in_ptr[p]..self.in_ptr[p + 1] {
                 let rate = self.in_rate[e];
                 let qbase = self.in_src[e] as usize * l_count;
-                for (l, x) in inflow.iter_mut().enumerate() {
-                    *x += rate * pi[qbase + l];
+                for (x, &v) in inflow.iter_mut().zip(&pi[qbase..qbase + l_count]) {
+                    *x += rate * v;
                 }
             }
             let brow = self.birth_of(p);
             let drow = self.death_of(p);
+            let d = self.exit[p];
             for l in 0..l_count {
-                let exit = self.exit[p] + brow[l] + drow[l];
+                let exit = d + brow[l] + drow[l];
                 let mut inf = inflow[l];
                 if l > 0 {
-                    inf += pi[base + l - 1] * brow[l - 1];
+                    inf += col[l - 1] * brow[l - 1];
                 }
                 if l + 1 < l_count {
-                    inf += pi[base + l + 1] * drow[l + 1];
+                    inf += col[l + 1] * drow[l + 1];
                 }
-                num += (inf - pi[base + l] * exit).abs();
-                den += pi[base + l] * exit;
+                num += (inf - col[l] * exit).abs();
+                den += col[l] * exit;
             }
         }
         if den == 0.0 {
@@ -576,7 +667,9 @@ pub fn solve_mbd_projected_blocked_ws(
 /// [`SolveWorkspace::pi_mut`]), so a large chain's iterate is never
 /// held twice. Every rate lookup is a contiguous slice read instead of
 /// a virtual call, and the phases are solved group by group in the
-/// captured schedule, a group's uncoupled phases side by side (see the
+/// captured schedule, a group's uncoupled phases side by side in packed
+/// lanes, each phase column projected right after its last reader in
+/// the sweep rather than in a pass after it (see the
 /// [module docs](self)). Per phase, the gather, Thomas solve, `max(0)`,
 /// relaxation blend, projection and residual cadence are exactly the
 /// scalar kernel's floating-point operations in their order, so results
@@ -633,12 +726,15 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
         pi,
         rhs,
         cprime,
+        xcol,
         inflow,
         ..
     } = ws;
-    // One column of `levels` entries per lane.
+    // `rhs` holds one gathered column of `levels` entries per lane;
+    // `cprime` and `xcol` hold `levels` rows of one entry per lane.
     rhs.resize(LANES * l_count, 0.0);
     cprime.resize(LANES * l_count, 0.0);
+    xcol.resize(LANES * l_count, 0.0);
     // Work on plain slices from here on. Through the `&mut Vec`s the
     // optimizer must reload each buffer's pointer and length after
     // every store to another buffer (it cannot prove they don't
@@ -646,6 +742,7 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
     let pi: &mut [f64] = pi;
     let rhs: &mut [f64] = rhs;
     let cprime: &mut [f64] = cprime;
+    let xcol: &mut [f64] = xcol;
 
     let mut guard = HealthGuard::new(opts);
     let mut sweeps = 0usize;
@@ -656,15 +753,22 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
     while sweeps < opts.max_sweeps {
         let omega = relax.omega();
         let forward = sweeps.is_multiple_of(2);
-        b.for_each_group(forward, |group| match *group {
-            [p] => solve_group(b, [p], omega, pi, rhs, cprime),
-            [p, q] => solve_group(b, [p, q], omega, pi, rhs, cprime),
-            [p, q, r] => solve_group(b, [p, q, r], omega, pi, rhs, cprime),
-            [p, q, r, s] => solve_group(b, [p, q, r, s], omega, pi, rhs, cprime),
-            _ => unreachable!("schedule group of {} phases", group.len()),
+        let project = &b.project[usize::from(!forward)];
+        b.for_each_group(forward, |g, group| {
+            match *group {
+                [p] => solve_group(b, [p], omega, pi, rhs, cprime, xcol),
+                [p, q] => solve_group(b, [p, q], omega, pi, rhs, cprime, xcol),
+                [p, q, r] => solve_group(b, [p, q, r], omega, pi, rhs, cprime, xcol),
+                [p, q, r, s] => solve_group(b, [p, q, r, s], omega, pi, rhs, cprime, xcol),
+                _ => unreachable!("schedule group of {} phases", group.len()),
+            }
+            // The projection onto the phase marginal, column by column
+            // right after the column's last reader in this sweep.
+            for &q in project.get(g) {
+                let q = q as usize;
+                project_column(&mut pi[q * l_count..(q + 1) * l_count], phase_marginal[q]);
+            }
         });
-
-        project_onto_marginal(pi, phase_marginal, l_count);
         sweeps += 1;
 
         if sweeps.is_multiple_of(opts.check_every.clamp(1, 4)) || sweeps == opts.max_sweeps {
@@ -702,8 +806,15 @@ pub fn solve_mbd_projected_blocked_inplace_ws(
 /// Solves the level columns of `K` pairwise uncoupled phases and blends
 /// them into `pi`: the scalar kernel's per-phase step, run for the `K`
 /// phases side by side so their serial Thomas recurrences overlap.
-/// `rhs` and `cprime` hold one column of scratch per lane; the
-/// back-substitution overwrites `rhs` with the solution column.
+///
+/// The recurrences keep their coefficients and iterates interleaved,
+/// one `[f64; K]` row per level, so each level's step is one packed
+/// operation per arithmetic operation of the scalar kernel: the lanes
+/// share instructions, never operands, and every lane still does the
+/// scalar kernel's IEEE operations in its order. `rhs` holds one
+/// gathered inflow column per lane; `cprime` the Thomas coefficients
+/// and `xcol` the eliminated right-hand side, then the solution, one
+/// row of lanes per level.
 fn solve_group<const K: usize>(
     b: &BlockedMbd,
     phases: [u32; K],
@@ -711,14 +822,16 @@ fn solve_group<const K: usize>(
     pi: &mut [f64],
     rhs: &mut [f64],
     cprime: &mut [f64],
+    xcol: &mut [f64],
 ) {
     let l_count = b.levels;
     let phases = phases.map(|p| p as usize);
     let rhs: [&mut [f64]; K] = lane_columns(rhs, l_count);
-    let cprime: [&mut [f64]; K] = lane_columns(cprime, l_count);
-    let brow: [&[f64]; K] = std::array::from_fn(|k| b.birth_of(phases[k]));
-    let drow: [&[f64]; K] = std::array::from_fn(|k| b.death_of(phases[k]));
-    let d: [f64; K] = std::array::from_fn(|k| b.exit[phases[k]]);
+    let (cprime, _) = cprime[..K * l_count].as_chunks_mut::<K>();
+    let (x, _) = xcol[..K * l_count].as_chunks_mut::<K>();
+    let brow: [&[f64]; K] = from_fn(|k| b.birth_of(phases[k]));
+    let drow: [&[f64]; K] = from_fn(|k| b.death_of(phases[k]));
+    let d: [f64; K] = from_fn(|k| b.exit[phases[k]]);
 
     // Gather inflow from other phases: contiguous source rows,
     // fixed-width level runs — the loop the compiler vectorizes. No
@@ -730,48 +843,45 @@ fn solve_group<const K: usize>(
         for e in b.in_ptr[p]..b.in_ptr[p + 1] {
             let rate = b.in_rate[e];
             let qbase = b.in_src[e] as usize * l_count;
-            for (x, &v) in rhs[k].iter_mut().zip(&pi[qbase..qbase + l_count]) {
-                *x += rate * v;
+            for (acc, &v) in rhs[k].iter_mut().zip(&pi[qbase..qbase + l_count]) {
+                *acc += rate * v;
             }
         }
     }
 
-    // Thomas forward elimination, the lanes interleaved level by level.
-    let mut beta: [f64; K] = std::array::from_fn(|k| d[k] + brow[k][0] + drow[k][0]);
-    for k in 0..K {
-        cprime[k][0] = -drow[k][1.min(l_count - 1)] / beta[k];
-        rhs[k][0] /= beta[k];
-    }
+    // Thomas forward elimination, all lanes one level at a time.
+    let beta: [f64; K] = from_fn(|k| d[k] + brow[k][0] + drow[k][0]);
+    let up = 1.min(l_count - 1);
+    cprime[0] = from_fn(|k| -drow[k][up] / beta[k]);
+    x[0] = from_fn(|k| rhs[k][0] / beta[k]);
     for l in 1..l_count {
-        for k in 0..K {
-            let a_l = -brow[k][l - 1]; // sub-diagonal
-            beta[k] = (d[k] + brow[k][l] + drow[k][l]) - a_l * cprime[k][l - 1];
-            let c_l = if l + 1 < l_count {
-                -drow[k][l + 1]
-            } else {
-                0.0
-            };
-            cprime[k][l] = c_l / beta[k];
-            rhs[k][l] = (rhs[k][l] - a_l * rhs[k][l - 1]) / beta[k];
-        }
+        let a_l: [f64; K] = from_fn(|k| -brow[k][l - 1]); // sub-diagonal
+        let (c_prev, x_prev) = (cprime[l - 1], x[l - 1]);
+        let beta: [f64; K] = from_fn(|k| (d[k] + brow[k][l] + drow[k][l]) - a_l[k] * c_prev[k]);
+        let c_l: [f64; K] = if l + 1 < l_count {
+            from_fn(|k| -drow[k][l + 1])
+        } else {
+            [0.0; K]
+        };
+        cprime[l] = from_fn(|k| c_l[k] / beta[k]);
+        x[l] = from_fn(|k| (rhs[k][l] - a_l[k] * x_prev[k]) / beta[k]);
     }
     // Back substitution in place, then (block-)SOR blend into pi.
-    for k in 0..K {
-        rhs[k][l_count - 1] = rhs[k][l_count - 1].max(0.0);
-    }
+    x[l_count - 1] = x[l_count - 1].map(|v| v.max(0.0));
     for l in (0..l_count - 1).rev() {
-        for k in 0..K {
-            rhs[k][l] = (rhs[k][l] - cprime[k][l] * rhs[k][l + 1]).max(0.0);
-        }
+        let (c_l, x_l, x_next) = (cprime[l], x[l], x[l + 1]);
+        x[l] = from_fn(|k| (x_l[k] - c_l[k] * x_next[k]).max(0.0));
     }
     for k in 0..K {
         let base = phases[k] * l_count;
-        let col = &mut pi[base..base + l_count];
+        let col = pi[base..base + l_count].iter_mut().zip(&*x);
         if omega == 1.0 {
-            col.copy_from_slice(rhs[k]);
+            for (v, row) in col {
+                *v = row[k];
+            }
         } else {
-            for (x, &v) in col.iter_mut().zip(&*rhs[k]) {
-                *x = ((1.0 - omega) * *x + omega * v).max(0.0);
+            for (v, row) in col {
+                *v = ((1.0 - omega) * *v + omega * row[k]).max(0.0);
             }
         }
     }
@@ -780,7 +890,7 @@ fn solve_group<const K: usize>(
 /// The first `K` consecutive columns of `levels` entries of `buf`.
 fn lane_columns<const K: usize>(buf: &mut [f64], levels: usize) -> [&mut [f64]; K] {
     let mut rest = buf;
-    std::array::from_fn(|_| {
+    from_fn(|_| {
         let (column, tail) = std::mem::take(&mut rest).split_at_mut(levels);
         rest = tail;
         column
@@ -1083,6 +1193,98 @@ mod tests {
         TableMbd::random(phases, levels, seed).with_phase_rates(phase_rates)
     }
 
+    /// `dense`'s pattern with every transition into phase `sourceless`
+    /// dropped (a phase left without any transition gets one to another
+    /// phase instead). Nothing flows into that phase, so its column
+    /// gathers zeros, its Thomas solve returns zeros, and at ω = 1 the
+    /// projection takes its fill branch every sweep. The chain is no
+    /// longer irreducible, so solve it against a uniform marginal.
+    fn with_sourceless_phase(phases: usize, levels: usize, sourceless: usize) -> TableMbd {
+        let mbd = dense(phases, levels, 0.15, 21);
+        let phase_rates = (0..phases)
+            .map(|p| {
+                let mut out = Vec::new();
+                mbd.for_each_phase_outgoing(p, &mut |q, rate| {
+                    if q != sourceless {
+                        out.push((q, rate));
+                    }
+                });
+                if out.is_empty() {
+                    let q = (1..phases)
+                        .map(|i| (p + i) % phases)
+                        .find(|&q| q != sourceless)
+                        .unwrap();
+                    out.push((q, 0.03));
+                }
+                out
+            })
+            .collect();
+        mbd.with_phase_rates(phase_rates)
+    }
+
+    /// Runs 1 to 5 sweeps (tolerance 0, so none converges) of the
+    /// scalar and blocked kernels from the uniform start and asserts
+    /// the same outcome and iterate bits after each count: the first
+    /// sweep runs forward, and the later ones alternate direction.
+    fn assert_sweeps_match_scalar(mbd: &TableMbd, marginal: &[f64], omega: f64, ctx: &str) {
+        let mut b = BlockedMbd::new();
+        b.capture(mbd);
+        let n = marginal.len() * mbd.num_levels();
+        for sweeps in 1..=5 {
+            let opts = SolveOptions::default()
+                .with_sor(omega)
+                .with_max_sweeps(sweeps)
+                .with_tolerance(0.0);
+            let mut ws_s = SolveWorkspace::new();
+            ws_s.stage_pi(n, None);
+            let s = crate::mbd::solve_mbd_projected_inplace_ws(mbd, marginal, &opts, &mut ws_s);
+            let mut ws_b = SolveWorkspace::new();
+            ws_b.stage_pi(n, None);
+            let bl = solve_mbd_projected_blocked_inplace_ws(&b, marginal, &opts, &mut ws_b);
+            let ctx = format!("{ctx}, omega {omega}, {sweeps} sweeps");
+            assert!(
+                matches!(bl, Err(CtmcError::NotConverged { .. })),
+                "{ctx}: {bl:?}"
+            );
+            assert_eq!(format!("{s:?}"), format!("{bl:?}"), "{ctx}");
+            assert_bitwise_eq(ws_s.pi(), ws_b.pi(), &ctx);
+        }
+    }
+
+    #[test]
+    fn fused_projection_matches_the_scalar_sweep_by_sweep() {
+        let (phases, levels, sourceless) = (30, 6, 17);
+        let starved = with_sourceless_phase(phases, levels, sourceless);
+        let uniform_marginal = vec![1.0 / phases as f64; phases];
+        for omega in [1.0, 0.8, 1.4] {
+            for (name, mbd) in [
+                ("dense 0.1", dense(40, 7, 0.1, 11)),
+                ("dense 0.3", dense(24, 6, 0.3, 12)),
+                ("lattice 5x7", lattice(5, 7, 6, 13)),
+            ] {
+                assert_sweeps_match_scalar(&mbd, &exact_phase_marginal(&mbd), omega, name);
+            }
+            assert_sweeps_match_scalar(&starved, &uniform_marginal, omega, "sourceless phase");
+        }
+
+        // The sourceless column really takes the fill branch.
+        let mut b = BlockedMbd::new();
+        b.capture(&starved);
+        assert_eq!(b.sources(sourceless).count(), 0);
+        let opts = SolveOptions::default()
+            .with_max_sweeps(1)
+            .with_tolerance(0.0);
+        let mut ws = SolveWorkspace::new();
+        ws.stage_pi(phases * levels, None);
+        let _ = solve_mbd_projected_blocked_inplace_ws(&b, &uniform_marginal, &opts, &mut ws);
+        let fill = uniform_marginal[sourceless] / levels as f64;
+        let column = &ws.pi()[sourceless * levels..(sourceless + 1) * levels];
+        assert!(
+            column.iter().all(|x| x.to_bits() == fill.to_bits()),
+            "{column:?}"
+        );
+    }
+
     /// Checks the captured schedule: every phase once, groups of 1 to
     /// `LANES` phases, the backward walk the forward one reversed, and
     /// every coupled pair in its sequential order. Returns the number
@@ -1091,7 +1293,8 @@ mod tests {
         let mut sizes = [0; LANES + 1];
         let mut group_of = vec![usize::MAX; b.num_phases()];
         let mut forward: Vec<Vec<u32>> = Vec::new();
-        b.for_each_group(true, |group| {
+        b.for_each_group(true, |g, group| {
+            assert_eq!(g, forward.len(), "forward group index");
             assert!((1..=LANES).contains(&group.len()), "group {group:?}");
             sizes[group.len()] += 1;
             for &p in group {
@@ -1105,7 +1308,10 @@ mod tests {
             "a phase is unscheduled"
         );
         let mut backward: Vec<Vec<u32>> = Vec::new();
-        b.for_each_group(false, |group| backward.push(group.to_vec()));
+        b.for_each_group(false, |g, group| {
+            assert_eq!(forward[g], group, "backward group index");
+            backward.push(group.to_vec());
+        });
         backward.reverse();
         assert_eq!(forward, backward);
         for p in 0..b.num_phases() {

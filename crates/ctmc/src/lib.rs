@@ -16,7 +16,7 @@
 //! * [`blocked::solve_mbd_projected_blocked_ws`] (and its in-place
 //!   twin [`blocked::solve_mbd_projected_blocked_inplace_ws`]) — the
 //!   block Gauss–Seidel/Thomas iteration for Markov-modulated
-//!   birth–death chains, projected onto the exact phase marginal after
+//!   birth–death chains, projected onto the exact phase marginal in
 //!   every sweep, over rate tables captured once into a
 //!   [`BlockedMbd`]: the kernel behind every one-shot model solve,
 //!   figure sweep, cluster fixed point and campaign solve.

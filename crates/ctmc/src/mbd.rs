@@ -294,16 +294,24 @@ pub(crate) fn validate_phase_marginal(
 /// normalizes (Σ marginal = 1).
 pub(crate) fn project_onto_marginal(pi: &mut [f64], phase_marginal: &[f64], levels: usize) {
     for (col, &target) in pi.chunks_exact_mut(levels).zip(phase_marginal) {
-        let mass: f64 = col.iter().sum();
-        if mass > 0.0 {
-            let scale = target / mass;
-            for x in col {
-                *x *= scale;
-            }
-        } else {
-            // Degenerate column: respread its mass uniformly.
-            col.fill(target / levels as f64);
+        project_column(col, target);
+    }
+}
+
+/// Rescales one phase column to carry exactly `target` mass: the
+/// projection of [`project_onto_marginal`] for a single column, which
+/// the blocked kernel applies column by column inside its sweep.
+#[inline]
+pub(crate) fn project_column(col: &mut [f64], target: f64) {
+    let mass: f64 = col.iter().sum();
+    if mass > 0.0 {
+        let scale = target / mass;
+        for x in col {
+            *x *= scale;
         }
+    } else {
+        // Degenerate column: respread its mass uniformly.
+        col.fill(target / col.len() as f64);
     }
 }
 

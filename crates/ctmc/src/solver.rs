@@ -375,14 +375,16 @@ pub struct SolveWorkspace {
     /// reads its captured ones).
     pub(crate) exit: Vec<f64>,
     /// Tridiagonal right-hand side (MBD); in the blocked kernel one
-    /// column per lane, overwritten by the lane's solution column.
+    /// gathered inflow column per lane.
     pub(crate) rhs: Vec<f64>,
     /// Tridiagonal diagonal (scalar MBD kernel).
     pub(crate) diag: Vec<f64>,
     /// Thomas algorithm forward-elimination coefficients (MBD); in the
-    /// blocked kernel one column per lane.
+    /// blocked kernel one row of lanes per level.
     pub(crate) cprime: Vec<f64>,
-    /// Tridiagonal solution column (scalar MBD kernel).
+    /// Tridiagonal solution column (MBD); in the blocked kernel the
+    /// eliminated right-hand side and then the solution, one row of
+    /// lanes per level.
     pub(crate) xcol: Vec<f64>,
     /// Per-level inflow accumulator for the residual pass (MBD).
     pub(crate) inflow: Vec<f64>,
