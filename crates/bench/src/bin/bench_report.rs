@@ -49,7 +49,7 @@
 //! smoke.
 
 use gprs_bench::{figure_sweep_cell, sweep_rebuild};
-use gprs_core::cluster::{ClusterModel, ClusterSolveOptions, SweepOrdering};
+use gprs_core::cluster::{ClusterModel, ClusterSolveOptions};
 use gprs_core::codec::{parse_json, JsonValue};
 use gprs_core::sweep::{par_sweep_arrival_rates_threads, rate_grid, sweep_arrival_rates};
 use gprs_core::template::{GeneratorTemplate, WarmStart};
@@ -246,7 +246,8 @@ fn main() {
         surr_solved.surrogate_solves() as f64 / cluster_surr_cell_solves as f64;
 
     // --- Graph sweep: a metro-scale corridor (5 cell kinds) through
-    // the colour-ordered Gauss–Seidel sweep and the shape-keyed
+    // the colour-ordered Gauss–Seidel sweep (the default ordering, as
+    // in every cluster section here) and the shape-keyed
     // template registry — the scaling path for city-sized topologies. ---
     let metro_n = if quick { 100 } else { 400 };
     let metro_cells: Vec<CellConfig> = (0..metro_n)
@@ -271,8 +272,7 @@ fn main() {
     .expect("valid metro cluster");
     let metro_opts = ClusterSolveOptions::quick()
         .with_solve(solve_opts.clone())
-        .with_threads(threads)
-        .with_ordering(SweepOrdering::GaussSeidel);
+        .with_threads(threads);
     let (metro_s, metro_solved) = timed(|| metro.solve(&metro_opts).expect("metro solve"));
     let metro_cell_solves = metro_solved.iterations() * metro_solved.cells().len();
     let metro_pps = metro_cell_solves as f64 / metro_s;

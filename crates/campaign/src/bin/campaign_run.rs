@@ -8,11 +8,12 @@
 //!
 //! Run mode solves every item of the campaign file, journaling to
 //! `--journal` (resumable: re-running the same command after a crash
-//! reuses journaled items verbatim), and writes the report JSON to
-//! stdout or `--out`. Item-level failures are *reported*, not fatal:
-//! the exit code is `0` as long as the campaign itself ran, `1` for
-//! spec/IO/usage errors, and `2` when any item ended
-//! [`Failed`](gprs_campaign::ItemStatus::Failed) — scripts can
+//! reuses journaled items verbatim). It writes the report JSON to
+//! stdout or `--out`, and a one-line summary to stderr that names the
+//! sweep ordering the items ran under. Item-level failures are
+//! *reported*, not fatal: the exit code is `0` as long as the campaign
+//! itself ran, `1` for spec/IO/usage errors, and `2` when any item
+//! ended [`Failed`](gprs_campaign::ItemStatus::Failed) — scripts can
 //! distinguish "campaign broken" from "some items unsolvable".
 //!
 //! `--emit-demo N` prints the deterministic N-item demo campaign used
@@ -21,6 +22,7 @@
 //! kill-and-resume).
 
 use gprs_campaign::{demo_spec, run_campaign, CampaignSpec, RunnerConfig};
+use gprs_core::codec::{cluster_options_to_json_value, JsonValue};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: campaign-run <spec.json> [--journal PATH] [--out PATH] \
@@ -81,10 +83,15 @@ fn run() -> Result<ExitCode, String> {
         }
         None => println!("{json}"),
     }
+    // The ordering as a spec spells it, so a reader knows what to write
+    // to change it.
+    let options = cluster_options_to_json_value(&spec.options);
+    let ordering = options.get("ordering").and_then(JsonValue::as_str);
     eprintln!(
-        "campaign `{}`: {} items — {} solved, {} degraded, {} failed, {} retries, \
-         {} journaled reused, {} dropped lines, {:.2} items/s",
+        "campaign `{}` ({} ordering): {} items — {} solved, {} degraded, {} failed, \
+         {} retries, {} journaled reused, {} dropped lines, {:.2} items/s",
         report.name,
+        ordering.unwrap_or("unknown"),
         report.results.len(),
         report.solved(),
         report.degraded(),

@@ -15,7 +15,13 @@
 //! * **Retry ladder** — solver failures (non-convergence, divergence,
 //!   wall-time exhaustion) retry with exponential backoff and doubled
 //!   iteration/sweep/wall-time budgets, each attempt re-entering
-//!   `solve_resilient`'s warm → cold → alternate → GTH rungs.
+//!   `solve_resilient`'s warm → cold → alternate → GTH rungs. The
+//!   sweep ordering, tolerances and surrogate are the spec's own
+//!   [`CampaignSpec::options`]; the runner picks none of them, so a
+//!   first attempt is the plain solve of those options. Under the
+//!   default Gauss–Seidel ordering, which has no adaptive
+//!   extrapolation, the doubled outer budget of a retry is what
+//!   rescues a strongly coupled item that overruns `max_iterations`.
 //! * **Write-ahead journal** — results append to a JSONL journal
 //!   ([`journal`]), fsync'd per batch, so a SIGKILL'd campaign resumes
 //!   from the journal and produces results **bitwise identical** to an

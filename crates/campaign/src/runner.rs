@@ -337,6 +337,15 @@ fn run_batch(
 /// nested per-item shard workers (whose default count follows the
 /// thread count) would oversubscribe. A spec that explicitly sets
 /// `shards` keeps it.
+///
+/// The runner chooses no numerics. Ordering, tolerances and the
+/// surrogate come from the spec's options unchanged, and thread and
+/// shard counts move no bit. So attempt 0 is exactly
+/// `solve_with_registry` on the spec's options with threads and shards
+/// pinned to 1. Benchmarks that replay a campaign's first attempts
+/// rebuild the options that way and compare item entries bitwise
+/// (`crates/campaign/tests/first_attempt.rs` pins it). A numeric
+/// choice belongs in the options' defaults, not here.
 fn escalate(
     base: &ClusterSolveOptions,
     retry: &RetryPolicy,

@@ -17,8 +17,11 @@
 //! ```
 //!
 //! `options` and `retry` are optional and field-wise defaulted, so a
-//! hand-written campaign only spells out what it changes. Item ids must
-//! be unique and non-empty — they key journal recovery.
+//! hand-written campaign only spells out what it changes. The defaults
+//! are [`ClusterSolveOptions::default`]'s: in particular, a spec
+//! without an `"ordering"` key runs Gauss–Seidel sweeps, and
+//! `"ordering": "jacobi"` selects the historical bit-exact iteration.
+//! Item ids must be unique and non-empty — they key journal recovery.
 
 use crate::CampaignError;
 use gprs_core::codec::{
@@ -86,7 +89,8 @@ pub struct CampaignSpec {
     /// Campaign name (for reports and logs).
     pub name: String,
     /// Cluster solve options every item runs under (attempt escalation
-    /// scales the budgets, never the tolerance).
+    /// scales the budgets, never the tolerance, and changes no other
+    /// numeric choice: the ordering and the surrogate are these).
     pub options: ClusterSolveOptions,
     /// The per-item retry policy.
     pub retry: RetryPolicy,

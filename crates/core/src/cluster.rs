@@ -90,11 +90,12 @@ pub const MID_CELL: usize = 0;
 pub enum SweepOrdering {
     /// Classic simultaneous (Jacobi) sweeps: every cell is solved at
     /// the *previous* iteration's arrival vector, then the whole
-    /// vector updates at once. The default — and on the 7-cell ring
-    /// bit-identical to the historical fixed-point iteration — and the
-    /// only ordering that applies adaptive relaxation (see
-    /// [`ClusterModel::solve`]).
-    #[default]
+    /// vector updates at once. On the 7-cell ring this is the
+    /// historical bit-exact iteration that the ring7 fixtures pin, and
+    /// it is the only ordering that applies adaptive relaxation (see
+    /// [`ClusterModel::solve`]). Ask for it explicitly
+    /// (`with_ordering(SweepOrdering::Jacobi)`, or `"ordering":
+    /// "jacobi"` in a campaign spec).
     Jacobi,
     /// Graph-ordered block Gauss–Seidel sweeps: the cells are greedily
     /// coloured ([`CellGraph::color_classes`]), colour classes run
@@ -105,6 +106,16 @@ pub enum SweepOrdering {
     /// Cells within a class share no edge, so the per-class solves
     /// still run in parallel across shards and results stay
     /// bit-identical for any shard and thread count.
+    ///
+    /// The default: it reaches the Jacobi fixed point within the outer
+    /// tolerance in fewer outer iterations on every topology measured
+    /// (at [`ClusterSolveOptions::quick`] tolerances, 4,288 vs 7,784
+    /// over 200 solves of 48-cell metro items; 8 vs 11 on the ring7
+    /// hot spot). It runs plain — no damping and no
+    /// Aitken extrapolation — so a strongly coupled cluster under a
+    /// tight `max_iterations` can end `BalanceNotConverged` where
+    /// Jacobi's extrapolation would have rescued it.
+    #[default]
     GaussSeidel,
 }
 
@@ -127,14 +138,18 @@ pub struct ClusterSolveOptions {
     /// one thread. Results are identical for any value.
     pub threads: usize,
     /// Sweep ordering over the cell graph (default
-    /// [`SweepOrdering::Jacobi`], the historical bit-exact iteration).
-    /// Adaptive relaxation only applies to Jacobi sweeps; Gauss–Seidel
-    /// runs plain.
+    /// [`SweepOrdering::GaussSeidel`], which needs fewer outer
+    /// iterations). [`SweepOrdering::Jacobi`] is the historical
+    /// bit-exact iteration the ring7 fixtures pin; a campaign spec
+    /// selects it with `"ordering": "jacobi"`, and a spec without an
+    /// `ordering` key runs Gauss–Seidel. Adaptive relaxation only
+    /// applies to Jacobi sweeps; Gauss–Seidel runs plain.
     pub ordering: SweepOrdering,
     /// Use the predict-and-verify surrogate for inner cell solves
     /// (default `false`, which keeps the fixed point bit-identical to
-    /// the historical iteration). When on, each cell solve runs with
-    /// [`crate::template::WarmStart::Predicted`]: once a cell's
+    /// the plain iteration of either ordering — under Jacobi, the
+    /// historical bit-exact iteration). When on, each cell solve runs
+    /// with [`crate::template::WarmStart::Predicted`]: once a cell's
     /// warm-start chain has two predecessors, the extrapolated iterate
     /// is residual-checked first and served without solver sweeps when
     /// it already meets `solve.tolerance` — outer iterations near the
@@ -164,7 +179,7 @@ impl Default for ClusterSolveOptions {
             max_iterations: 500,
             solve: SolveOptions::default(),
             threads: 0,
-            ordering: SweepOrdering::Jacobi,
+            ordering: SweepOrdering::GaussSeidel,
             surrogate: false,
             shards: 0,
         }
@@ -296,14 +311,16 @@ impl SolvedCluster {
     /// ran plain (the common case — the trajectory is then identical
     /// to the fixed iteration), below `1.0` when ping-ponging was
     /// detected and damped, above `1.0` when a slow contraction was
-    /// extrapolated to meet the iteration budget.
+    /// extrapolated to meet the iteration budget. Only Jacobi sweeps
+    /// relax; under Gauss–Seidel (the default) this is always `1.0`.
     pub fn relaxation(&self) -> f64 {
         self.relaxation
     }
 
     /// How many outer iterations applied a relaxation factor other
     /// than `1` (damped or extrapolated). `0` means the trajectory was
-    /// bit-identical to the fixed iteration throughout.
+    /// bit-identical to the fixed iteration throughout. Always `0`
+    /// under Gauss–Seidel sweeps, the default ordering.
     pub fn adaptive_steps(&self) -> usize {
         self.adaptive_steps
     }
@@ -458,7 +475,10 @@ impl ClusterModel {
     /// Trajectories that converge within the budget without
     /// oscillating are untouched: the factor stays at `1` and every
     /// update is applied verbatim ([`SolvedCluster::adaptive_steps`]
-    /// reports `0`).
+    /// reports `0`). Gauss–Seidel sweeps, the default ordering, apply
+    /// neither mechanism: they always report `0` adaptive steps and a
+    /// factor of `1`, and a strongly coupled cluster that overruns
+    /// `max_iterations` under them returns `BalanceNotConverged`.
     pub fn solve(&self, opts: &ClusterSolveOptions) -> Result<SolvedCluster, ModelError> {
         self.solve_with_registry(opts, &TemplateRegistry::new())
     }
@@ -882,22 +902,28 @@ mod tests {
             .unwrap()
     }
 
+    /// Default options with Jacobi sweeps, the only ordering that
+    /// applies adaptive relaxation.
+    fn jacobi() -> ClusterSolveOptions {
+        ClusterSolveOptions::default().with_ordering(SweepOrdering::Jacobi)
+    }
+
     #[test]
     fn adaptive_relaxation_rescues_budget_bound_hot_spot() {
         // High mobility (0.5 s dwell): the outer fixed point contracts
-        // at a ratio near 1. At the default budget it converges at
+        // at a ratio near 1. At the default budget Jacobi converges at
         // θ = 1 throughout (the plain trajectory) but needs more than
         // 60 iterations; under a cap of 60 adaptive relaxation detects
         // the projected overrun and extrapolates the slow mode inside
         // it.
         let cluster = hot_spot(short_dwell(0.3, 0.5), 0.9);
-        let deep = cluster.solve(&ClusterSolveOptions::default()).unwrap();
+        let deep = cluster.solve(&jacobi()).unwrap();
         assert_eq!(deep.adaptive_steps(), 0);
         assert!(deep.iterations() > 60, "took {}", deep.iterations());
 
         let capped = ClusterSolveOptions {
             max_iterations: 60,
-            ..ClusterSolveOptions::default()
+            ..jacobi()
         };
         let rescued = cluster.solve(&capped).unwrap();
         assert!(rescued.iterations() <= 60);
@@ -916,10 +942,10 @@ mod tests {
     #[test]
     fn adaptive_relaxation_leaves_converging_trajectories_untouched() {
         // A hot spot that converges within the budget without
-        // oscillating takes the plain trajectory: every step runs at
-        // θ = 1 and assigns the raw update verbatim.
+        // oscillating takes the plain Jacobi trajectory: every step
+        // runs at θ = 1 and assigns the raw update verbatim.
         let cluster = hot_spot(tiny(0.3), 0.9);
-        let solved = cluster.solve(&ClusterSolveOptions::default()).unwrap();
+        let solved = cluster.solve(&jacobi()).unwrap();
         assert_eq!(solved.adaptive_steps(), 0);
         assert_eq!(solved.relaxation(), 1.0);
         assert!(solved.handover_delta() <= ClusterSolveOptions::default().tolerance);
@@ -990,7 +1016,7 @@ mod tests {
         let corridor =
             ClusterModel::from_graph(CellGraph::corridor(6).unwrap(), corridor_cfgs).unwrap();
         for cluster in [ring, corridor] {
-            let jac = cluster.solve(&ClusterSolveOptions::default()).unwrap();
+            let jac = cluster.solve(&jacobi()).unwrap();
             let gs = cluster
                 .solve(&ClusterSolveOptions::default().with_ordering(SweepOrdering::GaussSeidel))
                 .unwrap();

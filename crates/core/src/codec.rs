@@ -1270,8 +1270,9 @@ mod tests {
 
     #[test]
     fn cluster_options_round_trip_and_default_fallback() {
+        // Non-default values round-trip, the Jacobi ordering among them.
         let opts = ClusterSolveOptions {
-            ordering: SweepOrdering::GaussSeidel,
+            ordering: SweepOrdering::Jacobi,
             surrogate: true,
             max_iterations: 123,
             shards: 4,
@@ -1280,7 +1281,7 @@ mod tests {
         let text = cluster_options_to_json_value(&opts).to_json_string();
         let back = cluster_options_from_json_value(&parse_json(&text).unwrap(), "").unwrap();
         assert_eq!(back.max_iterations, 123);
-        assert!(matches!(back.ordering, SweepOrdering::GaussSeidel));
+        assert_eq!(back.ordering, SweepOrdering::Jacobi);
         assert!(back.surrogate);
         assert_eq!(back.shards, 4);
         // An empty object is all defaults; unknown keys are ignored, so
@@ -1292,6 +1293,11 @@ mod tests {
             defaults
         );
         assert_eq!(defaults.max_iterations, 500);
+        assert_eq!(
+            defaults.ordering,
+            SweepOrdering::GaussSeidel,
+            "a spec without an ordering key runs Gauss–Seidel"
+        );
         assert_eq!(
             defaults.shards, 0,
             "missing shards falls back to the thread-count default"

@@ -11,7 +11,7 @@
 use gprs_core::cluster::ClusterSolveOptions;
 use gprs_core::stress::{invalid_configs, pathological_configs};
 use gprs_core::template::{GeneratorTemplate, PointSolve, WarmStart};
-use gprs_core::{CellConfig, GprsModel, ModelError, Scenario, SolveRung};
+use gprs_core::{CellConfig, GprsModel, ModelError, Scenario, SolveRung, SweepOrdering};
 use gprs_ctmc::solver::SolveOptions;
 use gprs_traffic::TrafficModel;
 use std::time::{Duration, Instant};
@@ -256,15 +256,18 @@ fn budget_bound_cluster_is_rescued_by_adaptive_relaxation() {
         .unwrap();
     let cluster = Scenario::hot_spot(base, 0.9).unwrap().to_cluster().unwrap();
 
-    // The default budget converges at θ = 1 throughout: the plain
-    // trajectory, which a cap of 60 would cut short.
-    let deep = cluster.solve(&ClusterSolveOptions::default()).unwrap();
+    // Adaptive relaxation belongs to Jacobi sweeps, so both solves
+    // name that ordering. The default budget converges at θ = 1
+    // throughout: the plain trajectory, which a cap of 60 would cut
+    // short.
+    let jacobi = ClusterSolveOptions::default().with_ordering(SweepOrdering::Jacobi);
+    let deep = cluster.solve(&jacobi).unwrap();
     assert_eq!(deep.adaptive_steps(), 0);
     assert!(deep.iterations() > 60, "took {}", deep.iterations());
 
     let capped = ClusterSolveOptions {
         max_iterations: 60,
-        ..ClusterSolveOptions::default()
+        ..jacobi
     };
     let rescued = cluster.solve(&capped).unwrap();
     assert!(rescued.iterations() <= 60);

@@ -4,10 +4,11 @@
 //!
 //! A 100-cell urban corridor with five recurring cell kinds (cycled
 //! buffer depths — five distinct state-space *shapes*) is solved with
-//! graph-ordered Gauss–Seidel sweeps; the template registry counts five
-//! distinct cell shapes, one per kind, not one per cell. A uniform hex
-//! torus then demonstrates the flow-balanced case that degenerates to
-//! the paper's homogeneous single-cell model.
+//! graph-ordered Gauss–Seidel sweeps, the default ordering; the
+//! template registry counts five distinct cell shapes, one per kind,
+//! not one per cell. A uniform hex torus then demonstrates the
+//! flow-balanced case that degenerates to the paper's homogeneous
+//! single-cell model.
 //!
 //! ```text
 //! cargo run --release --example metro_graph [num_cells]
@@ -15,7 +16,7 @@
 //!
 //! CI runs this example as the tier-1 graph smoke.
 
-use gprs_repro::core::cluster::{ClusterModel, ClusterSolveOptions, SweepOrdering};
+use gprs_repro::core::cluster::{ClusterModel, ClusterSolveOptions};
 use gprs_repro::core::{CellConfig, CellGraph};
 use gprs_repro::traffic::TrafficModel;
 use std::time::Instant;
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let model = ClusterModel::from_graph(graph, cells)?;
-    let opts = ClusterSolveOptions::quick().with_ordering(SweepOrdering::GaussSeidel);
+    let opts = ClusterSolveOptions::quick();
     let t0 = Instant::now();
     let solved = model.solve(&opts)?;
     let secs = t0.elapsed().as_secs_f64();

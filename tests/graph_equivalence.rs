@@ -14,7 +14,7 @@
 //! (only legitimate when the *legacy* pipeline itself changes).
 
 use gprs_core::cluster::ClusterSolveOptions;
-use gprs_core::{CellConfig, Scenario};
+use gprs_core::{CellConfig, Scenario, SweepOrdering};
 use gprs_sim::{GprsSimulator, SimConfig};
 use gprs_traffic::TrafficModel;
 use std::fmt::Write as _;
@@ -50,11 +50,17 @@ fn bits(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
+/// The pre-graph pipeline iterated Jacobi sweeps; the default ordering
+/// is Gauss–Seidel, so the fixtures name the ordering they pin.
+fn legacy_options() -> ClusterSolveOptions {
+    ClusterSolveOptions::quick().with_ordering(SweepOrdering::Jacobi)
+}
+
 /// Renders every analytically solved quantity of every scenario as
 /// 64-bit patterns: handover in/out rates and mean populations per
 /// cell, the full mid-cell measures, and the iteration count.
 fn render_model_fixture() -> String {
-    let opts = ClusterSolveOptions::quick();
+    let opts = legacy_options();
     let mut out = String::new();
     for scenario in scenarios() {
         let name = scenario.name().to_string();
@@ -195,7 +201,7 @@ fn ring7_sim_results_match_pregraph_fixture() {
 #[test]
 fn explicit_ring7_graph_scenarios_degenerate_to_the_legacy_path() {
     use gprs_core::CellGraph;
-    let opts = ClusterSolveOptions::quick();
+    let opts = legacy_options();
     for legacy in scenarios() {
         let explicit = Scenario::from_graph(
             legacy.name(),

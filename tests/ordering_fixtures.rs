@@ -142,6 +142,7 @@ fn cases() -> Vec<(String, ClusterModel, ClusterSolveOptions)> {
     // engages (asserted in `hot_spot_fixture_is_a_relaxed_trajectory`).
     let capped = ClusterSolveOptions {
         max_iterations: 60,
+        ordering: SweepOrdering::Jacobi,
         ..ClusterSolveOptions::default()
     };
     out.push(("hot-spot-relaxed/Jacobi".to_string(), hot_spot(), capped));

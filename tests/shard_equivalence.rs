@@ -201,16 +201,34 @@ fn corridor_sharded_matches_classic_bitwise() {
     check_model(&model, SweepOrdering::GaussSeidel, "corridor12");
 }
 
-/// A hot-spot ring exercises the adaptive-relaxation path (the
-/// mid-cell overload drives oscillating updates): the relaxation trace
-/// — theta, adaptive step count — must survive sharding bit-for-bit.
+/// Hot-spot rings under Jacobi sweeps, the only ordering that relaxes:
+/// the relaxation trace — theta, adaptive step count — must survive
+/// sharding bit-for-bit. The plain hot spot converges at θ = 1; the
+/// short-dwell one, under a budget of 60 outer iterations, engages
+/// Aitken extrapolation.
 #[test]
 fn hot_spot_adaptive_relaxation_trace_survives_sharding() {
     let model = Scenario::hot_spot(tiny(0.25), 0.9)
         .unwrap()
         .to_cluster()
         .unwrap();
-    check_layouts(&model, &ClusterSolveOptions::quick(), "hotspot");
+    let jacobi = ClusterSolveOptions::quick().with_ordering(SweepOrdering::Jacobi);
+    check_layouts(&model, &jacobi, "hotspot");
+
+    let mut short_dwell = tiny(0.25);
+    short_dwell.gsm_dwell_time = 0.5;
+    short_dwell.gprs_dwell_time = 0.5;
+    let model = Scenario::hot_spot(short_dwell, 0.9)
+        .unwrap()
+        .to_cluster()
+        .unwrap();
+    let capped = ClusterSolveOptions {
+        max_iterations: 60,
+        ..jacobi
+    };
+    let relaxed = model.solve(&capped.clone().with_shards(1)).unwrap();
+    assert!(relaxed.adaptive_steps() > 0, "extrapolation never engaged");
+    check_layouts(&model, &capped, "hotspot-relaxed");
 }
 
 /// The surrogate (predict-and-verify) solve path counts and warm-start
