@@ -9,7 +9,7 @@
 //! 1/2/8 workers (the warm-start contract of `gprs_core::sweep`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gprs_bench::{figure_sweep_cell, small_model, sweep_rebuild};
+use gprs_bench::{figure_sweep_cell, small_model};
 use gprs_core::sweep::{par_sweep_arrival_rates_threads, rate_grid, sweep_arrival_rates};
 use gprs_core::template::{GeneratorTemplate, WarmStart};
 use gprs_core::{CellConfig, GprsModel};
@@ -17,6 +17,23 @@ use gprs_ctmc::SolveOptions;
 
 fn opts() -> SolveOptions {
     SolveOptions::quick().with_max_sweeps(200_000)
+}
+
+/// The historical sweep loop: every point regenerates the model and
+/// solves cold from its own product-form guess with fresh allocations —
+/// the pre-template baseline the refill sweep is timed against. Returns
+/// the summed carried data traffic (an optimization barrier and a
+/// sanity value).
+fn sweep_rebuild(base: &CellConfig, rates: &[f64], opts: &SolveOptions) -> f64 {
+    let mut acc = 0.0;
+    for &rate in rates {
+        let mut cfg = base.clone();
+        cfg.call_arrival_rate = rate;
+        let model = GprsModel::new(cfg).expect("valid config");
+        let solved = model.solve(opts, None).expect("solve");
+        acc += solved.measures().carried_data_traffic;
+    }
+    acc
 }
 
 fn check_bit_identity(base: &CellConfig, rates: &[f64], opts: &SolveOptions) {

@@ -9,7 +9,7 @@
 //!   threads) is asserted before timing.
 //! * `solver` — steady-state solver comparison (block tridiagonal vs
 //!   point Gauss–Seidel vs GTH) across state-space sizes — the ablation
-//!   behind DESIGN.md's solver choice.
+//!   behind the block tridiagonal (MBD) solver choice.
 //! * `cluster` — the heterogeneous 7-cell fixed point: per-iteration
 //!   cell solves sequential vs thread-parallel, plus the load-scale
 //!   sweep (determinism is asserted before timing).
@@ -23,15 +23,13 @@
 //!   fidelities and with/without TCP.
 //! * `queueing` — Erlang-B, M/M/c/c distributions and handover
 //!   balancing.
-//! * `figures` — a `harness = false` target that regenerates every
-//!   paper figure at quick scale, printing the same series the paper
-//!   plots (so `cargo bench` exercises the full reproduction path).
 //!
 //! Besides the benches, the crate ships the `bench-report` binary
-//! (`cargo run --release -p gprs-bench --bin bench-report`): it times
-//! the sweep (refill vs rebuild), cluster and replication pipelines and
-//! writes machine-readable points/sec JSON (`BENCH_sweep.json`), which
-//! the scheduled CI job uploads as the repository's perf trajectory.
+//! (`cargo run --release -p gprs-bench --bin bench-report`): the CI
+//! perf gate. It times the refill figure sweep and a metro-scale
+//! corridor graph sweep, writes their throughput as JSON
+//! (`BENCH_sweep.json`), and with `--check` fails on a drop below 75%
+//! of a committed baseline.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -76,23 +74,6 @@ pub fn figure_sweep_cell() -> CellConfig {
         .call_arrival_rate(0.5)
         .build()
         .expect("valid config")
-}
-
-/// The historical sweep loop: every point regenerates the model and
-/// solves cold from its own product-form guess with fresh allocations —
-/// the pre-template baseline both the `sweep` bench and `bench-report`
-/// time against. Returns the summed carried data traffic (an
-/// optimization barrier and a sanity value).
-pub fn sweep_rebuild(base: &CellConfig, rates: &[f64], opts: &gprs_ctmc::SolveOptions) -> f64 {
-    let mut acc = 0.0;
-    for &rate in rates {
-        let mut cfg = base.clone();
-        cfg.call_arrival_rate = rate;
-        let model = GprsModel::new(cfg).expect("valid config");
-        let solved = model.solve(opts, None).expect("solve");
-        acc += solved.measures().carried_data_traffic;
-    }
-    acc
 }
 
 #[cfg(test)]

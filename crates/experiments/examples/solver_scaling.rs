@@ -3,7 +3,8 @@
 //!
 //! The sweep count of the block solver is governed by near-critical
 //! buffer relaxation and grows roughly with K²; this probe makes that
-//! visible (and is the measurement behind DESIGN.md's discussion).
+//! visible (the README's "Adaptive relaxation" paragraph covers how
+//! the solver cuts that sweep count).
 //!
 //! ```text
 //! cargo run --release -p gprs-experiments --example solver_scaling
