@@ -92,17 +92,20 @@ impl Measures {
         let mut mql = 0.0f64;
         let mut offered = 0.0f64;
         let mut accepted = 0.0f64;
-        for (idx, &p) in pi.iter().enumerate() {
-            if p == 0.0 {
-                continue;
-            }
-            let s: CellState = space.decode(idx);
-            cdt += p * model.busy_pdchs(s.k, s.n) as f64;
-            mql += p * s.k as f64;
-            let rate = model.offered_packet_rate(s);
-            offered += p * rate;
-            if s.k < k_cap {
-                accepted += p * rate;
+        // The phases in index order, each column's levels innermost:
+        // the states in index order, with no per-state decode.
+        for ((n, m, r), col) in space.phases().zip(pi.chunks_exact(k_cap + 1)) {
+            for (k, &p) in col.iter().enumerate() {
+                if p == 0.0 {
+                    continue;
+                }
+                cdt += p * model.busy_pdchs(k, n) as f64;
+                mql += p * k as f64;
+                let rate = model.offered_packet_rate(CellState { n, k, m, r });
+                offered += p * rate;
+                if k < k_cap {
+                    accepted += p * rate;
+                }
             }
         }
 
@@ -202,6 +205,73 @@ mod tests {
     use crate::config::CellConfig;
     use gprs_ctmc::solver::{solve_gauss_seidel, SolveOptions};
     use gprs_traffic::TrafficModel;
+    use proptest::prelude::*;
+
+    /// `compute_from_slice`'s four sums by the per-state formula:
+    /// every index decoded on its own, in index order.
+    fn per_state_sums(model: &GprsModel, pi: &[f64]) -> [f64; 4] {
+        let space = model.space();
+        let k_cap = space.k_cap();
+        let mut sums = [0.0f64; 4];
+        for (idx, &p) in pi.iter().enumerate() {
+            if p == 0.0 {
+                continue;
+            }
+            let s = space.decode(idx);
+            sums[0] += p * model.busy_pdchs(s.k, s.n) as f64;
+            sums[1] += p * s.k as f64;
+            let rate = model.offered_packet_rate(s);
+            sums[2] += p * rate;
+            if s.k < k_cap {
+                sums[3] += p * rate;
+            }
+        }
+        sums
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The phase walk sums what the per-state formula sums, in the
+        /// same order, so to the bit; a quarter of the entries are
+        /// zero, which both skip.
+        #[test]
+        fn walked_sums_match_the_per_state_formula(
+            shape in (2usize..9, 1usize..18, 1usize..5),
+            rate in 0.05f64..2.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (channels, buffer, sessions) = shape;
+            let config = CellConfig::builder()
+                .total_channels(channels)
+                .reserved_pdchs(1)
+                .buffer_capacity(buffer)
+                .max_gprs_sessions(sessions)
+                .traffic_model(TrafficModel::Model3)
+                .call_arrival_rate(rate)
+                .build()
+                .unwrap();
+            let model = GprsModel::new(config).unwrap();
+            let mut state = seed;
+            let pi: Vec<f64> = (0..model.space().num_states())
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                    if u < 0.25 { 0.0 } else { u }
+                })
+                .collect();
+            let m = Measures::compute_from_slice(&model, &pi);
+            let walked = [
+                m.carried_data_traffic,
+                m.mean_queue_length,
+                m.offered_packet_rate,
+                m.accepted_packet_rate,
+            ];
+            prop_assert_eq!(walked.map(f64::to_bits), per_state_sums(&model, &pi).map(f64::to_bits));
+        }
+    }
 
     fn solved_tiny() -> (GprsModel, StationaryDistribution) {
         let config = CellConfig::builder()

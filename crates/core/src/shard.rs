@@ -27,9 +27,9 @@
 //! template refreshes just the phase-coupling rates of its blocked
 //! tables (it detects the unchanged cell configuration itself), the
 //! lean solve path ([`GeneratorTemplate::solve_resilient_lean`]) skips
-//! the full measures extraction on non-reporting iterations, and
-//! per-cell decode tables replace the per-state `space.decode(idx)`
-//! calls in the population means.
+//! the full measures extraction on non-reporting iterations, and the
+//! population means walk the phases in index order instead of decoding
+//! each state.
 //!
 //! **Bitwise contract**: a worker's answer for a cell depends only on
 //! that cell's template and the rates it is sent, and every cross-cell
@@ -64,20 +64,14 @@ const MIN_RELAXATION: f64 = 0.125;
 /// step, faster ones get their exact `1/(1−ratio)` jump.
 const MAX_RELAXATION: f64 = 16.0;
 
-/// One owned cell: its configuration, persistent template, the inner
-/// sweeps it has accumulated over the solve, and precomputed per-state
-/// decode tables (`n`, `m`, filled on the first solve). The counts are
-/// tiny integers, so `u16` keeps the tables in cache across a
-/// metro-scale shard; widening to `f64` at use is exact and therefore
-/// bit-identical to a `f64` table.
+/// One owned cell: its configuration, persistent template, and the
+/// inner sweeps it has accumulated over the solve.
 struct CellCtx {
     config: CellConfig,
     template: GeneratorTemplate,
     gsm_h_rate: f64,
     gprs_h_rate: f64,
     sweeps: usize,
-    ns: Vec<u16>,
-    ms: Vec<u16>,
 }
 
 /// Outcome of one lean cell solve.
@@ -167,9 +161,10 @@ impl ShardState {
 
 /// Solves one owned cell through the lean resilient ladder (warm-started
 /// from the cell's previous iterate) and reads the populations off the
-/// stationary distribution: a skip-zero accumulation against
-/// precomputed decode tables. The reporting pass recovers the full
-/// measures via [`GeneratorTemplate::measures_for`].
+/// stationary distribution: a skip-zero accumulation over the phases
+/// in index order, each phase's `(n, m)` weighting its column of
+/// levels. The reporting pass recovers the full measures via
+/// [`GeneratorTemplate::measures_for`].
 fn lean_solve_cell(
     ctx: &mut CellCtx,
     lam_gsm: f64,
@@ -182,20 +177,18 @@ fn lean_solve_cell(
         .template
         .model_with_handovers(ctx.config.clone(), lam_gsm, lam_gprs)?;
     let health = ctx.template.solve_resilient_lean(&model, opts, warm)?;
-    if ctx.ns.is_empty() {
-        let space = model.space();
-        let states = space.num_states();
-        ctx.ns = (0..states).map(|idx| space.decode(idx).n as u16).collect();
-        ctx.ms = (0..states).map(|idx| space.decode(idx).m as u16).collect();
-    }
+    let space = model.space();
     let mut mean_voice_calls = 0.0f64;
     let mut mean_sessions = 0.0f64;
-    for (idx, &p) in ctx.template.stationary().iter().enumerate() {
-        if p == 0.0 {
-            continue;
+    let columns = ctx.template.stationary().chunks_exact(space.k_cap() + 1);
+    for ((n, m, _), col) in space.phases().zip(columns) {
+        for &p in col {
+            if p == 0.0 {
+                continue;
+            }
+            mean_voice_calls += p * n as f64;
+            mean_sessions += p * m as f64;
         }
-        mean_voice_calls += p * f64::from(ctx.ns[idx]);
-        mean_sessions += p * f64::from(ctx.ms[idx]);
     }
     let measures = want_measures.then(|| ctx.template.measures_for(&model));
     Ok(LeanCell {
@@ -366,8 +359,6 @@ pub(crate) fn solve_sharded(
                 config: config.clone(),
                 template,
                 sweeps: 0,
-                ns: Vec::new(),
-                ms: Vec::new(),
             })
             .collect();
         states.push(ShardState {

@@ -149,15 +149,49 @@ impl StateSpace {
         (m, r)
     }
 
-    /// Iterates over all states in index order.
+    /// Iterates over all phases `(n, m, r)` in phase-index order: `n`
+    /// outermost, then `m`, then `r`. Phase `p` of the walk is
+    /// [`phase_decode(p)`](Self::phase_decode), with no division per
+    /// phase; its column of levels is `pi[p·(K+1)..(p+1)·(K+1)]`.
+    pub fn phases(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let m_cap = self.m_cap;
+        (0..=self.n_gsm)
+            .flat_map(move |n| (0..=m_cap).flat_map(move |m| (0..=m).map(move |r| (n, m, r))))
+    }
+
+    /// Iterates over all states in index order: the
+    /// [`phases`](Self::phases) walk with the buffer level `k`
+    /// innermost, so state `i` is [`decode(i)`](Self::decode).
     pub fn states(&self) -> impl Iterator<Item = CellState> + '_ {
-        (0..self.num_states()).map(|i| self.decode(i))
+        let k_cap = self.k_cap;
+        self.phases()
+            .flat_map(move |(n, m, r)| (0..=k_cap).map(move |k| CellState { n, k, m, r }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The in-order walks visit exactly what the per-state and
+        /// per-phase decodes give at each index.
+        #[test]
+        fn walks_match_the_decodes(n_gsm in 0usize..8, k_cap in 0usize..45, m_cap in 0usize..9) {
+            let ss = StateSpace::new(n_gsm, k_cap, m_cap);
+            prop_assert_eq!(ss.phases().count(), ss.num_phases());
+            for (p, phase) in ss.phases().enumerate() {
+                prop_assert_eq!(phase, ss.phase_decode(p));
+            }
+            prop_assert_eq!(ss.states().count(), ss.num_states());
+            for (idx, s) in ss.states().enumerate() {
+                prop_assert_eq!(s, ss.decode(idx));
+            }
+        }
+    }
 
     #[test]
     fn paper_state_count() {

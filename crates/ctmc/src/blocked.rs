@@ -50,6 +50,21 @@
 //! values are the bits the separate pass would produce, and a sweep
 //! reads and writes the large iterate once instead of twice.
 //!
+//! Every sweep and every residual check gathers each phase's inflow
+//! from its source phases' columns, and both do it through one helper,
+//! `gather_inflow`. It keeps the phase's column of sums in registers
+//! across all of its incoming edges and stores it once, instead of
+//! loading and storing a buffer once per edge. A column of up to
+//! sixteen levels, as the campaign cells' 9- and 11-level columns are,
+//! gets an accumulator of exactly its length; a longer one, as Fig. 10's
+//! 41-level columns are, is summed in blocks of sixteen levels and an
+//! exact-length block for the rest. The choice depends only on the
+//! column length. Each level still sums its edges in CSR order from
+//! `0.0`, with no fused multiply-add, so the sums are the bits the
+//! per-edge loop gave. At 9 and 11 levels this took an 8-sweep solve of
+//! a campaign cell from about 39 and 45 to 29 and 35 µs on a 2-core
+//! x86-64 VM.
+//!
 //! Capture costs about one sweep's worth of rate evaluations and is
 //! repaid within the first sweep; for repeated same-shape solves the
 //! tables are refilled in place.
@@ -71,6 +86,11 @@ use std::collections::BinaryHeap;
 /// lanes took Fig. 10's M = 150 sweep from ≈27–32 to ≈17 ns/row on a
 /// 2-core x86-64 VM.
 const LANES: usize = 4;
+
+/// Most levels the inflow gather sums in one pass over a phase's
+/// incoming edges, with its sums held in registers; longer columns are
+/// summed in blocks of this many levels.
+const GATHER_WIDTH: usize = 16;
 
 /// Always `true`: every template and model solve runs the blocked
 /// kernel.
@@ -387,6 +407,39 @@ impl BlockedMbd {
         }
     }
 
+    /// Writes the inflow of phase `p` from the other phases into `out`
+    /// (`levels` entries): at each level, the sum over `p`'s incoming
+    /// edges in CSR order, from `0.0`, of the edge rate times the
+    /// source column's entry.
+    ///
+    /// The sums stay in registers across all the edges and are stored
+    /// once. A column of up to [`GATHER_WIDTH`] levels is summed in one
+    /// pass over the edges with an accumulator of exactly its length; a
+    /// longer one in blocks of `GATHER_WIDTH` levels, then an
+    /// exact-length block for the rest. Each level's sum is the same
+    /// sequence of IEEE operations either way.
+    #[inline]
+    fn gather_inflow(&self, p: usize, pi: &[f64], out: &mut [f64]) {
+        let edges = self.in_ptr[p]..self.in_ptr[p + 1];
+        let (src, rate) = (&self.in_src[edges.clone()], &self.in_rate[edges]);
+        let levels = self.levels;
+        let mut off = 0;
+        while levels - off > GATHER_WIDTH {
+            gather_block::<GATHER_WIDTH>(src, rate, pi, levels, off, out);
+            off += GATHER_WIDTH;
+        }
+        macro_rules! exact_block {
+            ($($len:literal)*) => {
+                match levels - off {
+                    0 => {}
+                    $($len => gather_block::<$len>(src, rate, pi, levels, off, out),)*
+                    rest => unreachable!("gather block of {rest} levels"),
+                }
+            };
+        }
+        exact_block!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+    }
+
     /// Source phases of the incoming transitions of phase `p`.
     fn sources(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
         self.in_src[self.in_ptr[p]..self.in_ptr[p + 1]]
@@ -574,14 +627,7 @@ impl BlockedMbd {
         let mut den = 0.0f64;
         for p in 0..self.phases {
             let col = &pi[p * l_count..(p + 1) * l_count];
-            inflow.fill(0.0);
-            for e in self.in_ptr[p]..self.in_ptr[p + 1] {
-                let rate = self.in_rate[e];
-                let qbase = self.in_src[e] as usize * l_count;
-                for (x, &v) in inflow.iter_mut().zip(&pi[qbase..qbase + l_count]) {
-                    *x += rate * v;
-                }
-            }
+            self.gather_inflow(p, pi, inflow);
             let brow = self.birth_of(p);
             let drow = self.death_of(p);
             let d = self.exit[p];
@@ -833,20 +879,11 @@ fn solve_group<const K: usize>(
     let drow: [&[f64]; K] = from_fn(|k| b.death_of(phases[k]));
     let d: [f64; K] = from_fn(|k| b.exit[phases[k]]);
 
-    // Gather inflow from other phases: contiguous source rows,
-    // fixed-width level runs — the loop the compiler vectorizes. No
-    // lane's phase is a source of another's, so every lane reads what
-    // the phase-by-phase sweep would.
+    // Gather inflow from other phases. No lane's phase is a source of
+    // another's, so every lane reads what the phase-by-phase sweep
+    // would.
     for k in 0..K {
-        let p = phases[k];
-        rhs[k].fill(0.0);
-        for e in b.in_ptr[p]..b.in_ptr[p + 1] {
-            let rate = b.in_rate[e];
-            let qbase = b.in_src[e] as usize * l_count;
-            for (acc, &v) in rhs[k].iter_mut().zip(&pi[qbase..qbase + l_count]) {
-                *acc += rate * v;
-            }
-        }
+        b.gather_inflow(phases[k], pi, rhs[k]);
     }
 
     // Thomas forward elimination, all lanes one level at a time.
@@ -885,6 +922,28 @@ fn solve_group<const K: usize>(
             }
         }
     }
+}
+
+/// Levels `off..off + N` of [`BlockedMbd::gather_inflow`]: `N`
+/// accumulators, one pass over the edges (`src`, `rate`) reading each
+/// source column's `N` entries, one store into `out`.
+#[inline(always)]
+fn gather_block<const N: usize>(
+    src: &[u32],
+    rate: &[f64],
+    pi: &[f64],
+    levels: usize,
+    off: usize,
+    out: &mut [f64],
+) {
+    let mut acc = [0.0f64; N];
+    for (&q, &r) in src.iter().zip(rate) {
+        let start = q as usize * levels + off;
+        for (a, &v) in acc.iter_mut().zip(&pi[start..start + N]) {
+            *a += r * v;
+        }
+    }
+    out[off..off + N].copy_from_slice(&acc);
 }
 
 /// The first `K` consecutive columns of `levels` entries of `buf`.
@@ -1010,13 +1069,17 @@ mod tests {
     #[test]
     fn blocked_solves_are_bitwise_equal_to_scalar() {
         let mut switched = 0;
-        for (seed, phases, levels, omega) in [
+        let cases = [
             (1u64, 5, 8, 1.0),
             (7, 8, 30, 1.0),
             (42, 6, 10, 0.8),
             (99, 3, 12, 1.2),
             (3, 6, 60, 1.0),
-        ] {
+        ];
+        // And every column length the gather dispatches on, at ω = 1
+        // and ω ≠ 1 in turn.
+        let lengths = gather_lengths().map(|l| (1000 + l as u64, 5, l, [1.0, 1.3][l % 2]));
+        for (seed, phases, levels, omega) in cases.into_iter().chain(lengths) {
             let mbd = TableMbd::random(phases, levels, seed);
             let marginal = exact_phase_marginal(&mbd);
             let mut b = BlockedMbd::new();
@@ -1061,18 +1124,37 @@ mod tests {
         assert!(switched > 0, "no case switched relaxation");
     }
 
+    /// Column lengths the inflow gather dispatches on: every
+    /// exact-length accumulator (1 to `GATHER_WIDTH`), one full block
+    /// and a one-level tail, and multi-block columns.
+    fn gather_lengths() -> impl Iterator<Item = usize> {
+        assert_eq!(GATHER_WIDTH, 16, "retune the lengths to the width");
+        (1..=17).chain([41, 101])
+    }
+
     #[test]
     fn blocked_residual_matches_scalar_bitwise() {
-        let mbd = TableMbd::random(7, 11, 23);
-        let mut b = BlockedMbd::new();
-        b.capture(&mbd);
-        // An arbitrary (unconverged) iterate: uniform plus a ramp.
-        let n = 7 * 11;
-        let pi: Vec<f64> = (0..n).map(|i| 1.0 / n as f64 + i as f64 * 1e-4).collect();
+        // One reused scratch buffer across lengths, as in a solve.
         let mut inflow = Vec::new();
-        let blocked = b.residual(&pi, &mut inflow);
-        let scalar = mbd_residual_of(&mbd, &pi);
-        assert_eq!(blocked.to_bits(), scalar.to_bits());
+        for levels in gather_lengths() {
+            for (name, mbd) in [
+                ("random", TableMbd::random(7, levels, 23)),
+                ("lattice", lattice(4, 5, levels, 31)),
+            ] {
+                let mut b = BlockedMbd::new();
+                b.capture(&mbd);
+                // An arbitrary (unconverged) iterate: uniform plus a ramp.
+                let n = mbd.num_phases() * levels;
+                let pi: Vec<f64> = (0..n).map(|i| 1.0 / n as f64 + i as f64 * 1e-4).collect();
+                let blocked = b.residual(&pi, &mut inflow);
+                let scalar = mbd_residual_of(&mbd, &pi);
+                assert_eq!(
+                    blocked.to_bits(),
+                    scalar.to_bits(),
+                    "{name}, {levels} levels"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1394,15 +1476,28 @@ mod tests {
 
     #[test]
     fn grouped_sweeps_are_bitwise_equal_to_scalar() {
+        let mut cases = vec![
+            ("lattice 6x8".to_string(), lattice(6, 8, 12, 4)),
+            ("lattice 3x17".to_string(), lattice(3, 17, 9, 8)),
+            ("dense 0.1".to_string(), dense(40, 10, 0.1, 6)),
+            ("dense 0.3".to_string(), dense(24, 8, 0.3, 2)),
+        ];
+        // Every column length the gather dispatches on, on a lattice
+        // whose schedule holds groups of every size.
+        for levels in gather_lengths() {
+            let mbd = lattice(5, 7, levels, levels as u64);
+            let mut b = BlockedMbd::new();
+            b.capture(&mbd);
+            let sizes = assert_valid_schedule(&b);
+            assert!(sizes[1..].iter().all(|&n| n > 0), "group sizes {sizes:?}");
+            cases.push((format!("lattice 5x7, {levels} levels"), mbd));
+        }
         let mut switched = 0;
         for omega in [1.0, 1.2] {
-            for (name, mbd) in [
-                ("lattice 6x8", lattice(6, 8, 12, 4)),
-                ("lattice 3x17", lattice(3, 17, 9, 8)),
-                ("dense 0.1", dense(40, 10, 0.1, 6)),
-                ("dense 0.3", dense(24, 8, 0.3, 2)),
-            ] {
-                switched += usize::from(assert_blocked_matches_scalar(&mbd, omega, name));
+            for (name, mbd) in &cases {
+                // Sweep by sweep in both directions, then whole solves.
+                assert_sweeps_match_scalar(mbd, &exact_phase_marginal(mbd), omega, name);
+                switched += usize::from(assert_blocked_matches_scalar(mbd, omega, name));
             }
         }
         assert!(switched > 0, "no case switched relaxation");
