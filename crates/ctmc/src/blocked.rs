@@ -59,11 +59,11 @@
 //! gets an accumulator of exactly its length; a longer one, as Fig. 10's
 //! 41-level columns are, is summed in blocks of sixteen levels and an
 //! exact-length block for the rest. The choice depends only on the
-//! column length. Each level still sums its edges in CSR order from
-//! `0.0`, with no fused multiply-add, so the sums are the bits the
-//! per-edge loop gave. At 9 and 11 levels this took an 8-sweep solve of
-//! a campaign cell from about 39 and 45 to 29 and 35 µs on a 2-core
-//! x86-64 VM.
+//! column length. Each level sums its edges in CSR order from `0.0`,
+//! with no fused multiply-add, as the scalar kernel does, so the sums
+//! are bit-identical to its. At 9 and 11 levels this took an 8-sweep
+//! solve of a campaign cell from about 40 and 47 to 29 and 35 µs on a
+//! 2-core x86-64 VM.
 //!
 //! Capture costs about one sweep's worth of rate evaluations and is
 //! repaid within the first sweep; for repeated same-shape solves the
