@@ -21,6 +21,8 @@
 //! are [`ClusterSolveOptions::default`]'s: in particular, a spec
 //! without an `"ordering"` key runs Gauss–Seidel sweeps, and
 //! `"ordering": "jacobi"` selects the historical bit-exact iteration.
+//! Both run plain: an item that overruns a tight `max_iterations`
+//! under either ordering is answered by a retry at a doubled budget.
 //! Item ids must be unique and non-empty — they key journal recovery.
 
 use crate::CampaignError;

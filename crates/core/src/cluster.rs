@@ -91,9 +91,8 @@ pub enum SweepOrdering {
     /// Classic simultaneous (Jacobi) sweeps: every cell is solved at
     /// the *previous* iteration's arrival vector, then the whole
     /// vector updates at once. On the 7-cell ring this is the
-    /// historical bit-exact iteration that the ring7 fixtures pin, and
-    /// it is the only ordering that applies adaptive relaxation (see
-    /// [`ClusterModel::solve`]). Ask for it explicitly
+    /// historical bit-exact iteration that the ring7 fixtures pin. Ask
+    /// for it explicitly
     /// (`with_ordering(SweepOrdering::Jacobi)`, or `"ordering":
     /// "jacobi"` in a campaign spec).
     Jacobi,
@@ -111,10 +110,10 @@ pub enum SweepOrdering {
     /// tolerance in fewer outer iterations on every topology measured
     /// (at [`ClusterSolveOptions::quick`] tolerances, 4,288 vs 7,784
     /// over 200 solves of 48-cell metro items; 8 vs 11 on the ring7
-    /// hot spot). It runs plain — no damping and no
-    /// Aitken extrapolation — so a strongly coupled cluster under a
-    /// tight `max_iterations` can end `BalanceNotConverged` where
-    /// Jacobi's extrapolation would have rescued it.
+    /// hot spot). Both orderings run plain — no damping and no
+    /// extrapolation — so a strongly coupled cluster under a tight
+    /// `max_iterations` ends `BalanceNotConverged` under either; a
+    /// campaign's retry ladder rescues it by doubling the budget.
     #[default]
     GaussSeidel,
 }
@@ -142,8 +141,7 @@ pub struct ClusterSolveOptions {
     /// iterations). [`SweepOrdering::Jacobi`] is the historical
     /// bit-exact iteration the ring7 fixtures pin; a campaign spec
     /// selects it with `"ordering": "jacobi"`, and a spec without an
-    /// `ordering` key runs Gauss–Seidel. Adaptive relaxation only
-    /// applies to Jacobi sweeps; Gauss–Seidel runs plain.
+    /// `ordering` key runs Gauss–Seidel. Both orderings run plain.
     pub ordering: SweepOrdering,
     /// Use the predict-and-verify surrogate for inner cell solves
     /// (default `false`, which keeps the fixed point bit-identical to
@@ -280,8 +278,6 @@ pub struct SolvedCluster {
     pub(crate) cells: Vec<SolvedCell>,
     pub(crate) iterations: usize,
     pub(crate) handover_delta: f64,
-    pub(crate) relaxation: f64,
-    pub(crate) adaptive_steps: usize,
     pub(crate) symbolic_setups: usize,
     pub(crate) surrogate_solves: usize,
 }
@@ -305,24 +301,6 @@ impl SolvedCluster {
     /// Final maximum relative change of the handover arrival vector.
     pub fn handover_delta(&self) -> f64 {
         self.handover_delta
-    }
-
-    /// The final adaptive relaxation factor: `1.0` when the iteration
-    /// ran plain (the common case — the trajectory is then identical
-    /// to the fixed iteration), below `1.0` when ping-ponging was
-    /// detected and damped, above `1.0` when a slow contraction was
-    /// extrapolated to meet the iteration budget. Only Jacobi sweeps
-    /// relax; under Gauss–Seidel (the default) this is always `1.0`.
-    pub fn relaxation(&self) -> f64 {
-        self.relaxation
-    }
-
-    /// How many outer iterations applied a relaxation factor other
-    /// than `1` (damped or extrapolated). `0` means the trajectory was
-    /// bit-identical to the fixed iteration throughout. Always `0`
-    /// under Gauss–Seidel sweeps, the default ordering.
-    pub fn adaptive_steps(&self) -> usize {
-        self.adaptive_steps
     }
 
     /// Whether any cell's final solve had to leave the primary solver
@@ -454,31 +432,13 @@ impl ClusterModel {
     /// Convergence hardening: each cell solve runs through the
     /// fallback ladder of
     /// [`crate::template::GeneratorTemplate::solve_resilient`]
-    /// (health reported per cell in [`SolvedCell::health`]), and the
-    /// Jacobi iteration always applies adaptive relaxation, two
-    /// complementary mechanisms:
-    ///
-    /// * **Oscillation damping** — when two successive handover
-    ///   updates point in opposite directions *without contracting*
-    ///   (negative dot product, update norm above half the previous:
-    ///   the vector is ping-ponging around the fixed point), the step
-    ///   factor is halved, down to a floor of `1/8`, and recovers
-    ///   geometrically once updates realign.
-    /// * **Budget-aware extrapolation** — strongly coupled clusters
-    ///   (short dwell times: handover rate far above completion rate)
-    ///   contract at a ratio near `1` and exhaust `max_iterations`
-    ///   monotonically. When the observed contraction ratio projects
-    ///   convergence *beyond* the remaining iteration budget, the step
-    ///   is extrapolated Aitken-style to `1/(1−ratio)` (capped), which
-    ///   collapses the slow mode inside the budget.
-    ///
-    /// Trajectories that converge within the budget without
-    /// oscillating are untouched: the factor stays at `1` and every
-    /// update is applied verbatim ([`SolvedCluster::adaptive_steps`]
-    /// reports `0`). Gauss–Seidel sweeps, the default ordering, apply
-    /// neither mechanism: they always report `0` adaptive steps and a
-    /// factor of `1`, and a strongly coupled cluster that overruns
-    /// `max_iterations` under them returns `BalanceNotConverged`.
+    /// (health reported per cell in [`SolvedCell::health`]). The outer
+    /// iteration runs plain under both orderings: every refresh assigns
+    /// the new inflows verbatim, with no damping or extrapolation.
+    /// Strongly coupled clusters (short dwell times: handover rate far
+    /// above completion rate) contract at a ratio near `1`, and one that
+    /// overruns `max_iterations` returns `BalanceNotConverged`; a
+    /// campaign's retry ladder answers it with a doubled budget.
     pub fn solve(&self, opts: &ClusterSolveOptions) -> Result<SolvedCluster, ModelError> {
         self.solve_with_registry(opts, &TemplateRegistry::new())
     }
@@ -888,69 +848,6 @@ mod tests {
         assert!(solved.handover_delta() <= opts.tolerance);
     }
 
-    fn short_dwell(rate: f64, dwell: f64) -> CellConfig {
-        CellConfig::builder()
-            .total_channels(4)
-            .reserved_pdchs(1)
-            .buffer_capacity(5)
-            .traffic_model(TrafficModel::Model3)
-            .max_gprs_sessions(2)
-            .call_arrival_rate(rate)
-            .gsm_dwell_time(dwell)
-            .gprs_dwell_time(dwell)
-            .build()
-            .unwrap()
-    }
-
-    /// Default options with Jacobi sweeps, the only ordering that
-    /// applies adaptive relaxation.
-    fn jacobi() -> ClusterSolveOptions {
-        ClusterSolveOptions::default().with_ordering(SweepOrdering::Jacobi)
-    }
-
-    #[test]
-    fn adaptive_relaxation_rescues_budget_bound_hot_spot() {
-        // High mobility (0.5 s dwell): the outer fixed point contracts
-        // at a ratio near 1. At the default budget Jacobi converges at
-        // θ = 1 throughout (the plain trajectory) but needs more than
-        // 60 iterations; under a cap of 60 adaptive relaxation detects
-        // the projected overrun and extrapolates the slow mode inside
-        // it.
-        let cluster = hot_spot(short_dwell(0.3, 0.5), 0.9);
-        let deep = cluster.solve(&jacobi()).unwrap();
-        assert_eq!(deep.adaptive_steps(), 0);
-        assert!(deep.iterations() > 60, "took {}", deep.iterations());
-
-        let capped = ClusterSolveOptions {
-            max_iterations: 60,
-            ..jacobi()
-        };
-        let rescued = cluster.solve(&capped).unwrap();
-        assert!(rescued.iterations() <= 60);
-        assert!(rescued.adaptive_steps() > 0, "extrapolation never engaged");
-
-        // The rescued fixed point is the one the plain trajectory
-        // reaches with the deep budget.
-        for (a, b) in rescued.cells().iter().zip(deep.cells()) {
-            assert!((a.gsm_handover_in - b.gsm_handover_in).abs() < 1e-7);
-            assert!(
-                (a.measures.carried_voice_traffic - b.measures.carried_voice_traffic).abs() < 1e-7
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_relaxation_leaves_converging_trajectories_untouched() {
-        // A hot spot that converges within the budget without
-        // oscillating takes the plain Jacobi trajectory: every step
-        // runs at θ = 1 and assigns the raw update verbatim.
-        let cluster = hot_spot(tiny(0.3), 0.9);
-        let solved = cluster.solve(&jacobi()).unwrap();
-        assert_eq!(solved.adaptive_steps(), 0);
-        assert_eq!(solved.relaxation(), 1.0);
-        assert!(solved.handover_delta() <= ClusterSolveOptions::default().tolerance);
-    }
-
     #[test]
     fn cluster_reports_healthy_primary_solves() {
         let cluster = homogeneous(tiny(0.5));
@@ -996,14 +893,16 @@ mod tests {
     #[test]
     fn iteration_cap_reports_balance_not_converged() {
         let cluster = hot_spot(tiny(0.3), 0.9);
-        let opts = ClusterSolveOptions {
-            max_iterations: 1,
-            tolerance: 1e-15,
-            ..ClusterSolveOptions::default()
-        };
-        match cluster.solve(&opts) {
-            Err(ModelError::Queueing(QueueingError::BalanceNotConverged { .. })) => {}
-            other => panic!("expected BalanceNotConverged, got {other:?}"),
+        for ordering in [SweepOrdering::Jacobi, SweepOrdering::GaussSeidel] {
+            let opts = ClusterSolveOptions {
+                max_iterations: 1,
+                tolerance: 1e-15,
+                ..ClusterSolveOptions::default().with_ordering(ordering)
+            };
+            match cluster.solve(&opts) {
+                Err(ModelError::Queueing(QueueingError::BalanceNotConverged { .. })) => {}
+                other => panic!("{ordering:?}: expected BalanceNotConverged, got {other:?}"),
+            }
         }
     }
 
@@ -1016,7 +915,9 @@ mod tests {
         let corridor =
             ClusterModel::from_graph(CellGraph::corridor(6).unwrap(), corridor_cfgs).unwrap();
         for cluster in [ring, corridor] {
-            let jac = cluster.solve(&jacobi()).unwrap();
+            let jac = cluster
+                .solve(&ClusterSolveOptions::default().with_ordering(SweepOrdering::Jacobi))
+                .unwrap();
             let gs = cluster
                 .solve(&ClusterSolveOptions::default().with_ordering(SweepOrdering::GaussSeidel))
                 .unwrap();

@@ -7,18 +7,17 @@
 //! ([`gprs_exec::with_worker_pool`]; the calling thread serves worker
 //! 0) as near-equal consecutive index ranges, and each worker owns its
 //! cells' [`GeneratorTemplate`]s for the entire solve. The coordinator
-//! holds the rest of the fixed point: the `2·n` handover arrival rates,
-//! the out-fluxes of the latest solves, the next vector and the update
-//! vector. Every outer step is one round:
+//! holds the rest of the fixed point: the `2·n` handover arrival rates
+//! and the out-fluxes of the latest solves. Every outer step is one
+//! round and one *refresh*, which moves a set of cells' arrival rates
+//! to the inflows of the latest out-fluxes and measures the change:
 //!
 //! * **Jacobi** — one round per outer iteration: the coordinator sends
 //!   every cell at its current arrival rates, each worker solves the
 //!   cells it is sent and returns their out-fluxes, and the coordinator
-//!   accumulates the inflows, measures the change, picks the adaptive
-//!   relaxation step and moves the arrival rates.
+//!   then refreshes every cell.
 //! * **Gauss–Seidel** — one round per colour class: the coordinator
-//!   refreshes the class members' arrival rates from the latest
-//!   out-fluxes and sends just those cells.
+//!   refreshes the class members and sends just those cells.
 //! * **Report** — the final pass sends every cell with `report: true`,
 //!   and each worker also returns the cell's [`SolvedCell`].
 //!
@@ -34,9 +33,8 @@
 //! **Bitwise contract**: a worker's answer for a cell depends only on
 //! that cell's template and the rates it is sent, and every cross-cell
 //! sum runs on the coordinator in one fixed order — inflow sums over
-//! in-edges in ascending source order, `delta` as a max-reduction, and
-//! the relaxation dot products sequentially over the interleaved `2·n`
-//! update vector. The worker count therefore moves no bit.
+//! in-edges in ascending source order, and `delta` as a max-reduction.
+//! The worker count therefore moves no bit.
 //! `tests/shard_equivalence.rs` pins bit-equality of every
 //! [`SolvedCluster`] field across shard and thread counts for both
 //! orderings; `tests/graph_equivalence.rs` and
@@ -52,17 +50,6 @@ use gprs_ctmc::solver::SolveOptions;
 use gprs_exec::{with_worker_pool, PoolHandle};
 use gprs_queueing::QueueingError;
 use std::ops::Range;
-
-/// Floor of the adaptive relaxation factor: halving stops at `1/8` —
-/// enough to tame a ping-ponging fixed point whose oscillatory mode
-/// contracts at any rate, without stalling convergence of the
-/// non-oscillatory modes.
-const MIN_RELAXATION: f64 = 0.125;
-
-/// Cap of the Aitken extrapolation factor: a contraction ratio of
-/// `0.9375` maps to the cap; slower modes still extrapolate 16× per
-/// step, faster ones get their exact `1/(1−ratio)` jump.
-const MAX_RELAXATION: f64 = 16.0;
 
 /// One owned cell: its configuration, persistent template, and the
 /// inner sweeps it has accumulated over the solve.
@@ -293,6 +280,23 @@ impl Coordinator<'_> {
         Ok((next_gsm, next_gprs))
     }
 
+    /// Moves each of `cells` to the inflow of the current out-fluxes
+    /// and returns the largest relative change of any of their arrival
+    /// rates. The inflow reads only out-fluxes, so the order of the
+    /// assignments moves no bit.
+    fn refresh(&mut self, cells: &[usize]) -> Result<f64, ModelError> {
+        let mut delta = 0.0f64;
+        for &c in cells {
+            let (gsm, gprs) = self.inflow(c)?;
+            delta = delta
+                .max(relative_change(self.lam_gsm[c], gsm))
+                .max(relative_change(self.lam_gprs[c], gprs));
+            self.lam_gsm[c] = gsm;
+            self.lam_gprs[c] = gprs;
+        }
+        Ok(delta)
+    }
+
     /// The reporting pass: re-solves every cell at the current arrival
     /// rates, counting as one iteration.
     fn report(
@@ -300,8 +304,6 @@ impl Coordinator<'_> {
         pool: &mut Pool<'_>,
         iterations: usize,
         handover_delta: f64,
-        relaxation: f64,
-        adaptive_steps: usize,
     ) -> Result<SolvedCluster, ModelError> {
         let all: Vec<usize> = (0..self.owner.len()).collect();
         let cells = self.round(pool, &all, true)?;
@@ -310,8 +312,6 @@ impl Coordinator<'_> {
             cells,
             iterations,
             handover_delta,
-            relaxation,
-            adaptive_steps,
             symbolic_setups: self.shapes,
             surrogate_solves: self.surrogate_solves,
         })
@@ -398,85 +398,15 @@ fn jacobi(
     pool: &mut Pool<'_>,
     opts: &ClusterSolveOptions,
 ) -> Result<SolvedCluster, ModelError> {
-    let n = coord.owner.len();
-    let all: Vec<usize> = (0..n).collect();
-    let mut next_gsm = vec![0.0f64; n];
-    let mut next_gprs = vec![0.0f64; n];
+    let all: Vec<usize> = (0..coord.owner.len()).collect();
     let mut delta = f64::INFINITY;
-    let mut theta = 1.0f64;
-    let mut adaptive_steps = 0usize;
-    // Interleaved `[gsm, gprs]` per cell.
-    let mut update = vec![0.0f64; 2 * n];
-    let mut prev_update = vec![0.0f64; 2 * n];
-    let mut have_prev = false;
-
     // The cap bounds *balance* iterations; the reporting pass of a
     // vector that converged at the cap still runs.
     for iteration in 1..=opts.max_iterations {
         coord.round(pool, &all, false)?;
-
-        delta = 0.0;
-        for c in 0..n {
-            let (gsm, gprs) = coord.inflow(c)?;
-            for (slot, (cur, next)) in [(coord.lam_gsm[c], gsm), (coord.lam_gprs[c], gprs)]
-                .into_iter()
-                .enumerate()
-            {
-                delta = delta.max(relative_change(cur, next));
-                update[2 * c + slot] = next - cur;
-            }
-            next_gsm[c] = gsm;
-            next_gprs[c] = gprs;
-        }
-
-        // Adaptive relaxation on the update vector (sequential sums
-        // over the interleaved 2n entries). Two successive updates
-        // pointing in opposite directions *without shrinking* mean the
-        // vector is ping-ponging around the fixed point: halve the
-        // step. Aligned updates whose contraction ratio projects
-        // convergence beyond the remaining iteration budget get the
-        // Aitken step `1/(1−ratio)`; everything else runs at `θ = 1`,
-        // which assigns the raw next vector verbatim.
-        if have_prev {
-            let dot: f64 = update.iter().zip(&prev_update).map(|(a, b)| a * b).sum();
-            let cur_sq: f64 = update.iter().map(|u| u * u).sum();
-            let prev_sq: f64 = prev_update.iter().map(|u| u * u).sum();
-            if dot < 0.0 && cur_sq > 0.25 * prev_sq {
-                theta = (0.5 * theta).max(MIN_RELAXATION);
-            } else if dot > 0.0 {
-                let ratio = (cur_sq / prev_sq.max(1e-300)).sqrt();
-                let projected = if ratio > 0.0 && ratio < 1.0 && delta > opts.tolerance {
-                    (delta / opts.tolerance).ln() / -ratio.ln()
-                } else {
-                    0.0
-                };
-                let remaining = opts.max_iterations.saturating_sub(iteration) as f64;
-                if projected > remaining {
-                    theta = (1.0 / (1.0 - ratio)).min(MAX_RELAXATION);
-                } else if theta < 1.0 {
-                    theta = (1.5 * theta).min(1.0);
-                } else {
-                    theta = 1.0;
-                }
-            }
-        }
-        if theta == 1.0 {
-            coord.lam_gsm.copy_from_slice(&next_gsm);
-            coord.lam_gprs.copy_from_slice(&next_gprs);
-        } else {
-            adaptive_steps += 1;
-            // Extrapolated steps may overshoot; arrival rates stay
-            // physical.
-            for c in 0..n {
-                coord.lam_gsm[c] = (coord.lam_gsm[c] + theta * update[2 * c]).max(0.0);
-                coord.lam_gprs[c] = (coord.lam_gprs[c] + theta * update[2 * c + 1]).max(0.0);
-            }
-        }
-        std::mem::swap(&mut prev_update, &mut update);
-        have_prev = true;
-
+        delta = coord.refresh(&all)?;
         if delta <= opts.tolerance {
-            return coord.report(pool, iteration + 1, delta, theta, adaptive_steps);
+            return coord.report(pool, iteration + 1, delta);
         }
     }
 
@@ -498,19 +428,12 @@ fn gauss_seidel(
         for class in &classes {
             // No two class members share an edge, so each refresh reads
             // only out-fluxes of other classes.
-            for &c in class {
-                let (gsm, gprs) = coord.inflow(c)?;
-                delta = delta
-                    .max(relative_change(coord.lam_gsm[c], gsm))
-                    .max(relative_change(coord.lam_gprs[c], gprs));
-                coord.lam_gsm[c] = gsm;
-                coord.lam_gprs[c] = gprs;
-            }
+            delta = delta.max(coord.refresh(class)?);
             coord.round(pool, class, false)?;
         }
 
         if delta <= opts.tolerance {
-            return coord.report(pool, iteration + 1, delta, 1.0, 0);
+            return coord.report(pool, iteration + 1, delta);
         }
     }
 

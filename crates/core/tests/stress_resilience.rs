@@ -8,10 +8,9 @@
 //! `cargo test --test stress_resilience -- --ignored` or via the
 //! nightly CI stress job); a quick subset runs in tier-1 on every push.
 
-use gprs_core::cluster::ClusterSolveOptions;
 use gprs_core::stress::{invalid_configs, pathological_configs};
 use gprs_core::template::{GeneratorTemplate, PointSolve, WarmStart};
-use gprs_core::{CellConfig, GprsModel, ModelError, Scenario, SolveRung, SweepOrdering};
+use gprs_core::{CellConfig, GprsModel, ModelError, SolveRung};
 use gprs_ctmc::solver::SolveOptions;
 use gprs_traffic::TrafficModel;
 use std::time::{Duration, Instant};
@@ -235,53 +234,4 @@ fn happy_path_is_bit_identical_to_the_plain_solver() {
     assert_eq!(resilient.sweeps, plain.sweeps());
     assert_eq!(resilient.residual.to_bits(), plain.residual().to_bits());
     assert_eq!(&resilient.measures, plain.measures());
-}
-
-/// Pin: a high-mobility hot-spot cluster whose plain trajectory needs
-/// more than 60 outer iterations is rescued under a cap of 60 by
-/// adaptive relaxation — and lands on the same fixed point the plain
-/// trajectory reaches with the default budget.
-#[test]
-fn budget_bound_cluster_is_rescued_by_adaptive_relaxation() {
-    let base = CellConfig::builder()
-        .total_channels(4)
-        .reserved_pdchs(1)
-        .buffer_capacity(5)
-        .traffic_model(TrafficModel::Model3)
-        .max_gprs_sessions(2)
-        .call_arrival_rate(0.3)
-        .gsm_dwell_time(1.0)
-        .gprs_dwell_time(1.0)
-        .build()
-        .unwrap();
-    let cluster = Scenario::hot_spot(base, 0.9).unwrap().to_cluster().unwrap();
-
-    // Adaptive relaxation belongs to Jacobi sweeps, so both solves
-    // name that ordering. The default budget converges at θ = 1
-    // throughout: the plain trajectory, which a cap of 60 would cut
-    // short.
-    let jacobi = ClusterSolveOptions::default().with_ordering(SweepOrdering::Jacobi);
-    let deep = cluster.solve(&jacobi).unwrap();
-    assert_eq!(deep.adaptive_steps(), 0);
-    assert!(deep.iterations() > 60, "took {}", deep.iterations());
-
-    let capped = ClusterSolveOptions {
-        max_iterations: 60,
-        ..jacobi
-    };
-    let rescued = cluster.solve(&capped).unwrap();
-    assert!(rescued.iterations() <= 60);
-    assert!(rescued.adaptive_steps() > 0, "extrapolation never engaged");
-    assert!(!rescued.degraded(), "per-cell solves stayed on rung 1");
-
-    for (cell, (a, b)) in rescued.cells().iter().zip(deep.cells()).enumerate() {
-        assert!(
-            (a.gsm_handover_in - b.gsm_handover_in).abs() < 1e-7,
-            "cell {cell}"
-        );
-        assert!(
-            (a.measures.carried_voice_traffic - b.measures.carried_voice_traffic).abs() < 1e-7,
-            "cell {cell}"
-        );
-    }
 }

@@ -99,11 +99,9 @@ fn render_measures(m: &Measures) -> String {
 fn render_solved(name: &str, solved: &SolvedCluster, out: &mut String) {
     writeln!(
         out,
-        "{name}/trace {} {} {} {} {}",
+        "{name}/trace {} {} {}",
         solved.iterations(),
         bits(solved.handover_delta()),
-        bits(solved.relaxation()),
-        solved.adaptive_steps(),
         solved.surrogate_solves(),
     )
     .unwrap();

@@ -1,13 +1,13 @@
 //! The ordering contract: the cluster fixed point renders pinned bit
-//! patterns under both sweep orderings, on weighted non-ring graphs,
-//! with the surrogate on, and along an adaptive-relaxation trajectory.
+//! patterns under both sweep orderings, on weighted non-ring graphs
+//! and with the surrogate on.
 //!
 //! `tests/graph_equivalence.rs` pins the 7-cell ring under Jacobi
 //! sweeps with the surrogate off; `tests/shard_equivalence.rs` pins
 //! every shard layout to the one-shard layout of the same code. This
 //! file pins the remaining trajectories to values rendered once, so a
 //! rewrite of the fixed-point engine cannot move a bit of Gauss–Seidel,
-//! weighted-graph, surrogate or relaxed output unnoticed.
+//! weighted-graph or surrogate output unnoticed.
 //!
 //! Regenerate with
 //! `cargo test --test ordering_fixtures -- --ignored regenerate`
@@ -29,23 +29,6 @@ fn tiny(rate: f64) -> CellConfig {
         .traffic_model(TrafficModel::Model3)
         .max_gprs_sessions(2)
         .call_arrival_rate(rate)
-        .build()
-        .unwrap()
-}
-
-/// High mobility (0.5 s dwell): the outer fixed point contracts at a
-/// ratio near 1, so a capped iteration budget engages Aitken
-/// extrapolation.
-fn short_dwell(rate: f64) -> CellConfig {
-    CellConfig::builder()
-        .total_channels(4)
-        .reserved_pdchs(1)
-        .buffer_capacity(5)
-        .traffic_model(TrafficModel::Model3)
-        .max_gprs_sessions(2)
-        .call_arrival_rate(rate)
-        .gsm_dwell_time(0.5)
-        .gprs_dwell_time(0.5)
         .build()
         .unwrap()
 }
@@ -103,13 +86,6 @@ fn ring(rate: f64) -> ClusterModel {
         .unwrap()
 }
 
-fn hot_spot() -> ClusterModel {
-    Scenario::hot_spot(short_dwell(0.3), 0.9)
-        .unwrap()
-        .to_cluster()
-        .unwrap()
-}
-
 /// Every pinned case: a name, the model and its options (before the
 /// shard count is set).
 fn cases() -> Vec<(String, ClusterModel, ClusterSolveOptions)> {
@@ -138,14 +114,6 @@ fn cases() -> Vec<(String, ClusterModel, ClusterSolveOptions)> {
             quick.with_surrogate(true),
         ));
     }
-    // A capped budget the plain trajectory overruns: extrapolation
-    // engages (asserted in `hot_spot_fixture_is_a_relaxed_trajectory`).
-    let capped = ClusterSolveOptions {
-        max_iterations: 60,
-        ordering: SweepOrdering::Jacobi,
-        ..ClusterSolveOptions::default()
-    };
-    out.push(("hot-spot-relaxed/Jacobi".to_string(), hot_spot(), capped));
     out
 }
 
@@ -156,11 +124,9 @@ fn bits(v: f64) -> String {
 fn render_solved(name: &str, solved: &SolvedCluster, out: &mut String) {
     writeln!(
         out,
-        "{name}/trace {} {} {} {} {}",
+        "{name}/trace {} {} {}",
         solved.iterations(),
         bits(solved.handover_delta()),
-        bits(solved.relaxation()),
-        solved.adaptive_steps(),
         solved.surrogate_solves(),
     )
     .unwrap();
@@ -243,15 +209,6 @@ fn orderings_match_pinned_fixture_unsharded() {
 #[test]
 fn orderings_match_pinned_fixture_on_three_shards() {
     compare(&render(3), "shards=3");
-}
-
-/// The hot-spot case really pins a relaxed trajectory: without
-/// extrapolation steps it would duplicate the plain Jacobi cases.
-#[test]
-fn hot_spot_fixture_is_a_relaxed_trajectory() {
-    let (_, model, opts) = cases().pop().unwrap();
-    let solved = model.solve(&opts.with_shards(1)).unwrap();
-    assert!(solved.adaptive_steps() > 0, "extrapolation never engaged");
 }
 
 /// Rewrites the fixture from the current implementation. Only

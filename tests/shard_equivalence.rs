@@ -1,8 +1,8 @@
 //! The sharded-fixed-point contract: for every shard count, thread
 //! count and both sweep orderings, the cluster fixed-point engine is
 //! **bitwise identical** to its unsharded (`shards = 1`, inline)
-//! layout — same iteration counts, same relaxation trace, and
-//! bit-equal floating point in every per-cell field and measure.
+//! layout — same iteration counts and bit-equal floating point in
+//! every per-cell field and measure.
 //! Sharding is an execution layout, never a numeric approximation.
 //! `tests/graph_equivalence.rs` anchors the unsharded layout to the
 //! historical ring fixtures.
@@ -29,7 +29,7 @@ fn bits(v: f64) -> u64 {
 }
 
 /// Asserts complete bitwise equality of two solved clusters: the
-/// iteration/relaxation trace, every handover flux, every population
+/// iteration trace, every handover flux, every population
 /// mean, every measure, and the per-cell health bookkeeping.
 fn assert_bitwise_equal(a: &SolvedCluster, b: &SolvedCluster, what: &str) {
     assert_eq!(a.iterations(), b.iterations(), "{what}: iterations");
@@ -37,16 +37,6 @@ fn assert_bitwise_equal(a: &SolvedCluster, b: &SolvedCluster, what: &str) {
         bits(a.handover_delta()),
         bits(b.handover_delta()),
         "{what}: handover delta"
-    );
-    assert_eq!(
-        bits(a.relaxation()),
-        bits(b.relaxation()),
-        "{what}: relaxation"
-    );
-    assert_eq!(
-        a.adaptive_steps(),
-        b.adaptive_steps(),
-        "{what}: adaptive steps"
     );
     assert_eq!(
         a.surrogate_solves(),
@@ -201,13 +191,12 @@ fn corridor_sharded_matches_classic_bitwise() {
     check_model(&model, SweepOrdering::GaussSeidel, "corridor12");
 }
 
-/// Hot-spot rings under Jacobi sweeps, the only ordering that relaxes:
-/// the relaxation trace — theta, adaptive step count — must survive
-/// sharding bit-for-bit. The plain hot spot converges at θ = 1; the
-/// short-dwell one, under a budget of 60 outer iterations, engages
-/// Aitken extrapolation.
+/// Hot-spot rings under Jacobi sweeps survive sharding bit for bit:
+/// the plain hot spot, and a short-dwell one whose slow contraction
+/// runs well past 60 outer iterations, so a long trajectory is checked
+/// at every layout.
 #[test]
-fn hot_spot_adaptive_relaxation_trace_survives_sharding() {
+fn hot_spot_jacobi_trajectories_survive_sharding() {
     let model = Scenario::hot_spot(tiny(0.25), 0.9)
         .unwrap()
         .to_cluster()
@@ -222,13 +211,9 @@ fn hot_spot_adaptive_relaxation_trace_survives_sharding() {
         .unwrap()
         .to_cluster()
         .unwrap();
-    let capped = ClusterSolveOptions {
-        max_iterations: 60,
-        ..jacobi
-    };
-    let relaxed = model.solve(&capped.clone().with_shards(1)).unwrap();
-    assert!(relaxed.adaptive_steps() > 0, "extrapolation never engaged");
-    check_layouts(&model, &capped, "hotspot-relaxed");
+    let slow = model.solve(&jacobi.clone().with_shards(1)).unwrap();
+    assert!(slow.iterations() > 60, "took {}", slow.iterations());
+    check_layouts(&model, &jacobi, "hotspot-short-dwell");
 }
 
 /// The surrogate (predict-and-verify) solve path counts and warm-start
