@@ -29,7 +29,9 @@
 //! after measuring, the fresh figure-sweep throughput is compared
 //! against the baseline's `refill_points_per_sec`, and the metro
 //! graph-sweep throughput against the baseline `graph_sweep` section's
-//! `cell_solves_per_sec`; the process exits 1 if either dropped
+//! `cell_solves_per_sec` (outer iterations × cells per second: the
+//! cluster's closed-form cell updates, the final iteration's CTMC
+//! solves included); the process exits 1 if either dropped
 //! below 75% of its baseline (wall-clock noise on shared runners makes
 //! a tighter bound flaky). Baselines predating the `graph_sweep`
 //! section skip that gate with a note; a baseline that cannot be read
@@ -172,6 +174,10 @@ fn main() {
         .with_solve(solve_opts)
         .with_threads(threads);
     let (metro_s, metro_solved) = timed(|| metro.solve(&metro_opts).expect("metro solve"));
+    // `iterations × cells`: every outer iteration updates each cell
+    // from its closed-form Erlang means, and the final (report)
+    // iteration solves each cell's CTMC once. So the count is cell
+    // updates, of which only the last `cells` are CTMC solves.
     let metro_cell_solves = metro_solved.iterations() * metro_solved.cells().len();
     let metro_pps = metro_cell_solves as f64 / metro_s;
     assert_eq!(

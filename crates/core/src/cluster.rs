@@ -16,28 +16,28 @@
 //! [`Scenario::to_cluster`]. The model iterates a
 //! **cluster-wide fixed point on the handover arrival vectors**:
 //!
-//! 1. solve each cell's CTMC under its current incoming handover rates
-//!    `(λ_h,GSM[i], λ_h,GPRS[i])` — via
-//!    [`crate::GprsModel::with_handover_arrivals`], lowered through one
-//!    [`crate::template::GeneratorTemplate`] per cell that persists
-//!    across all outer iterations (shared state space, solver
-//!    workspace and CSR pattern; each pass only refills rates) and
-//!    warm-starts from the cell's previous iterate;
-//! 2. read the mean populations `E[n_i]`, `E[m_i]` off the stationary
-//!    distributions and form the outgoing fluxes `μ_h,GSM·E[n_i]` and
-//!    `μ_h,GPRS·E[m_i]`, split uniformly over the six neighbours
-//!    (matching the simulator's uniform handover-target choice);
+//! 1. take each cell's mean populations `E[n_i]`, `E[m_i]` under its
+//!    current incoming handover rates `(λ_h,GSM[i], λ_h,GPRS[i])`: the
+//!    means of the Erlang loss systems that
+//!    [`crate::GprsModel::with_handover_arrivals`] builds, exact because
+//!    the cell's phase process is product-form
+//!    ([`crate::GprsModel::phase_marginal`]);
+//! 2. form the outgoing fluxes `μ_h,GSM·E[n_i]` and `μ_h,GPRS·E[m_i]`,
+//!    split over the neighbours by the topology's handover weights
+//!    (uniform over the six on the ring, matching the simulator's
+//!    uniform handover-target choice);
 //! 3. set each cell's next incoming rate to the sum of its neighbours'
-//!    per-neighbour fluxes and repeat until the vector is stationary.
+//!    per-neighbour fluxes and repeat until the vector is stationary;
+//! 4. solve each cell's CTMC once at the converged rates for its full
+//!    measures.
 //!
 //! Under uniform load the fixed point coincides with the scalar balance
 //! (every cell's inflow equals its own outflow), which is both the
 //! initialization and the oracle the test suite checks against. The
-//! per-iteration cell solves are independent, so the one fixed-point
-//! engine (`gprs_core::shard`) hands them to persistent workers that
-//! own the cells' templates, while one coordinator holds the handover
-//! vectors and runs every cross-cell sum in a fixed order — results are
-//! bit-identical for any shard and thread count.
+//! one fixed-point engine (`gprs_core::shard`) runs the iteration on
+//! one coordinator, every cross-cell sum in a fixed order, and hands
+//! the final cell solves to workers — results are bit-identical for any
+//! shard and thread count.
 //!
 //! # Example
 //!
@@ -88,9 +88,9 @@ pub const MID_CELL: usize = 0;
 /// The sweep ordering of the cluster fixed point over the cell graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepOrdering {
-    /// Classic simultaneous (Jacobi) sweeps: every cell is solved at
-    /// the *previous* iteration's arrival vector, then the whole
-    /// vector updates at once. On the 7-cell ring this is the
+    /// Classic simultaneous (Jacobi) sweeps: every cell's out-fluxes
+    /// are updated at the *previous* iteration's arrival vector, then
+    /// the whole vector updates at once. On the 7-cell ring this is the
     /// historical bit-exact iteration that the ring7 fixtures pin. Ask
     /// for it explicitly
     /// (`with_ordering(SweepOrdering::Jacobi)`, or `"ordering":
@@ -102,9 +102,8 @@ pub enum SweepOrdering {
     /// classes before it — within-sweep propagation that typically
     /// converges in fewer outer iterations on elongated topologies
     /// (corridors) where Jacobi information crawls one hop per sweep.
-    /// Cells within a class share no edge, so the per-class solves
-    /// still run in parallel across shards and results stay
-    /// bit-identical for any shard and thread count.
+    /// Cells within a class share no edge, so the order of the updates
+    /// within a class moves no bit.
     ///
     /// The default: it reaches the Jacobi fixed point within the outer
     /// tolerance in fewer outer iterations on every topology measured
@@ -127,7 +126,7 @@ pub struct ClusterSolveOptions {
     pub tolerance: f64,
     /// Cap on outer (cluster) iterations.
     pub max_iterations: usize,
-    /// Options for the inner per-cell CTMC solves.
+    /// Options for the per-cell CTMC solves at the converged rates.
     pub solve: SolveOptions,
     /// Worker threads; `0` (the default) uses
     /// [`gprs_exec::num_threads`]. In a cluster solve it only sets the
@@ -143,25 +142,20 @@ pub struct ClusterSolveOptions {
     /// selects it with `"ordering": "jacobi"`, and a spec without an
     /// `ordering` key runs Gauss–Seidel. Both orderings run plain.
     pub ordering: SweepOrdering,
-    /// Use the predict-and-verify surrogate for inner cell solves
-    /// (default `false`, which keeps the fixed point bit-identical to
-    /// the plain iteration of either ordering — under Jacobi, the
-    /// historical bit-exact iteration). When on, each cell solve runs
-    /// with [`crate::template::WarmStart::Predicted`]: once a cell's
-    /// warm-start chain has two predecessors, the extrapolated iterate
-    /// is residual-checked first and served without solver sweeps when
-    /// it already meets `solve.tolerance` — outer iterations near the
-    /// fixed point, where the arrival vector barely moves, become
-    /// nearly free. Every served point still satisfies the same
-    /// residual contract as a full solve;
-    /// [`SolvedCluster::surrogate_solves`] reports how often the
-    /// shortcut fired.
+    /// Has no effect (default `false`). It asked for the
+    /// predict-and-verify surrogate
+    /// ([`crate::template::WarmStart::Predicted`]) on the inner cell
+    /// solves of every outer iteration. The fixed point now iterates on
+    /// closed-form means and solves each cell's CTMC once, cold, so no
+    /// solve has a predecessor to extrapolate: results are bit-identical
+    /// either way, and [`SolvedCluster::surrogate_solves`] is always
+    /// `0`. The field stays only because benchmark and campaign specs
+    /// still set it.
     pub surrogate: bool,
-    /// Worker count of the fixed-point engine (`gprs_core::shard`):
-    /// the cells go to that many persistent workers as near-equal
-    /// consecutive index ranges, and each worker holds its cells'
-    /// templates for the entire solve and solves the cells the
-    /// coordinator sends it, at the arrival rates it sends. `0` (the
+    /// Worker count of the fixed-point engine's final pass
+    /// (`gprs_core::shard`): the cells go to that many workers as
+    /// near-equal consecutive index ranges, and each worker solves its
+    /// cells' CTMCs at the converged arrival rates. `0` (the
     /// default) uses the effective thread count
     /// ([`threads`](Self::threads)); `1` runs every cell inline on the
     /// calling thread. The count is clamped to `1..=cells`. Results
@@ -218,8 +212,8 @@ impl ClusterSolveOptions {
         self
     }
 
-    /// Enables or disables the predict-and-verify surrogate for inner
-    /// cell solves, returning `self` for chaining.
+    /// Sets [`surrogate`](Self::surrogate), which has no effect,
+    /// returning `self` for chaining.
     pub fn with_surrogate(mut self, on: bool) -> Self {
         self.surrogate = on;
         self
@@ -259,16 +253,21 @@ pub struct SolvedCell {
     pub gsm_handover_out: f64,
     /// Outgoing GPRS handover flux `μ_h,GPRS·E[m]` at the fixed point.
     pub gprs_handover_out: f64,
-    /// Mean voice-call population `E[n]` from the stationary chain.
+    /// Mean voice-call population `E[n]`: the closed-form Erlang mean
+    /// at the converged inflow, which the stationary chain carries up
+    /// to rounding.
     pub mean_voice_calls: f64,
-    /// Mean GPRS session population `E[m]` from the stationary chain.
+    /// Mean GPRS session population `E[m]`: the closed-form Erlang
+    /// mean at the converged inflow, which the stationary chain carries
+    /// up to rounding.
     pub mean_sessions: f64,
-    /// Inner solver sweeps accumulated over all outer iterations.
+    /// Solver sweeps of the cell's one CTMC solve, at the converged
+    /// rates.
     pub sweeps: usize,
-    /// Balance residual of the final solve.
+    /// Balance residual of the cell's one CTMC solve.
     pub residual: f64,
-    /// Health report of the cell's final (reporting-pass) solve: which
-    /// rung of the fallback ladder produced it.
+    /// Health report of the cell's one CTMC solve: which rung of the
+    /// fallback ladder produced it.
     pub health: SolveHealth,
 }
 
@@ -320,10 +319,10 @@ impl SolvedCluster {
         self.symbolic_setups
     }
 
-    /// How many inner cell solves, summed over *all* outer iterations,
-    /// were served by the predict-and-verify surrogate (zero solver
-    /// sweeps — see [`ClusterSolveOptions::surrogate`]). Always `0`
-    /// with the surrogate off.
+    /// Always `0`: each cell's CTMC is solved once, cold, so the
+    /// predict-and-verify surrogate never serves (see
+    /// [`ClusterSolveOptions::surrogate`]). It stays only because
+    /// benchmark and campaign reports still read it.
     pub fn surrogate_solves(&self) -> usize {
         self.surrogate_solves
     }
@@ -412,13 +411,14 @@ impl ClusterModel {
     /// Initialization: each cell starts from its own *scalar* balance
     /// (`gprs_queueing::handover::balance_default`) — exact under
     /// uniform load, a good neighbourhood for heterogeneous loads. Each
-    /// outer iteration solves every cell on its shard's worker (see
-    /// [`ClusterSolveOptions::shards`]) and warm-starts it from its
-    /// previous stationary distribution; once the handover arrival
-    /// vector moves less than `opts.tolerance` (relative), one final
-    /// pass at the converged rates produces the reported measures.
-    /// Results are deterministic and bit-identical for any shard and
-    /// thread count.
+    /// outer iteration takes every cell's populations from the
+    /// closed-form Erlang means of its inflow, with no CTMC solve; once
+    /// the handover arrival vector moves by at most `opts.tolerance`
+    /// (relative), one final pass solves each cell's CTMC once, cold,
+    /// at the converged rates, on its shard's worker (see
+    /// [`ClusterSolveOptions::shards`]), for the reported measures.
+    /// That pass counts as one iteration. Results are deterministic and
+    /// bit-identical for any shard and thread count.
     ///
     /// # Errors
     ///
@@ -429,8 +429,9 @@ impl ClusterModel {
     ///   lowest failing cell index (deterministic across shard and
     ///   thread counts).
     ///
-    /// Convergence hardening: each cell solve runs through the
-    /// fallback ladder of
+    /// Convergence hardening: the outer iteration needs no solver, so
+    /// a stiff cell cannot stall it; each cell's one CTMC solve runs
+    /// through the fallback ladder of
     /// [`crate::template::GeneratorTemplate::solve_resilient`]
     /// (health reported per cell in [`SolvedCell::health`]). The outer
     /// iteration runs plain under both orderings: every refresh assigns
@@ -861,33 +862,21 @@ mod tests {
 
     #[test]
     fn surrogate_cluster_matches_the_plain_fixed_point() {
-        let cluster = homogeneous(tiny(0.5));
-        let plain = cluster.solve(&ClusterSolveOptions::default()).unwrap();
-        let surr = cluster
-            .solve(&ClusterSolveOptions::default().with_surrogate(true))
-            .unwrap();
-        // Off by default: the plain path never reports surrogate hits.
-        assert_eq!(plain.surrogate_solves(), 0);
-        // Near the fixed point the arrival vector barely moves, so the
-        // extrapolated iterate passes its residual check: the surrogate
-        // fires and is not a degradation.
-        assert!(surr.surrogate_solves() > 0);
-        assert!(!surr.degraded());
-        // Both runs answer the same fixed point at solver accuracy.
-        for (p, s) in plain.cells().iter().zip(surr.cells()) {
-            assert!(
-                (p.measures.carried_data_traffic - s.measures.carried_data_traffic).abs() < 1e-6
-            );
-            assert!((p.gsm_handover_in - s.gsm_handover_in).abs() < 1e-6);
+        // Each cell's CTMC is solved once, cold, so no solve has a
+        // predecessor to extrapolate: the option moves no bit and the
+        // surrogate never serves.
+        let cluster = hot_spot(tiny(0.3), 0.9);
+        for ordering in [SweepOrdering::Jacobi, SweepOrdering::GaussSeidel] {
+            let plain = ClusterSolveOptions::default().with_ordering(ordering);
+            let a = cluster.solve(&plain).unwrap();
+            let b = cluster.solve(&plain.with_surrogate(true)).unwrap();
+            assert_eq!(a.surrogate_solves(), 0);
+            assert_eq!(b.surrogate_solves(), 0);
+            assert_eq!(a.iterations(), b.iterations());
+            assert_eq!(a.handover_delta().to_bits(), b.handover_delta().to_bits());
+            // Debug renders every float round-trip exactly.
+            assert_eq!(format!("{:?}", a.cells()), format!("{:?}", b.cells()));
         }
-        // Served points skip solver sweeps, so the surrogate run does
-        // strictly less iterative work.
-        let plain_sweeps: usize = plain.cells().iter().map(|c| c.sweeps).sum();
-        let surr_sweeps: usize = surr.cells().iter().map(|c| c.sweeps).sum();
-        assert!(
-            surr_sweeps < plain_sweeps,
-            "{surr_sweeps} vs {plain_sweeps}"
-        );
     }
 
     #[test]

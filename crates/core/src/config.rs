@@ -3,6 +3,8 @@
 
 use crate::coding::CodingScheme;
 use crate::error::ModelError;
+use gprs_queueing::mmcc::MmccQueue;
+use gprs_queueing::QueueingError;
 use gprs_traffic::{SessionParams, TrafficModel};
 
 /// Complete parameterization of the single-cell GPRS model.
@@ -114,6 +116,36 @@ impl CellConfig {
     /// GPRS handover (dwell expiry) rate `μ_h,GPRS`.
     pub fn gprs_handover_rate(&self) -> f64 {
         1.0 / self.gprs_dwell_time
+    }
+
+    /// The voice population at incoming GSM handover rate
+    /// `handover_arrival_rate`: the Erlang loss system of `N_GSM`
+    /// channels, arrivals `λ_GSM + λ_h,GSM` and departures
+    /// `μ_GSM + μ_h,GSM`.
+    pub(crate) fn voice_queue(
+        &self,
+        handover_arrival_rate: f64,
+    ) -> Result<MmccQueue, QueueingError> {
+        MmccQueue::new(
+            self.gsm_channels(),
+            self.gsm_arrival_rate() + handover_arrival_rate,
+            self.gsm_completion_rate() + self.gsm_handover_rate(),
+        )
+    }
+
+    /// The GPRS session population at incoming GPRS handover rate
+    /// `handover_arrival_rate`: the Erlang loss system of `M` sessions,
+    /// arrivals `λ_GPRS + λ_h,GPRS` and departures
+    /// `μ_GPRS + μ_h,GPRS`.
+    pub(crate) fn session_queue(
+        &self,
+        handover_arrival_rate: f64,
+    ) -> Result<MmccQueue, QueueingError> {
+        MmccQueue::new(
+            self.max_gprs_sessions,
+            self.gprs_arrival_rate() + handover_arrival_rate,
+            self.gprs_completion_rate() + self.gprs_handover_rate(),
+        )
     }
 
     /// Effective per-PDCH service rate in packets/s: the coding-scheme

@@ -38,7 +38,6 @@ use crate::state::{CellState, StateSpace};
 use gprs_ctmc::mbd::ModulatedBirthDeath;
 use gprs_ctmc::{SparseGenerator, Transitions};
 use gprs_queueing::handover::{balance_default, BalancedCell, HandoverParams};
-use gprs_queueing::mmcc::MmccQueue;
 
 /// Derived transition rates, precomputed once per configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,7 +116,7 @@ impl GprsModel {
     ///
     /// This is the entry point of the heterogeneous multi-cell model
     /// ([`crate::cluster`]): there the incoming flows of a cell are
-    /// determined by its *neighbours'* stationary populations, so the
+    /// determined by its *neighbours'* mean populations, so the
     /// homogeneity assumption behind Eqs. (4)–(5) does not apply and the
     /// cluster-level fixed point supplies `λ_h,GSM` and `λ_h,GPRS`
     /// directly. The closed-form Erlang marginals (used by the phase
@@ -151,21 +150,13 @@ impl GprsModel {
         let balanced_gsm = BalancedCell {
             new_arrival_rate: config.gsm_arrival_rate(),
             handover_arrival_rate: gsm_handover_rate,
-            queue: MmccQueue::new(
-                config.gsm_channels(),
-                config.gsm_arrival_rate() + gsm_handover_rate,
-                config.gsm_completion_rate() + config.gsm_handover_rate(),
-            )?,
+            queue: config.voice_queue(gsm_handover_rate)?,
             iterations: 0,
         };
         let balanced_gprs = BalancedCell {
             new_arrival_rate: config.gprs_arrival_rate(),
             handover_arrival_rate: gprs_handover_rate,
-            queue: MmccQueue::new(
-                config.max_gprs_sessions,
-                config.gprs_arrival_rate() + gprs_handover_rate,
-                config.gprs_completion_rate() + config.gprs_handover_rate(),
-            )?,
+            queue: config.session_queue(gprs_handover_rate)?,
             iterations: 0,
         };
         Self::from_balanced(config, balanced_gsm, balanced_gprs)

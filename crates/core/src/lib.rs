@@ -48,8 +48,9 @@
 //!
 //! * [`cluster`] — the heterogeneous cell-cluster fixed-point model:
 //!   per-cell configs on a [`graph`] topology (default: the paper's
-//!   7-cell wraparound ring), full-CTMC handover balancing across
-//!   cells, hot-spot scenarios, load-scale sweeps.
+//!   7-cell wraparound ring), handover balancing across cells on
+//!   closed-form Erlang means with one CTMC solve per cell at the fixed
+//!   point, hot-spot scenarios, load-scale sweeps.
 //! * [`graph`] — graph-typed topologies ([`CellGraph`]): neighbour
 //!   lists + handover split weights, with ring/hex-torus/corridor and
 //!   arbitrary-adjacency constructors and the bit-exact ring7
@@ -67,7 +68,7 @@
 //! * [`template`] — the symbolic/numeric split for repeated solves:
 //!   [`GeneratorTemplate`] captures state space, CSR pattern and solver
 //!   workspace once per model shape, then relowers new rates in place
-//!   (sweeps, cluster iterations and scenario campaigns ride on it).
+//!   (sweeps, cluster solves and scenario campaigns ride on it).
 //! * [`scenario`] — the unified scenario layer: one workload
 //!   description (topology + per-cell traffic + radio/TCP knobs + load
 //!   scale) lowered to the single-cell model, the cluster fixed point,

@@ -1,40 +1,43 @@
-//! The cluster fixed-point engine: a coordinator that holds the
-//! handover vectors, and persistent workers that own the cell
-//! templates.
+//! The cluster fixed-point engine: a coordinator that iterates the
+//! handover vectors on closed-form Erlang means, and workers that solve
+//! each cell's CTMC once at the converged rates.
 //!
 //! [`ClusterModel::solve_with_registry`] runs every solve through this
-//! module. The cells go to `k` **long-lived workers**
-//! ([`gprs_exec::with_worker_pool`]; the calling thread serves worker
-//! 0) as near-equal consecutive index ranges, and each worker owns its
-//! cells' [`GeneratorTemplate`]s for the entire solve. The coordinator
-//! holds the rest of the fixed point: the `2·n` handover arrival rates
-//! and the out-fluxes of the latest solves. Every outer step is one
-//! round and one *refresh*, which moves a set of cells' arrival rates
-//! to the inflows of the latest out-fluxes and measures the change:
+//! module. A cell's out-fluxes are `μ_h,GSM·E[n]` and `μ_h,GPRS·E[m]`.
+//! Its phase process `(n, m, r)` is autonomous and product-form
+//! ([`crate::GprsModel::phase_marginal`]), so `E[n]` and `E[m]` are the
+//! means of the two Erlang loss systems that
+//! [`crate::GprsModel::with_handover_arrivals`] builds from the cell's
+//! inflow: `N_GSM` channels at load `(λ_GSM + λ_h,GSM)/(μ_GSM + μ_h,GSM)`
+//! and `M` sessions at `(λ_GPRS + λ_h,GPRS)/(μ_GPRS + μ_h,GPRS)`. The
+//! stationary vector of the cell's CTMC carries the same means up to
+//! rounding (`tests/closed_form_means.rs`), so the outer iteration needs
+//! no CTMC solve.
 //!
-//! * **Jacobi** — one round per outer iteration: the coordinator sends
-//!   every cell at its current arrival rates, each worker solves the
-//!   cells it is sent and returns their out-fluxes, and the coordinator
-//!   then refreshes every cell.
-//! * **Gauss–Seidel** — one round per colour class: the coordinator
-//!   refreshes the class members and sends just those cells.
-//! * **Report** — the final pass sends every cell with `report: true`,
-//!   and each worker also returns the cell's [`SolvedCell`].
+//! The coordinator holds the `2·n` handover arrival rates and the
+//! out-fluxes, and runs two steps over a set of cells. An *update* sets
+//! each cell's out-fluxes from the closed-form means at its current
+//! arrival rates; a *refresh* moves each cell's arrival rates to the
+//! inflow of the current out-fluxes and measures the change:
 //!
-//! Per-solve overheads stay low because the templates persist: between
-//! outer iterations only the handover arrival rates move, so each
-//! template refreshes just the phase-coupling rates of its blocked
-//! tables (it detects the unchanged cell configuration itself), the
-//! lean solve path ([`GeneratorTemplate::solve_resilient_lean`]) skips
-//! the full measures extraction on non-reporting iterations, and the
-//! population means walk the phases in index order instead of decoding
-//! each state.
+//! * **Jacobi** — each outer iteration updates every cell, then
+//!   refreshes every cell.
+//! * **Gauss–Seidel** — each outer iteration refreshes, then updates,
+//!   one colour class at a time.
+//! * **Report** — once the arrival rates move by at most the
+//!   tolerance, the cells go to `k` workers
+//!   ([`gprs_exec::with_worker_pool`]; the calling thread serves worker
+//!   0) as near-equal consecutive index ranges. Each worker solves each
+//!   of its cells once at the converged rates, cold on the cell's fresh
+//!   template, through the fallback ladder of
+//!   [`GeneratorTemplate::solve_resilient`]. The report counts as one
+//!   iteration; its means and out-fluxes come from the closed form.
 //!
-//! **Bitwise contract**: a worker's answer for a cell depends only on
-//! that cell's template and the rates it is sent, and every cross-cell
-//! sum runs on the coordinator in one fixed order — inflow sums over
-//! in-edges in ascending source order, and `delta` as a max-reduction.
-//! The worker count therefore moves no bit.
+//! **Bitwise contract**: every update and every cross-cell sum runs on
+//! the coordinator in one fixed order — inflow sums over in-edges in
+//! ascending source order, and `delta` as a max-reduction — and a
+//! worker's answer for a cell depends only on the cell's fresh template
+//! and the rates it is sent. The worker count therefore moves no bit.
 //! `tests/shard_equivalence.rs` pins bit-equality of every
 //! [`SolvedCluster`] field across shard and thread counts for both
 //! orderings; `tests/graph_equivalence.rs` and
@@ -44,146 +47,57 @@ use crate::cluster::{ClusterModel, ClusterSolveOptions, SolvedCell, SolvedCluste
 use crate::config::CellConfig;
 use crate::error::ModelError;
 use crate::graph::CellGraph;
-use crate::health::{SolveHealth, SolveRung};
-use crate::template::{GeneratorTemplate, TemplateRegistry, WarmStart};
+use crate::template::{GeneratorTemplate, PointSolve, TemplateRegistry, WarmStart};
 use gprs_ctmc::solver::SolveOptions;
-use gprs_exec::{with_worker_pool, PoolHandle};
+use gprs_exec::with_worker_pool;
 use gprs_queueing::QueueingError;
 use std::ops::Range;
 
-/// One owned cell: its configuration, persistent template, and the
-/// inner sweeps it has accumulated over the solve.
-struct CellCtx {
-    config: CellConfig,
-    template: GeneratorTemplate,
-    gsm_h_rate: f64,
-    gprs_h_rate: f64,
-    sweeps: usize,
-}
-
-/// Outcome of one lean cell solve.
-struct LeanCell {
-    mean_voice_calls: f64,
-    mean_sessions: f64,
-    health: SolveHealth,
-    measures: Option<crate::measures::Measures>,
-}
-
-/// One worker's state: the consecutive cell range it owns, starting at
-/// `first`.
+/// One worker's state for the report: the consecutive cell range it
+/// owns, starting at `first`, with each cell's configuration and fresh
+/// template.
 struct ShardState {
     first: usize,
-    cells: Vec<CellCtx>,
+    cells: Vec<(CellConfig, GeneratorTemplate)>,
     solve_opts: SolveOptions,
-    warm: WarmStart,
 }
 
-/// One round request: solve each listed `(cell, gsm rate, gprs rate)`
+/// The report request: solve each listed `(cell, gsm rate, gprs rate)`
 /// at the rates given, ascending by cell.
 struct ShardReq {
     cells: Vec<(usize, f64, f64)>,
-    report: bool,
 }
 
-/// One round response: `(cell, gsm out-flux, gprs out-flux)` per solved
-/// cell, the cells' [`SolvedCell`]s on a reporting round, the number of
-/// solves the surrogate served, and the worker's lowest failing cell,
-/// if any (the worker stops there).
+/// The report response: the solved cells' points in request order, and
+/// the worker's lowest failing cell, if any (the worker stops there).
 struct ShardResp {
-    out: Vec<(usize, f64, f64)>,
-    reported: Vec<SolvedCell>,
-    surrogate_solves: usize,
+    solved: Vec<PointSolve>,
     failed: Option<(usize, ModelError)>,
 }
 
 impl ShardState {
     fn solve(&mut self, req: ShardReq) -> ShardResp {
         let mut resp = ShardResp {
-            out: Vec::with_capacity(req.cells.len()),
-            reported: Vec::new(),
-            surrogate_solves: 0,
+            solved: Vec::with_capacity(req.cells.len()),
             failed: None,
         };
         for (cell, lam_gsm, lam_gprs) in req.cells {
-            let ctx = &mut self.cells[cell - self.first];
-            let lean = match lean_solve_cell(
-                ctx,
-                lam_gsm,
-                lam_gprs,
-                &self.solve_opts,
-                self.warm,
-                req.report,
-            ) {
-                Ok(lean) => lean,
+            let (config, template) = &mut self.cells[cell - self.first];
+            let point = template
+                .model_with_handovers(config.clone(), lam_gsm, lam_gprs)
+                .and_then(|model| {
+                    template.solve_resilient(&model, &self.solve_opts, WarmStart::Cold)
+                });
+            match point {
+                Ok(point) => resp.solved.push(point),
                 Err(e) => {
                     resp.failed = Some((cell, e));
                     break;
                 }
-            };
-            ctx.sweeps += lean.health.sweeps;
-            if lean.health.rung == SolveRung::Surrogate {
-                resp.surrogate_solves += 1;
-            }
-            let out_gsm = ctx.gsm_h_rate * lean.mean_voice_calls;
-            let out_gprs = ctx.gprs_h_rate * lean.mean_sessions;
-            resp.out.push((cell, out_gsm, out_gprs));
-            if let Some(measures) = lean.measures {
-                resp.reported.push(SolvedCell {
-                    measures,
-                    gsm_handover_in: lam_gsm,
-                    gprs_handover_in: lam_gprs,
-                    gsm_handover_out: out_gsm,
-                    gprs_handover_out: out_gprs,
-                    mean_voice_calls: lean.mean_voice_calls,
-                    mean_sessions: lean.mean_sessions,
-                    sweeps: ctx.sweeps,
-                    residual: lean.health.residual,
-                    health: lean.health,
-                });
             }
         }
         resp
     }
-}
-
-/// Solves one owned cell through the lean resilient ladder (warm-started
-/// from the cell's previous iterate) and reads the populations off the
-/// stationary distribution: a skip-zero accumulation over the phases
-/// in index order, each phase's `(n, m)` weighting its column of
-/// levels. The reporting pass recovers the full measures via
-/// [`GeneratorTemplate::measures_for`].
-fn lean_solve_cell(
-    ctx: &mut CellCtx,
-    lam_gsm: f64,
-    lam_gprs: f64,
-    opts: &SolveOptions,
-    warm: WarmStart,
-    want_measures: bool,
-) -> Result<LeanCell, ModelError> {
-    let model = ctx
-        .template
-        .model_with_handovers(ctx.config.clone(), lam_gsm, lam_gprs)?;
-    let health = ctx.template.solve_resilient_lean(&model, opts, warm)?;
-    let space = model.space();
-    let mut mean_voice_calls = 0.0f64;
-    let mut mean_sessions = 0.0f64;
-    let columns = ctx.template.stationary().chunks_exact(space.k_cap() + 1);
-    for ((n, m, _), col) in space.phases().zip(columns) {
-        for &p in col {
-            if p == 0.0 {
-                continue;
-            }
-            mean_voice_calls += p * n as f64;
-            mean_sessions += p * m as f64;
-        }
-    }
-    let measures = want_measures.then(|| ctx.template.measures_for(&model));
-    Ok(LeanCell {
-        mean_voice_calls,
-        mean_sessions,
-        health,
-        measures,
-    })
 }
 
 /// The cells each of `shards` workers owns: near-equal consecutive
@@ -207,65 +121,37 @@ fn relative_change(cur: f64, next: f64) -> f64 {
     (next - cur).abs() / scale
 }
 
-/// The coordinator's half of the fixed point: per cell, the handover
-/// arrival rates and the out-fluxes of its latest solve, plus the
-/// worker owning it.
+/// The fixed point itself: per cell, the handover arrival rates and the
+/// out-fluxes of its latest update.
 struct Coordinator<'a> {
     graph: &'a CellGraph,
-    owner: Vec<usize>,
+    configs: &'a [CellConfig],
     lam_gsm: Vec<f64>,
     lam_gprs: Vec<f64>,
     out_gsm: Vec<f64>,
     out_gprs: Vec<f64>,
-    surrogate_solves: usize,
-    shapes: usize,
 }
 
-type Pool<'h> = PoolHandle<'h, ShardState, ShardReq, ShardResp>;
-
 impl Coordinator<'_> {
-    /// One round: sends each of `cells` (ascending) to its worker at
-    /// its current arrival rates and stores the returned out-fluxes.
-    /// Returns the reported cells in cell order, or the lowest failing
-    /// cell's error.
-    fn round(
-        &mut self,
-        pool: &mut Pool<'_>,
-        cells: &[usize],
-        report: bool,
-    ) -> Result<Vec<SolvedCell>, ModelError> {
-        let mut jobs: Vec<Vec<(usize, f64, f64)>> = vec![Vec::new(); pool.worker_count()];
+    /// The closed-form populations `(E[n], E[m])` of cell `c` at its
+    /// current arrival rates.
+    fn means(&self, c: usize) -> Result<(f64, f64), ModelError> {
+        let config = &self.configs[c];
+        Ok((
+            config.voice_queue(self.lam_gsm[c])?.mean_busy(),
+            config.session_queue(self.lam_gprs[c])?.mean_busy(),
+        ))
+    }
+
+    /// Sets the out-fluxes of each of `cells` to `μ_h` times its
+    /// closed-form populations.
+    fn update(&mut self, cells: &[usize]) -> Result<(), ModelError> {
         for &c in cells {
-            jobs[self.owner[c]].push((c, self.lam_gsm[c], self.lam_gprs[c]));
+            let (voice, sessions) = self.means(c)?;
+            self.out_gsm[c] = self.configs[c].gsm_handover_rate() * voice;
+            self.out_gprs[c] = self.configs[c].gprs_handover_rate() * sessions;
         }
-        let reqs = jobs
-            .into_iter()
-            .enumerate()
-            .filter(|(_, cells)| !cells.is_empty())
-            .map(|(w, cells)| (w, ShardReq { cells, report }))
-            .collect();
-        let mut reported = Vec::new();
-        let mut failed: Option<(usize, ModelError)> = None;
-        for resp in pool.run_on(reqs) {
-            let resp = resp.unwrap_or_else(|panic| panic.resume());
-            for (c, gsm, gprs) in resp.out {
-                self.out_gsm[c] = gsm;
-                self.out_gprs[c] = gprs;
-            }
-            self.surrogate_solves += resp.surrogate_solves;
-            reported.extend(resp.reported);
-            // Report the lowest failing cell, so the error does not
-            // depend on the worker count.
-            if let Some((c, e)) = resp.failed {
-                if failed.as_ref().is_none_or(|(f, _)| c < *f) {
-                    failed = Some((c, e));
-                }
-            }
-        }
-        match failed {
-            Some((_, e)) => Err(e),
-            None => Ok(reported),
-        }
+        Ok(())
     }
 
     /// The inflow sums of cell `c` from the current out-fluxes, over
@@ -297,29 +183,32 @@ impl Coordinator<'_> {
         Ok(delta)
     }
 
-    /// The reporting pass: re-solves every cell at the current arrival
-    /// rates, counting as one iteration.
-    fn report(
-        mut self,
-        pool: &mut Pool<'_>,
-        iterations: usize,
-        handover_delta: f64,
-    ) -> Result<SolvedCluster, ModelError> {
-        let all: Vec<usize> = (0..self.owner.len()).collect();
-        let cells = self.round(pool, &all, true)?;
-        debug_assert_eq!(cells.len(), all.len());
-        Ok(SolvedCluster {
-            cells,
-            iterations,
-            handover_delta,
-            symbolic_setups: self.shapes,
-            surrogate_solves: self.surrogate_solves,
-        })
+    /// Iterates `step` until the largest relative change of the
+    /// arrival rates is within `opts.tolerance`, and returns the
+    /// iteration count, the report pass included, and that change.
+    fn converge(
+        &mut self,
+        opts: &ClusterSolveOptions,
+        mut step: impl FnMut(&mut Self) -> Result<f64, ModelError>,
+    ) -> Result<(usize, f64), ModelError> {
+        let mut delta = f64::INFINITY;
+        // The cap bounds *balance* iterations; the report pass of a
+        // vector that converged at the cap still runs.
+        for iteration in 1..=opts.max_iterations {
+            delta = step(self)?;
+            if delta <= opts.tolerance {
+                return Ok((iteration + 1, delta));
+            }
+        }
+        Err(ModelError::Queueing(QueueingError::BalanceNotConverged {
+            iterations: opts.max_iterations,
+            last_delta: delta,
+        }))
     }
 }
 
-/// The cluster fixed point over `num_shards` workers (clamped to
-/// `1..=cells`): called from [`ClusterModel::solve_with_registry`].
+/// The cluster fixed point, reported over `num_shards` workers (clamped
+/// to `1..=cells`): called from [`ClusterModel::solve_with_registry`].
 pub(crate) fn solve_sharded(
     model: &ClusterModel,
     opts: &ClusterSolveOptions,
@@ -331,116 +220,131 @@ pub(crate) fn solve_sharded(
 
     // Templates in global cell order, so the lowest-failing-cell error
     // does not depend on the shard count.
-    let mut templates = model
+    let templates = model
         .configs()
         .iter()
         .map(|cfg| registry.template_for(cfg))
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter();
+        .collect::<Result<Vec<_>, _>>()?;
     let shapes = registry.setups();
 
-    let warm = if opts.surrogate {
-        WarmStart::Predicted
-    } else {
-        WarmStart::Chained
-    };
-
-    let mut owner = Vec::with_capacity(n);
-    let mut states = Vec::new();
-    for (w, range) in worker_ranges(n, num_shards).into_iter().enumerate() {
-        owner.resize(range.end, w);
-        let first = range.start;
-        let cells = model.configs()[range]
-            .iter()
-            .zip(templates.by_ref())
-            .map(|(config, template)| CellCtx {
-                gsm_h_rate: config.gsm_handover_rate(),
-                gprs_h_rate: config.gprs_handover_rate(),
-                config: config.clone(),
-                template,
-                sweeps: 0,
-            })
-            .collect();
-        states.push(ShardState {
-            first,
-            cells,
-            solve_opts: opts.solve.clone(),
-            warm,
-        });
-    }
-
-    let coord = Coordinator {
+    let mut coord = Coordinator {
         graph: model.graph(),
-        owner,
+        configs: model.configs(),
         // Out-fluxes seed from the scalar-balance arrival rates (at
         // which every cell's inflow equals its own outflow):
-        // Gauss–Seidel reads them before the first solve, Jacobi
+        // Gauss–Seidel reads them before the first update, Jacobi
         // overwrites them first.
         out_gsm: init_gsm.clone(),
         out_gprs: init_gprs.clone(),
         lam_gsm: init_gsm,
         lam_gprs: init_gprs,
-        surrogate_solves: 0,
-        shapes,
     };
-    with_worker_pool(
+    let all: Vec<usize> = (0..n).collect();
+    let (iterations, handover_delta) = match opts.ordering {
+        SweepOrdering::Jacobi => coord.converge(opts, |coord| {
+            coord.update(&all)?;
+            coord.refresh(&all)
+        })?,
+        SweepOrdering::GaussSeidel => {
+            let classes = model.graph().color_classes();
+            coord.converge(opts, |coord| {
+                let mut delta = 0.0f64;
+                for class in &classes {
+                    // No two class members share an edge, so each
+                    // refresh reads only out-fluxes of other classes.
+                    delta = delta.max(coord.refresh(class)?);
+                    coord.update(class)?;
+                }
+                Ok(delta)
+            })?
+        }
+    };
+
+    let points = solve_cells(&coord, templates, &opts.solve, num_shards)?;
+    let cells = points
+        .into_iter()
+        .enumerate()
+        .map(|(c, point)| {
+            let (voice, sessions) = coord.means(c)?;
+            let config = &model.configs()[c];
+            Ok(SolvedCell {
+                measures: point.measures,
+                gsm_handover_in: coord.lam_gsm[c],
+                gprs_handover_in: coord.lam_gprs[c],
+                gsm_handover_out: config.gsm_handover_rate() * voice,
+                gprs_handover_out: config.gprs_handover_rate() * sessions,
+                mean_voice_calls: voice,
+                mean_sessions: sessions,
+                sweeps: point.sweeps,
+                residual: point.residual,
+                health: point.health,
+            })
+        })
+        .collect::<Result<Vec<_>, ModelError>>()?;
+    Ok(SolvedCluster {
+        cells,
+        iterations,
+        handover_delta,
+        symbolic_setups: shapes,
+        surrogate_solves: 0,
+    })
+}
+
+/// The report pass: solves every cell once at the coordinator's
+/// arrival rates, over `num_shards` workers. Returns the points in cell
+/// order, or the lowest failing cell's error.
+fn solve_cells(
+    coord: &Coordinator<'_>,
+    templates: Vec<GeneratorTemplate>,
+    solve_opts: &SolveOptions,
+    num_shards: usize,
+) -> Result<Vec<PointSolve>, ModelError> {
+    let ranges = worker_ranges(coord.configs.len(), num_shards);
+    let mut templates = templates.into_iter();
+    let states = ranges
+        .iter()
+        .map(|range| ShardState {
+            first: range.start,
+            cells: coord.configs[range.clone()]
+                .iter()
+                .cloned()
+                .zip(templates.by_ref())
+                .collect(),
+            solve_opts: solve_opts.clone(),
+        })
+        .collect();
+    let reqs = ranges
+        .into_iter()
+        .enumerate()
+        .map(|(w, range)| {
+            let cells = range
+                .map(|c| (c, coord.lam_gsm[c], coord.lam_gprs[c]))
+                .collect();
+            (w, ShardReq { cells })
+        })
+        .collect();
+    let resps = with_worker_pool(
         states,
         |_, state: &mut ShardState, req| state.solve(req),
-        |pool| match opts.ordering {
-            SweepOrdering::Jacobi => jacobi(coord, pool, opts),
-            SweepOrdering::GaussSeidel => gauss_seidel(coord, pool, opts),
-        },
-    )
-}
-
-fn jacobi(
-    mut coord: Coordinator<'_>,
-    pool: &mut Pool<'_>,
-    opts: &ClusterSolveOptions,
-) -> Result<SolvedCluster, ModelError> {
-    let all: Vec<usize> = (0..coord.owner.len()).collect();
-    let mut delta = f64::INFINITY;
-    // The cap bounds *balance* iterations; the reporting pass of a
-    // vector that converged at the cap still runs.
-    for iteration in 1..=opts.max_iterations {
-        coord.round(pool, &all, false)?;
-        delta = coord.refresh(&all)?;
-        if delta <= opts.tolerance {
-            return coord.report(pool, iteration + 1, delta);
+        |pool| pool.run_on(reqs),
+    );
+    let mut points = Vec::with_capacity(coord.configs.len());
+    let mut failed: Option<(usize, ModelError)> = None;
+    for resp in resps {
+        let resp = resp.unwrap_or_else(|panic| panic.resume());
+        points.extend(resp.solved);
+        // Report the lowest failing cell, so the error does not depend
+        // on the worker count.
+        if let Some((c, e)) = resp.failed {
+            if failed.as_ref().is_none_or(|(f, _)| c < *f) {
+                failed = Some((c, e));
+            }
         }
     }
-
-    Err(ModelError::Queueing(QueueingError::BalanceNotConverged {
-        iterations: opts.max_iterations,
-        last_delta: delta,
-    }))
-}
-
-fn gauss_seidel(
-    mut coord: Coordinator<'_>,
-    pool: &mut Pool<'_>,
-    opts: &ClusterSolveOptions,
-) -> Result<SolvedCluster, ModelError> {
-    let classes = coord.graph.color_classes();
-    let mut delta = f64::INFINITY;
-    for iteration in 1..=opts.max_iterations {
-        delta = 0.0;
-        for class in &classes {
-            // No two class members share an edge, so each refresh reads
-            // only out-fluxes of other classes.
-            delta = delta.max(coord.refresh(class)?);
-            coord.round(pool, class, false)?;
-        }
-
-        if delta <= opts.tolerance {
-            return coord.report(pool, iteration + 1, delta);
-        }
+    match failed {
+        Some((_, e)) => Err(e),
+        None => Ok(points),
     }
-
-    Err(ModelError::Queueing(QueueingError::BalanceNotConverged {
-        iterations: opts.max_iterations,
-        last_delta: delta,
-    }))
 }
 
 #[cfg(test)]

@@ -6,9 +6,7 @@
 //! changes*: the transition pattern of Table 1 is fixed by the model
 //! shape (`N`, `N_GSM`, `K`, `M`) plus the edge-presence signature
 //! (which rates are nonzero, where TCP throttling bites), while the
-//! parameter being swept moves only the numeric rates. The cluster
-//! fixed point repeats the same shape even harder: seven cells solved
-//! dozens of outer iterations, identical structure every time.
+//! parameter being swept moves only the numeric rates.
 //!
 //! A [`GeneratorTemplate`] captures the symbolic work once per shape
 //! and relowers new rates in place:
@@ -476,9 +474,8 @@ impl GeneratorTemplate {
     /// [`solve`](Self::solve) minus the measures extraction: the
     /// stationary vector lands in [`stationary`](Self::stationary) and
     /// only the [`SolveHealth`] report is returned. Callers that do not
-    /// need [`Measures`] every point (the cluster fixed point reads
-    /// only two conditional means per outer iteration) skip its cost
-    /// and recover the identical value later via
+    /// need [`Measures`] every point skip its cost and recover the
+    /// identical value later via
     /// [`measures_for`](Self::measures_for).
     fn solve_health(
         &mut self,
@@ -698,11 +695,11 @@ impl GeneratorTemplate {
     /// [`solve_resilient`](Self::solve_resilient) minus the measures
     /// extraction: the stationary vector lands in
     /// [`stationary`](Self::stationary) and only the [`SolveHealth`]
-    /// report is returned. The sharded cluster engine solves thousands
-    /// of points per outer iteration but reads only two conditional
-    /// means from each; it recovers the full [`Measures`] on demand via
-    /// [`measures_for`](Self::measures_for), which is bit-identical to
-    /// the eager value `solve_resilient` would have returned.
+    /// report is returned. A caller that reads only the stationary
+    /// vector skips the measures; it recovers the full [`Measures`] on
+    /// demand via [`measures_for`](Self::measures_for), which is
+    /// bit-identical to the eager value `solve_resilient` would have
+    /// returned.
     ///
     /// # Errors
     ///
@@ -803,10 +800,9 @@ impl GeneratorTemplate {
     /// when the key equals the one of the last full
     /// [`BlockedMbd::capture`], refreshing only the phase-exit rates
     /// and phase-coupling CSR values in place reproduces a full capture
-    /// bit for bit at a fraction of the cost: every outer iteration of
-    /// the cluster fixed point, and every point of an arrival-rate
-    /// sweep after the template's first, takes this path. Any other
-    /// key is captured in full.
+    /// bit for bit at a fraction of the cost: every point of an
+    /// arrival-rate sweep after the template's first takes this path.
+    /// Any other key is captured in full.
     fn capture_blocked(&mut self, model: &GprsModel) {
         let key = LevelKey::of(model);
         if self.captured == Some(key) {
@@ -1003,7 +999,7 @@ mod tests {
         assert_eq!(point.measures, *one_shot.measures());
     }
 
-    /// The cluster-engine and rate-sweep contract: across a chain of
+    /// The rate-sweep contract: across a chain of
     /// solves, the template's partial phase-rate recapture (taken
     /// whenever the level key is unchanged) must reproduce a full
     /// capture bit for bit — sweeps, residual bits, stationary bits,

@@ -11,10 +11,14 @@
 //! This file pins that invariant on the ring7 fixture families, the
 //! short-dwell hot spot under both orderings and the metro district
 //! city at both buffer depths and two loads.
+//!
+//! The fixed point iterates on those closed forms, so each cell's CTMC
+//! is solved once, at the converged inflows: the second test pins every
+//! reported cell to a standalone cold solve of its fresh template.
 
 use gprs_core::cluster::ClusterSolveOptions;
 use gprs_core::codec::{graph_from_json_value, parse_json};
-use gprs_core::{CellConfig, ClusterModel, Scenario, SweepOrdering};
+use gprs_core::{CellConfig, ClusterModel, GeneratorTemplate, Scenario, SweepOrdering, WarmStart};
 use gprs_queueing::mmcc::MmccQueue;
 use gprs_traffic::TrafficModel;
 
@@ -182,5 +186,41 @@ fn cluster_populations_are_the_erlang_means_of_the_converged_inflows() {
             "{name}: {} iterations, largest relative deviation {largest:e}",
             solved.iterations()
         );
+    }
+}
+
+/// Each reported cell — measures, residual, sweeps and health — is bit
+/// for bit one cold solve of the cell's fresh template at its converged
+/// inflows: the cluster solve makes exactly one CTMC solve per cell.
+#[test]
+fn each_cell_is_one_cold_solve_at_the_converged_inflows() {
+    for (name, model, opts) in cases() {
+        let solved = model.solve(&opts).unwrap();
+        for (i, (cfg, cell)) in model.configs().iter().zip(solved.cells()).enumerate() {
+            let mut template = GeneratorTemplate::new(cfg).unwrap();
+            let cold = template
+                .model_with_handovers(cfg.clone(), cell.gsm_handover_in, cell.gprs_handover_in)
+                .and_then(|m| template.solve_resilient(&m, &opts.solve, WarmStart::Cold))
+                .unwrap();
+            // Debug renders every float round-trip exactly.
+            let what = format!("{name}: cell {i}");
+            assert_eq!(
+                format!("{:?}", cell.measures),
+                format!("{:?}", cold.measures),
+                "{what}: measures"
+            );
+            assert_eq!(
+                cell.residual.to_bits(),
+                cold.residual.to_bits(),
+                "{what}: residual"
+            );
+            assert_eq!(cell.sweeps, cold.sweeps, "{what}: sweeps");
+            assert_eq!(
+                format!("{:?}", cell.health),
+                format!("{:?}", cold.health),
+                "{what}: health"
+            );
+        }
+        assert_eq!(solved.surrogate_solves(), 0, "{name}");
     }
 }

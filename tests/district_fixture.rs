@@ -174,10 +174,10 @@ fn district_cells_match_pinned_fixture_on_two_shards() {
     compare(&render(2), "shards=2");
 }
 
-/// The cases really reach the campaign's column lengths and its
-/// surrogate path: 9- and 11-level columns, surrogate-served solves.
+/// The cases really reach the campaign's column lengths: 9- and
+/// 11-level columns.
 #[test]
-fn district_fixture_covers_both_buffer_depths_and_the_surrogate() {
+fn district_fixture_covers_both_buffer_depths() {
     let mut depths: Vec<usize> = cases()
         .iter()
         .flat_map(|(_, s)| s.base_cells().iter().map(|c| c.buffer_capacity + 1))
@@ -185,13 +185,6 @@ fn district_fixture_covers_both_buffer_depths_and_the_surrogate() {
     depths.sort_unstable();
     depths.dedup();
     assert_eq!(depths, [9, 11]);
-    let (_, scenario) = &cases()[1];
-    let solved = scenario
-        .to_cluster()
-        .unwrap()
-        .solve(&ClusterSolveOptions::quick().with_surrogate(true))
-        .unwrap();
-    assert!(solved.surrogate_solves() > 0, "the surrogate never served");
 }
 
 /// Rewrites the fixture from the current implementation. Only

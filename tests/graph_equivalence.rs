@@ -11,7 +11,12 @@
 //!
 //! Regenerate with
 //! `cargo test --test graph_equivalence -- --ignored regenerate`
-//! (only legitimate when the *legacy* pipeline itself changes).
+//! (only legitimate when the *legacy* pipeline itself changes). One
+//! such change re-rendered `ring7_model.txt`: the fixed point moved to
+//! closed-form Erlang means with one cold CTMC solve per cell. No
+//! iteration count changed; rates, fluxes and means moved by at most
+//! 9e-16 relative, mid-cell measures by at most 8.4e-9, against outer
+//! and solver tolerances of 1e-8. `ring7_sim.txt` did not move.
 
 use gprs_core::cluster::ClusterSolveOptions;
 use gprs_core::{CellConfig, Scenario, SweepOrdering};
