@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let secs = t0.elapsed().as_secs_f64();
     println!(
         "Gauss-Seidel fixed point: {} outer iterations, {:.1} ms \
-         ({:.0} cell solves/s), flow imbalance {:.2e}",
+         ({:.0} closed-form cell updates/s), flow imbalance {:.2e}",
         solved.iterations(),
         secs * 1e3,
         (solved.iterations() * n) as f64 / secs,
