@@ -112,7 +112,11 @@ pub struct ItemResult {
     pub rung: SolveRung,
     /// Maximum `failed_rungs` across cells of the accepted solve.
     pub failed_rungs: u8,
-    /// Surrogate-served cell solves inside the accepted solve.
+    /// Surrogate-served cell solves inside the accepted solve: always
+    /// `0` since the predict-and-verify surrogate was retired. The field
+    /// and its journal key stay so journals keep their shape and the
+    /// repository benchmark, which builds these results, still
+    /// compiles.
     pub surrogate_solves: usize,
     /// The typed failure, for `Failed` items.
     pub failure: Option<ItemFailure>,

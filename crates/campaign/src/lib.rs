@@ -16,7 +16,7 @@
 //!   wall-time exhaustion) retry with exponential backoff and doubled
 //!   iteration/sweep/wall-time budgets, each attempt re-entering
 //!   `solve_resilient`'s warm → cold → alternate → GTH rungs. The
-//!   sweep ordering, tolerances and surrogate are the spec's own
+//!   sweep ordering and tolerances are the spec's own
 //!   [`CampaignSpec::options`]; the runner picks none of them, so a
 //!   first attempt is the plain solve of those options. Neither
 //!   ordering damps or extrapolates, so under either the doubled outer

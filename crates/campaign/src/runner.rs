@@ -101,7 +101,9 @@ impl CampaignReport {
         self.results.iter().filter(|r| r.status == status).count()
     }
 
-    /// Surrogate-served cell solves summed over all items.
+    /// Surrogate-served cell solves summed over all items: non-zero
+    /// only for items reused from a journal written before the
+    /// predict-and-verify surrogate was retired.
     pub fn surrogate_solves(&self) -> usize {
         self.results.iter().map(|r| r.surrogate_solves).sum()
     }
@@ -334,13 +336,13 @@ fn run_batch(
 /// (tolerances untouched — retries buy room, not looseness) and pins
 /// inner solves to one thread and one shard when the spec leaves the
 /// counts adaptive: the campaign parallelizes *across* items, and
-/// nested per-item shard workers (whose default count follows the
+/// nested per-item final-pass workers (whose default count follows the
 /// thread count) would oversubscribe. A spec that explicitly sets
 /// `shards` keeps it.
 ///
-/// The runner chooses no numerics. Ordering, tolerances and the
-/// surrogate come from the spec's options unchanged, and thread and
-/// shard counts move no bit. So attempt 0 is exactly
+/// The runner chooses no numerics. Ordering and tolerances come from
+/// the spec's options unchanged, and thread and shard counts move no
+/// bit. So attempt 0 is exactly
 /// `solve_with_registry` on the spec's options with threads and shards
 /// pinned to 1. Benchmarks that replay a campaign's first attempts
 /// rebuild the options that way and compare item entries bitwise

@@ -92,7 +92,8 @@ pub struct CampaignSpec {
     pub name: String,
     /// Cluster solve options every item runs under (attempt escalation
     /// scales the budgets, never the tolerance, and changes no other
-    /// numeric choice: the ordering and the surrogate are these).
+    /// numeric choice: the ordering is the spec's). A spec may still
+    /// carry the retired `surrogate` key; decoding ignores it.
     pub options: ClusterSolveOptions,
     /// The per-item retry policy.
     pub retry: RetryPolicy,

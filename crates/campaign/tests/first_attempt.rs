@@ -108,9 +108,7 @@ fn journal_line(result: &ItemResult) -> String {
 #[test]
 fn first_attempt_is_the_pinned_plain_solve_bitwise() {
     for ordering in [SweepOrdering::Jacobi, SweepOrdering::GaussSeidel] {
-        let options = ClusterSolveOptions::quick()
-            .with_surrogate(true)
-            .with_ordering(ordering);
+        let options = ClusterSolveOptions::quick().with_ordering(ordering);
         let spec = spec("metro", options, metro_items());
         let report = run_campaign(&spec, None, &one_worker()).unwrap();
 

@@ -129,11 +129,12 @@ pub struct ClusterSolveOptions {
     /// Options for the per-cell CTMC solves at the converged rates.
     pub solve: SolveOptions,
     /// Worker threads; `0` (the default) uses
-    /// [`gprs_exec::num_threads`]. In a cluster solve it only sets the
-    /// default shard count (see [`shards`](Self::shards)), which is the
-    /// number of threads the solve runs on. In a [`sweep_load_scales`]
-    /// it is instead the number of points solved side by side, each on
-    /// one thread. Results are identical for any value.
+    /// [`gprs_exec::num_threads`]. In a cluster solve it sets the
+    /// default worker count of the final pass (see
+    /// [`shards`](Self::shards)), the number of threads that pass runs
+    /// on. In a [`sweep_load_scales`] it is instead the number of
+    /// points solved side by side, each on one thread. Results are
+    /// identical for any value.
     pub threads: usize,
     /// Sweep ordering over the cell graph (default
     /// [`SweepOrdering::GaussSeidel`], which needs fewer outer
@@ -142,25 +143,14 @@ pub struct ClusterSolveOptions {
     /// selects it with `"ordering": "jacobi"`, and a spec without an
     /// `ordering` key runs Gauss–Seidel. Both orderings run plain.
     pub ordering: SweepOrdering,
-    /// Has no effect (default `false`). It asked for the
-    /// predict-and-verify surrogate
-    /// ([`crate::template::WarmStart::Predicted`]) on the inner cell
-    /// solves of every outer iteration. The fixed point now iterates on
-    /// closed-form means and solves each cell's CTMC once, cold, so no
-    /// solve has a predecessor to extrapolate: results are bit-identical
-    /// either way, and [`SolvedCluster::surrogate_solves`] is always
-    /// `0`. The field stays only because benchmark and campaign specs
-    /// still set it.
-    pub surrogate: bool,
     /// Worker count of the fixed-point engine's final pass
-    /// (`gprs_core::shard`): the cells go to that many workers as
-    /// near-equal consecutive index ranges, and each worker solves its
-    /// cells' CTMCs at the converged arrival rates. `0` (the
-    /// default) uses the effective thread count
-    /// ([`threads`](Self::threads)); `1` runs every cell inline on the
-    /// calling thread. The count is clamped to `1..=cells`. Results
-    /// are **bitwise identical** for every value — sharding is purely
-    /// an execution strategy.
+    /// (`gprs_core::shard`): the cells' CTMC solves at the converged
+    /// arrival rates go into one queue, and each of that many workers
+    /// takes the next cell as it frees up. `0` (the default) uses the
+    /// effective thread count ([`threads`](Self::threads)); `1` runs
+    /// every cell inline on the calling thread. The count is clamped to
+    /// `1..=cells`. Results are **bitwise identical** for every value —
+    /// the worker count is purely an execution strategy.
     pub shards: usize,
 }
 
@@ -172,7 +162,6 @@ impl Default for ClusterSolveOptions {
             solve: SolveOptions::default(),
             threads: 0,
             ordering: SweepOrdering::GaussSeidel,
-            surrogate: false,
             shards: 0,
         }
     }
@@ -212,10 +201,12 @@ impl ClusterSolveOptions {
         self
     }
 
-    /// Sets [`surrogate`](Self::surrogate), which has no effect,
-    /// returning `self` for chaining.
-    pub fn with_surrogate(mut self, on: bool) -> Self {
-        self.surrogate = on;
+    /// Does nothing and returns `self`. It once switched on the
+    /// predict-and-verify surrogate for the cells' solves, which needs
+    /// a predecessor solve to extrapolate; each cell's CTMC is now
+    /// solved once, cold, so there is none. It stays only while the
+    /// repository benchmark (`perfbench/`) still calls it.
+    pub fn with_surrogate(self, _on: bool) -> Self {
         self
     }
 
@@ -278,7 +269,6 @@ pub struct SolvedCluster {
     pub(crate) iterations: usize,
     pub(crate) handover_delta: f64,
     pub(crate) symbolic_setups: usize,
-    pub(crate) surrogate_solves: usize,
 }
 
 impl SolvedCluster {
@@ -319,12 +309,12 @@ impl SolvedCluster {
         self.symbolic_setups
     }
 
-    /// Always `0`: each cell's CTMC is solved once, cold, so the
-    /// predict-and-verify surrogate never serves (see
-    /// [`ClusterSolveOptions::surrogate`]). It stays only because
-    /// benchmark and campaign reports still read it.
+    /// Always `0`: each cell's CTMC is solved once, cold, so no solve
+    /// can be served by an extrapolated prediction (see
+    /// [`ClusterSolveOptions::with_surrogate`]). It stays only while
+    /// the repository benchmark and the campaign journal still read it.
     pub fn surrogate_solves(&self) -> usize {
-        self.surrogate_solves
+        0
     }
 
     /// The cluster-wide flow conservation defect: relative difference
@@ -415,10 +405,11 @@ impl ClusterModel {
     /// closed-form Erlang means of its inflow, with no CTMC solve; once
     /// the handover arrival vector moves by at most `opts.tolerance`
     /// (relative), one final pass solves each cell's CTMC once, cold,
-    /// at the converged rates, on its shard's worker (see
-    /// [`ClusterSolveOptions::shards`]), for the reported measures.
-    /// That pass counts as one iteration. Results are deterministic and
-    /// bit-identical for any shard and thread count.
+    /// at the converged rates, for the reported measures; the cells go
+    /// to the workers as one load-balanced queue (see
+    /// [`ClusterSolveOptions::shards`]). That pass counts as one
+    /// iteration. Results are deterministic and bit-identical for any
+    /// shard and thread count.
     ///
     /// # Errors
     ///
@@ -460,7 +451,7 @@ impl ClusterModel {
         registry: &TemplateRegistry,
     ) -> Result<SolvedCluster, ModelError> {
         let shards = opts.effective_shards(self.num_cells());
-        crate::shard::solve_sharded(self, opts, registry, shards)
+        crate::shard::solve_cluster(self, opts, registry, shards)
     }
 
     /// Scalar-balance initialization, per cell and per class: the
@@ -857,25 +848,6 @@ mod tests {
         for cell in solved.cells() {
             assert!(!cell.health.degraded());
             assert_eq!(cell.health.rung, crate::health::SolveRung::Primary);
-        }
-    }
-
-    #[test]
-    fn surrogate_cluster_matches_the_plain_fixed_point() {
-        // Each cell's CTMC is solved once, cold, so no solve has a
-        // predecessor to extrapolate: the option moves no bit and the
-        // surrogate never serves.
-        let cluster = hot_spot(tiny(0.3), 0.9);
-        for ordering in [SweepOrdering::Jacobi, SweepOrdering::GaussSeidel] {
-            let plain = ClusterSolveOptions::default().with_ordering(ordering);
-            let a = cluster.solve(&plain).unwrap();
-            let b = cluster.solve(&plain.with_surrogate(true)).unwrap();
-            assert_eq!(a.surrogate_solves(), 0);
-            assert_eq!(b.surrogate_solves(), 0);
-            assert_eq!(a.iterations(), b.iterations());
-            assert_eq!(a.handover_delta().to_bits(), b.handover_delta().to_bits());
-            // Debug renders every float round-trip exactly.
-            assert_eq!(format!("{:?}", a.cells()), format!("{:?}", b.cells()));
         }
     }
 

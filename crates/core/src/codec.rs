@@ -1030,14 +1030,14 @@ pub fn cluster_options_to_json_value(opts: &ClusterSolveOptions) -> JsonValue {
             "ordering".into(),
             JsonValue::Str(ordering_label(opts.ordering).into()),
         ),
-        ("surrogate".into(), JsonValue::Bool(opts.surrogate)),
         ("shards".into(), JsonValue::Num(opts.shards as f64)),
     ])
 }
 
 /// Rebuilds [`ClusterSolveOptions`] from
 /// [`cluster_options_to_json_value`] output; missing fields fall back
-/// to [`ClusterSolveOptions::default`].
+/// to [`ClusterSolveOptions::default`], and unknown keys (the retired
+/// `adaptive_relaxation` and `surrogate` among them) are ignored.
 ///
 /// # Errors
 ///
@@ -1079,11 +1079,6 @@ pub fn cluster_options_from_json_value(
                 ))
             }
         };
-    }
-    if let Some(v) = value.get("surrogate") {
-        opts.surrogate = v
-            .as_bool()
-            .ok_or_else(|| schema_err(&join(path, "surrogate"), "expected a boolean"))?;
     }
     if let Some(v) = value.get("shards") {
         opts.shards = v
@@ -1273,7 +1268,6 @@ mod tests {
         // Non-default values round-trip, the Jacobi ordering among them.
         let opts = ClusterSolveOptions {
             ordering: SweepOrdering::Jacobi,
-            surrogate: true,
             max_iterations: 123,
             shards: 4,
             ..ClusterSolveOptions::default()
@@ -1282,16 +1276,23 @@ mod tests {
         let back = cluster_options_from_json_value(&parse_json(&text).unwrap(), "").unwrap();
         assert_eq!(back.max_iterations, 123);
         assert_eq!(back.ordering, SweepOrdering::Jacobi);
-        assert!(back.surrogate);
         assert_eq!(back.shards, 4);
         // An empty object is all defaults; unknown keys are ignored, so
-        // one carrying only the retired relaxation switch is too.
+        // one carrying only a retired switch (the relaxation controller,
+        // the surrogate, whatever its value's type) is too.
         let defaults = cluster_options_from_json_value(&parse_json("{}").unwrap(), "").unwrap();
-        let legacy = parse_json("{\"adaptive_relaxation\":false}").unwrap();
-        assert_eq!(
-            cluster_options_from_json_value(&legacy, "").unwrap(),
-            defaults
-        );
+        for doc in [
+            "{\"adaptive_relaxation\":false}",
+            "{\"surrogate\":true}",
+            "{\"surrogate\":\"yes\"}",
+        ] {
+            let legacy = parse_json(doc).unwrap();
+            assert_eq!(
+                cluster_options_from_json_value(&legacy, "").unwrap(),
+                defaults,
+                "{doc}"
+            );
+        }
         assert_eq!(defaults.max_iterations, 500);
         assert_eq!(
             defaults.ordering,

@@ -27,12 +27,13 @@ pub enum SolveRung {
     /// non-resilient solve.
     #[default]
     Primary,
-    /// The predict-and-verify surrogate accepted the extrapolated
-    /// warm-start prediction: its exact balance residual was already
-    /// within tolerance, so no solver iterations ran at all. This is a
-    /// *success* of the warm-start chain, not a degradation — the
-    /// served distribution satisfies the same residual contract as a
-    /// full solve.
+    /// No solve produces this rung any more. It named a point served
+    /// by the retired predict-and-verify surrogate: an extrapolated
+    /// warm start whose exact balance residual was already within
+    /// tolerance, with zero sweeps. It stays because journals written
+    /// before the surrogate went carry its label, and the repository
+    /// benchmark still matches on it; like `Primary`, it is not
+    /// degraded.
     Surrogate,
     /// The primary solver restarted cold (warm-start chain dropped):
     /// recovers from a poisoned or badly extrapolated warm start.
@@ -89,8 +90,9 @@ impl SolveHealth {
 
     /// Whether the solve had to leave the primary path — either a
     /// fallback rung produced the answer or at least one rung failed
-    /// along the way. A surrogate-accepted point is *not* degraded: the
-    /// served distribution met the residual tolerance.
+    /// along the way. A [`SolveRung::Surrogate`] point, read back from
+    /// an old journal, is *not* degraded: it met the residual
+    /// tolerance.
     pub fn degraded(&self) -> bool {
         !matches!(self.rung, SolveRung::Primary | SolveRung::Surrogate) || self.failed_rungs > 0
     }

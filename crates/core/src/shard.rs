@@ -25,20 +25,21 @@
 //! * **Gauss–Seidel** — each outer iteration refreshes, then updates,
 //!   one colour class at a time.
 //! * **Report** — once the arrival rates move by at most the
-//!   tolerance, the cells go to `k` workers
-//!   ([`gprs_exec::with_worker_pool`]; the calling thread serves worker
-//!   0) as near-equal consecutive index ranges. Each worker solves each
-//!   of its cells once at the converged rates, cold on the cell's fresh
-//!   template, through the fallback ladder of
-//!   [`GeneratorTemplate::solve_resilient`]. The report counts as one
-//!   iteration; its means and out-fluxes come from the closed form.
+//!   tolerance, every cell's CTMC is solved once at the converged
+//!   rates, cold on the cell's fresh template, through the fallback
+//!   ladder of [`GeneratorTemplate::solve_resilient`]. The cells go to
+//!   `k` workers as one load-balanced queue
+//!   ([`gprs_exec::PoolHandle::run_queue`]; the calling thread serves
+//!   worker 0), and each worker takes the next cell as it frees up.
+//!   The report counts as one iteration; its means and out-fluxes come
+//!   from the closed form.
 //!
 //! **Bitwise contract**: every update and every cross-cell sum runs on
 //! the coordinator in one fixed order — inflow sums over in-edges in
 //! ascending source order, and `delta` as a max-reduction — and a
-//! worker's answer for a cell depends only on the cell's fresh template
-//! and the rates it is sent. The worker count therefore moves no bit.
-//! `tests/shard_equivalence.rs` pins bit-equality of every
+//! cell's answer depends only on its fresh template and its rates, so
+//! which worker serves it moves no bit, and neither does the worker
+//! count. `tests/shard_equivalence.rs` pins bit-equality of every
 //! [`SolvedCluster`] field across shard and thread counts for both
 //! orderings; `tests/graph_equivalence.rs` and
 //! `tests/ordering_fixtures.rs` pin the results to fixtures.
@@ -51,69 +52,6 @@ use crate::template::{GeneratorTemplate, PointSolve, TemplateRegistry, WarmStart
 use gprs_ctmc::solver::SolveOptions;
 use gprs_exec::with_worker_pool;
 use gprs_queueing::QueueingError;
-use std::ops::Range;
-
-/// One worker's state for the report: the consecutive cell range it
-/// owns, starting at `first`, with each cell's configuration and fresh
-/// template.
-struct ShardState {
-    first: usize,
-    cells: Vec<(CellConfig, GeneratorTemplate)>,
-    solve_opts: SolveOptions,
-}
-
-/// The report request: solve each listed `(cell, gsm rate, gprs rate)`
-/// at the rates given, ascending by cell.
-struct ShardReq {
-    cells: Vec<(usize, f64, f64)>,
-}
-
-/// The report response: the solved cells' points in request order, and
-/// the worker's lowest failing cell, if any (the worker stops there).
-struct ShardResp {
-    solved: Vec<PointSolve>,
-    failed: Option<(usize, ModelError)>,
-}
-
-impl ShardState {
-    fn solve(&mut self, req: ShardReq) -> ShardResp {
-        let mut resp = ShardResp {
-            solved: Vec::with_capacity(req.cells.len()),
-            failed: None,
-        };
-        for (cell, lam_gsm, lam_gprs) in req.cells {
-            let (config, template) = &mut self.cells[cell - self.first];
-            let point = template
-                .model_with_handovers(config.clone(), lam_gsm, lam_gprs)
-                .and_then(|model| {
-                    template.solve_resilient(&model, &self.solve_opts, WarmStart::Cold)
-                });
-            match point {
-                Ok(point) => resp.solved.push(point),
-                Err(e) => {
-                    resp.failed = Some((cell, e));
-                    break;
-                }
-            }
-        }
-        resp
-    }
-}
-
-/// The cells each of `shards` workers owns: near-equal consecutive
-/// index ranges over `0..cells`, the first `cells % k` one cell longer,
-/// with the worker count `k` clamped to `1..=cells`.
-fn worker_ranges(cells: usize, shards: usize) -> Vec<Range<usize>> {
-    let k = shards.clamp(1, cells.max(1));
-    let mut start = 0;
-    (0..k)
-        .map(|w| {
-            let len = cells / k + usize::from(w < cells % k);
-            start += len;
-            start - len..start
-        })
-        .collect()
-}
 
 /// The relative change of one arrival rate, as `delta` measures it.
 fn relative_change(cur: f64, next: f64) -> f64 {
@@ -207,19 +145,19 @@ impl Coordinator<'_> {
     }
 }
 
-/// The cluster fixed point, reported over `num_shards` workers (clamped
-/// to `1..=cells`): called from [`ClusterModel::solve_with_registry`].
-pub(crate) fn solve_sharded(
+/// The cluster fixed point, reported over `workers` workers (`1..=cells`):
+/// called from [`ClusterModel::solve_with_registry`].
+pub(crate) fn solve_cluster(
     model: &ClusterModel,
     opts: &ClusterSolveOptions,
     registry: &TemplateRegistry,
-    num_shards: usize,
+    workers: usize,
 ) -> Result<SolvedCluster, ModelError> {
     let n = model.num_cells();
     let (init_gsm, init_gprs) = model.initial_rates()?;
 
-    // Templates in global cell order, so the lowest-failing-cell error
-    // does not depend on the shard count.
+    // Templates up front in cell order, so an invalid configuration
+    // fails before any iteration, as the lowest such cell's error.
     let templates = model
         .configs()
         .iter()
@@ -260,7 +198,7 @@ pub(crate) fn solve_sharded(
         }
     };
 
-    let points = solve_cells(&coord, templates, &opts.solve, num_shards)?;
+    let points = solve_cells(&coord, templates, &opts.solve, workers)?;
     let cells = points
         .into_iter()
         .enumerate()
@@ -286,97 +224,35 @@ pub(crate) fn solve_sharded(
         iterations,
         handover_delta,
         symbolic_setups: shapes,
-        surrogate_solves: 0,
     })
 }
 
-/// The report pass: solves every cell once at the coordinator's
-/// arrival rates, over `num_shards` workers. Returns the points in cell
-/// order, or the lowest failing cell's error.
+/// The report pass: solves every cell's CTMC once at the
+/// coordinator's arrival rates, cold on its fresh template, as one
+/// load-balanced batch over `workers` workers. Returns the points in
+/// cell order, or the lowest failing cell's error.
 fn solve_cells(
     coord: &Coordinator<'_>,
     templates: Vec<GeneratorTemplate>,
     solve_opts: &SolveOptions,
-    num_shards: usize,
+    workers: usize,
 ) -> Result<Vec<PointSolve>, ModelError> {
-    let ranges = worker_ranges(coord.configs.len(), num_shards);
-    let mut templates = templates.into_iter();
-    let states = ranges
-        .iter()
-        .map(|range| ShardState {
-            first: range.start,
-            cells: coord.configs[range.clone()]
-                .iter()
-                .cloned()
-                .zip(templates.by_ref())
-                .collect(),
-            solve_opts: solve_opts.clone(),
-        })
-        .collect();
-    let reqs = ranges
-        .into_iter()
-        .enumerate()
-        .map(|(w, range)| {
-            let cells = range
-                .map(|c| (c, coord.lam_gsm[c], coord.lam_gprs[c]))
-                .collect();
-            (w, ShardReq { cells })
-        })
-        .collect();
-    let resps = with_worker_pool(
-        states,
-        |_, state: &mut ShardState, req| state.solve(req),
-        |pool| pool.run_on(reqs),
+    let jobs = templates.into_iter().enumerate().collect();
+    let points = with_worker_pool(
+        vec![(); workers],
+        |_, (), (c, mut template): (usize, GeneratorTemplate)| {
+            let model = template.model_with_handovers(
+                coord.configs[c].clone(),
+                coord.lam_gsm[c],
+                coord.lam_gprs[c],
+            )?;
+            template.solve_resilient(&model, solve_opts, WarmStart::Cold)
+        },
+        |pool| pool.run_queue(jobs),
     );
-    let mut points = Vec::with_capacity(coord.configs.len());
-    let mut failed: Option<(usize, ModelError)> = None;
-    for resp in resps {
-        let resp = resp.unwrap_or_else(|panic| panic.resume());
-        points.extend(resp.solved);
-        // Report the lowest failing cell, so the error does not depend
-        // on the worker count.
-        if let Some((c, e)) = resp.failed {
-            if failed.as_ref().is_none_or(|(f, _)| c < *f) {
-                failed = Some((c, e));
-            }
-        }
-    }
-    match failed {
-        Some((_, e)) => Err(e),
-        None => Ok(points),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::worker_ranges;
-
-    #[test]
-    fn worker_ranges_cover_every_cell_once_in_near_equal_runs() {
-        assert_eq!(worker_ranges(12, 3), vec![0..4, 4..8, 8..12]);
-        assert_eq!(worker_ranges(7, 3), vec![0..3, 3..5, 5..7]);
-        for cells in 2..=30 {
-            for shards in 1..=cells {
-                let ranges = worker_ranges(cells, shards);
-                assert_eq!(ranges.len(), shards);
-                assert_eq!(ranges[0].start, 0);
-                assert_eq!(ranges[shards - 1].end, cells);
-                for pair in ranges.windows(2) {
-                    assert_eq!(pair[0].end, pair[1].start, "{cells}/{shards}");
-                    assert!(pair[0].len() >= pair[1].len());
-                    assert!(pair[0].len() <= pair[1].len() + 1);
-                }
-                assert!(ranges.iter().all(|r| !r.is_empty()));
-            }
-        }
-    }
-
-    #[test]
-    fn worker_count_is_clamped_to_the_cells() {
-        assert_eq!(
-            worker_ranges(7, 100),
-            (0..7).map(|c| c..c + 1).collect::<Vec<_>>()
-        );
-        assert_eq!(worker_ranges(7, 0), vec![0..7]);
-    }
+    // In cell order, so the first error is the lowest failing cell's.
+    points
+        .into_iter()
+        .map(|point| point.unwrap_or_else(|panic| panic.resume()))
+        .collect()
 }

@@ -150,19 +150,6 @@ pub enum WarmStart {
     /// [`reset_chain`](GeneratorTemplate::reset_chain), or a failed
     /// solve).
     Chained,
-    /// Predict-and-verify: like [`Chained`](WarmStart::Chained), but
-    /// the extrapolated prediction is *verified* before any solver
-    /// iteration runs — its exact balance residual is evaluated once,
-    /// and when it is already within `opts.tolerance` the prediction is
-    /// served directly as the solution (zero sweeps, health rung
-    /// [`SolveRung::Surrogate`]). Points that fail the check run the
-    /// full solve seeded by the prediction, exactly as `Chained` would.
-    /// The surrogate is bypassed on cold starts (empty history — after
-    /// construction or [`reset_chain`](GeneratorTemplate::reset_chain))
-    /// and after failed solves or fallback-ladder rungs (which clear
-    /// the history), so a prediction is only ever extrapolated from
-    /// genuinely solved predecessors.
-    Predicted,
     /// [`Chained`](WarmStart::Chained) for the last point of a chain:
     /// the same start, so the same solution bit for bit, but the
     /// solution before last is neither kept nor rotated. A chain's last
@@ -175,29 +162,24 @@ pub enum WarmStart {
 
 /// Cumulative solver accounting across a [`GeneratorTemplate`]'s
 /// lifetime. Per-solve [`SolveStats`](gprs_ctmc::SolveStats) are
-/// overwritten by the next point; these totals are what make surrogate
-/// savings visible — compare [`total_sweeps`](Self::total_sweeps)
-/// against [`solves`](Self::solves) with and without
-/// [`WarmStart::Predicted`]. Survives
+/// overwritten by the next point; these totals sum them, so a sweep's
+/// cost shows as [`total_sweeps`](Self::total_sweeps) against
+/// [`solves`](Self::solves). Survives
 /// [`reset_chain`](GeneratorTemplate::reset_chain) (chunk boundaries
 /// must not erase the ledger); cleared only by
-/// [`reset_stats`](GeneratorTemplate::reset_stats).
+/// [`reset_stats`](GeneratorTemplate::reset_stats). No library path
+/// reads it: it stays for the repository benchmark's sweep replay,
+/// which reports [`residual_checks`](Self::residual_checks).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TemplateStats {
-    /// Points served: full solves, surrogate accepts and direct-GTH
-    /// rungs alike.
+    /// Points served: primary solves and fallback rungs alike.
     pub solves: usize,
-    /// Total solver sweeps across all solves (surrogate accepts and
-    /// direct solves contribute zero).
+    /// Total solver sweeps across all solves (direct solves contribute
+    /// zero).
     pub total_sweeps: usize,
-    /// Exact residual evaluations paid: in-solve convergence checks
-    /// plus one verification per surrogate prediction.
+    /// Exact residual evaluations paid: in-solve convergence checks,
+    /// plus one per direct-GTH rung.
     pub residual_checks: usize,
-    /// Surrogate predictions attempted ([`WarmStart::Predicted`] with a
-    /// non-empty history).
-    pub predicted: usize,
-    /// Surrogate predictions accepted (served with zero sweeps).
-    pub accepted: usize,
 }
 
 /// Diagnostics and measures of one template solve; the stationary
@@ -324,8 +306,6 @@ pub struct GeneratorTemplate {
     /// not count.
     #[cfg(test)]
     full_captures: usize,
-    /// Per-level scratch for surrogate residual verification.
-    residual_scratch: Vec<f64>,
     /// Cached session placement table (`Binomial(r; m, p_off)` per
     /// `(m, r)` phase pair) keyed by the `p_off` it was built from —
     /// rebuilt only when a solved model's `p_off` differs bitwise, so
@@ -358,7 +338,6 @@ impl GeneratorTemplate {
             captured: None,
             #[cfg(test)]
             full_captures: 0,
-            residual_scratch: Vec::new(),
             placement: Vec::new(),
             placement_p_off: f64::NAN,
             stats: TemplateStats::default(),
@@ -541,43 +520,6 @@ impl GeneratorTemplate {
         }
 
         self.capture_blocked(model);
-
-        // Predict-and-verify surrogate: check whether the extrapolated
-        // prediction *already* satisfies the residual tolerance; if so,
-        // serve it without a single solver iteration. The residual is
-        // evaluated on the exactly normalized vector that would be
-        // served, so an accepted point honours the same contract as a
-        // full solve: `residual(stationary()) <= opts.tolerance`.
-        if warm == WarmStart::Predicted && chained {
-            self.stats.predicted += 1;
-            let pi = self.ws.pi_mut();
-            let total: f64 = pi.iter().sum();
-            if total.is_finite() && total > 0.0 {
-                for x in pi.iter_mut() {
-                    *x /= total;
-                }
-                self.stats.residual_checks += 1;
-                let residual = self
-                    .blocked
-                    .residual(self.ws.pi(), &mut self.residual_scratch);
-                if residual.is_finite() && residual <= opts.tolerance {
-                    // Accept: the verified, exactly normalized
-                    // prediction is already the workspace iterate and
-                    // the history already rotated — serve it as-is.
-                    self.push_history(warm);
-                    self.stats.solves += 1;
-                    self.stats.accepted += 1;
-                    return Ok(SolveHealth {
-                        rung: SolveRung::Surrogate,
-                        failed_rungs: 0,
-                        sweeps: 0,
-                        residual,
-                    });
-                }
-                // Rejected: fall through to the full solve, seeded by
-                // the (normalized) prediction.
-            }
-        }
 
         let result = solve_mbd_projected_blocked_inplace_ws(
             &self.blocked,

@@ -70,8 +70,8 @@ fn par_sweep_progress_reports_every_point_once() {
 
 #[test]
 fn cluster_fixed_point_is_bit_identical_across_thread_counts() {
-    // The heterogeneous cluster fans its 7 per-iteration cell solves
-    // over its shard workers; like the arrival-rate sweep, the worker count
+    // The heterogeneous cluster queues its 7 final cell solves to its
+    // workers; like the arrival-rate sweep, the worker count
     // (RAYON_NUM_THREADS in production, explicit here) must not change
     // a single bit of the result.
     let cluster = Scenario::hot_spot(tiny_base(), 1.0)

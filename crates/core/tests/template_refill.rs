@@ -6,7 +6,7 @@
 
 use gprs_core::sweep::{par_sweep_arrival_rates_threads, rate_grid, sweep_arrival_rates};
 use gprs_core::template::{GeneratorTemplate, WarmStart};
-use gprs_core::{CellConfig, GprsModel, SolveRung};
+use gprs_core::{CellConfig, GprsModel};
 use gprs_ctmc::mbd::{mbd_residual_of, solve_mbd_projected_inplace_ws};
 use gprs_ctmc::{BlockedMbd, SolveOptions, SolveWorkspace};
 use gprs_traffic::SessionParams;
@@ -113,48 +113,13 @@ proptest! {
         }
     }
 
-    /// The predict-and-verify surrogate **never** serves a point whose
-    /// true balance residual — recomputed from scratch by the scalar
-    /// evaluator on the vector the caller actually receives — exceeds
-    /// the solve tolerance, and the residual it reports is that scalar
-    /// value bit for bit.
-    #[test]
-    fn surrogate_never_accepts_a_point_above_tolerance(cfg in config_strategy()) {
-        let opts = SolveOptions::quick();
-        let mut template = GeneratorTemplate::new(&cfg).unwrap();
-        let mut served = 0usize;
-        for &rate in rate_grid(0.1, 1.0, 6).iter() {
-            let mut c = cfg.clone();
-            c.call_arrival_rate = rate;
-            let model = template.model_for(c).unwrap();
-            let point = template.solve(&model, &opts, WarmStart::Predicted).unwrap();
-            if point.health.rung == SolveRung::Surrogate {
-                served += 1;
-                // Zero solver sweeps by definition...
-                prop_assert_eq!(point.sweeps, 0);
-                // ...and the *recomputed* residual of the served vector
-                // is exactly the checked one and within tolerance.
-                let true_residual = mbd_residual_of(&model, template.stationary());
-                prop_assert!(
-                    true_residual <= opts.tolerance,
-                    "surrogate served rate {} with true residual {} > {}",
-                    rate, true_residual, opts.tolerance
-                );
-                prop_assert_eq!(point.residual.to_bits(), true_residual.to_bits());
-            }
-        }
-        let stats = template.stats();
-        prop_assert_eq!(stats.accepted, served);
-        prop_assert!(stats.predicted >= stats.accepted);
-    }
-
     /// The production solve — the blocked kernel over a one-shot
     /// capture — is bit-identical to the matrix-free scalar oracle
     /// staged from the same start: same sweeps, residual bits and
     /// stationary bits, from the product-form guess, a neighbouring
     /// rate's solution and an arbitrary ramp. The blocked residual
-    /// evaluator (the surrogate's check) also matches the scalar one
-    /// bit for bit on every solution.
+    /// evaluator also matches the scalar one bit for bit on every
+    /// solution.
     #[test]
     fn blocked_kernel_is_bit_identical_to_scalar(cfg in config_strategy()) {
         let opts = SolveOptions::quick();
@@ -224,7 +189,7 @@ fn template_stats_accumulate_across_chain_resets() {
             let mut c = cfg.clone();
             c.call_arrival_rate = rate;
             let model = template.model_for(c).unwrap();
-            template.solve(&model, &opts, WarmStart::Predicted).unwrap();
+            template.solve(&model, &opts, WarmStart::Chained).unwrap();
         }
     };
 
@@ -233,8 +198,6 @@ fn template_stats_accumulate_across_chain_resets() {
     assert_eq!(first.solves, 3);
     assert!(first.total_sweeps > 0);
     assert!(first.residual_checks > 0);
-    // Predictions only start once the chain has a predecessor.
-    assert_eq!(first.predicted, 2);
 
     // A chain reset (as at every sweep-chunk head) must NOT clear the
     // lifetime counters.
@@ -244,7 +207,6 @@ fn template_stats_accumulate_across_chain_resets() {
     assert_eq!(second.solves, first.solves + 2);
     assert!(second.total_sweeps > first.total_sweeps);
     assert!(second.residual_checks > first.residual_checks);
-    assert!(second.accepted >= first.accepted);
 
     template.reset_stats();
     assert_eq!(template.stats(), gprs_core::TemplateStats::default());

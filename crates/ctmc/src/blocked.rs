@@ -614,9 +614,9 @@ impl BlockedMbd {
 
     /// Exact relative L1 balance residual of an arbitrary iterate `pi`
     /// against the captured chain — bit-identical to
-    /// [`crate::mbd::mbd_residual_of`] on the source generator. This is
-    /// the verification half of the predict-and-verify surrogate:
-    /// `inflow` is caller-owned scratch so the check allocates nothing.
+    /// [`crate::mbd::mbd_residual_of`] on the source generator. The
+    /// blocked solvers' convergence checks run it, and `inflow` is
+    /// caller-owned scratch so a check allocates nothing.
     pub fn residual(&self, pi: &[f64], inflow: &mut Vec<f64>) -> f64 {
         let l_count = self.levels;
         inflow.resize(l_count, 0.0);

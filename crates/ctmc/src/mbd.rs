@@ -379,9 +379,9 @@ fn mbd_residual<G: ModulatedBirthDeath + ?Sized>(
 }
 
 /// Exact relative L1 balance residual of an arbitrary iterate `pi` on
-/// the MBD chain — the verification half of the predict-and-verify
-/// sweep surrogate when the blocked tables are disabled. Allocates
-/// small per-phase/per-level scratch on each call; the blocked variant
+/// the MBD chain, straight from the generator: the scalar oracle of
+/// the blocked evaluator. Allocates small per-phase/per-level scratch
+/// on each call; the blocked variant
 /// ([`crate::blocked::BlockedMbd::residual`]) reuses captured tables
 /// and computes bit-identical values.
 pub fn mbd_residual_of<G: ModulatedBirthDeath + ?Sized>(gen: &G, pi: &[f64]) -> f64 {

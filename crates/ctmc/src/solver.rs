@@ -344,8 +344,7 @@ pub struct SolveStats {
     pub residual: f64,
     /// Exact residual evaluations paid during the solve (the fused
     /// per-sweep estimates of the Gauss–Seidel solvers are free and not
-    /// counted). Surrogate accounting sums these across a template's
-    /// lifetime to show what verification actually cost.
+    /// counted). A template's lifetime accounting sums these.
     pub residual_evals: usize,
     /// The relaxation factor in effect when the solve stopped: the
     /// choice of the projected MBD kernels' controller, or

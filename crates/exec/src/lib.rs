@@ -1,7 +1,7 @@
 //! Deterministic thread fan-out for the GPRS reproduction.
 //!
-//! Every parallel stage of the pipeline — sweep chunks, cluster shard
-//! workers and ext03/ext04 reference solves in `gprs-core` /
+//! Every parallel stage of the pipeline — sweep chunks, a cluster's
+//! final cell solves and ext03/ext04 reference solves in `gprs-core` /
 //! `gprs-experiments`, campaign items in `gprs-campaign`, simulator
 //! replication waves in `gprs-des`/`gprs-sim` — runs on one job queue,
 //! so there is exactly one place that decides how work maps onto
@@ -10,9 +10,9 @@
 //! * [`with_worker_pool`] — the **worker pool**: one worker per element
 //!   of a caller-supplied state vector, each owning its element for the
 //!   whole scope, the calling thread serving as worker 0. Batches go
-//!   out either directed ([`PoolHandle::run_on`]) or load-balanced
-//!   ([`PoolHandle::run_queue`]); a panicking job is contained in its
-//!   own slot as a [`TaskPanic`].
+//!   out load-balanced ([`PoolHandle::run_queue`]): whichever worker
+//!   frees up first takes the next job. A panicking job is contained
+//!   in its own slot as a [`TaskPanic`].
 //! * [`par_map_tasks`] — the **stateless** form for *few heavy tasks*
 //!   (simulator replications): one `run_queue` batch over a pool of
 //!   `threads` empty states, results **in task order**, the

@@ -4,33 +4,26 @@
 //!
 //! Workers are spawned **once** per [`with_worker_pool`] scope and stay
 //! parked on a condvar between batches, and each worker exclusively
-//! owns one element of the caller's state vector (a shard's generator
-//! templates, a sweep worker's template) for the whole scope — no
-//! mutex, no re-warming. The caller's thread serves as worker 0 instead
-//! of idling while the others work, so `k` workers run on exactly `k`
-//! threads. [`par_map_tasks`](crate::par_map_tasks) is the stateless
-//! one-batch form.
+//! owns one element of the caller's state vector (a sweep worker's
+//! template, say) for the whole scope — no mutex, no re-warming. The
+//! caller's thread serves as worker 0 instead of idling while the
+//! others work, so `k` workers run on exactly `k` threads.
+//! [`par_map_tasks`](crate::par_map_tasks) is the stateless one-batch
+//! form.
 //!
-//! Two dispatch flavours cover the pipeline's needs:
-//!
-//! * [`PoolHandle::run_on`] — **directed**: each job names the worker
-//!   that must run it. This is the sharded fixed point's round
-//!   primitive (a shard's cells can only be solved by the worker that
-//!   owns their templates).
-//! * [`PoolHandle::run_queue`] — **load-balanced**: jobs go into a
-//!   shared queue and whichever worker frees up first takes the next
-//!   one.
+//! Jobs are dispatched **load-balanced** by [`PoolHandle::run_queue`]:
+//! they go into one shared queue and whichever worker frees up first
+//! takes the next one.
 //!
 //! # Determinism contract
 //!
 //! The crate-wide contract holds: results come back **in job order**,
 //! every job runs exactly once on exactly one worker, and the pool
-//! injects no nondeterminism. `run_queue` results are therefore
-//! bit-identical for any worker count **provided** the work function's
-//! output does not depend on which worker state serves a job (the
-//! chunked-sweep warm-start contract: chunk heads run cold). `run_on`
-//! pins the worker per job, so its results are reproducible by
-//! construction.
+//! injects no nondeterminism. Results are therefore bit-identical for
+//! any worker count **provided** the work function's output does not
+//! depend on which worker state serves a job: chunked sweeps start
+//! each chunk cold, and a cluster's final pass carries each cell's
+//! fresh template in the job itself.
 //!
 //! # Panic policy
 //!
@@ -52,12 +45,11 @@ use crate::TaskPanic;
 /// A caught panic payload in flight from a worker.
 type Payload = Box<dyn std::any::Any + Send>;
 
-/// The queue half the workers share: per-worker directed lanes plus one
-/// load-balanced lane, guarded by a single mutex (jobs are heavy by
+/// The queue half the workers share: the submitted jobs, each tagged
+/// with its batch slot, guarded by a single mutex (jobs are heavy by
 /// contract, so the lock is cold).
 struct QueueState<Req> {
-    directed: Vec<VecDeque<(usize, Req)>>,
-    anywhere: VecDeque<(usize, Req)>,
+    jobs: VecDeque<(usize, Req)>,
     closed: bool,
 }
 
@@ -99,11 +91,12 @@ struct Spawned<'a, Req, Resp> {
 
 /// The caller's handle onto a live [`with_worker_pool`] scope: submits
 /// job batches and collects their results in order. One batch runs at a
-/// time (`&mut self`), matching the round-based protocols built on it.
+/// time (`&mut self`); the worker states persist from one batch to the
+/// next.
 ///
-/// The caller's thread is worker 0: it runs worker 0's jobs against
-/// its state while the spawned workers run theirs, so a pool of `k`
-/// states keeps `k` threads busy, never `k + 1`.
+/// The caller's thread is worker 0: it drains the queue against its
+/// state alongside the spawned workers, so a pool of `k` states keeps
+/// `k` threads busy, never `k + 1`.
 pub struct PoolHandle<'a, S, Req, Resp> {
     state: &'a mut S,
     work: &'a (dyn Fn(usize, &mut S, Req) -> Resp + Sync),
@@ -124,59 +117,6 @@ impl<S, Req, Resp> PoolHandle<'_, S, Req, Resp> {
         catch_unwind(AssertUnwindSafe(|| work(0, state, req))).map_err(|p| TaskPanic::new(seq, p))
     }
 
-    /// Runs one directed batch: each `(worker, job)` pair executes on
-    /// exactly that worker, against its owned state. Results return in
-    /// submission order (slot `i` belongs to `jobs[i]`), panics
-    /// contained per slot.
-    ///
-    /// # Panics
-    ///
-    /// If a job names a worker index out of range.
-    pub fn run_on(&mut self, jobs: Vec<(usize, Req)>) -> Vec<Result<Resp, TaskPanic>> {
-        let workers = self.workers;
-        // Validate before taking the lock: panicking while holding it
-        // would poison the workers' queue.
-        for (w, _) in &jobs {
-            assert!(
-                *w < workers,
-                "worker index {w} out of range ({workers} workers)"
-            );
-        }
-        let mut slots: Vec<Option<Result<Resp, TaskPanic>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        // Worker 0's jobs stay on this thread; the rest go out first so
-        // the spawned workers start while this thread runs its own.
-        let mut own = Vec::new();
-        let mut sent = 0;
-        if let Some(spawned) = &self.spawned {
-            {
-                let mut q = spawned.shared.lock();
-                for (seq, (w, req)) in jobs.into_iter().enumerate() {
-                    if w == 0 {
-                        own.push((seq, req));
-                    } else {
-                        q.directed[w].push_back((seq, req));
-                        sent += 1;
-                    }
-                }
-            }
-            if sent > 0 {
-                spawned.shared.ready.notify_all();
-            }
-        } else {
-            own.extend(
-                jobs.into_iter()
-                    .enumerate()
-                    .map(|(seq, (_, req))| (seq, req)),
-            );
-        }
-        for (seq, req) in own {
-            slots[seq] = Some(self.run_here(seq, req));
-        }
-        self.collect(&mut slots, sent);
-        finish(slots)
-    }
-
     /// Runs one load-balanced batch: jobs drain from a shared queue to
     /// whichever worker frees up first, the caller's thread included.
     /// Results return in submission order, panics contained per slot.
@@ -193,13 +133,13 @@ impl<S, Req, Resp> PoolHandle<'_, S, Req, Resp> {
         {
             let mut q = shared.lock();
             for (seq, req) in jobs.into_iter().enumerate() {
-                q.anywhere.push_back((seq, req));
+                q.jobs.push_back((seq, req));
             }
         }
         shared.ready.notify_all();
         let mut ran_here = 0;
         loop {
-            let job = shared.lock().anywhere.pop_front();
+            let job = shared.lock().jobs.pop_front();
             let Some((seq, req)) = job else { break };
             slots[seq] = Some(self.run_here(seq, req));
             ran_here += 1;
@@ -229,7 +169,7 @@ impl<S, Req, Resp> PoolHandle<'_, S, Req, Resp> {
 /// Unwraps a batch's filled slots.
 #[allow(
     clippy::expect_used,
-    reason = "run_on and run_queue fill every slot before finishing a batch"
+    reason = "run_queue fills every slot before finishing a batch"
 )]
 fn finish<Resp>(slots: Vec<Option<Result<Resp, TaskPanic>>>) -> Vec<Result<Resp, TaskPanic>> {
     slots
@@ -255,7 +195,7 @@ fn finish<Resp>(slots: Vec<Option<Result<Resp, TaskPanic>>>) -> Vec<Result<Resp,
 ///
 /// If `states` is empty. Panics from `body` propagate after the workers
 /// shut down cleanly; panics inside `work` are contained per job slot
-/// (see [`PoolHandle::run_on`]).
+/// (see [`PoolHandle::run_queue`]).
 pub fn with_worker_pool<S, Req, Resp, W, B, R>(states: Vec<S>, work: W, body: B) -> R
 where
     S: Send,
@@ -281,8 +221,7 @@ where
 
     let shared = Shared {
         queue: Mutex::new(QueueState {
-            directed: (0..workers).map(|_| VecDeque::new()).collect(),
-            anywhere: VecDeque::new(),
+            jobs: VecDeque::new(),
             closed: false,
         }),
         ready: Condvar::new(),
@@ -298,10 +237,7 @@ where
                 let job = {
                     let mut q = shared.lock();
                     loop {
-                        if let Some(j) = q.directed[w].pop_front() {
-                            break Some(j);
-                        }
-                        if let Some(j) = q.anywhere.pop_front() {
+                        if let Some(j) = q.jobs.pop_front() {
                             break Some(j);
                         }
                         if q.closed {
@@ -345,57 +281,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn directed_jobs_run_on_their_named_worker() {
-        // Each worker owns a distinct tag; every job must come back
-        // stamped by exactly the worker it was sent to.
-        let states: Vec<u64> = vec![100, 200, 300];
-        let out = with_worker_pool(
-            states,
-            |w, tag, job: u64| (*tag, w, job),
-            |pool| {
-                assert_eq!(pool.worker_count(), 3);
-                pool.run_on(vec![(2, 7), (0, 8), (1, 9), (2, 10)])
-            },
-        );
-        let got: Vec<_> = out.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(
-            got,
-            vec![(300, 2, 7), (100, 0, 8), (200, 1, 9), (300, 2, 10)]
-        );
-    }
-
-    #[test]
     fn worker_zero_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        let on_caller = with_worker_pool(
+        let served = with_worker_pool(
             vec![(); 3],
-            |w, _, _: ()| (w, std::thread::current().id() == caller),
-            |pool| pool.run_on((0..3).map(|w| (w, ())).collect()),
+            |w, _, _: usize| (w, std::thread::current().id() == caller),
+            |pool| {
+                assert_eq!(pool.worker_count(), 3);
+                pool.run_queue((0..24).collect())
+            },
         );
-        let got: Vec<_> = on_caller.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(got, vec![(0, true), (1, false), (2, false)]);
+        for slot in served {
+            let (w, on_caller) = slot.unwrap();
+            assert!(w < 3);
+            assert_eq!(on_caller, w == 0, "worker {w}");
+        }
     }
 
     #[test]
     fn worker_state_persists_across_batches() {
-        // The whole point of the pool: per-worker state survives from
-        // one run_on round to the next (warm templates, shard buffers).
-        let sums = with_worker_pool(
-            vec![0u64, 0u64],
-            |_, acc, add: u64| {
+        // Per-worker state survives from one batch to the next: each
+        // worker's running sum ends at what that worker was served, and
+        // the sums add up to everything submitted.
+        let served = with_worker_pool(
+            vec![0u64; 2],
+            |w, acc, add: u64| {
                 *acc += add;
-                *acc
+                (w, *acc)
             },
             |pool| {
-                pool.run_on(vec![(0, 5), (1, 7)]);
-                pool.run_on(vec![(0, 1), (1, 2)]);
-                pool.run_on(vec![(0, 0), (1, 0)])
-                    .into_iter()
-                    .map(|r| r.unwrap())
-                    .collect::<Vec<_>>()
+                let mut served = pool.run_queue((1..=10).collect());
+                served.extend(pool.run_queue((11..=20).collect()));
+                served
             },
         );
-        assert_eq!(sums, vec![6, 9]);
+        let mut last = [0u64; 2];
+        let mut mine = [0u64; 2];
+        for (add, slot) in (1..=20).zip(served) {
+            let (w, acc) = slot.unwrap();
+            mine[w] += add;
+            assert_eq!(acc, mine[w], "worker {w} after job {add}");
+            last[w] = acc;
+        }
+        assert_eq!(last[0] + last[1], (1..=20).sum::<u64>());
     }
 
     #[test]
@@ -479,15 +407,5 @@ mod tests {
             )
         };
         assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "worker index 3 out of range")]
-    fn directed_job_to_missing_worker_panics() {
-        with_worker_pool(
-            vec![(), ()],
-            |_, _, i: usize| i,
-            |pool| pool.run_on(vec![(3, 1)]),
-        );
     }
 }

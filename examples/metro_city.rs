@@ -1,9 +1,9 @@
 //! A real-city-style weighted topology through the **sharded** cluster
 //! fixed point: the graph is loaded from a committed JSON file via the
 //! codec (the same schema `gprs-campaign` specs embed), not built from
-//! a generator, and the solve runs on persistent workers that own
-//! consecutive cell ranges while one coordinator holds the handover
-//! vectors.
+//! a generator. One coordinator iterates the handover vectors, and the
+//! final pass queues the cells' CTMC solves to a pool of workers, each
+//! taking the next cell as it frees up.
 //!
 //! The city (`examples/data/metro_city.json`, 48 cells): a dense 4x4
 //! downtown grid, a 12-cell ring road feeding it with commuter-biased
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let model = ClusterModel::from_graph(graph, cells)?;
 
-    let base_opts = ClusterSolveOptions::quick().with_surrogate(true);
+    let base_opts = ClusterSolveOptions::quick();
 
     let t0 = Instant::now();
     let baseline = model.solve(&base_opts.clone().with_shards(1))?;
@@ -86,10 +86,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "fixed point: {} outer iterations, {} surrogate-served cell solves, \
-         flow imbalance {:.2e}",
+        "fixed point: {} outer iterations, flow imbalance {:.2e}",
         sharded.iterations(),
-        sharded.surrogate_solves(),
         sharded.flow_imbalance()
     );
     println!(

@@ -111,7 +111,7 @@ fn metro_cases() -> Vec<(String, ClusterModel, ClusterSolveOptions)> {
             })
             .collect()
     };
-    let opts = ClusterSolveOptions::quick().with_surrogate(true);
+    let opts = ClusterSolveOptions::quick();
     let mut out = Vec::new();
     for (depth, deep) in [("k8", false), ("k10", true)] {
         for scale in [1.0, 1.2] {

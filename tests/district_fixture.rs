@@ -1,6 +1,5 @@
 //! The district-cell contract: Gauss–Seidel cluster solves of the
-//! `metro_city` district cell, with the surrogate on, render pinned bit
-//! patterns.
+//! `metro_city` district cell render pinned bit patterns.
 //!
 //! The district cell (6 channels, 1 reserved PDCH, M = 3, Model 3) is
 //! the cell the metro campaigns solve, at buffer capacities K = 8 and
@@ -51,7 +50,7 @@ fn district_cells(n: usize, deep_downtown: bool) -> Vec<CellConfig> {
 }
 
 /// Every pinned case: a name and the scenario, solved with the
-/// campaign options (Gauss–Seidel, the default ordering, surrogate on).
+/// campaign options (Gauss–Seidel, the default ordering).
 fn cases() -> Vec<(&'static str, Scenario)> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/data/metro_city.json");
     let doc = parse_json(&std::fs::read_to_string(path).unwrap()).unwrap();
@@ -132,7 +131,6 @@ fn render_solved(name: &str, solved: &SolvedCluster, out: &mut String) {
 /// Renders every case solved at `shards` shards on as many threads.
 fn render(shards: usize) -> String {
     let opts = ClusterSolveOptions::quick()
-        .with_surrogate(true)
         .with_shards(shards)
         .with_threads(shards);
     let mut out = String::new();

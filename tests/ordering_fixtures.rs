@@ -1,13 +1,13 @@
 //! The ordering contract: the cluster fixed point renders pinned bit
-//! patterns under both sweep orderings, on weighted non-ring graphs
-//! and with the surrogate on.
+//! patterns under both sweep orderings, on weighted non-ring graphs,
+//! the homogeneous ring and the hot spot.
 //!
 //! `tests/graph_equivalence.rs` pins the 7-cell ring under Jacobi
-//! sweeps with the surrogate off; `tests/shard_equivalence.rs` pins
-//! every shard layout to the one-shard layout of the same code. This
-//! file pins the remaining trajectories to values rendered once, so a
-//! rewrite of the fixed-point engine cannot move a bit of Gauss–Seidel,
-//! weighted-graph or surrogate output unnoticed.
+//! sweeps; `tests/shard_equivalence.rs` pins every shard layout to the
+//! one-shard layout of the same code. This file pins the remaining
+//! trajectories to values rendered once, so a rewrite of the
+//! fixed-point engine cannot move a bit of Gauss–Seidel or
+//! weighted-graph output unnoticed.
 //!
 //! Regenerate with
 //! `cargo test --test ordering_fixtures -- --ignored regenerate`
@@ -98,20 +98,22 @@ fn cases() -> Vec<(String, ClusterModel, ClusterSolveOptions)> {
             quick.clone(),
         ));
         out.push((format!("weighted9/{ordering:?}"), weighted(), quick.clone()));
+        // These two cases once ran the retired predict-and-verify
+        // surrogate. They keep their names, and the trace line keeps
+        // the always-0 surrogate count, so the fixture stays byte for
+        // byte what it was.
         out.push((
             format!("ring-surrogate/{ordering:?}"),
             ring(0.3),
-            quick.clone().with_surrogate(true),
+            quick.clone(),
         ));
-        // The surrogate option moves no bit since each cell's CTMC
-        // is solved once, cold; these cases pin that it stays so.
         out.push((
             format!("hot-spot-surrogate/{ordering:?}"),
             Scenario::hot_spot(tiny(0.3), 0.9)
                 .unwrap()
                 .to_cluster()
                 .unwrap(),
-            quick.with_surrogate(true),
+            quick,
         ));
     }
     out

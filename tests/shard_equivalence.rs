@@ -216,22 +216,6 @@ fn hot_spot_jacobi_trajectories_survive_sharding() {
     check_layouts(&model, &jacobi, "hotspot-short-dwell");
 }
 
-/// The surrogate (predict-and-verify) solve path counts and warm-start
-/// modes are preserved under sharding, for both orderings.
-#[test]
-fn surrogate_solves_survive_sharding() {
-    let model = Scenario::homogeneous(tiny(0.3))
-        .unwrap()
-        .to_cluster()
-        .unwrap();
-    for ordering in [SweepOrdering::Jacobi, SweepOrdering::GaussSeidel] {
-        let base = ClusterSolveOptions::quick()
-            .with_surrogate(true)
-            .with_ordering(ordering);
-        check_layouts(&model, &base, &format!("surrogate/{ordering:?}"));
-    }
-}
-
 /// The nightly metro-scale contract: a 1000-cell corridor solved
 /// sharded is bit-identical to the unsharded layout, for both
 /// orderings. Ignored in tier-1 (minutes of work); CI runs it in the
