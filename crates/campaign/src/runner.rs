@@ -101,13 +101,6 @@ impl CampaignReport {
         self.results.iter().filter(|r| r.status == status).count()
     }
 
-    /// Surrogate-served cell solves summed over all items: non-zero
-    /// only for items reused from a journal written before the
-    /// predict-and-verify surrogate was retired.
-    pub fn surrogate_solves(&self) -> usize {
-        self.results.iter().map(|r| r.surrogate_solves).sum()
-    }
-
     /// Items processed per wall-clock second in this run (journaled
     /// reuse excluded from the numerator).
     pub fn items_per_sec(&self) -> f64 {
@@ -130,10 +123,6 @@ impl CampaignReport {
             ("degraded".into(), JsonValue::Num(self.degraded() as f64)),
             ("failed".into(), JsonValue::Num(self.failed() as f64)),
             ("retries".into(), JsonValue::Num(self.retries as f64)),
-            (
-                "surrogate_solves".into(),
-                JsonValue::Num(self.surrogate_solves() as f64),
-            ),
             (
                 "reused_from_journal".into(),
                 JsonValue::Num(self.reused_from_journal as f64),

@@ -26,22 +26,33 @@
 //!   one colour class at a time.
 //! * **Report** — once the arrival rates move by at most the
 //!   tolerance, every cell's CTMC is solved once at the converged
-//!   rates, cold on the cell's fresh template, through the fallback
-//!   ladder of [`GeneratorTemplate::solve_resilient`]. The cells go to
-//!   `k` workers as one load-balanced queue
+//!   rates, cold, through the fallback ladder of
+//!   [`GeneratorTemplate::solve_resilient`]. The cells go to `k`
+//!   workers as one load-balanced queue
 //!   ([`gprs_exec::PoolHandle::run_queue`]; the calling thread serves
-//!   worker 0), and each worker takes the next cell as it frees up.
-//!   The report counts as one iteration; its means and out-fluxes come
-//!   from the closed form.
+//!   worker 0), grouped by shape in order of first appearance, and
+//!   each worker takes the next cell as it frees up. A worker keeps
+//!   one template and solves the next cell on it while the shapes
+//!   match, building a new one only on a shape change, so the pass
+//!   skips the repeated symbolic setup (the blocked capture with its
+//!   schedule, the workspace allocations, the placement table) and
+//!   holds at most one template per worker. The report counts as one
+//!   iteration; its means and out-fluxes come from the closed form.
 //!
 //! **Bitwise contract**: every update and every cross-cell sum runs on
 //! the coordinator in one fixed order — inflow sums over in-edges in
 //! ascending source order, and `delta` as a max-reduction — and a
-//! cell's answer depends only on its fresh template and its rates, so
-//! which worker serves it moves no bit, and neither does the worker
-//! count. `tests/shard_equivalence.rs` pins bit-equality of every
-//! [`SolvedCluster`] field across shard and thread counts for both
-//! orderings; `tests/graph_equivalence.rs` and
+//! cell's answer depends only on its configuration and its rates: a
+//! cold solve on a reused template is bitwise a fresh template's
+//! ([`WarmStart::Cold`] ignores the history, the blocked tables are
+//! captured in full whenever the level key changes, and the placement
+//! table is keyed by the bits of `p_off`). So which worker serves a
+//! cell, and which cells its template served before, moves no bit, and
+//! neither does the worker count. `tests/shard_equivalence.rs` pins
+//! bit-equality of every [`SolvedCluster`] field across shard and
+//! thread counts for both orderings; `tests/closed_form_means.rs` pins
+//! each cell to a standalone cold solve of a fresh template, across
+//! shape switches and fallback rungs; `tests/graph_equivalence.rs` and
 //! `tests/ordering_fixtures.rs` pin the results to fixtures.
 
 use crate::cluster::{ClusterModel, ClusterSolveOptions, SolvedCell, SolvedCluster, SweepOrdering};
@@ -51,6 +62,7 @@ use crate::graph::CellGraph;
 use crate::template::{GeneratorTemplate, PointSolve, TemplateRegistry, WarmStart};
 use gprs_ctmc::solver::SolveOptions;
 use gprs_exec::with_worker_pool;
+use gprs_queueing::mmcc::MmccQueue;
 use gprs_queueing::QueueingError;
 
 /// The relative change of one arrival rate, as `delta` measures it.
@@ -68,16 +80,23 @@ struct Coordinator<'a> {
     lam_gprs: Vec<f64>,
     out_gsm: Vec<f64>,
     out_gprs: Vec<f64>,
+    /// The Erlang distribution buffer every [`means`](Self::means)
+    /// call fills, so the iteration allocates nothing per update.
+    scratch: Vec<f64>,
 }
 
 impl Coordinator<'_> {
     /// The closed-form populations `(E[n], E[m])` of cell `c` at its
-    /// current arrival rates.
-    fn means(&self, c: usize) -> Result<(f64, f64), ModelError> {
+    /// current arrival rates: [`MmccQueue::mean_busy`] of its two
+    /// Erlang systems, bit for bit, computed in the scratch buffer.
+    fn means(&mut self, c: usize) -> Result<(f64, f64), ModelError> {
         let config = &self.configs[c];
+        let mut mean = |(servers, arrival, service): (usize, f64, f64)| {
+            MmccQueue::mean_busy_into(servers, arrival, service, &mut self.scratch)
+        };
         Ok((
-            config.voice_queue(self.lam_gsm[c])?.mean_busy(),
-            config.session_queue(self.lam_gprs[c])?.mean_busy(),
+            mean(config.voice_system(self.lam_gsm[c]))?,
+            mean(config.session_system(self.lam_gprs[c]))?,
         ))
     }
 
@@ -156,13 +175,24 @@ pub(crate) fn solve_cluster(
     let n = model.num_cells();
     let (init_gsm, init_gprs) = model.initial_rates()?;
 
-    // Templates up front in cell order, so an invalid configuration
-    // fails before any iteration, as the lowest such cell's error.
-    let templates = model
-        .configs()
-        .iter()
-        .map(|cfg| registry.template_for(cfg))
-        .collect::<Result<Vec<_>, _>>()?;
+    // Validation and shape counting up front in cell order, so an
+    // invalid configuration fails before any iteration, as the lowest
+    // such cell's error. Each cell is tagged with its shape's index in
+    // order of first appearance; the final pass queues the cells
+    // grouped by that index.
+    let mut kinds: Vec<GeneratorTemplate> = Vec::new();
+    let mut kind_of = Vec::with_capacity(n);
+    for config in model.configs() {
+        let template = registry.template_for(config)?;
+        let kind = match kinds.iter().position(|t| t.matches(config)) {
+            Some(kind) => kind,
+            None => {
+                kinds.push(template);
+                kinds.len() - 1
+            }
+        };
+        kind_of.push(kind);
+    }
     let shapes = registry.setups();
 
     let mut coord = Coordinator {
@@ -176,6 +206,7 @@ pub(crate) fn solve_cluster(
         out_gprs: init_gprs.clone(),
         lam_gsm: init_gsm,
         lam_gprs: init_gprs,
+        scratch: Vec::new(),
     };
     let all: Vec<usize> = (0..n).collect();
     let (iterations, handover_delta) = match opts.ordering {
@@ -198,7 +229,7 @@ pub(crate) fn solve_cluster(
         }
     };
 
-    let points = solve_cells(&coord, templates, &opts.solve, workers)?;
+    let points = solve_cells(&coord, &kind_of, &opts.solve, workers)?;
     let cells = points
         .into_iter()
         .enumerate()
@@ -228,31 +259,50 @@ pub(crate) fn solve_cluster(
 }
 
 /// The report pass: solves every cell's CTMC once at the
-/// coordinator's arrival rates, cold on its fresh template, as one
-/// load-balanced batch over `workers` workers. Returns the points in
-/// cell order, or the lowest failing cell's error.
+/// coordinator's arrival rates, cold, as one load-balanced batch over
+/// `workers` workers. The cells are queued grouped by `kind_of` (their
+/// shape index), so each worker holds one template at a time and
+/// solves the next cell on it whenever the shapes match; it builds a
+/// new template only on a shape change. A cold solve on a reused
+/// template is bitwise a fresh template's (see the [module
+/// docs](self)). Returns the points in cell order, or the lowest
+/// failing cell's error.
 fn solve_cells(
     coord: &Coordinator<'_>,
-    templates: Vec<GeneratorTemplate>,
+    kind_of: &[usize],
     solve_opts: &SolveOptions,
     workers: usize,
 ) -> Result<Vec<PointSolve>, ModelError> {
-    let jobs = templates.into_iter().enumerate().collect();
+    let mut queue: Vec<usize> = (0..kind_of.len()).collect();
+    queue.sort_by_key(|&c| kind_of[c]);
     let points = with_worker_pool(
-        vec![(); workers],
-        |_, (), (c, mut template): (usize, GeneratorTemplate)| {
+        (0..workers).map(|_| None).collect(),
+        |_, slot: &mut Option<GeneratorTemplate>, c: usize| {
+            let config = &coord.configs[c];
+            let template = match slot.take() {
+                Some(template) if template.matches(config) => slot.insert(template),
+                _ => slot.insert(GeneratorTemplate::new(config)?),
+            };
             let model = template.model_with_handovers(
-                coord.configs[c].clone(),
+                config.clone(),
                 coord.lam_gsm[c],
                 coord.lam_gprs[c],
             )?;
             template.solve_resilient(&model, solve_opts, WarmStart::Cold)
         },
-        |pool| pool.run_queue(jobs),
+        |pool| pool.run_queue(queue.clone()),
     );
-    // In cell order, so the first error is the lowest failing cell's.
-    points
+    // Back in cell order, so the first error is the lowest failing
+    // cell's, and a panic names its cell rather than its queue slot.
+    let mut by_cell: Vec<_> = queue.into_iter().zip(points).collect();
+    by_cell.sort_unstable_by_key(|&(c, _)| c);
+    by_cell
         .into_iter()
-        .map(|point| point.unwrap_or_else(|panic| panic.resume()))
+        .map(|(c, point)| {
+            point.unwrap_or_else(|mut panic| {
+                panic.index = c;
+                panic.resume()
+            })
+        })
         .collect()
 }

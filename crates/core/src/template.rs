@@ -237,8 +237,10 @@ fn extrapolate(p: f64, q: f64) -> f64 {
 }
 
 /// The distinct cell shapes a cluster or campaign has asked templates
-/// for. Templates share nothing: each one assembles its own CSR
-/// pattern on demand. The registry only counts shapes —
+/// for. The registry holds no template: each template assembles its
+/// own CSR pattern on demand, and a caller that reuses one across
+/// same-shape cells (the cluster's final pass keeps one per worker)
+/// owns it. The registry only counts shapes —
 /// [`setups`](TemplateRegistry::setups) is the counter the metro-scale
 /// regression tests assert on (a 1000-cell corridor with 5 cell kinds
 /// reports 5).

@@ -51,13 +51,30 @@ pub fn erlang_b(servers: usize, rho: f64) -> Result<f64, QueueingError> {
 /// Returns [`QueueingError::InvalidParameter`] if `rho` is negative or
 /// non-finite.
 pub fn mmcc_distribution(servers: usize, rho: f64) -> Result<Vec<f64>, QueueingError> {
+    let mut terms = Vec::with_capacity(servers + 1);
+    mmcc_distribution_into(servers, rho, &mut terms)?;
+    Ok(terms)
+}
+
+/// [`mmcc_distribution`] written into `terms` (cleared first), so a
+/// caller that evaluates many loss systems reuses one buffer. The
+/// values are bit-identical: `mmcc_distribution` is this body.
+///
+/// # Errors
+///
+/// As [`mmcc_distribution`]; `terms` is left untouched.
+pub fn mmcc_distribution_into(
+    servers: usize,
+    rho: f64,
+    terms: &mut Vec<f64>,
+) -> Result<(), QueueingError> {
     if !rho.is_finite() || rho < 0.0 {
         return Err(QueueingError::InvalidParameter {
             name: "rho",
             value: rho,
         });
     }
-    let mut terms = Vec::with_capacity(servers + 1);
+    terms.clear();
     let mut t = 1.0f64;
     let mut total = 1.0f64;
     terms.push(t);
@@ -67,7 +84,7 @@ pub fn mmcc_distribution(servers: usize, rho: f64) -> Result<Vec<f64>, QueueingE
         total += t;
         if total > 1e250 {
             let scale = 1.0 / total;
-            for x in &mut terms {
+            for x in terms.iter_mut() {
                 *x *= scale;
             }
             t *= scale;
@@ -75,10 +92,10 @@ pub fn mmcc_distribution(servers: usize, rho: f64) -> Result<Vec<f64>, QueueingE
         }
     }
     let inv = 1.0 / total;
-    for x in &mut terms {
+    for x in terms.iter_mut() {
         *x *= inv;
     }
-    Ok(terms)
+    Ok(())
 }
 
 /// Mean number of busy servers (carried traffic) of an M/M/c/c system:

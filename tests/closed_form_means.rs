@@ -15,10 +15,19 @@
 //! The fixed point iterates on those closed forms, so each cell's CTMC
 //! is solved once, at the converged inflows: the second test pins every
 //! reported cell to a standalone cold solve of its fresh template.
+//!
+//! The final pass solves same-shape cells one after another on one
+//! worker's template, so the third test pins the reuse contract: a cold
+//! solve on a reused template — after a shape switch, a full recapture,
+//! a phase-only recapture or a fall down the fallback ladder — is bit
+//! for bit a fresh template's.
 
 use gprs_core::cluster::ClusterSolveOptions;
 use gprs_core::codec::{graph_from_json_value, parse_json};
-use gprs_core::{CellConfig, ClusterModel, GeneratorTemplate, Scenario, SweepOrdering, WarmStart};
+use gprs_core::{
+    CellConfig, CellGraph, ClusterModel, CodingScheme, GeneratorTemplate, Scenario, SolveRung,
+    SolvedCluster, SweepOrdering, WarmStart,
+};
 use gprs_queueing::mmcc::MmccQueue;
 use gprs_traffic::TrafficModel;
 
@@ -222,5 +231,99 @@ fn each_cell_is_one_cold_solve_at_the_converged_inflows() {
             );
         }
         assert_eq!(solved.surrogate_solves(), 0, "{name}");
+    }
+}
+
+/// A 12-cell corridor whose cells alternate K = 5 and K = 8 in cell
+/// order. Within each shape, CS-2 and CS-3 cells and Model 3 and
+/// Model 1 sessions follow each other, so that consecutive same-shape
+/// cells sometimes keep their level key (a phase-only recapture),
+/// sometimes change it (a full one), and sometimes change `p_off` (a
+/// new placement table).
+fn interleaved_shapes() -> ClusterModel {
+    const CS3: [usize; 6] = [1, 4, 6, 7, 9, 10];
+    const MODEL1: [usize; 4] = [3, 5, 8, 10];
+    let cells = (0..12)
+        .map(|i| {
+            let mut cfg = cell(if i % 2 == 0 { 5 } else { 8 }, 0.2 + 0.025 * i as f64);
+            if CS3.contains(&i) {
+                cfg.coding_scheme = CodingScheme::Cs3;
+            }
+            if MODEL1.contains(&i) {
+                cfg.traffic = TrafficModel::Model1.params();
+            }
+            cfg
+        })
+        .collect();
+    Scenario::from_graph("interleaved", CellGraph::corridor(12).unwrap(), cells)
+        .and_then(|s| s.to_cluster())
+        .unwrap()
+}
+
+/// Asserts every cell of `solved` bit for bit equal to a standalone
+/// cold solve of a fresh template at its converged inflows.
+fn assert_fresh_cold_solves(
+    what: &str,
+    model: &ClusterModel,
+    opts: &ClusterSolveOptions,
+    solved: &SolvedCluster,
+) {
+    for (i, (cfg, cell)) in model.configs().iter().zip(solved.cells()).enumerate() {
+        let mut template = GeneratorTemplate::new(cfg).unwrap();
+        let fresh = template
+            .model_with_handovers(cfg.clone(), cell.gsm_handover_in, cell.gprs_handover_in)
+            .and_then(|m| template.solve_resilient(&m, &opts.solve, WarmStart::Cold))
+            .unwrap();
+        let what = format!("{what}: cell {i}");
+        assert_eq!(
+            format!("{:?}", cell.measures),
+            format!("{:?}", fresh.measures),
+            "{what}: measures"
+        );
+        assert_eq!(
+            cell.residual.to_bits(),
+            fresh.residual.to_bits(),
+            "{what}: residual"
+        );
+        assert_eq!(cell.sweeps, fresh.sweeps, "{what}: sweeps");
+        assert_eq!(
+            format!("{:?}", cell.health),
+            format!("{:?}", fresh.health),
+            "{what}: health"
+        );
+    }
+}
+
+/// The final pass keeps one template per worker and solves every
+/// same-shape cell on it. At 1, 2 and 3 workers each cell equals its
+/// fresh-template solve, under the quick solver and with the sweeps
+/// capped so low that every cell falls to the ladder's lower rungs on
+/// its reused template and the next cell still starts clean.
+#[test]
+fn reused_templates_solve_each_cell_as_a_fresh_one() {
+    let model = interleaved_shapes();
+    let quick = ClusterSolveOptions::quick();
+    let mut capped = quick.clone();
+    capped.solve.max_sweeps = 2;
+    for (label, base) in [("quick", quick), ("capped", capped)] {
+        for workers in 1..=3 {
+            let opts = base.clone().with_shards(workers);
+            let solved = model.solve(&opts).unwrap();
+            let what = format!("{label}/{workers} workers");
+            assert_eq!(solved.symbolic_setups(), 2, "{what}: shapes");
+            let lower_rungs = solved
+                .cells()
+                .iter()
+                .filter(|cell| {
+                    matches!(
+                        cell.health.rung,
+                        SolveRung::AlternateIterative | SolveRung::DirectGth
+                    )
+                })
+                .count();
+            let want = if label == "capped" { 12 } else { 0 };
+            assert_eq!(lower_rungs, want, "{what}: cells below the primary rung");
+            assert_fresh_cold_solves(&what, &model, &opts, &solved);
+        }
     }
 }
