@@ -38,7 +38,6 @@ use crate::state::{CellState, StateSpace};
 use gprs_ctmc::mbd::ModulatedBirthDeath;
 use gprs_ctmc::{SparseGenerator, Transitions};
 use gprs_queueing::handover::{balance_default, BalancedCell, HandoverParams};
-use gprs_queueing::mmcc::MmccQueue;
 
 /// Derived transition rates, precomputed once per configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,17 +147,16 @@ impl GprsModel {
                 });
             }
         }
-        let erlang = |(servers, arrival, service)| MmccQueue::new(servers, arrival, service);
         let balanced_gsm = BalancedCell {
             new_arrival_rate: config.gsm_arrival_rate(),
             handover_arrival_rate: gsm_handover_rate,
-            queue: erlang(config.voice_system(gsm_handover_rate))?,
+            queue: config.voice_queue(gsm_handover_rate)?,
             iterations: 0,
         };
         let balanced_gprs = BalancedCell {
             new_arrival_rate: config.gprs_arrival_rate(),
             handover_arrival_rate: gprs_handover_rate,
-            queue: erlang(config.session_system(gprs_handover_rate))?,
+            queue: config.session_queue(gprs_handover_rate)?,
             iterations: 0,
         };
         Self::from_balanced(config, balanced_gsm, balanced_gprs)

@@ -30,13 +30,13 @@
 //!   [`GeneratorTemplate::solve_resilient`]. The cells go to `k`
 //!   workers as one load-balanced queue
 //!   ([`gprs_exec::PoolHandle::run_queue`]; the calling thread serves
-//!   worker 0), grouped by shape in order of first appearance, and
-//!   each worker takes the next cell as it frees up. A worker keeps
-//!   one template and solves the next cell on it while the shapes
-//!   match, building a new one only on a shape change, so the pass
-//!   skips the repeated symbolic setup (the blocked capture with its
-//!   schedule, the workspace allocations, the placement table) and
-//!   holds at most one template per worker. The report counts as one
+//!   worker 0) in cell order, and each worker takes the next cell as
+//!   it frees up. A worker keeps one template and solves the next cell
+//!   on it while the shapes match, building a new one only on a shape
+//!   change, so the pass skips the repeated symbolic setup (the
+//!   blocked capture with its schedule, the workspace allocations, the
+//!   placement table). Its one template slot bounds the pass at one
+//!   live template per worker. The report counts as one
 //!   iteration; its means and out-fluxes come from the closed form.
 //!
 //! **Bitwise contract**: every update and every cross-cell sum runs on
@@ -62,7 +62,6 @@ use crate::graph::CellGraph;
 use crate::template::{GeneratorTemplate, PointSolve, TemplateRegistry, WarmStart};
 use gprs_ctmc::solver::SolveOptions;
 use gprs_exec::with_worker_pool;
-use gprs_queueing::mmcc::MmccQueue;
 use gprs_queueing::QueueingError;
 
 /// The relative change of one arrival rate, as `delta` measures it.
@@ -80,23 +79,16 @@ struct Coordinator<'a> {
     lam_gprs: Vec<f64>,
     out_gsm: Vec<f64>,
     out_gprs: Vec<f64>,
-    /// The Erlang distribution buffer every [`means`](Self::means)
-    /// call fills, so the iteration allocates nothing per update.
-    scratch: Vec<f64>,
 }
 
 impl Coordinator<'_> {
     /// The closed-form populations `(E[n], E[m])` of cell `c` at its
-    /// current arrival rates: [`MmccQueue::mean_busy`] of its two
-    /// Erlang systems, bit for bit, computed in the scratch buffer.
-    fn means(&mut self, c: usize) -> Result<(f64, f64), ModelError> {
+    /// current arrival rates.
+    fn means(&self, c: usize) -> Result<(f64, f64), ModelError> {
         let config = &self.configs[c];
-        let mut mean = |(servers, arrival, service): (usize, f64, f64)| {
-            MmccQueue::mean_busy_into(servers, arrival, service, &mut self.scratch)
-        };
         Ok((
-            mean(config.voice_system(self.lam_gsm[c]))?,
-            mean(config.session_system(self.lam_gprs[c]))?,
+            config.voice_queue(self.lam_gsm[c])?.mean_busy(),
+            config.session_queue(self.lam_gprs[c])?.mean_busy(),
         ))
     }
 
@@ -177,21 +169,9 @@ pub(crate) fn solve_cluster(
 
     // Validation and shape counting up front in cell order, so an
     // invalid configuration fails before any iteration, as the lowest
-    // such cell's error. Each cell is tagged with its shape's index in
-    // order of first appearance; the final pass queues the cells
-    // grouped by that index.
-    let mut kinds: Vec<GeneratorTemplate> = Vec::new();
-    let mut kind_of = Vec::with_capacity(n);
+    // such cell's error.
     for config in model.configs() {
-        let template = registry.template_for(config)?;
-        let kind = match kinds.iter().position(|t| t.matches(config)) {
-            Some(kind) => kind,
-            None => {
-                kinds.push(template);
-                kinds.len() - 1
-            }
-        };
-        kind_of.push(kind);
+        registry.template_for(config)?;
     }
     let shapes = registry.setups();
 
@@ -206,7 +186,6 @@ pub(crate) fn solve_cluster(
         out_gprs: init_gprs.clone(),
         lam_gsm: init_gsm,
         lam_gprs: init_gprs,
-        scratch: Vec::new(),
     };
     let all: Vec<usize> = (0..n).collect();
     let (iterations, handover_delta) = match opts.ordering {
@@ -229,7 +208,7 @@ pub(crate) fn solve_cluster(
         }
     };
 
-    let points = solve_cells(&coord, &kind_of, &opts.solve, workers)?;
+    let points = solve_cells(&coord, &opts.solve, workers)?;
     let cells = points
         .into_iter()
         .enumerate()
@@ -260,21 +239,18 @@ pub(crate) fn solve_cluster(
 
 /// The report pass: solves every cell's CTMC once at the
 /// coordinator's arrival rates, cold, as one load-balanced batch over
-/// `workers` workers. The cells are queued grouped by `kind_of` (their
-/// shape index), so each worker holds one template at a time and
-/// solves the next cell on it whenever the shapes match; it builds a
-/// new template only on a shape change. A cold solve on a reused
-/// template is bitwise a fresh template's (see the [module
-/// docs](self)). Returns the points in cell order, or the lowest
-/// failing cell's error.
+/// `workers` workers, queued in cell order. Each worker keeps one
+/// template in its slot and solves the next cell on it whenever the
+/// cell's shape matches; on a shape change it replaces the template
+/// with a new one, so at most one template per worker is live. A cold
+/// solve on a reused template is bitwise a fresh template's (see the
+/// [module docs](self)). Returns the points in cell order, or the
+/// lowest failing cell's error.
 fn solve_cells(
     coord: &Coordinator<'_>,
-    kind_of: &[usize],
     solve_opts: &SolveOptions,
     workers: usize,
 ) -> Result<Vec<PointSolve>, ModelError> {
-    let mut queue: Vec<usize> = (0..kind_of.len()).collect();
-    queue.sort_by_key(|&c| kind_of[c]);
     let points = with_worker_pool(
         (0..workers).map(|_| None).collect(),
         |_, slot: &mut Option<GeneratorTemplate>, c: usize| {
@@ -290,19 +266,11 @@ fn solve_cells(
             )?;
             template.solve_resilient(&model, solve_opts, WarmStart::Cold)
         },
-        |pool| pool.run_queue(queue.clone()),
+        |pool| pool.run_queue((0..coord.configs.len()).collect()),
     );
-    // Back in cell order, so the first error is the lowest failing
-    // cell's, and a panic names its cell rather than its queue slot.
-    let mut by_cell: Vec<_> = queue.into_iter().zip(points).collect();
-    by_cell.sort_unstable_by_key(|&(c, _)| c);
-    by_cell
+    // In cell order, so the first error is the lowest failing cell's.
+    points
         .into_iter()
-        .map(|(c, point)| {
-            point.unwrap_or_else(|mut panic| {
-                panic.index = c;
-                panic.resume()
-            })
-        })
+        .map(|point| point.unwrap_or_else(|panic| panic.resume()))
         .collect()
 }

@@ -51,30 +51,13 @@ pub fn erlang_b(servers: usize, rho: f64) -> Result<f64, QueueingError> {
 /// Returns [`QueueingError::InvalidParameter`] if `rho` is negative or
 /// non-finite.
 pub fn mmcc_distribution(servers: usize, rho: f64) -> Result<Vec<f64>, QueueingError> {
-    let mut terms = Vec::with_capacity(servers + 1);
-    mmcc_distribution_into(servers, rho, &mut terms)?;
-    Ok(terms)
-}
-
-/// [`mmcc_distribution`] written into `terms` (cleared first), so a
-/// caller that evaluates many loss systems reuses one buffer. The
-/// values are bit-identical: `mmcc_distribution` is this body.
-///
-/// # Errors
-///
-/// As [`mmcc_distribution`]; `terms` is left untouched.
-pub fn mmcc_distribution_into(
-    servers: usize,
-    rho: f64,
-    terms: &mut Vec<f64>,
-) -> Result<(), QueueingError> {
     if !rho.is_finite() || rho < 0.0 {
         return Err(QueueingError::InvalidParameter {
             name: "rho",
             value: rho,
         });
     }
-    terms.clear();
+    let mut terms = Vec::with_capacity(servers + 1);
     let mut t = 1.0f64;
     let mut total = 1.0f64;
     terms.push(t);
@@ -84,7 +67,7 @@ pub fn mmcc_distribution_into(
         total += t;
         if total > 1e250 {
             let scale = 1.0 / total;
-            for x in terms.iter_mut() {
+            for x in &mut terms {
                 *x *= scale;
             }
             t *= scale;
@@ -92,10 +75,10 @@ pub fn mmcc_distribution_into(
         }
     }
     let inv = 1.0 / total;
-    for x in terms.iter_mut() {
+    for x in &mut terms {
         *x *= inv;
     }
-    Ok(())
+    Ok(terms)
 }
 
 /// Mean number of busy servers (carried traffic) of an M/M/c/c system:

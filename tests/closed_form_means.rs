@@ -234,18 +234,19 @@ fn each_cell_is_one_cold_solve_at_the_converged_inflows() {
     }
 }
 
-/// A 12-cell corridor whose cells alternate K = 5 and K = 8 in cell
-/// order. Within each shape, CS-2 and CS-3 cells and Model 3 and
-/// Model 1 sessions follow each other, so that consecutive same-shape
-/// cells sometimes keep their level key (a phase-only recapture),
-/// sometimes change it (a full one), and sometimes change `p_off` (a
-/// new placement table).
+/// A 12-cell corridor whose shapes interleave in cell order, in runs of
+/// three: K = 5, 5, 5, 8, 8, 8, 5, 5, 5, 8, 8, 8. The final pass queues
+/// the cells in cell order, so one worker's template meets a shape
+/// switch at the head of every run; within a run, the CS-2/CS-3 and
+/// Model 3/Model 1 choices make the next same-shape cell keep its level
+/// key (a phase-only recapture), change it (a full recapture), or
+/// change `p_off` (a new placement table).
 fn interleaved_shapes() -> ClusterModel {
-    const CS3: [usize; 6] = [1, 4, 6, 7, 9, 10];
-    const MODEL1: [usize; 4] = [3, 5, 8, 10];
+    const CS3: [usize; 5] = [2, 6, 9, 10, 11];
+    const MODEL1: [usize; 5] = [4, 5, 6, 7, 11];
     let cells = (0..12)
         .map(|i| {
-            let mut cfg = cell(if i % 2 == 0 { 5 } else { 8 }, 0.2 + 0.025 * i as f64);
+            let mut cfg = cell(if (i / 3) % 2 == 0 { 5 } else { 8 }, 0.2 + 0.025 * i as f64);
             if CS3.contains(&i) {
                 cfg.coding_scheme = CodingScheme::Cs3;
             }
@@ -294,11 +295,13 @@ fn assert_fresh_cold_solves(
     }
 }
 
-/// The final pass keeps one template per worker and solves every
+/// The final pass keeps one template per worker and solves the next
 /// same-shape cell on it. At 1, 2 and 3 workers each cell equals its
 /// fresh-template solve, under the quick solver and with the sweeps
 /// capped so low that every cell falls to the ladder's lower rungs on
-/// its reused template and the next cell still starts clean.
+/// its reused template and the next cell still starts clean. One
+/// worker serves the cells in cell order, so it meets every transition
+/// of [`interleaved_shapes`]; more workers split the runs differently.
 #[test]
 fn reused_templates_solve_each_cell_as_a_fresh_one() {
     let model = interleaved_shapes();
